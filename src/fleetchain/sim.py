@@ -19,6 +19,13 @@ records, not ledger transfers).
 Energy bookkeeping is itemised per slot into security, transmission and
 ledger-update components; a vehicle that cannot fund its full slot charge
 stops transacting (residual energy never goes negative and never rises).
+
+Vehicle state is kept as arrays over the run. Charges are uniform within a
+role, so each slot charges the whole fleet with one masked subtraction at
+each vehicle's role cost. The slot's itemised sums and the running
+transaction count are accumulated left to right in vehicle-id order, heads
+before members, so they round as one addition per vehicle would.
+`RunReport.vehicles` is built once, at the end of the run.
 """
 
 from __future__ import annotations
@@ -35,10 +42,16 @@ from .analytics import (
     GaussianRate,
     TxCountParams,
     conservation_factor,
-    decay_params_at,
-    energy_decay,
+    energy_decay,  # noqa: F401  benchmarks/tracing.py wraps fleetchain.sim.energy_decay
 )
-from .controller import ACTION_CHANGE, ControllerConfig, FleetState, TraceRow, evaluate_slot
+from .controller import (
+    ACTION_CHANGE,
+    ControllerConfig,
+    FleetState,
+    TraceRow,
+    VehicleArrays,
+    evaluate_slot,
+)
 from .energy import EnergyParams, HestonParams, ledger_update_energy, transmission_energy
 from .mobility import (
     ConnectivityParams,
@@ -285,61 +298,103 @@ class RunReport:
         return sum(r.offloads for r in self.rows)
 
 
-class _SlotBucket:
-    """Itemised energy charges of one slot."""
+@dataclass(eq=False)
+class _SimVehicles(VehicleArrays):
+    """The run's vehicle arrays plus the state only the simulator reads."""
 
-    __slots__ = ("security", "transmission", "update")
+    position: np.ndarray
+    joined: np.ndarray
 
-    def __init__(self):
-        self.security = 0.0
-        self.transmission = 0.0
-        self.update = 0.0
+    def states(self, cfg: SimConfig) -> list[VehicleState]:
+        roles = ["ch" if h else "member" for h in self.head.tolist()]
+        return [
+            VehicleState(
+                vid,
+                cluster,
+                position,
+                residual,
+                cfg.stay_value,
+                cfg.radio_range,
+                role,
+                critical,
+                active,
+                cfg.vehicle_tx_limit,
+                cfg.initial_energy,
+                joined,
+            )
+            for vid, cluster, position, residual, role, critical, active, joined in zip(
+                self.id.tolist(),
+                self.cluster.tolist(),
+                self.position.tolist(),
+                self.residual.tolist(),
+                roles,
+                self.critical.tolist(),
+                self.active.tolist(),
+                self.joined.tolist(),
+            )
+        ]
 
-    @property
-    def total(self) -> float:
-        return self.security + self.transmission + self.update
 
-
-def _init_vehicles(cfg: SimConfig, clustered: bool) -> list[VehicleState]:
+def _init_vehicles(cfg: SimConfig, clustered: bool) -> _SimVehicles:
+    """Vehicle `id` is its index; clustered runs start with each cluster's
+    lowest id as head."""
     rng = np.random.default_rng(cfg.seed)
     positions = np.clip(
         rng.normal(cfg.mean_range, cfg.range_stddev, cfg.n_vehicles), 0.0, None
     )
-    vehicles = []
-    for vid in range(cfg.n_vehicles):
-        cluster = vid // cfg.vehicles_per_cluster
-        is_head = clustered and vid % cfg.vehicles_per_cluster == 0
-        vehicles.append(
-            VehicleState(
-                id=vid,
-                cluster=cluster,
-                position=float(positions[vid]),
-                residual_energy=cfg.initial_energy,
-                stay_time=cfg.stay_value,
-                radio_range=cfg.radio_range,
-                role="ch" if is_head else "member",
-                tx_limit=cfg.vehicle_tx_limit,
-                initial_energy=cfg.initial_energy,
-            )
-        )
-    return vehicles
+    n = cfg.n_vehicles
+    ids = np.arange(n, dtype=np.int64)
+    return _SimVehicles(
+        id=ids,
+        cluster=ids // cfg.vehicles_per_cluster,
+        residual=np.full(n, cfg.initial_energy, dtype=float),
+        radio_range=np.full(n, cfg.radio_range, dtype=float),
+        tx_limit=[cfg.vehicle_tx_limit] * n,
+        head=(ids % cfg.vehicles_per_cluster == 0) if clustered else np.zeros(n, dtype=bool),
+        critical=np.zeros(n, dtype=bool),
+        active=np.ones(n, dtype=bool),
+        position=positions,
+        joined=np.zeros(n, dtype=bool),
+    )
 
 
-def _charge(v: VehicleState, bucket: _SlotBucket, sec: float, tx: float, upd: float) -> bool:
-    """Apply one vehicle's slot charge if it can fund it in full."""
-    total = sec + tx + upd
-    if v.residual_energy < total:
-        v.active = False
-        return False
-    v.residual_energy -= total
-    bucket.security += sec
-    bucket.transmission += tx
-    bucket.update += upd
-    return True
+def _charge_slot(
+    v: _SimVehicles,
+    cfg: SimConfig,
+    head: tuple[float, float, float],
+    member: tuple[float, float, float],
+    acc: np.ndarray,
+) -> int:
+    """Charge every active vehicle one slot and return how many heads paid.
+
+    `head` and `member` are each role's (transmission, update, transactions)
+    per payer. A vehicle that cannot fund its charge in full stops
+    transacting. `acc` holds the slot's security, transmission and update
+    sums and the run's transaction count; each payer's share is added to it
+    left to right, heads before members, in id order.
+    """
+    sec = cfg.app_count * cfg.security_cost + np.where(v.joined, 0.0, cfg.security_cost)
+    total = sec + np.where(v.head, head[0], member[0]) + np.where(v.head, head[1], member[1])
+    paid = v.active & (v.residual >= total)
+    v.active[:] = paid
+    np.subtract(v.residual, total, out=v.residual, where=paid)
+    v.joined |= paid
+    heads_paid = paid & v.head
+    sec_heads, sec_members = sec[heads_paid], sec[paid ^ heads_paid]
+    n_heads = sec_heads.size
+    items = np.empty((n_heads + sec_members.size + 1, 4))
+    items[0] = acc
+    items[1 : n_heads + 1, 0] = sec_heads
+    items[1 : n_heads + 1, 1:] = head
+    items[n_heads + 1 :, 0] = sec_members
+    items[n_heads + 1 :, 1:] = member
+    acc[:] = items.cumsum(axis=0)[-1]
+    return n_heads
 
 
-def _join_cost(cfg: SimConfig, v: VehicleState) -> float:
-    return 0.0 if v.joined else cfg.security_cost
+def _fleet_residual(v: _SimVehicles) -> float:
+    """Sum of the residual energies, added left to right in id order."""
+    return float(np.cumsum(v.residual)[-1])
 
 
 def _constraints(cfg: SimConfig) -> ConstraintReport:
@@ -356,25 +411,22 @@ def run_baseline(cfg: SimConfig) -> RunReport:
     vehicles = _init_vehicles(cfg, clustered=False)
     n = cfg.n_vehicles
     p_full = cfg.energy_params(cfg.hops)
-    sec_slot = cfg.app_count * cfg.security_cost
     tx_slot = cfg.app_count * transmission_energy(p_full) * cfg.slot
     upd_slot = cfg.app_count * ledger_update_energy(p_full)
+    # Every vehicle is a member: (transmission, update, transactions) per slot.
+    costs = (tx_slot, upd_slot, cfg.lam * cfg.slot * (n - 1))
 
     rows: list[SlotRow] = []
-    tx_cum = 0.0
+    acc = np.zeros(4)  # security, transmission, update, transactions_cum
     e_cum = 0.0
     active_rate = cfg.lam > 0
     for s in range(1, cfg.n_slots + 1):
         t = s * cfg.slot
-        bucket = _SlotBucket()
+        acc[:3] = 0.0
         if active_rate:
-            for v in vehicles:
-                if not v.active:
-                    continue
-                if _charge(v, bucket, sec_slot + _join_cost(cfg, v), tx_slot, upd_slot):
-                    v.joined = True
-                    tx_cum += cfg.lam * cfg.slot * (n - 1)
-        e_cum += bucket.total
+            _charge_slot(vehicles, cfg, costs, costs, acc)
+        security, transmission, update, tx_cum = acc.tolist()
+        e_cum += security + transmission + update
         rows.append(
             SlotRow(
                 t=t,
@@ -382,14 +434,17 @@ def run_baseline(cfg: SimConfig) -> RunReport:
                 energy_cum=e_cum,
                 ch_changes=0,
                 offloads=0,
-                security_j=bucket.security,
-                transmission_j=bucket.transmission,
-                update_j=bucket.update,
-                fleet_residual=sum(v.residual_energy for v in vehicles),
+                security_j=security,
+                transmission_j=transmission,
+                update_j=update,
+                fleet_residual=_fleet_residual(vehicles),
             )
         )
     return RunReport(
-        regime=REGIME_BASELINE, rows=rows, constraints=_constraints(cfg), vehicles=vehicles
+        regime=REGIME_BASELINE,
+        rows=rows,
+        constraints=_constraints(cfg),
+        vehicles=vehicles.states(cfg),
     )
 
 
@@ -399,19 +454,16 @@ def run_clustered(cfg: SimConfig) -> RunReport:
         cfg = replace(cfg, regime=REGIME_CLUSTERED)
     vehicles = _init_vehicles(cfg, clustered=True)
     mobility = cfg.mobility()
-    connectivity = cfg.connectivity()
-    decay = cfg.decay_params()
     fleet = FleetState(
         vehicles=vehicles,
         mobility=mobility,
-        connectivity=connectivity,
+        connectivity=cfg.connectivity(),
         lam1=cfg.lam1_value,
-        decay=decay,
+        decay=cfg.decay_params(),
         heston=cfg.heston_params(),
         required_tx_limit=cfg.required_tx_limit,
         expected_request_change=cfg.request_change_rate,
     )
-    fleet.slot_decay_estimate = energy_decay(decay_params_at(decay, cfg.slot))
     ctrl = ControllerConfig(
         slot=cfg.slot,
         horizon=cfg.horizon,
@@ -421,12 +473,16 @@ def run_clustered(cfg: SimConfig) -> RunReport:
 
     p_local = cfg.energy_params(1)
     p_global = cfg.energy_params(cfg.hops)
-    sec_slot = cfg.app_count * cfg.security_cost
     member_tx = cfg.app_count * transmission_energy(p_local) * cfg.slot
     member_upd = cfg.app_count * ledger_update_energy(p_local)
     head_upd_local = cfg.app_count * ledger_update_energy(p_local)
     head_tx_global = cfg.app_count * transmission_energy(p_global) * cfg.slot
     head_upd_global = cfg.app_count * ledger_update_energy(p_global)
+    # (transmission, update, transactions) per payer; member updates are
+    # ledger transfers unless the load model emits them.
+    member = (member_tx, member_upd, 0.0 if cfg.use_load_model_exchange else cfg.lam * cfg.slot)
+    head_local = (0.0, head_upd_local, 0.0)
+    critical_level = cfg.critical_fraction * cfg.initial_energy
 
     load_model_rate = 0.0
     if cfg.use_load_model_exchange:
@@ -436,13 +492,13 @@ def run_clustered(cfg: SimConfig) -> RunReport:
 
     rows: list[SlotRow] = []
     trace: list[TraceRow] = []
-    tx_cum = 0.0
+    acc = np.zeros(4)  # security, transmission, update, transactions_cum
     e_cum = 0.0
     emitted_prev = 0
     active_rate = cfg.lam > 0
     for s in range(1, cfg.n_slots + 1):
         t = s * cfg.slot
-        bucket = _SlotBucket()
+        acc[:3] = 0.0
 
         if cfg.use_load_model_exchange:
             cum_load = load_model_rate * t * t / 2.0
@@ -452,53 +508,31 @@ def run_clustered(cfg: SimConfig) -> RunReport:
             emitted = 0
             exchange = s % cfg.period_value == 0
 
-        operating_heads: list[VehicleState] = []
         if active_rate:
             # Heads first, so the global-transfer count uses this slot's
             # surviving head set.
-            for v in vehicles:
-                if not v.active or v.role != "ch":
-                    continue
-                if exchange:
-                    ok = _charge(
-                        v,
-                        bucket,
-                        sec_slot + _join_cost(cfg, v),
-                        head_tx_global,
-                        head_upd_global,
-                    )
-                else:
-                    ok = _charge(v, bucket, sec_slot + _join_cost(cfg, v), 0.0, head_upd_local)
-                if ok:
-                    v.joined = True
-                    operating_heads.append(v)
-            for v in vehicles:
-                if not v.active or v.role != "member":
-                    continue
-                if _charge(v, bucket, sec_slot + _join_cost(cfg, v), member_tx, member_upd):
-                    v.joined = True
-                    if not cfg.use_load_model_exchange:
-                        tx_cum += cfg.lam * cfg.slot
-            if exchange and operating_heads:
+            head = (head_tx_global, head_upd_global, 0.0) if exchange else head_local
+            operating = _charge_slot(vehicles, cfg, head, member, acc)
+            if exchange and operating:
                 if cfg.use_load_model_exchange:
-                    tx_cum += emitted
+                    acc[3] += emitted
                     emitted_prev += emitted
                 else:
-                    tx_cum += len(operating_heads) * (len(operating_heads) - 1)
+                    acc[3] += operating * (operating - 1)
 
-        for v in vehicles:
-            v.critical = v.residual_energy < cfg.critical_fraction * v.initial_energy
+        np.less(vehicles.residual, critical_level, out=vehicles.critical)
 
         slot_rows = evaluate_slot(fleet, ctrl, s)
         trace.extend(slot_rows)
+        security, transmission, update, tx_cum = acc.tolist()
         changes = [r for r in slot_rows if r.action == ACTION_CHANGE]
         for row in changes:
-            new_head = next(v for v in vehicles if v.id == row.new_ch)
-            if new_head.residual_energy >= cfg.security_cost:
-                new_head.residual_energy -= cfg.security_cost
-                bucket.security += cfg.security_cost
+            # A new head pays one security charge when it can fund it.
+            if vehicles.residual[row.new_ch] >= cfg.security_cost:
+                vehicles.residual[row.new_ch] -= cfg.security_cost
+                security += cfg.security_cost
 
-        e_cum += bucket.total
+        e_cum += security + transmission + update
         rows.append(
             SlotRow(
                 t=t,
@@ -506,10 +540,10 @@ def run_clustered(cfg: SimConfig) -> RunReport:
                 energy_cum=e_cum,
                 ch_changes=len(changes),
                 offloads=len(changes),
-                security_j=bucket.security,
-                transmission_j=bucket.transmission,
-                update_j=bucket.update,
-                fleet_residual=sum(v.residual_energy for v in vehicles),
+                security_j=security,
+                transmission_j=transmission,
+                update_j=update,
+                fleet_residual=_fleet_residual(vehicles),
             )
         )
     return RunReport(
@@ -517,7 +551,7 @@ def run_clustered(cfg: SimConfig) -> RunReport:
         rows=rows,
         trace=trace,
         constraints=_constraints(cfg),
-        vehicles=vehicles,
+        vehicles=vehicles.states(cfg),
     )
 
 

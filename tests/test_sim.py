@@ -280,3 +280,16 @@ def test_config_validation():
         SimConfig(horizon=0.0)
     with pytest.raises(ValueError):
         SimConfig(regime="hybrid")
+
+
+def test_all_critical_candidates_keep_the_head():
+    # Every candidate drains into the critical band while lam 1.5 keeps
+    # indicating a change: the heads stay instead of the cascade raising.
+    cfg = SimConfig(cluster_count=2, vehicles_per_cluster=5, lam=1.5,
+                    initial_energy=2.5e7, horizon=400.0)
+    report = run_clustered(cfg)
+    for cluster in range(cfg.cluster_count):
+        heads = [v for v in report.vehicles if v.cluster == cluster and v.role == "ch"]
+        assert len(heads) == 1
+    kept = [r for r in report.trace if r.action == "keep"]
+    assert kept and all(r.rule_used == "OST" and r.new_ch is None for r in kept)
