@@ -8,10 +8,24 @@ regenerated to make this test pass.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from fleetchain.sim import SimConfig, comparison_csv, paired_comparison
+from fleetchain.analytics import DecayParams, GaussianRate
+from fleetchain.controller import (
+    ACTION_CHANGE,
+    ACTION_KEEP,
+    ACTION_SPLIT_RANGE,
+    ACTION_SPLIT_TRANSFER,
+    RULE_LIMIT,
+    RULE_PRE_DECAY,
+    ControllerConfig,
+    FleetState,
+    run_controller,
+)
+from fleetchain.mobility import ConnectivityParams, MobilityModel
+from fleetchain.sim import SimConfig, VehicleState, comparison_csv, paired_comparison
 
 CONFIGS = {
     # lam 2 is the exact OST tie, so the pre-decay rule keeps every head.
@@ -104,3 +118,130 @@ def test_golden_digests(name):
     assert csv_digest == want[0], "comparison CSV changed"
     assert trace_digest == want[1], "controller trace changed"
     assert vehicles_digest == want[2], "final vehicle states changed"
+
+
+# --- controller paths the simulator cannot reach --------------------------
+#
+# `sim` gives every vehicle the same radio range and tx limit, so the paired
+# runs above never pick a qualified Lemma2-limit candidate or split by range.
+# These object fleets do: mixed radio ranges, tx limits of None, 10, 50 and
+# 100 against a requirement of 50, a score schedule, critical and inactive
+# vehicles, a cluster with two initial heads and one with none. Vehicle ids
+# are not in list order. Each seed pins a sha256 of the `run_controller`
+# trace rows and the final roles, taken from the Candidate-list controller.
+
+OBJECT_FLEET_SEEDS = (1, 2, 3)
+
+OBJECT_FLEET_GOLDEN = {
+    1: "c56e708b3acb33a78735fff4817d3d5beea4c153d7c371c350f9381911e587fb",
+    2: "90003c46c205658a20e7c1b2eda0841994725248f731454da1636f5b88d4ef51",
+    3: "3f20b377cb791d87342c41c2ce56445cf4721ba6dc6638265d1b8640c9500b2e",
+}
+
+# Radio ranges; in cluster 3 no vehicle covers the 500 m connect range.
+RANGES = {False: (250.0, 300.0, 300.0, 500.0, 600.0), True: (250.0, 300.0, 300.0)}
+
+
+def object_fleet(seed: int) -> FleetState:
+    rng = random.Random(seed)
+    ids = rng.sample(range(200), 36)
+    vehicles = []
+    for cluster in range(6):
+        for j in range(6):
+            vid = ids[6 * cluster + j]
+            critical = rng.random() < 0.2
+            active = rng.random() < 0.85
+            if cluster == 4:  # every vehicle but the head is critical
+                critical = j > 0
+            if cluster == 5:  # no head: never stepped
+                role = "member"
+            else:
+                role = "ch" if j == 0 or (cluster == 0 and j == 3) else "member"
+            vehicles.append(
+                VehicleState(
+                    id=vid,
+                    cluster=cluster,
+                    position=300.0,
+                    residual_energy=rng.choice([120.0, 400.0, 400.0, 750.0, 900.0]),
+                    stay_time=20.0,
+                    radio_range=rng.choice(RANGES[cluster == 3]),
+                    role=role,
+                    critical=critical,
+                    active=active,
+                    tx_limit=rng.choice([None, 10.0, 50.0, 100.0]),
+                    initial_energy=1000.0,
+                )
+            )
+    vehicles[6].critical = True  # the head of cluster 1: energy handover
+    vehicles[6].active = True
+    vehicles[24].critical = False  # the head of cluster 4 stays healthy
+    vehicles[24].active = True
+    vehicles[18].tx_limit = 10.0  # the head of cluster 3 is under the requirement
+    vehicles[24].tx_limit = 10.0
+    rng.shuffle(vehicles)
+    decay = None
+    if seed % 2:  # rate candidates in slots of decay, not in joules
+        decay = DecayParams(
+            rate1=GaussianRate.at_rate(0.0, 1.0, 1.0),
+            rate2=GaussianRate.at_rate(0.0, 1.0, 2.0),
+            initial_energy=1000.0,
+            app_count=10,
+            horizon=12.0,
+        )
+    return FleetState(
+        vehicles=vehicles,
+        mobility=MobilityModel(
+            connect_range=500.0, radio_range=300.0, mean_range=300.0, range_stddev=1.0
+        ),
+        connectivity=ConnectivityParams(),
+        decay=decay,
+        score_schedule={2: 0.0, 5: 0.0, 6: 0.0, 9: 0.0},
+        score_default=5.0,
+        required_tx_limit=50.0,
+    )
+
+
+def object_fleet_run(seed: int):
+    fleet = object_fleet(seed)
+    rows = run_controller(fleet, ControllerConfig(slot=1.0, horizon=12.0, expected_score=1.0))
+    return fleet, rows
+
+
+def object_fleet_digest(fleet: FleetState, rows) -> str:
+    trace = (
+        f"{r.slot},{r.cluster},{r.rule_used},{r.action},{r.old_ch},{r.new_ch!r},"
+        f"{r.offload_slot!r}"
+        for r in rows
+    )
+    roles = (f"{v.id},{v.cluster},{v.role}" for v in fleet.vehicles)
+    return _sha([*trace, *roles])
+
+
+@pytest.mark.parametrize("seed", OBJECT_FLEET_SEEDS)
+def test_object_fleet_digests(seed):
+    fleet, rows = object_fleet_run(seed)
+    assert object_fleet_digest(fleet, rows) == OBJECT_FLEET_GOLDEN[seed], "trace changed"
+
+
+def test_object_fleets_reach_every_controller_path():
+    seen = set()
+    for seed in OBJECT_FLEET_SEEDS:
+        fleet, rows = object_fleet_run(seed)
+        critical = {v.id for v in fleet.vehicles if v.critical}
+        dead = {v.id for v in fleet.vehicles if not v.active}
+        for r in rows:
+            if r.rule_used == RULE_PRE_DECAY and r.action == ACTION_CHANGE:
+                # No score ties here: a pre-decay change is an energy handover.
+                assert r.old_ch in critical | dead
+                if r.old_ch in critical:
+                    seen.add("critical-head handover")
+            elif r.rule_used == RULE_LIMIT:
+                seen.add({ACTION_CHANGE: "qualified change", ACTION_KEEP: "all-critical keep"}
+                         .get(r.action, r.action))
+    assert seen == {
+        "qualified change",
+        ACTION_SPLIT_RANGE,
+        ACTION_SPLIT_TRANSFER,
+        "critical-head handover",
+        "all-critical keep",
+    }
