@@ -20,9 +20,10 @@ when a change is indicated and every candidate is critical, the head stays.
 The slotted loop keeps the fleet as arrays (`VehicleArrays`) and computes
 the run's threshold, default score, pre-decay verdict and slot decay
 estimate once. Each slot it applies the keep-or-change test of the cascade
-to every cluster's head and builds `Candidate` lists, and calls `decide`,
-only for the clusters whose head is dead or critical or where that test
-indicates a change or split.
+to every cluster's head. When a head is dead or critical, or the test
+indicates a change or split, one array pass over the stepped clusters'
+members (`_select`) picks the new head or split lead of every cluster at
+once. `decide` is the same selection over one cluster's `Candidate` list.
 """
 
 from __future__ import annotations
@@ -158,27 +159,96 @@ class ControllerConfig:
             raise ValueError("slot must satisfy 0 < slot <= horizon")
 
 
-def _pick(candidates: list[Candidate]) -> Candidate:
-    return min(candidates, key=lambda c: (-c.energy_rating, c.vehicle_id))
+def slot_count(horizon: float, slot: float) -> int:
+    """Number of slots in a run: the largest n with n * slot <= horizon, where
+    a quotient within a relative 1e-9 of a whole number counts as that number
+    (0.3 / 0.1 gives 3, 14 / 4 gives 3)."""
+    q = horizon / slot
+    n = round(q)
+    return n if abs(n - q) <= 1e-9 * q else math.floor(q)
 
 
-def _split(
-    eligible: list[Candidate],
-    transfer_scores: Mapping[int, float] | None,
-    offload: float,
-) -> ChDecision:
-    best_range = max(c.radio_range for c in eligible)
-    leaders = [c for c in eligible if c.radio_range == best_range]
-    if len(leaders) == 1:
-        return ChDecision(ACTION_SPLIT_RANGE, leaders[0].vehicle_id, offload, RULE_LIMIT)
-    if transfer_scores:
-        lead = min(
-            leaders,
-            key=lambda c: (-transfer_scores.get(c.vehicle_id, 0.0), c.vehicle_id),
+@dataclass(frozen=True)
+class _Segments:
+    """Consecutive runs of a flat array; segment k starts at `starts[k]`."""
+
+    starts: np.ndarray
+    segment: np.ndarray  # segment of each flat position
+    position: np.ndarray  # 0, 1, ... over the flat positions
+
+    @classmethod
+    def of_lengths(cls, lengths: Sequence[int]) -> _Segments:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        ends = np.cumsum(lengths)
+        return cls(
+            starts=ends - lengths,
+            segment=np.repeat(np.arange(lengths.size), lengths),
+            position=np.arange(ends[-1] if lengths.size else 0),
         )
-    else:
-        lead = min(leaders, key=lambda c: c.vehicle_id)
-    return ChDecision(ACTION_SPLIT_TRANSFER, lead.vehicle_id, offload, RULE_LIMIT)
+
+
+def _first_best(
+    values: np.ndarray, mask: np.ndarray, seg: _Segments
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment: the largest masked value and the flat position of the
+    first masked entry holding it, or `values.size` when none is masked."""
+    top = np.maximum.reduceat(np.where(mask, values, -np.inf), seg.starts)
+    hit = mask & (values == top[seg.segment])
+    first = np.minimum.reduceat(np.where(hit, seg.position, values.size), seg.starts)
+    return top, first
+
+
+def _qualified(
+    tx_limit: Sequence, radio_range: np.ndarray, required: float, connect_range: float | None
+) -> np.ndarray:
+    """Vehicles whose limit covers `required` and whose radio range covers
+    `connect_range`: those the Lemma2-limit rule may hand the head to."""
+    ok = np.array([lim is not None and lim >= required for lim in tx_limit], dtype=bool)
+    if connect_range is not None:
+        ok &= connect_range <= radio_range
+    return ok
+
+
+def _select(
+    rating: np.ndarray,
+    eligible: np.ndarray,
+    seg: _Segments,
+    limit: np.ndarray,
+    qualified: np.ndarray | None,
+    radio_range: np.ndarray,
+    transfer: np.ndarray | None = None,
+) -> tuple[list[int], list[str]]:
+    """The cascade's choice of a new head for every segment at once.
+
+    Entries are vehicles in id order within each segment. A segment picks
+    its eligible vehicle of highest `rating`, ties to the lowest id. Where
+    `limit` marks that the Lemma2-limit rule fired, it picks among the
+    `qualified` eligible vehicles instead; with none qualified it splits
+    the load, led by the unique largest radio range, else by the highest
+    `transfer` score (lowest id without scores) among the range leaders.
+    Returns each segment's flat position of the pick, `rating.size` where
+    no vehicle is eligible, and its action.
+    """
+    n = rating.size
+    _, pick = _first_best(rating, eligible, seg)
+    action = [ACTION_CHANGE] * seg.starts.size
+    if not limit.any():
+        return pick.tolist(), action
+    _, best_qualified = _first_best(rating, eligible & qualified, seg)
+    split = limit & (best_qualified == n)
+    pick = np.where(limit, best_qualified, pick)
+    if split.any():
+        top, lead = _first_best(radio_range, eligible, seg)
+        leaders = eligible & (radio_range == top[seg.segment])
+        unique = np.add.reduceat(leaders, seg.starts) == 1
+        if transfer is not None:
+            _, by_transfer = _first_best(transfer, leaders, seg)
+        else:
+            by_transfer = lead
+        pick = np.where(split, np.where(unique, lead, by_transfer), pick)
+        for k in np.flatnonzero(split).tolist():
+            action[k] = ACTION_SPLIT_RANGE if unique[k] else ACTION_SPLIT_TRANSFER
+    return pick.tolist(), action
 
 
 def _keep_or_change(
@@ -212,23 +282,27 @@ def decide(
     rule, change = _keep_or_change(obs, required_tx_limit, pre_decay)
     if not change:
         return ChDecision(ACTION_KEEP, None, 0.0, rule)
-    eligible = [c for c in candidates if not c.critical]
-    offload = max(obs.time - cfg.slot, 0.0)
-    if rule == RULE_LIMIT:
-        qualified = [
-            c
-            for c in eligible
-            if c.tx_limit is not None
-            and c.tx_limit >= required_tx_limit
-            and (connect_range is None or connect_range <= c.radio_range)
-        ]
-        if qualified:
-            return ChDecision(ACTION_CHANGE, _pick(qualified).vehicle_id, offload, RULE_LIMIT)
-    if not eligible:
+    if all(c.critical for c in candidates):
         raise ValueError("change indicated but no candidate set and no split data")
-    if rule == RULE_LIMIT:
-        return _split(eligible, transfer_scores, offload)
-    return ChDecision(ACTION_CHANGE, _pick(eligible).vehicle_id, offload, rule)
+    pool = sorted(candidates, key=lambda c: c.vehicle_id)
+    ranges = np.array([c.radio_range for c in pool], dtype=float)
+    limit = rule == RULE_LIMIT
+    qualified = transfer = None
+    if limit:
+        limits = [c.tx_limit for c in pool]
+        qualified = _qualified(limits, ranges, required_tx_limit, connect_range)
+        if transfer_scores:
+            transfer = np.array([transfer_scores.get(c.vehicle_id, 0.0) for c in pool], dtype=float)
+    (pick,), (action,) = _select(
+        np.array([c.energy_rating for c in pool], dtype=float),
+        np.array([not c.critical for c in pool], dtype=bool),
+        _Segments.of_lengths([len(pool)]),
+        np.array([limit]),
+        qualified,
+        ranges,
+        transfer,
+    )
+    return ChDecision(action, pool[pick].vehicle_id, max(obs.time - cfg.slot, 0.0), rule)
 
 
 @dataclass(frozen=True)
@@ -337,6 +411,15 @@ class FleetState:
         self._heads = np.array(
             [m[arrays.head[m]][0] for m in self._members], dtype=np.intp
         )
+        # The stepped clusters' members as one flat array in (cluster, id)
+        # order, one segment per cluster, for the head selection.
+        self._flat = np.concatenate(self._members) if stepped else np.empty(0, np.intp)
+        self._segments = _Segments.of_lengths([m.size for m in self._members])
+        self._flat_position = np.full(order.size, -1, dtype=np.intp)
+        self._flat_position[self._flat] = self._segments.position
+        self._flat_ids = arrays.id[self._flat].tolist()
+        self._flat_range = arrays.radio_range[self._flat]
+        self._flat_qualified = None  # built when the Lemma2-limit rule first fires
         # Vehicle -> position of its stepped cluster; the rest share one
         # extra position.
         self._cluster_of = np.full(order.size, len(stepped), dtype=np.intp)
@@ -344,7 +427,6 @@ class FleetState:
             self._cluster_of[m] = j
         self._ids = arrays.id.tolist()
         self._index_of = {vid: i for i, vid in enumerate(self._ids)}
-        self._ranges = arrays.radio_range.tolist()
 
     def clusters(self) -> list[int]:
         self.arrays  # reads the vehicles on first use
@@ -399,23 +481,32 @@ class FleetState:
         self._run = _RunConstants(cfg, threshold, score, pre, estimate)
         return self._run
 
-    def _candidates(self, k: int, head: int, estimate: float, state) -> list[Candidate]:
-        """Candidates of cluster position `k`: its active members other than
-        the head, in id order, rated in slots of decay when `estimate` > 0.
-        `state` holds the residual, active and critical lists of this slot."""
-        residual, active, critical = state
-        ids, ranges, limits = self._ids, self._ranges, self._arrays.tx_limit
-        return [
-            Candidate(
-                ids[i],
-                residual[i] / estimate if estimate > 0 else residual[i],
-                ranges[i],
-                limits[i],
-                critical[i],
+    def _select_heads(
+        self, run: _RunConstants, limit: np.ndarray
+    ) -> tuple[list[int | None], list[str]]:
+        """Per stepped cluster: the id of its new head or split lead among
+        its active, non-critical members other than the head (None when
+        there is none) and the action, by `_select`. Members are rated in
+        slots of decay when the run's estimate is positive; `limit` marks
+        the clusters where the Lemma2-limit rule fired."""
+        a, flat = self._arrays, self._flat
+        eligible = a.active[flat] & ~a.critical[flat]
+        eligible[self._flat_position[self._heads]] = False
+        rating = a.residual[flat]
+        if run.slot_decay_estimate > 0:
+            rating = rating / run.slot_decay_estimate
+        if limit.any() and self._flat_qualified is None:
+            self._flat_qualified = _qualified(
+                [a.tx_limit[i] for i in flat.tolist()],
+                self._flat_range,
+                self.required_tx_limit,
+                self.mobility.connect_range,
             )
-            for i in self._member_lists[k]
-            if i != head and active[i]
-        ]
+        picks, actions = _select(
+            rating, eligible, self._segments, limit, self._flat_qualified, self._flat_range
+        )
+        ids = self._flat_ids
+        return [ids[p] if p < len(ids) else None for p in picks], actions
 
 
 def evaluate_slot(
@@ -442,71 +533,54 @@ def evaluate_slot(
     has_candidate = (n_active[: heads.size] > head_active).tolist()
     steady = (head_active & ~a.critical[heads]).tolist()
 
-    rows: list[TraceRow] = []
-    verdicts: dict = {}  # head tx limit -> (observation, rule, change indicated)
-    state = None  # the slot's per-vehicle lists, once a cluster needs candidates
+    rows: list[TraceRow | None] = []
+    verdicts: dict = {}  # head tx limit -> (rule, change indicated)
+    # (row index, cluster position, head id, rule) of each cluster that needs
+    # a new head; the rule is None for an energy handover.
+    pending = []
+    ids = fleet._ids
     clusters = zip(heads.tolist(), fleet._stepped, has_candidate, steady)
     for k, (head, cluster, live, ok) in enumerate(clusters):
         if not live:
             continue
-        head_id = fleet._ids[head]
         if not ok:
-            state = state or (a.residual.tolist(), a.active.tolist(), a.critical.tolist())
-            eligible = [
-                c
-                for c in fleet._candidates(k, head, run.slot_decay_estimate, state)
-                if not c.critical
-            ]
-            if eligible:
-                new_id = _pick(eligible).vehicle_id
-                rows.append(
-                    TraceRow(slot_index, cluster, RULE_PRE_DECAY, ACTION_CHANGE, head_id, new_id,
-                             offload)
-                )
-                _apply_change(fleet, cluster, new_id)
+            pending.append((len(rows), k, ids[head], None))
+            rows.append(None)
             continue
-
         limit = a.tx_limit[head]
         verdict = verdicts.get(limit)
         if verdict is None:
             obs = OstObservation(observed=observed, expected=run.threshold,
                                  upper_tx_limit=limit, time=t)
-            verdict = verdicts[limit] = (
-                obs, *_keep_or_change(obs, fleet.required_tx_limit, run.pre_decay)
+            verdict = verdicts[limit] = _keep_or_change(
+                obs, fleet.required_tx_limit, run.pre_decay
             )
-        obs, rule, change = verdict
-        if not change:
-            rows.append(TraceRow(slot_index, cluster, rule, ACTION_KEEP, head_id, None, 0.0))
-            continue
+        rule, change = verdict
+        if change:
+            pending.append((len(rows), k, ids[head], rule))
+            rows.append(None)
+        else:
+            rows.append(TraceRow(slot_index, cluster, rule, ACTION_KEEP, ids[head], None, 0.0))
+    if not pending:
+        return rows
 
-        state = state or (a.residual.tolist(), a.active.tolist(), a.critical.tolist())
-        candidates = fleet._candidates(k, head, run.slot_decay_estimate, state)
-        if all(c.critical for c in candidates):
-            # Critical-energy vehicles are never selected: the head stays.
-            rows.append(TraceRow(slot_index, cluster, rule, ACTION_KEEP, head_id, None, 0.0))
+    limit_fired = np.zeros(heads.size, dtype=bool)
+    limit_fired[[k for _, k, _, rule in pending if rule == RULE_LIMIT]] = True
+    picks, actions = fleet._select_heads(run, limit_fired)
+    for i, k, head_id, rule in pending:
+        cluster, new_id = fleet._stepped[k], picks[k]
+        if new_id is None:
+            # Critical-energy vehicles are never selected: the head stays. A
+            # handover with no one to take over writes no row.
+            if rule is not None:
+                rows[i] = TraceRow(slot_index, cluster, rule, ACTION_KEEP, head_id, None, 0.0)
             continue
-        decision = decide(
-            obs,
-            cfg,
-            candidates,
-            required_tx_limit=fleet.required_tx_limit,
-            connect_range=fleet.mobility.connect_range,
-            pre_decay=run.pre_decay,
-        )
-        rows.append(
-            TraceRow(
-                slot_index,
-                cluster,
-                decision.rule_used,
-                decision.action,
-                head_id,
-                decision.new_ch,
-                decision.offload_slot,
-            )
-        )
-        if decision.action == ACTION_CHANGE:
-            _apply_change(fleet, cluster, decision.new_ch)
-    return rows
+        action = actions[k]
+        rows[i] = TraceRow(slot_index, cluster, rule or RULE_PRE_DECAY, action, head_id,
+                           new_id, offload)
+        if action == ACTION_CHANGE:
+            _apply_change(fleet, cluster, new_id)
+    return [row for row in rows if row is not None]
 
 
 def _apply_change(fleet: FleetState, cluster: int, new_id: int) -> None:
@@ -516,7 +590,6 @@ def _apply_change(fleet: FleetState, cluster: int, new_id: int) -> None:
 def run_controller(fleet: FleetState, cfg: ControllerConfig) -> list[TraceRow]:
     """Iterate the decision cascade over every slot up to the horizon."""
     rows: list[TraceRow] = []
-    n_slots = int(round(cfg.horizon / cfg.slot))
-    for slot_index in range(1, n_slots + 1):
+    for slot_index in range(1, slot_count(cfg.horizon, cfg.slot) + 1):
         rows.extend(evaluate_slot(fleet, cfg, slot_index))
     return rows

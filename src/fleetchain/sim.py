@@ -31,6 +31,7 @@ before members, so they round as one addition per vehicle would.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -51,6 +52,7 @@ from .controller import (
     TraceRow,
     VehicleArrays,
     evaluate_slot,
+    slot_count,
 )
 from .energy import EnergyParams, HestonParams, ledger_update_energy, transmission_energy
 from .mobility import (
@@ -185,7 +187,7 @@ class SimConfig:
 
     @property
     def n_slots(self) -> int:
-        return int(round(self.horizon / self.slot))
+        return slot_count(self.horizon, self.slot)
 
     def mobility(self) -> MobilityModel:
         return MobilityModel(
@@ -401,7 +403,15 @@ def _constraints(cfg: SimConfig) -> ConstraintReport:
     cs = ConstraintSet(
         op_time=cfg.horizon, stay_time=cfg.stay_value, request_bound=cfg.gamma_value
     )
-    return check_constraints(cs, cfg.mobility(), cfg.connectivity())
+    return _checked_constraints(cs, cfg.mobility(), cfg.connectivity())
+
+
+# Both regimes of a paired run check the same constraints.
+@functools.lru_cache(maxsize=1)
+def _checked_constraints(
+    cs: ConstraintSet, mobility: MobilityModel, connectivity: ConnectivityParams
+) -> ConstraintReport:
+    return check_constraints(cs, mobility, connectivity)
 
 
 def run_baseline(cfg: SimConfig) -> RunReport:

@@ -1,11 +1,14 @@
-"""Invariants of the array-backed slot loop over random small configs, and
-the work the controller does on a run where no head changes."""
+"""Invariants of the array-backed slot loop over random small configs, the
+work the controller does on runs where no head or every head changes, and
+the slot count of a run."""
 
 import fleetchain.controller
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetchain.sim import SimConfig, paired_comparison
+from fleetchain.controller import ControllerConfig, FleetState, run_controller, slot_count
+from fleetchain.sim import SimConfig, paired_comparison, run_baseline, run_clustered
 
 configs = st.builds(
     SimConfig,
@@ -66,3 +69,45 @@ def test_steady_run_builds_no_candidates(monkeypatch):
     assert len(comp.clustered.trace) == 5 * 100
     assert comp.clustered.ch_changes_total == 0
     assert counts == {"candidates": 0, "pre_decay": 1}
+
+
+def test_churn_run_selects_heads_without_candidates(monkeypatch):
+    counts = {"candidates": 0, "decide": 0, "apply_change": 0}
+    originals = {name: getattr(fleetchain.controller, attr)
+                 for name, attr in (("candidates", "Candidate"), ("decide", "decide"),
+                                    ("apply_change", "_apply_change"))}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fleetchain.controller, "Candidate", counting("candidates"))
+    monkeypatch.setattr(fleetchain.controller, "decide", counting("decide"))
+    monkeypatch.setattr(fleetchain.controller, "_apply_change", counting("apply_change"))
+    # 5 clusters x 10 vehicles x 100 slots at lam 1.5: every head changes on
+    # every slot.
+    comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
+    assert comp.clustered.ch_changes_total == 5 * 100
+    assert counts == {"candidates": 0, "decide": 0, "apply_change": 5 * 100}
+
+
+@pytest.mark.parametrize(
+    "horizon, slot, n", [(14.0, 4.0, 3), (10.0, 4.0, 2), (0.3, 0.1, 3), (100.0, 1.0, 100)]
+)
+def test_clock_never_passes_the_horizon(horizon, slot, n):
+    assert slot_count(horizon, slot) == n
+    cfg = SimConfig(cluster_count=2, vehicles_per_cluster=3, horizon=horizon, slot=slot)
+    assert cfg.n_slots == n
+    for report in (run_baseline(cfg), run_clustered(cfg)):
+        assert len(report.rows) == n
+        assert report.rows[-1].t == n * slot
+    fleet = FleetState(
+        vehicles=run_clustered(cfg).vehicles,
+        mobility=cfg.mobility(),
+        connectivity=cfg.connectivity(),
+    )
+    rows = run_controller(fleet, ControllerConfig(slot=slot, horizon=horizon))
+    assert max(r.slot for r in rows) == n
+    assert max(r.slot for r in rows) * slot <= horizon * (1 + 1e-9)
