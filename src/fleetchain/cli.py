@@ -14,17 +14,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from scipy import integrate
-
-from .analytics import (
-    InfeasibleRateError,
-    energy_decay,
-    invert_rate,
-    transaction_count,
-)
+from .analytics import InfeasibleRateError, energy_decay, transaction_count
 from .scenario import ConfigError, Scenario, expand, load_scenario
 from .sim import Comparison, comparison_csv, paired_comparison
-from .validate import run_validation
+from .validate import decay_oracle, run_validation, tx_oracle
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -42,21 +35,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _tx_oracle_ceil(txp) -> int:
-    """Ceiling of the numerically integrated load model."""
-    total_rate = txp.total_rate()
-
-    def integrand(x, t):
-        z = (x - txp.mean_range) / txp.range_stddev
-        f = math.exp(-0.5 * z * z) / (txp.range_stddev * math.sqrt(2.0 * math.pi))
-        return f * txp.presence * total_rate * t / txp.parallel_links
-
-    value, _ = integrate.dblquad(
-        integrand, 0.0, txp.horizon, 0.0, txp.radio_range, epsabs=1e-11, epsrel=1e-12
-    )
-    return math.ceil(value)
 
 
 def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
@@ -79,12 +57,8 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
         note = ""
         try:
             p = cfg.decay_params()
-            lam = invert_rate(p.rate1) + invert_rate(p.rate2)
             closed = energy_decay(p)
-            oracle, _ = integrate.quad(
-                lambda t: math.exp(-lam * t), 0.0, p.horizon, epsabs=1e-14, epsrel=1e-13
-            )
-            oracle *= p.initial_energy / p.app_count
+            oracle = decay_oracle(p)
             rel = abs(closed - oracle) / max(abs(oracle), 1e-300)
             decay_cells = [repr(closed), repr(oracle), f"{rel:.3e}"]
         except InfeasibleRateError as exc:
@@ -93,7 +67,8 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
         txp = cfg.tx_count_params()
         derived = transaction_count(replace(txp, variant="as-derived"))
         printed = transaction_count(replace(txp, variant="as-printed"))
-        rows.append([label or "-"] + decay_cells + [derived, printed, _tx_oracle_ceil(txp), note])
+        oracle_ceil = math.ceil(tx_oracle(txp))
+        rows.append([label or "-"] + decay_cells + [derived, printed, oracle_ceil, note])
     text = _csv_text(header, rows)
     _write(out_dir / f"analytics_{scenario.name}.csv", text)
     print(text, end="")

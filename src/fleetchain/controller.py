@@ -159,13 +159,20 @@ class ControllerConfig:
             raise ValueError("slot must satisfy 0 < slot <= horizon")
 
 
-def slot_count(horizon: float, slot: float) -> int:
-    """Number of slots in a run: the largest n with n * slot <= horizon, where
-    a quotient within a relative 1e-9 of a whole number counts as that number
-    (0.3 / 0.1 gives 3, 14 / 4 gives 3)."""
-    q = horizon / slot
+def whole_quotient(num: float, den: float, rounding) -> int:
+    """`num / den` as a whole number of slots. A quotient within a relative
+    1e-9 of a whole number counts as that number (0.3 / 0.1 gives 3, 2.1 /
+    0.7 gives 3); any other is rounded by `rounding` (`math.floor` or
+    `math.ceil`)."""
+    q = num / den
     n = round(q)
-    return n if abs(n - q) <= 1e-9 * q else math.floor(q)
+    return n if abs(n - q) <= 1e-9 * q else rounding(q)
+
+
+def slot_count(horizon: float, slot: float) -> int:
+    """Number of slots in a run: the largest n with n * slot <= horizon, up
+    to the tolerance of `whole_quotient` (14 / 4 gives 3)."""
+    return whole_quotient(horizon, slot, math.floor)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ from .controller import (
     VehicleArrays,
     evaluate_slot,
     slot_count,
+    whole_quotient,
 )
 from .energy import EnergyParams, HestonParams, ledger_update_energy, transmission_energy
 from .mobility import (
@@ -179,7 +180,7 @@ class SimConfig:
     def period_value(self) -> int:
         if self.global_exchange_period is not None:
             return self.global_exchange_period
-        return max(1, math.ceil(self.stay_value / self.slot))
+        return max(1, whole_quotient(self.stay_value, self.slot, math.ceil))
 
     @property
     def expected_rate_value(self) -> float:
@@ -506,6 +507,7 @@ def run_clustered(cfg: SimConfig) -> RunReport:
     e_cum = 0.0
     emitted_prev = 0
     active_rate = cfg.lam > 0
+    period = cfg.period_value
     for s in range(1, cfg.n_slots + 1):
         t = s * cfg.slot
         acc[:3] = 0.0
@@ -516,7 +518,7 @@ def run_clustered(cfg: SimConfig) -> RunReport:
             exchange = emitted > 0
         else:
             emitted = 0
-            exchange = s % cfg.period_value == 0
+            exchange = s % period == 0
 
         if active_rate:
             # Heads first, so the global-transfer count uses this slot's

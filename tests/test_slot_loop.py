@@ -1,6 +1,6 @@
 """Invariants of the array-backed slot loop over random small configs, the
 work the controller does on runs where no head or every head changes, and
-the slot count of a run."""
+the slot counts of a run and of an exchange period."""
 
 import fleetchain.controller
 import pytest
@@ -111,3 +111,10 @@ def test_clock_never_passes_the_horizon(horizon, slot, n):
     rows = run_controller(fleet, ControllerConfig(slot=slot, horizon=horizon))
     assert max(r.slot for r in rows) == n
     assert max(r.slot for r in rows) * slot <= horizon * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("stay_time, slot, period", [(2.1, 0.7, 3), (10.0, 1.0, 10), (2.5, 1.0, 3)])
+def test_exchange_period_in_whole_slots(stay_time, slot, period):
+    # 2.1 / 0.7 is 3.0000000000000004 in floating point: still 3 slots.
+    cfg = SimConfig(stay_time=stay_time, slot=slot, horizon=20.0)
+    assert cfg.period_value == period
