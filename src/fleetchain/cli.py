@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analytics import InfeasibleRateError, energy_decay, transaction_count
-from .scenario import ConfigError, Scenario, expand, load_scenario
+from .analytics import energy_decay, transaction_count
+from .scenario import ConfigError, Scenario, expand, load_scenario, make_config
 from .sim import Comparison, comparison_csv, paired_comparison
 from .validate import decay_oracle, run_validation, tx_oracle
 
@@ -61,11 +61,11 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
             oracle = decay_oracle(p)
             rel = abs(closed - oracle) / max(abs(oracle), 1e-300)
             decay_cells = [repr(closed), repr(oracle), f"{rel:.3e}"]
-        except InfeasibleRateError as exc:
+        except ValueError as exc:  # an infeasible rate, or one whose density underflows
             decay_cells = ["", "", ""]
             note = f"decay infeasible: {exc}"
         txp = cfg.tx_count_params()
-        derived = transaction_count(replace(txp, variant="as-derived"))
+        derived = transaction_count(txp)
         printed = transaction_count(replace(txp, variant="as-printed"))
         oracle_ceil = math.ceil(tx_oracle(txp))
         rows.append([label or "-"] + decay_cells + [derived, printed, oracle_ceil, note])
@@ -109,8 +109,15 @@ def _summary_lines(name: str, results: list[tuple[str, Comparison]]) -> list[str
 
 def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     """Paired baseline/clustered runs per sweep point; CSV + summary output."""
+    points = expand(scenario)
+    # An infeasible operation rate is a config error, found before any write.
+    for label, cfg in points:
+        try:
+            energy_decay(cfg.decay_params())
+        except ValueError as exc:
+            raise ConfigError(f"point {label or 'single'}: {exc}") from exc
     results: list[tuple[str, Comparison]] = []
-    for label, cfg in expand(scenario):
+    for label, cfg in points:
         comp = paired_comparison(cfg)
         results.append((label, comp))
         suffix = f"_{label}" if label else ""
@@ -172,15 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analytics = sub.add_parser("analytics", help="closed forms vs oracles")
     p_analytics.add_argument("--config", required=True)
-    p_analytics.add_argument("--out", default="results")
-    p_analytics.add_argument("--variant", choices=["as-printed", "as-derived"])
-    p_analytics.add_argument("--seed", type=int)
+    p_analytics.add_argument("--out", help="default: the scenario's output, else results")
 
     p_sim = sub.add_parser("simulate", help="paired baseline/clustered runs")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", default="results")
+    p_sim.add_argument("--out", help="default: the scenario's output, else results")
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--variant", choices=["as-printed", "as-derived"])
 
     p_val = sub.add_parser("validate", help="run the numerical oracle suite")
     p_val.add_argument("--tolerance", type=float, default=1e-9)
@@ -204,15 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return cmd_validate(args.tolerance, args.grid, args.seed)
         scenario = load_scenario(args.config)
-        if args.seed is not None:
-            scenario = replace(scenario, config=replace(scenario.config, seed=args.seed))
-        if args.variant is not None:
-            scenario = replace(
-                scenario,
-                variant=args.variant,
-                config=replace(scenario.config, formula_variant=args.variant),
-            )
-        out_dir = _prepare_out(args.out if args.out else (scenario.output or "results"))
+        if args.command == "simulate" and args.seed is not None:
+            scenario = replace(scenario, config=make_config({"seed": args.seed}, scenario.config))
+        out_dir = _prepare_out(args.out or scenario.output or "results")
         if args.command == "analytics":
             return cmd_analytics(scenario, out_dir)
         return cmd_simulate(scenario, out_dir)

@@ -103,17 +103,6 @@ class ConstraintSet:
         if self.stay_time < 0 or self.request_bound < 0:
             raise ValueError("stay_time and request_bound must be >= 0")
 
-    def error_at(self, t: float) -> float:
-        if isinstance(self.transfer_error, (int, float)):
-            return float(self.transfer_error)
-        value = 0.0
-        for start, level in self.transfer_error:
-            if t >= start:
-                value = level
-            else:
-                break
-        return value
-
     def error_integral(self, horizon: float) -> float:
         """Exact integral of the transfer-error schedule over [0, horizon]."""
         if isinstance(self.transfer_error, (int, float)):

@@ -9,8 +9,8 @@ Example::
       "output": "results"
     }
 
-Unknown parameter names and sweep axes that do not reference a config field
-are configuration errors.
+Unknown keys, unknown parameter names, sweep axes that do not reference a
+config field and values a `SimConfig` rejects are configuration errors.
 """
 
 from __future__ import annotations
@@ -47,16 +47,17 @@ class Scenario:
     config: SimConfig
     sweeps: tuple[SweepAxis, ...] = ()
     output: str | None = None
-    variant: str = "as-derived"
 
 
-def make_config(params: dict) -> SimConfig:
+def make_config(params: dict, base: SimConfig | None = None) -> SimConfig:
+    """`base` (default `SimConfig()`) with `params` set. Every config built
+    from a scenario file or a command-line flag is built here."""
     unknown = set(params) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     try:
-        return SimConfig(**params)
-    except (TypeError, ValueError) as exc:
+        return replace(base or SimConfig(), **params)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -66,43 +67,40 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = json.loads(path.read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an int too long to parse
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario root must be a JSON object")
-    extra = set(raw) - {"name", "params", "sweeps", "output", "variant"}
+    extra = set(raw) - {"name", "params", "sweeps", "output"}
     if extra:
         raise ConfigError(f"unknown scenario keys: {sorted(extra)}")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("`params` must be an object")
-    config = make_config(params)
+    for key, kind, noun in (("params", dict, "an object"), ("sweeps", list, "a list"),
+                            ("name", str, "a string"), ("output", str, "a string")):
+        if key in raw and not isinstance(raw[key], kind):
+            raise ConfigError(f"`{key}` must be {noun}")
+    config = make_config(raw.get("params", {}))
     sweeps = []
     for axis in raw.get("sweeps", []):
-        if not isinstance(axis, dict) or "param" not in axis or "values" not in axis:
-            raise ConfigError("each sweep needs `param` and `values`")
+        if not (isinstance(axis, dict) and isinstance(axis.get("param"), str)
+                and isinstance(axis.get("values"), list)):
+            raise ConfigError("each sweep needs a string `param` and a list of `values`")
         sweeps.append(SweepAxis(param=axis["param"], values=tuple(axis["values"])))
-    variant = raw.get("variant", "as-derived")
-    if variant not in ("as-derived", "as-printed"):
-        raise ConfigError(f"unknown variant {variant!r}")
     return Scenario(
         name=raw.get("name", path.stem),
         config=config,
         sweeps=tuple(sweeps),
         output=raw.get("output"),
-        variant=variant,
     )
 
 
 def expand(scenario: Scenario) -> list[tuple[str, SimConfig]]:
-    """Cartesian product of the sweep axes, in declaration order."""
-    if not scenario.sweeps:
-        return [("", scenario.config)]
+    """Cartesian product of the sweep axes, in declaration order; with no
+    axes, the one point labelled ""."""
     axes = [[(axis.param, v) for v in axis.values] for axis in scenario.sweeps]
     points = []
     for combo in itertools.product(*axes):
+        cfg = make_config(dict(combo), scenario.config)
         label = "_".join(f"{param}={value:g}" if isinstance(value, (int, float))
                          else f"{param}={value}" for param, value in combo)
-        cfg = replace(scenario.config, **dict(combo))
         points.append((label, cfg))
     return points

@@ -34,7 +34,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class SimConfig:
     radio_range: float = 300.0
     range_stddev: float = 1.0
     presence: float = 1.0
-    receiver_prob: float = 1.0
     threshold_prob: float = 0.0
     stay_time: float | None = None
     links_per_ledger: int = 1
@@ -136,24 +135,39 @@ class SimConfig:
     op_sigma2: float = 1.0
     op_frequency1: float | None = None
     op_frequency2: float | None = None
-    formula_variant: str = "as-derived"
     # Optional per-message-kind (E_C * gamma)_j products overriding the
     # uniform transmission term.
     per_kind_cost: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("cluster_count", "vehicles_per_cluster", "app_count",
-                     "message_kinds", "links_per_ledger", "parallel_links"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.hops < 0 or self.records_per_tx < 0:
-            raise ValueError("hops and records_per_tx must be >= 0")
-        if self.horizon <= 0 or self.slot <= 0 or self.slot > self.horizon:
-            raise ValueError("need 0 < slot <= horizon")
+        # The parameter objects built last check the fields they take; the
+        # rest is checked first. `decay_params()` is left out, so that
+        # `analytics` can report an infeasible rate as a row.
+        for name, optional in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            try:
+                finite = optional and value is None or math.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or an int past float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name, low in (("cluster_count", 1), ("vehicles_per_cluster", 1), ("seed", 0),
+                          ("global_exchange_period", 1)):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.initial_energy < 0 or (self.vehicle_tx_limit or 0) < 0:
+            raise ValueError("initial_energy and vehicle_tx_limit must be >= 0")
+        if min(self.op_sigma1, self.op_sigma2) <= 0:
+            raise ValueError("op_sigma1 and op_sigma2 must be > 0")
+        if not 0 < self.slot <= self.horizon or not math.isfinite(self.horizon / self.slot):
+            raise ValueError("need 0 < slot <= horizon and a finite horizon / slot")
         if self.regime not in (REGIME_BASELINE, REGIME_CLUSTERED):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        for build in (self.mobility, self.connectivity, self.heston_params,
+                      self.tx_count_params, self.constraint_set):
+            build()
+        self.energy_params(self.hops)
 
     # Derived values; None fields follow the reference coupling.
     @property
@@ -201,8 +215,12 @@ class SimConfig:
     def connectivity(self) -> ConnectivityParams:
         return ConnectivityParams(
             presence_prob=self.presence,
-            receiver_prob=self.receiver_prob,
             threshold_prob=self.threshold_prob,
+        )
+
+    def constraint_set(self) -> ConstraintSet:
+        return ConstraintSet(
+            op_time=self.horizon, stay_time=self.stay_value, request_bound=self.gamma_value
         )
 
     def gaussian_rates(self) -> tuple[GaussianRate, GaussianRate]:
@@ -245,7 +263,6 @@ class SimConfig:
             mean_range=self.mean_range,
             radio_range=self.radio_range,
             range_stddev=self.range_stddev,
-            variant=self.formula_variant,
         )
 
     def energy_params(self, hops: int) -> EnergyParams:
@@ -261,6 +278,11 @@ class SimConfig:
             app_count=self.app_count,
             per_kind_cost=per_kind,
         )
+
+
+# (name, accepts None) of each int and float field.
+_NUMBER_FIELDS = [(f.name, f.type.endswith("None")) for f in fields(SimConfig)
+                  if f.type.startswith(("int", "float"))]
 
 
 @dataclass(frozen=True)
@@ -401,10 +423,7 @@ def _fleet_residual(v: _SimVehicles) -> float:
 
 
 def _constraints(cfg: SimConfig) -> ConstraintReport:
-    cs = ConstraintSet(
-        op_time=cfg.horizon, stay_time=cfg.stay_value, request_bound=cfg.gamma_value
-    )
-    return _checked_constraints(cs, cfg.mobility(), cfg.connectivity())
+    return _checked_constraints(cfg.constraint_set(), cfg.mobility(), cfg.connectivity())
 
 
 # Both regimes of a paired run check the same constraints.
@@ -417,8 +436,6 @@ def _checked_constraints(
 
 def run_baseline(cfg: SimConfig) -> RunReport:
     """Broadcast regime: full-mesh dissemination, full hop cost each slot."""
-    if cfg.regime != REGIME_BASELINE:
-        cfg = replace(cfg, regime=REGIME_BASELINE)
     vehicles = _init_vehicles(cfg, clustered=False)
     n = cfg.n_vehicles
     p_full = cfg.energy_params(cfg.hops)
@@ -461,8 +478,6 @@ def run_baseline(cfg: SimConfig) -> RunReport:
 
 def run_clustered(cfg: SimConfig) -> RunReport:
     """Two-tier regime: one-hop local updates, batched global exchanges."""
-    if cfg.regime != REGIME_CLUSTERED:
-        cfg = replace(cfg, regime=REGIME_CLUSTERED)
     vehicles = _init_vehicles(cfg, clustered=True)
     mobility = cfg.mobility()
     fleet = FleetState(
@@ -651,8 +666,8 @@ def baseline_assumptions(cfg: SimConfig) -> tuple[str, ...]:
 
 def paired_comparison(cfg: SimConfig) -> Comparison:
     """Run both regimes with identical seed/parameters and compare."""
-    base = run_baseline(replace(cfg, regime=REGIME_BASELINE))
-    clus = run_clustered(replace(cfg, regime=REGIME_CLUSTERED))
+    base = run_baseline(cfg)
+    clus = run_clustered(cfg)
     per_slot, tx_red, energy_red = compare_reports(base, clus)
     r1, r2 = cfg.gaussian_rates()
     return Comparison(

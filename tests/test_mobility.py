@@ -144,8 +144,6 @@ def test_transfer_error_schedule_integral():
     )
     # 0.2 over [0, 4) then 0.5 over [4, 10): 0.8 + 3.0
     assert math.isclose(cs.error_integral(10.0), 3.8, rel_tol=1e-12)
-    assert cs.error_at(2.0) == 0.2
-    assert cs.error_at(4.0) == 0.5
     report = check_constraints(cs, model(), ConnectivityParams(presence_prob=1.0))
     expected = report.in_range_prob * 500.0 * 3.8
     assert math.isclose(report.transfer_error_integral, expected, rel_tol=1e-12)
