@@ -17,12 +17,12 @@ from fleetchain import (
     transfer_function,
 )
 
-# Zero-mean unit-deviation movement density: half the mass sits below zero
-# distance, so the in-range probability lands at one half.
-preset = MobilityModel.standard_normal(connect_range=50.0, radio_range=300.0, mean_range=300.0)
+# A narrow movement density centred on the connect range: half the mass
+# sits beyond it, so the in-range probability lands at one half.
+preset = MobilityModel(connect_range=300.0, radio_range=300.0, mean_range=300.0, range_stddev=1.0)
 c = ConnectivityParams(presence_prob=1.0, receiver_prob=1.0)
 p = in_range_probability(preset, c)
-print("in-range probability (standard-normal preset):", round(p, 6))
+print("in-range probability (density centred on the connect range):", round(p, 6))
 print("transfer score over 5 clusters x 10 vehicles x 10 apps:",
       transfer_function(preset, c, clusters=5, vehicles=10, apps=10))
 

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from .mobility import gaussian_mass, half_erf_diff
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Tolerance for radicands that should be zero but carry float roundoff.
 _RADICAND_EPS = 1e-12
@@ -200,34 +202,26 @@ def conservation_factor(rate1: GaussianRate, rate2: GaussianRate) -> float:
     return lam1 / total if total > 0 else 0.0
 
 
-def _erf_diff(a: float, b: float) -> float:
-    # erf(a) - erf(b) for a >= b, via erfc so deep-tail differences keep
-    # their relative precision (erf saturates to 1.0 past ~6).
-    return math.erfc(b) - math.erfc(a)
-
-
 def transaction_count(p: TxCountParams) -> int:
     """Ceiling on the transactions required to shift the accumulated load.
 
     Valid for positive ranges and horizon. The `as-derived` variant is the
     exact integral of the load model; `as-printed` keeps unscaled erf
-    arguments and compensates through the denominator.
+    arguments and compensates through the denominator. A positive load
+    needs at least one transaction, also where its value underflows.
     """
     if p.mean_range <= 0 or p.radio_range <= 0 or p.horizon <= 0:
         raise ValueError(
             "validity region violated: mean_range, radio_range and horizon must be > 0"
         )
-    rate = p.total_rate()
-    s = math.sqrt(2.0) * p.range_stddev
+    load = p.total_rate() * p.presence
     if p.variant == "as-derived":
-        erf_term = _erf_diff(p.mean_range / s, (p.mean_range - p.radio_range) / s)
-        value = rate * p.presence * p.horizon**2 * erf_term / (4.0 * p.parallel_links)
+        mass = gaussian_mass(0.0, p.radio_range, p.mean_range, p.range_stddev)
+        value = load * p.horizon**2 * mass / (2.0 * p.parallel_links)
     else:
-        erf_term = _erf_diff(p.mean_range, p.mean_range - p.radio_range)
-        value = rate * p.presence * p.horizon**2 * erf_term / (
-            2.0**2.5 * p.parallel_links * p.range_stddev
-        )
-    return max(0, math.ceil(value))
+        mass = half_erf_diff(p.mean_range - p.radio_range, p.mean_range)
+        value = load * p.horizon**2 * mass / (2.0**1.5 * p.parallel_links * p.range_stddev)
+    return max(1 if load > 0 else 0, math.ceil(value))
 
 
 def decay_params_at(p: DecayParams, horizon: float) -> DecayParams:

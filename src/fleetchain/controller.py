@@ -36,7 +36,7 @@ import numpy as np
 
 from .analytics import DecayParams, decay_params_at, energy_decay, invert_rate
 from .energy import HestonParams
-from .mobility import ConnectivityParams, MobilityModel
+from .mobility import ConnectivityParams, MobilityModel, range_mass
 
 RULE_OST = "OST"
 RULE_LIMIT = "Lemma2-limit"
@@ -48,21 +48,14 @@ ACTION_SPLIT_RANGE = "split_by_range"
 ACTION_SPLIT_TRANSFER = "split_by_transfer"
 
 
-def _erf_scaled(x: float, stddev: float) -> float:
-    return math.erf(x / (math.sqrt(2.0) * stddev))
-
-
 def ost_score(m: MobilityModel, c: ConnectivityParams, lam1: float) -> float:
     """Observable stopping score at negligible drift variance."""
-    erf_term = _erf_scaled(m.mean_range - m.radio_range, m.range_stddev) - _erf_scaled(
-        m.mean_range, m.range_stddev
-    )
-    return -c.presence_prob * erf_term / 2.0 + 2.0 * lam1
+    return c.presence_prob * range_mass(m, m.radio_range) + 2.0 * lam1
 
 
 def ost_threshold(m: MobilityModel, c: ConnectivityParams, lam_expected: float) -> float:
     """Expected-score threshold below which the head must change."""
-    return c.presence_prob * _erf_scaled(m.mean_range, m.range_stddev) / 2.0 + lam_expected
+    return c.presence_prob * range_mass(m, m.mean_range) + lam_expected
 
 
 def cumulative_decay_integral(p: DecayParams, horizon: float) -> float:

@@ -68,6 +68,13 @@ from .mobility import (
 REGIME_BASELINE = "baseline"
 REGIME_CLUSTERED = "clustered"
 
+# The largest run a `SimConfig` accepts. A run keeps every vehicle's state
+# and one row per slot, and per cluster and slot, in memory; the caps admit
+# the 100 clusters x 100 vehicles x 1000 slots run.
+MAX_VEHICLES = 100_000
+MAX_SLOTS = 100_000
+MAX_VEHICLE_SLOTS = 10_000_000
+
 RUN_CSV_COLUMNS = ("t", "regime", "transactions_cum", "energy_cum_J", "ch_changes", "offloads")
 COMPARISON_EXTRA_COLUMNS = ("tx_reduction_pct", "energy_conservation_pct")
 
@@ -162,6 +169,12 @@ class SimConfig:
             raise ValueError("op_sigma1 and op_sigma2 must be > 0")
         if not 0 < self.slot <= self.horizon or not math.isfinite(self.horizon / self.slot):
             raise ValueError("need 0 < slot <= horizon and a finite horizon / slot")
+        vehicles, slots = self.n_vehicles, self.n_slots
+        if vehicles > MAX_VEHICLES or slots > MAX_SLOTS or vehicles * slots > MAX_VEHICLE_SLOTS:
+            raise ValueError(
+                f"run too large: {vehicles} vehicles x {slots} slots; the caps are "
+                f"{MAX_VEHICLES} vehicles, {MAX_SLOTS} slots, {MAX_VEHICLE_SLOTS} vehicle-slots"
+            )
         if self.regime not in (REGIME_BASELINE, REGIME_CLUSTERED):
             raise ValueError(f"unknown regime {self.regime!r}")
         for build in (self.mobility, self.connectivity, self.heston_params,

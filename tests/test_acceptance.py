@@ -128,15 +128,22 @@ def test_criterion_4_transaction_ceiling_agreement():
             range_stddev=float(rng.uniform(1.0, 200.0)),
         )
         total_rate = txp.total_rate()
+        # Divided by its peak on [0, R] and multiplied back, so that a
+        # deep-tail load does not underflow to 0.0; a positive load below
+        # the smallest positive float reads as that float.
+        z_peak = (min(txp.mean_range, txp.radio_range) - txp.mean_range) / txp.range_stddev
 
         def integrand(x, t):
             z = (x - txp.mean_range) / txp.range_stddev
-            f = math.exp(-0.5 * z * z) / (txp.range_stddev * math.sqrt(2 * math.pi))
+            f = math.exp(0.5 * (z_peak * z_peak - z * z)) / (
+                txp.range_stddev * math.sqrt(2 * math.pi)
+            )
             return f * txp.presence * total_rate * t / txp.parallel_links
 
-        oracle, _ = integrate.dblquad(
+        scaled, _ = integrate.dblquad(
             integrand, 0.0, txp.horizon, 0.0, txp.radio_range, epsabs=1e-11, epsrel=1e-12
         )
+        oracle = max(scaled * math.exp(-0.5 * z_peak * z_peak), math.ulp(0.0))
         derived = transaction_count(txp)
         if derived != math.ceil(oracle):
             mismatches += 1

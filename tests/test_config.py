@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from fleetchain.cli import main
 from fleetchain.scenario import ConfigError, load_scenario, make_config
-from fleetchain.sim import SimConfig
+from fleetchain.sim import MAX_VEHICLE_SLOTS, SimConfig
 
 SMALL = Path(__file__).resolve().parent.parent / "scenarios" / "small.json"
 HUGE_INT = "1" + "0" * 400  # 401 digits: past the range of a float
 
-# One-field `params` that each ended in a traceback before values were
-# checked at construction.
+# `params` that each ended in a traceback before values were checked at
+# construction, or ask for more vehicles, slots or vehicle-slots than a run
+# may hold (the last three).
 BAD_PARAMS = [
     '"hops": 10.0',
     '"cluster_count": 2.5',
@@ -45,6 +46,9 @@ BAD_PARAMS = [
     '"per_kind_cost": [1, 2]',
     '"vehicle_tx_limit": -1',
     '"energy_per_record": -1',
+    '"cluster_count": 10001',
+    '"horizon": 100001',
+    '"vehicles_per_cluster": 20000, "horizon": 101',
 ]
 
 # Whole scenario files with a bad structure or a bad sweep value.
@@ -136,6 +140,21 @@ def test_scenario_output_applies_unless_out_given(tmp_path, capsys):
     assert (from_flag / "summary_tiny.txt").exists()
     assert (from_flag / "analytics_tiny.csv").exists()
     assert not any(from_scenario.iterdir())
+
+
+def test_run_size_caps_admit_the_scaled_run():
+    cfg = make_config({"cluster_count": 100, "vehicles_per_cluster": 100, "horizon": 1000})
+    assert cfg.n_vehicles * cfg.n_slots <= MAX_VEHICLE_SLOTS
+
+
+def test_far_connect_range_runs(tmp_path):
+    # The adaptive Simpson range mass raised on this range, so `simulate`
+    # ended in a traceback.
+    params = {"cluster_count": 2, "vehicles_per_cluster": 3, "horizon": 10,
+              "connect_range": 1.7077776297938038e17, "range_stddev": 73.92677562436383}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"params": params}))
+    assert run_simulate(path, "--out", str(tmp_path / "out")) == (0, "")
 
 
 # Small base, so an accepted config runs at most a few hundred slots.

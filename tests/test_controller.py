@@ -22,7 +22,7 @@ from fleetchain.controller import (
 )
 from fleetchain.energy import HestonParams
 from fleetchain.mobility import ConnectivityParams, MobilityModel
-from fleetchain.sim import VehicleState
+from fleetchain.sim import SimConfig, VehicleState
 
 
 def mobility(**overrides) -> MobilityModel:
@@ -58,6 +58,14 @@ def test_ost_threshold_examples():
     assert math.isclose(value, 0.2602499389065233, abs_tol=1e-12)
     dom = ost_threshold(m, ConnectivityParams(presence_prob=1.0), 5.0)
     assert math.isclose(dom, 5.0 + math.erf(0.5) / 2.0, rel_tol=1e-12)
+
+
+def test_reference_score_ties_threshold_exactly():
+    # At lam 2 the score and the threshold agree to the last bit, so every
+    # slot of the reference run goes to the pre-decay branch.
+    cfg = SimConfig()
+    m, c = cfg.mobility(), cfg.connectivity()
+    assert ost_score(m, c, cfg.lam1_value) == ost_threshold(m, c, cfg.expected_rate_value)
 
 
 # --- pre-decay rule -------------------------------------------------------

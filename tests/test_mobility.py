@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetchain.mobility import (
     ConnectivityParams,
     ConstraintSet,
     MobilityModel,
     check_constraints,
+    gaussian_mass,
     in_range_probability,
     transfer_function,
 )
-from fleetchain.quadrature import QuadratureError, adaptive_simpson
+from fleetchain.sim import SimConfig
 
 
 def model(**overrides) -> MobilityModel:
@@ -20,12 +23,54 @@ def model(**overrides) -> MobilityModel:
     return MobilityModel(**base)
 
 
-def test_adaptive_simpson_polynomial_and_failure():
-    assert math.isclose(adaptive_simpson(lambda x: x * x, 0, 1), 1 / 3, abs_tol=1e-12)
-    assert adaptive_simpson(lambda x: 1.0, 5.0, 5.0) == 0.0
-    with pytest.raises(QuadratureError):
-        # Non-integrable spike cannot settle within two levels.
-        adaptive_simpson(lambda x: 1.0 / math.sqrt(abs(x - 0.3141)), 0, 1, max_depth=2)
+def half_mass_model() -> MobilityModel:
+    # N(300, 1) cut at its mean: [0, 300] holds half the mass.
+    return model(connect_range=300.0, range_stddev=1.0)
+
+
+def exact_mass(lo: float, hi: float, mean: float, sd: float) -> float:
+    """The Gaussian mass of [lo, hi] at 50 digits, mirrored onto the upper
+    tail so that no difference of two numbers near 2 is taken."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = mpmath.sqrt(2) * mpmath.mpf(sd)
+        a = (mpmath.mpf(lo) - mpmath.mpf(mean)) / s
+        b = (mpmath.mpf(hi) - mpmath.mpf(mean)) / s
+        if a + b < 0:
+            a, b = -b, -a
+        return float((mpmath.erfc(a) - mpmath.erfc(b)) / 2)
+
+
+# Interval ends lie up to 40 sd from the mean, past the 38 sd where erfc
+# underflows; a mass above 1e-300 (ends within about 37 sd) is held to a
+# relative 1e-9. An interval is at least 1e-3 sd wide, so rounding its ends
+# costs no more than about 1e-11 of relative precision.
+MEANS = st.floats(-1e3, 1e3)
+SDS = st.floats(1e-3, 1e3)
+ENDS = st.floats(-40.0, 40.0)
+WIDTHS = st.floats(1e-3, 80.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MEANS, SDS, ENDS, WIDTHS, st.floats(0.0, 1.0))
+def test_gaussian_mass_matches_50_digit_reference(mean, sd, z, width, cut):
+    lo, hi = mean + sd * z, mean + sd * (z + width)
+    value = gaussian_mass(lo, hi, mean, sd)
+    assert 0.0 <= value <= 1.0
+    assert math.isclose(value, exact_mass(lo, hi, mean, sd), rel_tol=1e-9, abs_tol=1e-300)
+    mid = lo + (hi - lo) * cut
+    parts = gaussian_mass(lo, mid, mean, sd) + gaussian_mass(mid, hi, mean, sd)
+    assert math.isclose(parts, value, rel_tol=1e-9, abs_tol=1e-300)
+    assert gaussian_mass(hi, lo, mean, sd) == 0.0
+    assert gaussian_mass(lo, lo, mean, sd) == 0.0
+
+
+def test_reference_config_range_holds_all_mass():
+    # N(300, 1) lies wholly inside [0, 500]; the adaptive Simpson rule that
+    # computed this mass before missed the peak and reported 1.0.
+    cfg = SimConfig()
+    report = check_constraints(cfg.constraint_set(), cfg.mobility(), cfg.connectivity())
+    assert report.in_range_prob == 0.0
 
 
 def test_in_range_probability_trivial_cases():
@@ -35,8 +80,7 @@ def test_in_range_probability_trivial_cases():
 
 
 def test_in_range_probability_half_mass():
-    # standard normal centred at zero restricted to p >= 0 holds half the mass
-    m = MobilityModel.standard_normal(connect_range=50.0, radio_range=300.0, mean_range=300.0)
+    m = half_mass_model()
     value = in_range_probability(m, ConnectivityParams(presence_prob=1.0))
     assert math.isclose(value, 0.5, abs_tol=1e-9)
 
@@ -73,15 +117,8 @@ def test_in_range_probability_monotone_in_range_and_presence():
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_in_range_probability_rejects_bad_density():
-    # density mass > 1 pushes the probability below -1e-12
-    m = model(density=lambda p: 2.0 / 500.0)
-    with pytest.raises(ValueError):
-        in_range_probability(m, ConnectivityParams(presence_prob=1.0))
-
-
 def test_transfer_function_values():
-    m = MobilityModel.standard_normal(connect_range=50.0, radio_range=300.0, mean_range=300.0)
+    m = half_mass_model()
     c = ConnectivityParams(presence_prob=1.0, receiver_prob=1.0)
     single = transfer_function(m, c, clusters=1, vehicles=1, apps=1)
     assert math.isclose(single, 0.5, abs_tol=1e-9)
@@ -120,7 +157,7 @@ def test_check_constraints_request_rate_violation():
 
 
 def test_check_constraints_threshold_violation():
-    m = MobilityModel.standard_normal(connect_range=50.0, radio_range=300.0, mean_range=300.0)
+    m = half_mass_model()
     c = ConnectivityParams(presence_prob=1.0, threshold_prob=1.0)
     cs = ConstraintSet(op_time=10.0, stay_time=10.0, request_bound=0.5)
     report = check_constraints(cs, m, c)
