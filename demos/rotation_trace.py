@@ -41,4 +41,5 @@ for row in trace:
     print(f"{row.slot:4d}  {row.cluster:7d}  {row.rule_used:12s}  {row.action:6s}  "
           f"{row.old_ch:3d}  {new!s:>3}  {row.offload_slot:7.1f}")
 
-print("\nhead after the run:", fleet.head(0).id)
+heads = [v.id for v in fleet.vehicles if v.cluster == 0 and v.role == "ch"]
+print("\nhead after the run:", *heads)

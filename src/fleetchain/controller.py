@@ -17,19 +17,22 @@ A change decided at slot t stamps its offload at t - slot so the handover
 is prepared one slot ahead. Critical-energy vehicles are never selected:
 when a change is indicated and every candidate is critical, the head stays.
 
-The slotted loop keeps the fleet as arrays (`VehicleArrays`) and computes
-the run's threshold, default score, pre-decay verdict and slot decay
-estimate once. Each slot it applies the keep-or-change test of the cascade
-to every cluster's head. When a head is dead or critical, or the test
-indicates a change or split, one array pass over the stepped clusters'
-members (`_select`) picks the new head or split lead of every cluster at
-once. `decide` is the same selection over one cluster's `Candidate` list.
+The slotted loop steps the fleet as arrays (`VehicleArrays`) only;
+`run_controller` is the one entry that also takes a list of vehicle
+objects, read into arrays once when the run starts. On its first slot a run
+indexes the clusters and computes the threshold, default score, pre-decay
+verdict and slot decay estimate. Each slot it applies the keep-or-change
+test of the cascade to every cluster's head. When a head is dead or
+critical, or the test indicates a change or split, one array pass over the
+stepped clusters' members (`_select`) picks the new head or split lead of
+every cluster at once. `decide` is the same selection over one cluster's
+`Candidate` list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -363,13 +366,13 @@ class _RunConstants:
 class FleetState:
     """Mutable view of the fleet the controller steps over.
 
-    `vehicles` is either a `VehicleArrays` or a list of objects exposing
-    id/cluster/role/residual_energy/radio_range/tx_limit/critical/active
-    attributes (the simulator's VehicleState satisfies this). Objects are
-    read into arrays when the fleet is first stepped; afterwards the
-    controller writes head changes back to their `role`. Scores come from
-    `score_schedule` (per slot index), then `score_default`, then the
-    stopping score computed from the mobility model and `lam1`.
+    `vehicles` is a `VehicleArrays`; `evaluate_slot` writes head changes to
+    its `head` flags in place. Only `run_controller` also takes a list of
+    objects exposing id/cluster/role/residual_energy/radio_range/tx_limit/
+    critical/active attributes (the simulator's VehicleState satisfies
+    this). Scores come from `score_schedule` (per slot index), then
+    `score_default`, then the stopping score computed from the mobility
+    model and `lam1`.
     """
 
     vehicles: Sequence | VehicleArrays
@@ -384,77 +387,40 @@ class FleetState:
     expected_request_change: float = 0.0
 
     def __post_init__(self):
-        self._arrays = None
         self._run: _RunConstants | None = None
-        if isinstance(self.vehicles, VehicleArrays):
-            self._index(self.vehicles)
 
-    @property
-    def arrays(self) -> VehicleArrays:
-        if self._arrays is None:
-            self._index(VehicleArrays.of(self.vehicles))
-        return self._arrays
-
-    def _index(self, arrays: VehicleArrays) -> None:
-        self._arrays = arrays
-        order = np.lexsort((arrays.id, arrays.cluster))
-        keys, starts = np.unique(arrays.cluster[order], return_index=True)
-        self._clusters = keys.tolist()
+    def _index(self) -> None:
+        """Group the vehicles by cluster for one run."""
+        a = self.vehicles
+        order = np.lexsort((a.id, a.cluster))
+        keys, starts = np.unique(a.cluster[order], return_index=True)
         members = np.split(order, starts[1:]) if order.size else []
         # A cluster without a head never gains one, so only clusters with
         # a head are stepped; each one's head is its lowest-id flagged member.
-        stepped = [k for k, m in enumerate(members) if arrays.head[m].any()]
-        self._stepped = [self._clusters[k] for k in stepped]
-        self._position = {cluster: j for j, cluster in enumerate(self._stepped)}
+        stepped = [k for k, m in enumerate(members) if a.head[m].any()]
+        self._stepped = keys[stepped].tolist()
         self._members = [members[k] for k in stepped]
-        self._member_lists = [m.tolist() for m in self._members]
-        self._heads = np.array(
-            [m[arrays.head[m]][0] for m in self._members], dtype=np.intp
-        )
+        self._heads = np.array([m[a.head[m]][0] for m in self._members], dtype=np.intp)
         # The stepped clusters' members as one flat array in (cluster, id)
         # order, one segment per cluster, for the head selection.
         self._flat = np.concatenate(self._members) if stepped else np.empty(0, np.intp)
         self._segments = _Segments.of_lengths([m.size for m in self._members])
         self._flat_position = np.full(order.size, -1, dtype=np.intp)
         self._flat_position[self._flat] = self._segments.position
-        self._flat_ids = arrays.id[self._flat].tolist()
-        self._flat_range = arrays.radio_range[self._flat]
+        self._flat_range = a.radio_range[self._flat]
         self._flat_qualified = None  # built when the Lemma2-limit rule first fires
         # Vehicle -> position of its stepped cluster; the rest share one
         # extra position.
         self._cluster_of = np.full(order.size, len(stepped), dtype=np.intp)
-        for j, m in enumerate(self._members):
-            self._cluster_of[m] = j
-        self._ids = arrays.id.tolist()
-        self._index_of = {vid: i for i, vid in enumerate(self._ids)}
-
-    def clusters(self) -> list[int]:
-        self.arrays  # reads the vehicles on first use
-        return list(self._clusters)
-
-    def head(self, cluster: int):
-        """The head of `cluster` as an entry of a `vehicles` list, or None."""
-        self.arrays  # reads the vehicles on first use
-        j = self._position.get(cluster)
-        return None if j is None else self.vehicles[int(self._heads[j])]
-
-    def set_head(self, cluster: int, new_id: int) -> None:
-        """Make vehicle `new_id` the only head of `cluster`."""
-        a = self.arrays
-        k = self._position[cluster]
-        new = self._index_of[new_id]
-        a.head[self._members[k]] = False
-        a.head[new] = True
-        self._heads[k] = new
-        if not isinstance(self.vehicles, VehicleArrays):
-            for i in self._member_lists[k]:
-                self.vehicles[i].role = "ch" if i == new else "member"
+        self._cluster_of[self._flat] = self._segments.segment
+        self._ids = a.id.tolist()
 
     def _run_constants(self, cfg: ControllerConfig) -> _RunConstants:
-        """The per-run values of the cascade, computed on the first slot of
-        a run under `cfg`."""
+        """The cluster index and the per-run values of the cascade, computed
+        on the first slot of a run under `cfg`."""
         if self._run is not None and self._run.cfg is cfg:
             return self._run
+        self._index()
         threshold = (
             cfg.expected_score
             if cfg.expected_score is not None
@@ -484,12 +450,12 @@ class FleetState:
     def _select_heads(
         self, run: _RunConstants, limit: np.ndarray
     ) -> tuple[list[int | None], list[str]]:
-        """Per stepped cluster: the id of its new head or split lead among
-        its active, non-critical members other than the head (None when
-        there is none) and the action, by `_select`. Members are rated in
-        slots of decay when the run's estimate is positive; `limit` marks
-        the clusters where the Lemma2-limit rule fired."""
-        a, flat = self._arrays, self._flat
+        """Per stepped cluster: the vehicle index of its new head or split
+        lead among its active, non-critical members other than the head
+        (None when there is none) and the action, by `_select`. Members are
+        rated in slots of decay when the run's estimate is positive; `limit`
+        marks the clusters where the Lemma2-limit rule fired."""
+        a, flat = self.vehicles, self._flat
         eligible = a.active[flat] & ~a.critical[flat]
         eligible[self._flat_position[self._heads]] = False
         rating = a.residual[flat]
@@ -505,8 +471,7 @@ class FleetState:
         picks, actions = _select(
             rating, eligible, self._segments, limit, self._flat_qualified, self._flat_range
         )
-        ids = self._flat_ids
-        return [ids[p] if p < len(ids) else None for p in picks], actions
+        return [int(flat[p]) if p < flat.size else None for p in picks], actions
 
 
 def evaluate_slot(
@@ -520,7 +485,7 @@ def evaluate_slot(
     non-critical candidate exists (energy-driven handover).
     """
     run = fleet._run_constants(cfg)
-    a = fleet.arrays
+    a = fleet.vehicles
     t = slot_index * cfg.slot
     offload = max(t - cfg.slot, 0.0)
     observed = run.score
@@ -568,8 +533,8 @@ def evaluate_slot(
     limit_fired[[k for _, k, _, rule in pending if rule == RULE_LIMIT]] = True
     picks, actions = fleet._select_heads(run, limit_fired)
     for i, k, head_id, rule in pending:
-        cluster, new_id = fleet._stepped[k], picks[k]
-        if new_id is None:
+        cluster, new = fleet._stepped[k], picks[k]
+        if new is None:
             # Critical-energy vehicles are never selected: the head stays. A
             # handover with no one to take over writes no row.
             if rule is not None:
@@ -577,19 +542,37 @@ def evaluate_slot(
             continue
         action = actions[k]
         rows[i] = TraceRow(slot_index, cluster, rule or RULE_PRE_DECAY, action, head_id,
-                           new_id, offload)
+                           ids[new], offload)
         if action == ACTION_CHANGE:
-            _apply_change(fleet, cluster, new_id)
+            _apply_change(fleet, k, new)
     return [row for row in rows if row is not None]
 
 
-def _apply_change(fleet: FleetState, cluster: int, new_id: int) -> None:
-    fleet.set_head(cluster, new_id)
+def _apply_change(fleet: FleetState, k: int, new: int) -> None:
+    """Make vehicle `new` the only head of stepped cluster `k`."""
+    fleet.vehicles.head[fleet._members[k]] = False
+    fleet.vehicles.head[new] = True
+    fleet._heads[k] = new
 
 
 def run_controller(fleet: FleetState, cfg: ControllerConfig) -> list[TraceRow]:
-    """Iterate the decision cascade over every slot up to the horizon."""
+    """Iterate the decision cascade over every slot up to the horizon.
+
+    A list of vehicle objects is read into arrays when the run starts; at
+    the end every member of a cluster whose head changed gets its `role`
+    back ("ch" for the head, else "member"). Other objects are untouched.
+    """
+    objects = None
+    if not isinstance(fleet.vehicles, VehicleArrays):
+        objects = fleet.vehicles
+        fleet = replace(fleet, vehicles=VehicleArrays.of(objects))
     rows: list[TraceRow] = []
     for slot_index in range(1, slot_count(cfg.horizon, cfg.slot) + 1):
         rows.extend(evaluate_slot(fleet, cfg, slot_index))
+    if objects is not None:
+        a = fleet.vehicles
+        changed = {row.cluster for row in rows if row.action == ACTION_CHANGE}
+        for v, cluster, head in zip(objects, a.cluster.tolist(), a.head.tolist()):
+            if cluster in changed:
+                v.role = "ch" if head else "member"
     return rows

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -78,6 +79,11 @@ def load_scenario(path: str | Path) -> Scenario:
                             ("name", str, "a string"), ("output", str, "a string")):
         if key in raw and not isinstance(raw[key], kind):
             raise ConfigError(f"`{key}` must be {noun}")
+    # The name is part of every output file name; the output is a directory.
+    if any(c in raw.get("name", "") for c in ("/", os.sep, "\0")):
+        raise ConfigError("`name` must not contain a path separator or NUL")
+    if "\0" in raw.get("output", ""):
+        raise ConfigError("`output` must not contain NUL")
     config = make_config(raw.get("params", {}))
     sweeps = []
     for axis in raw.get("sweeps", []):

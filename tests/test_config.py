@@ -60,6 +60,9 @@ BAD_SCENARIOS = [
     '"sweeps": 5',
     '"output": 5',
     '"name": 5',
+    '"name": "x\\u0000y"',
+    '"name": "x/y"',
+    '"output": "x\\u0000y"',
     '"params": {"lam": 1%s}' % ("0" * 5000),  # past the int parser's digit limit
 ]
 

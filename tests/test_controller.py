@@ -13,6 +13,7 @@ from fleetchain.controller import (
     ControllerConfig,
     FleetState,
     OstObservation,
+    VehicleArrays,
     cumulative_decay_integral,
     decide,
     ost_score,
@@ -272,6 +273,10 @@ def fleet(n=4, schedule=None, default=5.0) -> FleetState:
     )
 
 
+def heads(vehicles, cluster) -> list[int]:
+    return [v.id for v in vehicles if v.cluster == cluster and v.role == "ch"]
+
+
 def test_run_controller_single_slot():
     cfg = ControllerConfig(slot=1.0, horizon=1.0, expected_score=1.0)
     rows = run_controller(fleet(), cfg)
@@ -294,7 +299,7 @@ def test_run_controller_scripted_dip():
     assert changes[0].offload_slot == 4.0
     assert changes[0].old_ch == 0
     assert changes[0].new_ch == 1  # highest residual among members
-    assert f.head(0).id == 1
+    assert heads(f.vehicles, 0) == [1]
 
 
 def test_run_controller_deterministic_trace():
@@ -313,4 +318,50 @@ def test_run_controller_replaces_critical_head():
     assert first.action == ACTION_CHANGE
     assert first.rule_used == "pre-decay"
     assert first.new_ch == 1
-    assert f.head(0).id == 1
+    assert heads(f.vehicles, 0) == [1]
+
+
+def handover_fleet(spec) -> list[VehicleState]:
+    """Vehicles from (id, cluster, role) triples; vehicle 10 is critical."""
+    return [
+        VehicleState(
+            id=vid,
+            cluster=cluster,
+            position=300.0,
+            residual_energy=1000.0 - vid,
+            stay_time=10.0,
+            radio_range=300.0,
+            role=role,
+            critical=vid == 10,
+            initial_energy=1000.0,
+        )
+        for vid, cluster, role in spec
+    ]
+
+
+def run_handover(vehicles) -> list:
+    fleet = FleetState(
+        vehicles=vehicles, mobility=mobility(), connectivity=ConnectivityParams(), score_default=5.0
+    )
+    return run_controller(fleet, ControllerConfig(slot=1.0, horizon=3.0, expected_score=1.0))
+
+
+def test_run_controller_writes_roles_back_to_changed_clusters_only():
+    # Cluster 0 starts with two heads and keeps them; cluster 1 hands over
+    # from its critical head 10.
+    spec = [(0, 0, "ch"), (1, 0, "member"), (2, 0, "ch"),
+            (10, 1, "ch"), (11, 1, "member"), (12, 1, "member")]
+    vehicles = handover_fleet(spec)
+    rows = run_handover(vehicles)
+    assert [(r.cluster, r.new_ch) for r in rows if r.action == ACTION_CHANGE] == [(1, 11)]
+    assert heads(vehicles, 0) == [0, 2]
+    assert heads(vehicles, 1) == [11]
+    assert run_handover(VehicleArrays.of(handover_fleet(spec))) == rows
+
+
+def test_run_controller_hands_over_within_the_cluster_on_duplicate_ids():
+    # Id 1 is in both clusters: cluster 1's handover goes to its own vehicle 1.
+    vehicles = handover_fleet([(10, 1, "ch"), (1, 1, "member"), (0, 0, "ch"), (1, 0, "member")])
+    rows = run_handover(vehicles)
+    assert [(r.cluster, r.new_ch) for r in rows if r.action == ACTION_CHANGE] == [(1, 1)]
+    assert [v.role for v in vehicles] == ["member", "ch", "ch", "member"]
