@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +28,22 @@ EXIT_IO = 3
 
 def _write(path: Path, text: str) -> None:
     path.write_text(text)
+
+
+def _check_names(paths: list[Path]) -> None:
+    """Reject, before a run, an output file name its directory cannot hold:
+    one longer than the file system's name limit, or not encodable."""
+    limit = os.pathconf(paths[0].parent, "PC_NAME_MAX")
+    for path in paths:
+        try:
+            size = len(os.fsencode(path.name))
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"output file name {path.name!r} is not encodable: {exc}") from exc
+        if size > limit:
+            raise ConfigError(
+                f"output file name {path.name[:40]}... is {size} bytes; "
+                f"the limit in {paths[0].parent} is {limit}"
+            )
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -52,6 +69,8 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
         "txcount_oracle_ceil",
         "note",
     ]
+    path = out_dir / f"analytics_{scenario.name}.csv"
+    _check_names([path])
     rows = []
     for label, cfg in expand(scenario):
         note = ""
@@ -70,7 +89,7 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
         oracle_ceil = math.ceil(tx_oracle(txp))
         rows.append([label or "-"] + decay_cells + [derived, printed, oracle_ceil, note])
     text = _csv_text(header, rows)
-    _write(out_dir / f"analytics_{scenario.name}.csv", text)
+    _write(path, text)
     print(text, end="")
     return EXIT_OK
 
@@ -110,6 +129,13 @@ def _summary_lines(name: str, results: list[tuple[str, Comparison]]) -> list[str
 def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     """Paired baseline/clustered runs per sweep point; CSV + summary output."""
     points = expand(scenario)
+    name = scenario.name
+    comparisons = [out_dir / f"comparison_{name}{'_' + label if label else ''}.csv"
+                   for label, _ in points]
+    tx_path = out_dir / f"fig_transactions_{name}.csv"
+    cons_path = out_dir / f"fig_conservation_{name}.csv"
+    summary_path = out_dir / f"summary_{name}.txt"
+    _check_names([*comparisons, tx_path, cons_path, summary_path])
     # An infeasible operation rate is a config error, found before any write.
     for label, cfg in points:
         try:
@@ -117,11 +143,10 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
         except ValueError as exc:
             raise ConfigError(f"point {label or 'single'}: {exc}") from exc
     results: list[tuple[str, Comparison]] = []
-    for label, cfg in points:
+    for (label, cfg), path in zip(points, comparisons):
         comp = paired_comparison(cfg)
         results.append((label, comp))
-        suffix = f"_{label}" if label else ""
-        _write(out_dir / f"comparison_{scenario.name}{suffix}.csv", comparison_csv(comp))
+        _write(path, comparison_csv(comp))
 
     # Transactions-vs-time across both regimes, stacked over sweep points.
     tx_rows = []
@@ -131,7 +156,7 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
                 [label or "-", f"{b.t:g}", f"{b.transactions_cum:g}", f"{c.transactions_cum:g}"]
             )
     _write(
-        out_dir / f"fig_transactions_{scenario.name}.csv",
+        tx_path,
         _csv_text(["point", "t", "baseline_transactions", "clustered_transactions"], tx_rows),
     )
 
@@ -146,15 +171,15 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
         for label, comp in results
     ]
     _write(
-        out_dir / f"fig_conservation_{scenario.name}.csv",
+        cons_path,
         _csv_text(
             ["point", "conservation_factor_pct", "sim_energy_reduction_pct", "sim_tx_reduction_pct"],
             cons_rows,
         ),
     )
 
-    summary = "\n".join(_summary_lines(scenario.name, results))
-    _write(out_dir / f"summary_{scenario.name}.txt", summary)
+    summary = "\n".join(_summary_lines(name, results))
+    _write(summary_path, summary)
     print(summary, end="")
     return EXIT_OK
 

@@ -8,14 +8,13 @@ Decision cascade per cluster and slot:
     the cluster's required ceiling; an under-provisioned head is replaced
     by a candidate whose limit covers the requirement and whose radio range
     covers the connect range;
-(c) split: if no candidate qualifies, load is divided - led by the unique
-    largest radio range, or by the best transfer score when ranges tie;
+(c) no qualified member: the head stays (no cluster split is modelled);
 (d) ambiguity: when the score comparison is an exact tie and the capacity
     data is unavailable, the pre-decay test decides.
 
 A change decided at slot t stamps its offload at t - slot so the handover
 is prepared one slot ahead. Critical-energy vehicles are never selected:
-when a change is indicated and every candidate is critical, the head stays.
+when a change is indicated and no candidate is eligible, the head stays.
 
 The slotted loop steps the fleet as arrays (`VehicleArrays`) only;
 `run_controller` is the one entry that also takes a list of vehicle
@@ -23,10 +22,9 @@ objects, read into arrays once when the run starts. On its first slot a run
 indexes the clusters and computes the threshold, default score, pre-decay
 verdict and slot decay estimate. Each slot it applies the keep-or-change
 test of the cascade to every cluster's head. When a head is dead or
-critical, or the test indicates a change or split, one array pass over the
-stepped clusters' members (`_select`) picks the new head or split lead of
-every cluster at once. `decide` is the same selection over one cluster's
-`Candidate` list.
+critical, or the test indicates a change, one array pass over the stepped
+clusters' members (`_select`) picks the new head of every cluster at once.
+`decide` is the same selection over one cluster's `Candidate` list.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ RULE_PRE_DECAY = "pre-decay"
 
 ACTION_KEEP = "keep"
 ACTION_CHANGE = "change"
-ACTION_SPLIT_RANGE = "split_by_range"
-ACTION_SPLIT_TRANSFER = "split_by_transfer"
 
 
 def ost_score(m: MobilityModel, c: ConnectivityParams, lam1: float) -> float:
@@ -190,17 +186,6 @@ class _Segments:
         )
 
 
-def _first_best(
-    values: np.ndarray, mask: np.ndarray, seg: _Segments
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per segment: the largest masked value and the flat position of the
-    first masked entry holding it, or `values.size` when none is masked."""
-    top = np.maximum.reduceat(np.where(mask, values, -np.inf), seg.starts)
-    hit = mask & (values == top[seg.segment])
-    first = np.minimum.reduceat(np.where(hit, seg.position, values.size), seg.starts)
-    return top, first
-
-
 def _qualified(
     tx_limit: Sequence, radio_range: np.ndarray, required: float, connect_range: float | None
 ) -> np.ndarray:
@@ -218,47 +203,27 @@ def _select(
     seg: _Segments,
     limit: np.ndarray,
     qualified: np.ndarray | None,
-    radio_range: np.ndarray,
-    transfer: np.ndarray | None = None,
-) -> tuple[list[int], list[str]]:
+) -> list[int]:
     """The cascade's choice of a new head for every segment at once.
 
     Entries are vehicles in id order within each segment. A segment picks
-    its eligible vehicle of highest `rating`, ties to the lowest id. Where
-    `limit` marks that the Lemma2-limit rule fired, it picks among the
-    `qualified` eligible vehicles instead; with none qualified it splits
-    the load, led by the unique largest radio range, else by the highest
-    `transfer` score (lowest id without scores) among the range leaders.
-    Returns each segment's flat position of the pick, `rating.size` where
-    no vehicle is eligible, and its action.
+    its eligible vehicle of highest `rating`, ties to the lowest id; where
+    `limit` marks that the Lemma2-limit rule fired, only its `qualified`
+    vehicles are eligible. Returns each segment's flat position of the
+    pick, or `rating.size` where no vehicle is eligible.
     """
-    n = rating.size
-    _, pick = _first_best(rating, eligible, seg)
-    action = [ACTION_CHANGE] * seg.starts.size
-    if not limit.any():
-        return pick.tolist(), action
-    _, best_qualified = _first_best(rating, eligible & qualified, seg)
-    split = limit & (best_qualified == n)
-    pick = np.where(limit, best_qualified, pick)
-    if split.any():
-        top, lead = _first_best(radio_range, eligible, seg)
-        leaders = eligible & (radio_range == top[seg.segment])
-        unique = np.add.reduceat(leaders, seg.starts) == 1
-        if transfer is not None:
-            _, by_transfer = _first_best(transfer, leaders, seg)
-        else:
-            by_transfer = lead
-        pick = np.where(split, np.where(unique, lead, by_transfer), pick)
-        for k in np.flatnonzero(split).tolist():
-            action[k] = ACTION_SPLIT_RANGE if unique[k] else ACTION_SPLIT_TRANSFER
-    return pick.tolist(), action
+    if limit.any():
+        eligible = eligible & (qualified | ~limit[seg.segment])
+    top = np.maximum.reduceat(np.where(eligible, rating, -np.inf), seg.starts)
+    hit = eligible & (rating == top[seg.segment])
+    return np.minimum.reduceat(np.where(hit, seg.position, rating.size), seg.starts).tolist()
 
 
 def _keep_or_change(
     obs: OstObservation, required_tx_limit: float | None, pre_decay: bool
 ) -> tuple[str, bool]:
     """The cascade's test on the head alone: (rule that fired, whether a
-    change or split is indicated). It needs no candidates."""
+    change is indicated). It needs no candidates."""
     if obs.observed < obs.expected:
         return RULE_OST, True
     if required_tx_limit is None or obs.upper_tx_limit is None:
@@ -278,34 +243,29 @@ def decide(
     *,
     required_tx_limit: float | None = None,
     connect_range: float | None = None,
-    transfer_scores: Mapping[int, float] | None = None,
     pre_decay: bool = False,
 ) -> ChDecision:
     """Pure decision for one cluster at one slot (see module cascade)."""
     rule, change = _keep_or_change(obs, required_tx_limit, pre_decay)
-    if not change:
-        return ChDecision(ACTION_KEEP, None, 0.0, rule)
-    if all(c.critical for c in candidates):
-        raise ValueError("change indicated but no candidate set and no split data")
     pool = sorted(candidates, key=lambda c: c.vehicle_id)
-    ranges = np.array([c.radio_range for c in pool], dtype=float)
-    limit = rule == RULE_LIMIT
-    qualified = transfer = None
-    if limit:
-        limits = [c.tx_limit for c in pool]
-        qualified = _qualified(limits, ranges, required_tx_limit, connect_range)
-        if transfer_scores:
-            transfer = np.array([transfer_scores.get(c.vehicle_id, 0.0) for c in pool], dtype=float)
-    (pick,), (action,) = _select(
-        np.array([c.energy_rating for c in pool], dtype=float),
-        np.array([not c.critical for c in pool], dtype=bool),
-        _Segments.of_lengths([len(pool)]),
-        np.array([limit]),
-        qualified,
-        ranges,
-        transfer,
-    )
-    return ChDecision(action, pool[pick].vehicle_id, max(obs.time - cfg.slot, 0.0), rule)
+    if change and pool:
+        limit = rule == RULE_LIMIT
+        qualified = None
+        if limit:
+            ranges = np.array([c.radio_range for c in pool], dtype=float)
+            qualified = _qualified([c.tx_limit for c in pool], ranges, required_tx_limit,
+                                   connect_range)
+        (pick,) = _select(
+            np.array([c.energy_rating for c in pool], dtype=float),
+            np.array([not c.critical for c in pool], dtype=bool),
+            _Segments.of_lengths([len(pool)]),
+            np.array([limit]),
+            qualified,
+        )
+        if pick < len(pool):
+            return ChDecision(ACTION_CHANGE, pool[pick].vehicle_id,
+                              max(obs.time - cfg.slot, 0.0), rule)
+    return ChDecision(ACTION_KEEP, None, 0.0, rule)
 
 
 @dataclass(frozen=True)
@@ -407,7 +367,6 @@ class FleetState:
         self._segments = _Segments.of_lengths([m.size for m in self._members])
         self._flat_position = np.full(order.size, -1, dtype=np.intp)
         self._flat_position[self._flat] = self._segments.position
-        self._flat_range = a.radio_range[self._flat]
         self._flat_qualified = None  # built when the Lemma2-limit rule first fires
         # Vehicle -> position of its stepped cluster; the rest share one
         # extra position.
@@ -447,14 +406,12 @@ class FleetState:
         self._run = _RunConstants(cfg, threshold, score, pre, estimate)
         return self._run
 
-    def _select_heads(
-        self, run: _RunConstants, limit: np.ndarray
-    ) -> tuple[list[int | None], list[str]]:
-        """Per stepped cluster: the vehicle index of its new head or split
-        lead among its active, non-critical members other than the head
-        (None when there is none) and the action, by `_select`. Members are
-        rated in slots of decay when the run's estimate is positive; `limit`
-        marks the clusters where the Lemma2-limit rule fired."""
+    def _select_heads(self, run: _RunConstants, limit: np.ndarray) -> list[int | None]:
+        """Per stepped cluster: the vehicle index of its new head among its
+        active, non-critical members other than the head, by `_select`, or
+        None when there is none. Members are rated in slots of decay when
+        the run's estimate is positive; `limit` marks the clusters where the
+        Lemma2-limit rule fired."""
         a, flat = self.vehicles, self._flat
         eligible = a.active[flat] & ~a.critical[flat]
         eligible[self._flat_position[self._heads]] = False
@@ -464,14 +421,12 @@ class FleetState:
         if limit.any() and self._flat_qualified is None:
             self._flat_qualified = _qualified(
                 [a.tx_limit[i] for i in flat.tolist()],
-                self._flat_range,
+                a.radio_range[flat],
                 self.required_tx_limit,
                 self.mobility.connect_range,
             )
-        picks, actions = _select(
-            rating, eligible, self._segments, limit, self._flat_qualified, self._flat_range
-        )
-        return [int(flat[p]) if p < flat.size else None for p in picks], actions
+        picks = _select(rating, eligible, self._segments, limit, self._flat_qualified)
+        return [int(flat[p]) if p < flat.size else None for p in picks]
 
 
 def evaluate_slot(
@@ -531,20 +486,18 @@ def evaluate_slot(
 
     limit_fired = np.zeros(heads.size, dtype=bool)
     limit_fired[[k for _, k, _, rule in pending if rule == RULE_LIMIT]] = True
-    picks, actions = fleet._select_heads(run, limit_fired)
+    picks = fleet._select_heads(run, limit_fired)
     for i, k, head_id, rule in pending:
         cluster, new = fleet._stepped[k], picks[k]
         if new is None:
-            # Critical-energy vehicles are never selected: the head stays. A
-            # handover with no one to take over writes no row.
+            # No eligible (under the Lemma2-limit rule, qualified) member: the
+            # head stays. A handover with no one to take over writes no row.
             if rule is not None:
                 rows[i] = TraceRow(slot_index, cluster, rule, ACTION_KEEP, head_id, None, 0.0)
             continue
-        action = actions[k]
-        rows[i] = TraceRow(slot_index, cluster, rule or RULE_PRE_DECAY, action, head_id,
+        rows[i] = TraceRow(slot_index, cluster, rule or RULE_PRE_DECAY, ACTION_CHANGE, head_id,
                            ids[new], offload)
-        if action == ACTION_CHANGE:
-            _apply_change(fleet, k, new)
+        _apply_change(fleet, k, new)
     return [row for row in rows if row is not None]
 
 

@@ -655,6 +655,13 @@ def baseline_assumptions(cfg: SimConfig) -> tuple[str, ...]:
             f"heads exchange batched ledgers every {cfg.period_value} slot(s); "
             "each exchange counts one transfer per (head, other head) pair"
         )
+    capacity = ()
+    if cfg.required_tx_limit is not None:
+        capacity = (
+            f"head capacity: a head whose tx limit is under {cfg.required_tx_limit:g} "
+            "hands over to the best member whose limit covers it and whose radio "
+            "range covers the connect range, else stays; no cluster split is modelled",
+        )
     return (
         "baseline regime: full-mesh broadcast; every active vehicle issues "
         f"lam={cfg.lam:g} updates per slot, each counted per (sender, receiver) "
@@ -674,7 +681,7 @@ def baseline_assumptions(cfg: SimConfig) -> tuple[str, ...]:
         "energy-conservation factor: general-operations share of the combined "
         "rate, lam1/(lam1+lam2); the raw simulated energy delta is reported "
         "alongside it",
-    )
+    ) + capacity
 
 
 def paired_comparison(cfg: SimConfig) -> Comparison:

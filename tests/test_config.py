@@ -63,6 +63,8 @@ BAD_SCENARIOS = [
     '"name": "x\\u0000y"',
     '"name": "x/y"',
     '"output": "x\\u0000y"',
+    '"name": "%s"' % ("x" * 300),  # an output file name past the name limit
+    '"name": "a\\ud800b"',  # a lone surrogate: no file name can hold it
     '"params": {"lam": 1%s}' % ("0" * 5000),  # past the int parser's digit limit
 ]
 

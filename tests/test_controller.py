@@ -6,8 +6,6 @@ from fleetchain.analytics import DecayParams, GaussianRate, decay_params_at, ene
 from fleetchain.controller import (
     ACTION_CHANGE,
     ACTION_KEEP,
-    ACTION_SPLIT_RANGE,
-    ACTION_SPLIT_TRANSFER,
     Candidate,
     ChDecision,
     ControllerConfig,
@@ -181,29 +179,17 @@ def test_decide_limit_rule_changes_head():
     assert d.rule_used == "Lemma2-limit"
 
 
-def test_decide_split_by_range():
+def test_decide_limit_rule_keeps_head_without_qualified_member():
+    # Limits 20 are under the required 50, and 80 covers it but 300 m does
+    # not reach the 500 m connect range: no member qualifies, the head stays.
     d = decide(
         make_obs(5.0, 1.0, limit=10.0),
         CFG,
-        cands((1, 2.0, 310.0, 20.0), (2, 3.0, 290.0, 20.0)),
+        cands((1, 2.0, 310.0, 20.0), (2, 3.0, 600.0, 20.0), (3, 9.0, 300.0, 80.0)),
         required_tx_limit=50.0,
         connect_range=500.0,
     )
-    assert d.action == ACTION_SPLIT_RANGE
-    assert d.new_ch == 1  # 310 m beats 290 m regardless of rating
-
-
-def test_decide_split_by_transfer_on_range_tie():
-    d = decide(
-        make_obs(5.0, 1.0, limit=10.0),
-        CFG,
-        cands((1, 2.0, 300.0, 20.0), (2, 3.0, 300.0, 20.0)),
-        required_tx_limit=50.0,
-        connect_range=500.0,
-        transfer_scores={1: 0.2, 2: 0.9},
-    )
-    assert d.action == ACTION_SPLIT_TRANSFER
-    assert d.new_ch == 2
+    assert d == ChDecision(ACTION_KEEP, None, 0.0, "Lemma2-limit")
 
 
 def test_decide_never_selects_critical():
@@ -228,19 +214,17 @@ def test_decide_is_pure_and_total():
     obs = make_obs(0.5, 1.0)
     c = cands((1, 2.0, 300.0, None))
     assert decide(obs, CFG, c) == decide(obs, CFG, c)
-    actions = {ACTION_KEEP, ACTION_CHANGE, ACTION_SPLIT_RANGE, ACTION_SPLIT_TRANSFER}
+    actions = {ACTION_KEEP, ACTION_CHANGE}
     for observed, expected in ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0)):
         d = decide(make_obs(observed, expected), CFG, c)
         assert d.action in actions
 
 
-def test_decide_empty_candidates_errors():
-    try:
-        decide(make_obs(0.5, 1.0), CFG, [])
-    except ValueError as exc:
-        assert "no candidate" in str(exc)
-    else:
-        raise AssertionError("expected ValueError")
+def test_decide_empty_candidates_keeps_head():
+    assert decide(make_obs(0.5, 1.0), CFG, []) == ChDecision(ACTION_KEEP, None, 0.0, "OST")
+    # Every candidate critical: no one is eligible, so the head stays too.
+    d = decide(make_obs(0.5, 1.0), CFG, cands((1, 9.0, 300.0, None, True)))
+    assert d == ChDecision(ACTION_KEEP, None, 0.0, "OST")
 
 
 def test_offload_stamp_never_negative():

@@ -16,8 +16,6 @@ from fleetchain.analytics import DecayParams, GaussianRate
 from fleetchain.controller import (
     ACTION_CHANGE,
     ACTION_KEEP,
-    ACTION_SPLIT_RANGE,
-    ACTION_SPLIT_TRANSFER,
     RULE_LIMIT,
     RULE_PRE_DECAY,
     ControllerConfig,
@@ -40,7 +38,8 @@ CONFIGS = {
                     global_exchange_period=4, seed=3),
     "load-model": dict(lam=2.0, use_load_model_exchange=True, horizon=50.0,
                        range_stddev=80.0, mean_range=250.0, seed=1),
-    # Head limit under the requirement and no qualified candidate: split.
+    # Head limit under the requirement and no qualified candidate: the
+    # Lemma2-limit rule keeps the head.
     "limit-split": dict(lam=2.0, vehicle_tx_limit=10.0, required_tx_limit=50.0,
                         horizon=20.0, cluster_count=3, vehicles_per_cluster=4, seed=8),
     # Limit known and met: the OST rule keeps the head.
@@ -74,7 +73,7 @@ GOLDEN = {
     ),
     "limit-split": (
         "b8769ad2f9b4abb3f78123049109ea92159c82b675769f2436c26a55023efe37",
-        "e5a0261075288e824d2f60fffab57874768042d753fc14543699556413eba8c2",
+        "4ea5697da8cc6f2bcab9625007213670c43a9599758703cf435b7cb1011a75cc",
         "2039734533adbb2681f887e42b94cb081e74e25a49a26235f182949ab97c1834",
     ),
     "load-model": (
@@ -123,7 +122,7 @@ def test_golden_digests(name):
 # --- controller paths the simulator cannot reach --------------------------
 #
 # `sim` gives every vehicle the same radio range and tx limit, so the paired
-# runs above never pick a qualified Lemma2-limit candidate or split by range.
+# runs above never pick a qualified Lemma2-limit candidate.
 # These object fleets do: mixed radio ranges, tx limits of None, 10, 50 and
 # 100 against a requirement of 50, a score schedule, critical and inactive
 # vehicles, a cluster with two initial heads and one with none. Vehicle ids
@@ -133,9 +132,9 @@ def test_golden_digests(name):
 OBJECT_FLEET_SEEDS = (1, 2, 3)
 
 OBJECT_FLEET_GOLDEN = {
-    1: "c56e708b3acb33a78735fff4817d3d5beea4c153d7c371c350f9381911e587fb",
-    2: "90003c46c205658a20e7c1b2eda0841994725248f731454da1636f5b88d4ef51",
-    3: "3f20b377cb791d87342c41c2ce56445cf4721ba6dc6638265d1b8640c9500b2e",
+    1: "10babe78e736b96c6c5ebaed724acd5a859922e7b347b5eefd85cc808f321f27",
+    2: "3c15f711968766e6374127eaf749e8d0b641db5811494ab59c55d510a5111633",
+    3: "cca3fd3837a3665529af8750a5557776945aa122a39e9bd2be1d9d42d4c32439",
 }
 
 # Radio ranges; in cluster 3 no vehicle covers the 500 m connect range.
@@ -235,13 +234,17 @@ def test_object_fleets_reach_every_controller_path():
                 assert r.old_ch in critical | dead
                 if r.old_ch in critical:
                     seen.add("critical-head handover")
-            elif r.rule_used == RULE_LIMIT:
-                seen.add({ACTION_CHANGE: "qualified change", ACTION_KEEP: "all-critical keep"}
-                         .get(r.action, r.action))
+            elif r.rule_used == RULE_LIMIT and r.action == ACTION_CHANGE:
+                seen.add("qualified change")
+            elif r.rule_used == RULE_LIMIT and r.action == ACTION_KEEP:
+                # A keep with an eligible member other than the head means
+                # no member qualified; with none, every candidate is critical.
+                members = {v.id for v in fleet.vehicles if v.cluster == r.cluster}
+                eligible = members - critical - dead - {r.old_ch}
+                seen.add("unqualified keep" if eligible else "all-critical keep")
     assert seen == {
         "qualified change",
-        ACTION_SPLIT_RANGE,
-        ACTION_SPLIT_TRANSFER,
+        "unqualified keep",
         "critical-head handover",
         "all-critical keep",
     }

@@ -6,6 +6,7 @@ import pytest
 from fleetchain.analytics import transaction_count
 from fleetchain.sim import (
     SimConfig,
+    baseline_assumptions,
     compare_reports,
     comparison_csv,
     paired_comparison,
@@ -238,6 +239,15 @@ def test_conservation_factor_series():
     for got, want in zip(factors, expected):
         assert math.isclose(got, want, rel_tol=1e-9)
     assert all(b > a for a, b in zip(factors, factors[1:]))
+
+
+def test_assumption_ledger_names_the_head_capacity_choice_only_under_a_limit():
+    plain = baseline_assumptions(small_cfg())
+    assert not any("split" in line for line in plain)
+    limited = baseline_assumptions(small_cfg(vehicle_tx_limit=10.0, required_tx_limit=50.0))
+    assert limited[:-1] == plain
+    assert limited[-1].startswith("head capacity: a head whose tx limit is under 50 ")
+    assert limited[-1].endswith("else stays; no cluster split is modelled")
 
 
 def test_cumulative_columns_monotone():
