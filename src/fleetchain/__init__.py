@@ -62,10 +62,8 @@ from .sim import (
     compare_reports,
     comparison_csv,
     paired_comparison,
-    run,
     run_baseline,
     run_clustered,
-    run_report_csv,
 )
 from .validate import ValidationReport, run_validation
 
@@ -118,11 +116,9 @@ __all__ = [
     "peak_frequency",
     "pre_decay_check",
     "rate_frequency",
-    "run",
     "run_baseline",
     "run_clustered",
     "run_controller",
-    "run_report_csv",
     "total_blockchain_energy",
     "transaction_count",
     "transfer_function",

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
-from .mobility import gaussian_mass, half_erf_diff
+from .mobility import gaussian_mass, gaussian_pdf, half_erf_diff
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Tolerance for radicands that should be zero but carry float roundoff.
@@ -42,8 +41,7 @@ def peak_frequency(stddev: float) -> float:
 
 def rate_frequency(mean: float, stddev: float, rate: float) -> float:
     """Density value of the Gaussian rate model evaluated at `rate`."""
-    z = (rate - mean) / stddev
-    return math.exp(-0.5 * z * z) / (stddev * _SQRT_2PI)
+    return gaussian_pdf(rate, mean, stddev)
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,6 @@ class TxCountParams:
     radio_range: float
     range_stddev: float
     variant: str = "as-derived"
-    # Optional per-(cluster, link) rate table; overrides the uniform rate.
-    rate_table: Sequence[float] | None = None
 
     def __post_init__(self):
         if self.cluster_count < 1 or self.links_per_ledger < 1:
@@ -112,16 +108,8 @@ class TxCountParams:
             raise ValueError("parallel_links must be >= 1")
         if self.variant not in ("as-derived", "as-printed"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.rate_table is not None:
-            expected = self.cluster_count * self.links_per_ledger
-            if len(self.rate_table) != expected:
-                raise ValueError(
-                    f"rate_table must have {expected} entries (one per cluster-link)"
-                )
 
     def total_rate(self) -> float:
-        if self.rate_table is not None:
-            return float(sum(self.rate_table))
         return self.cluster_count * self.links_per_ledger * self.request_rate
 
 
@@ -208,7 +196,8 @@ def transaction_count(p: TxCountParams) -> int:
     Valid for positive ranges and horizon. The `as-derived` variant is the
     exact integral of the load model; `as-printed` keeps unscaled erf
     arguments and compensates through the denominator. A positive load
-    needs at least one transaction, also where its value underflows.
+    needs at least one transaction, also where its value underflows; a
+    ceiling past the float range raises `ValueError`.
     """
     if p.mean_range <= 0 or p.radio_range <= 0 or p.horizon <= 0:
         raise ValueError(
@@ -221,6 +210,8 @@ def transaction_count(p: TxCountParams) -> int:
     else:
         mass = half_erf_diff(p.mean_range - p.radio_range, p.mean_range)
         value = load * p.horizon**2 * mass / (2.0**1.5 * p.parallel_links * p.range_stddev)
+    if not math.isfinite(value):
+        raise ValueError(f"the {p.variant} transaction ceiling {value!r} is not finite")
     return max(1 if load > 0 else 0, math.ceil(value))
 
 

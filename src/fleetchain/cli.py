@@ -7,8 +7,6 @@ Exit codes: 0 success, 1 configuration error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
@@ -17,7 +15,7 @@ from pathlib import Path
 
 from .analytics import energy_decay, transaction_count
 from .scenario import ConfigError, Scenario, expand, load_scenario, make_config
-from .sim import Comparison, comparison_csv, paired_comparison
+from .sim import Comparison, comparison_csv, csv_text, paired_comparison
 from .validate import decay_oracle, run_validation, tx_oracle
 
 EXIT_OK = 0
@@ -46,18 +44,11 @@ def _check_names(paths: list[Path]) -> None:
             )
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
     """Closed-form values next to their quadrature oracles, per sweep point.
 
-    Infeasible rows (negative radicands) are reported and the run continues.
+    Infeasible rows (a negative radicand, or a transaction ceiling past the
+    float range) are reported with a note and the run continues.
     """
     header = [
         "label",
@@ -73,7 +64,7 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
     _check_names([path])
     rows = []
     for label, cfg in expand(scenario):
-        note = ""
+        notes = []
         try:
             p = cfg.decay_params()
             closed = energy_decay(p)
@@ -82,13 +73,19 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
             decay_cells = [repr(closed), repr(oracle), f"{rel:.3e}"]
         except ValueError as exc:  # an infeasible rate, or one whose density underflows
             decay_cells = ["", "", ""]
-            note = f"decay infeasible: {exc}"
+            notes.append(f"decay infeasible: {exc}")
         txp = cfg.tx_count_params()
-        derived = transaction_count(txp)
-        printed = transaction_count(replace(txp, variant="as-printed"))
-        oracle_ceil = math.ceil(tx_oracle(txp))
-        rows.append([label or "-"] + decay_cells + [derived, printed, oracle_ceil, note])
-    text = _csv_text(header, rows)
+        try:
+            tx_cells = [
+                transaction_count(txp),
+                transaction_count(replace(txp, variant="as-printed")),
+                math.ceil(tx_oracle(txp)),
+            ]
+        except (ValueError, OverflowError) as exc:  # a ceiling past the float range
+            tx_cells = ["", "", ""]
+            notes.append(f"txcount infeasible: {exc}")
+        rows.append([label or "-"] + decay_cells + tx_cells + ["; ".join(notes)])
+    text = csv_text(header, rows)
     _write(path, text)
     print(text, end="")
     return EXIT_OK
@@ -157,7 +154,7 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
             )
     _write(
         tx_path,
-        _csv_text(["point", "t", "baseline_transactions", "clustered_transactions"], tx_rows),
+        csv_text(["point", "t", "baseline_transactions", "clustered_transactions"], tx_rows),
     )
 
     # Conservation-vs-sweep-point.
@@ -172,7 +169,7 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     ]
     _write(
         cons_path,
-        _csv_text(
+        csv_text(
             ["point", "conservation_factor_pct", "sim_energy_reduction_pct", "sim_tx_reduction_pct"],
             cons_rows,
         ),

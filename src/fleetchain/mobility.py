@@ -137,15 +137,10 @@ def range_mass(m: MobilityModel, upper: float | None = None) -> float:
     return gaussian_mass(0.0, limit, m.mean_range, m.range_stddev)
 
 
-def in_range_probability(
-    m: MobilityModel, c: ConnectivityParams, upper: float | None = None
-) -> float:
-    """Probability that a vehicle is in range per the movement density.
-
-    The integration limit defaults to connect_range; pass `upper` to use a
-    different bound (e.g. the radio range).
-    """
-    return 1.0 - c.presence_prob * range_mass(m, upper)
+def in_range_probability(m: MobilityModel, c: ConnectivityParams) -> float:
+    """Probability that a vehicle is in range per the movement density, with
+    the density mass taken on [0, connect_range]."""
+    return 1.0 - c.presence_prob * range_mass(m)
 
 
 def transfer_function(

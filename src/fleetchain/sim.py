@@ -31,9 +31,9 @@ before members, so they round as one addition per vehicle would.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -129,7 +129,6 @@ class SimConfig:
     initial_energy: float = 1.0e9
     critical_fraction: float = 0.1
     seed: int = 0
-    regime: str = REGIME_CLUSTERED
     global_exchange_period: int | None = None
     use_load_model_exchange: bool = False
     expected_rate: float | None = None
@@ -158,25 +157,35 @@ class SimConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name, low in (("cluster_count", 1), ("vehicles_per_cluster", 1), ("seed", 0),
-                          ("global_exchange_period", 1)):
+        for name in _INT_FIELDS:
             value = getattr(self, name)
+            low = 0 if name in ("hops", "records_per_tx", "seed") else 1
             if value is not None and (type(value) is not int or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if type(self.use_load_model_exchange) is not bool:
+            raise ValueError(
+                f"use_load_model_exchange must be true or false, got {self.use_load_model_exchange!r}"
+            )
         if self.initial_energy < 0 or (self.vehicle_tx_limit or 0) < 0:
             raise ValueError("initial_energy and vehicle_tx_limit must be >= 0")
+        if not 0 <= self.critical_fraction <= 1:
+            raise ValueError(f"critical_fraction must be in [0, 1], got {self.critical_fraction!r}")
         if min(self.op_sigma1, self.op_sigma2) <= 0:
             raise ValueError("op_sigma1 and op_sigma2 must be > 0")
         if not 0 < self.slot <= self.horizon or not math.isfinite(self.horizon / self.slot):
             raise ValueError("need 0 < slot <= horizon and a finite horizon / slot")
+        if not math.isfinite(self.stay_value / self.slot):
+            raise ValueError("need a finite stay_time / slot")
         vehicles, slots = self.n_vehicles, self.n_slots
         if vehicles > MAX_VEHICLES or slots > MAX_SLOTS or vehicles * slots > MAX_VEHICLE_SLOTS:
             raise ValueError(
                 f"run too large: {vehicles} vehicles x {slots} slots; the caps are "
                 f"{MAX_VEHICLES} vehicles, {MAX_SLOTS} slots, {MAX_VEHICLE_SLOTS} vehicle-slots"
             )
-        if self.regime not in (REGIME_BASELINE, REGIME_CLUSTERED):
-            raise ValueError(f"unknown regime {self.regime!r}")
+        if self.use_load_model_exchange and not math.isfinite(
+            self.load_model_rate() * self.horizon * self.horizon / 2.0
+        ):
+            raise ValueError("the load model's transfers over the horizon must be finite")
         for build in (self.mobility, self.connectivity, self.heston_params,
                       self.tx_count_params, self.constraint_set):
             build()
@@ -216,6 +225,11 @@ class SimConfig:
     @property
     def n_slots(self) -> int:
         return slot_count(self.horizon, self.slot)
+
+    def load_model_rate(self) -> float:
+        """Growth of the load model's cumulative transfers: `rate * t**2 / 2` by time t."""
+        mass = range_mass(self.mobility(), upper=self.radio_range)
+        return self.tx_count_params().total_rate() * self.presence * mass / self.parallel_links
 
     def mobility(self) -> MobilityModel:
         return MobilityModel(
@@ -293,9 +307,10 @@ class SimConfig:
         )
 
 
-# (name, accepts None) of each int and float field.
+# (name, accepts None) of each int and float field, and the int fields.
 _NUMBER_FIELDS = [(f.name, f.type.endswith("None")) for f in fields(SimConfig)
                   if f.type.startswith(("int", "float"))]
+_INT_FIELDS = [f.name for f in fields(SimConfig) if f.type.startswith("int")]
 
 
 @dataclass(frozen=True)
@@ -330,10 +345,6 @@ class RunReport:
     @property
     def ch_changes_total(self) -> int:
         return sum(r.ch_changes for r in self.rows)
-
-    @property
-    def offloads_total(self) -> int:
-        return sum(r.offloads for r in self.rows)
 
 
 @dataclass(eq=False)
@@ -436,15 +447,7 @@ def _fleet_residual(v: _SimVehicles) -> float:
 
 
 def _constraints(cfg: SimConfig) -> ConstraintReport:
-    return _checked_constraints(cfg.constraint_set(), cfg.mobility(), cfg.connectivity())
-
-
-# Both regimes of a paired run check the same constraints.
-@functools.lru_cache(maxsize=1)
-def _checked_constraints(
-    cs: ConstraintSet, mobility: MobilityModel, connectivity: ConnectivityParams
-) -> ConstraintReport:
-    return check_constraints(cs, mobility, connectivity)
+    return check_constraints(cfg.constraint_set(), cfg.mobility(), cfg.connectivity())
 
 
 def run_baseline(cfg: SimConfig) -> RunReport:
@@ -523,12 +526,7 @@ def run_clustered(cfg: SimConfig) -> RunReport:
     head_local = (0.0, head_upd_local, 0.0)
     critical_level = cfg.critical_fraction * cfg.initial_energy
 
-    load_model_rate = 0.0
-    if cfg.use_load_model_exchange:
-        mass = range_mass(mobility, upper=cfg.radio_range)
-        total_rate = cfg.cluster_count * cfg.links_per_ledger * cfg.lam
-        load_model_rate = total_rate * cfg.presence * mass / cfg.parallel_links
-
+    load_model_rate = cfg.load_model_rate() if cfg.use_load_model_exchange else 0.0
     rows: list[SlotRow] = []
     trace: list[TraceRow] = []
     acc = np.zeros(4)  # security, transmission, update, transactions_cum
@@ -593,12 +591,6 @@ def run_clustered(cfg: SimConfig) -> RunReport:
         constraints=_constraints(cfg),
         vehicles=vehicles.states(cfg),
     )
-
-
-def run(cfg: SimConfig) -> RunReport:
-    if cfg.regime == REGIME_BASELINE:
-        return run_baseline(cfg)
-    return run_clustered(cfg)
 
 
 def _reduction_pct(base: float, other: float) -> float:
@@ -710,52 +702,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_report_csv(report: RunReport) -> str:
+def _slot_cells(regime: str, row: SlotRow) -> list:
+    """The `RUN_CSV_COLUMNS` cells of one slot row."""
+    return [_fmt(row.t), regime, _fmt(row.transactions_cum), _fmt(row.energy_cum),
+            row.ch_changes, row.offloads]
+
+
+def csv_text(header: Sequence[str], rows: list[list]) -> str:
+    """`header` and `rows` as CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(RUN_CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
-            [
-                _fmt(row.t),
-                report.regime,
-                _fmt(row.transactions_cum),
-                _fmt(row.energy_cum),
-                row.ch_changes,
-                row.offloads,
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def comparison_csv(comp: Comparison) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS)
-    for row in comp.baseline.rows:
-        writer.writerow(
-            [
-                _fmt(row.t),
-                comp.baseline.regime,
-                _fmt(row.transactions_cum),
-                _fmt(row.energy_cum),
-                row.ch_changes,
-                row.offloads,
-                "",
-                "",
-            ]
-        )
-    for row, delta in zip(comp.clustered.rows, comp.per_slot):
-        writer.writerow(
-            [
-                _fmt(row.t),
-                comp.clustered.regime,
-                _fmt(row.transactions_cum),
-                _fmt(row.energy_cum),
-                row.ch_changes,
-                row.offloads,
-                _fmt(delta.tx_reduction_pct),
-                _fmt(delta.energy_conservation_pct),
-            ]
-        )
-    return buf.getvalue()
+    base, clus = comp.baseline, comp.clustered
+    rows = [_slot_cells(base.regime, row) + ["", ""] for row in base.rows]
+    rows += [
+        _slot_cells(clus.regime, row)
+        + [_fmt(delta.tx_reduction_pct), _fmt(delta.energy_conservation_pct)]
+        for row, delta in zip(clus.rows, comp.per_slot)
+    ]
+    return csv_text(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS, rows)

@@ -179,6 +179,8 @@ def tx_oracle(p: TxCountParams) -> float:
     scale = p.presence * p.total_rate() * (p.horizon * p.horizon / 2.0) / p.parallel_links
     z_peak = (min(mean, p.radio_range) - mean) / sd
     log_peak = -0.5 * z_peak * z_peak
+    if log_peak == -math.inf:  # the peak density itself is below the float range
+        return math.ulp(0.0) if scale > 0.0 else 0.0
 
     def integrand(x):
         z = (x - mean) / sd

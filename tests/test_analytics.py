@@ -251,12 +251,14 @@ def test_transaction_count_validity_region():
         transaction_count(tx_params(radio_range=-1.0))
 
 
-def test_transaction_count_rate_table():
-    uniform = tx_params(cluster_count=2, links_per_ledger=2, request_rate=1.5, horizon=3.0)
-    table = replace(uniform, rate_table=(1.5, 1.5, 1.5, 1.5))
-    assert transaction_count(uniform) == transaction_count(table)
-    with pytest.raises(ValueError):
-        tx_params(cluster_count=2, links_per_ledger=2, rate_table=(1.0,))
+@pytest.mark.parametrize("overrides, variant", [
+    ({"request_rate": 1e308, "horizon": 100.0}, "as-derived"),
+    ({"range_stddev": 5e-324}, "as-printed"),  # the as-printed denominator holds the deviation
+])
+def test_transaction_count_rejects_an_infinite_ceiling(overrides, variant):
+    # Both ended in `math.ceil(inf)`, an OverflowError.
+    with pytest.raises(ValueError, match="not finite"):
+        transaction_count(tx_params(variant=variant, **overrides))
 
 
 def test_transaction_count_matches_ceil_of_double_integral():

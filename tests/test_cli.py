@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -114,6 +115,21 @@ def test_analytics_reports_infeasible_rows_and_continues(tmp_path):
     assert main(["analytics", "--config", str(path), "--out", str(tmp_path)]) == 0
     content = (tmp_path / "analytics_odd.csv").read_text()
     assert "infeasible" in content
+
+
+@pytest.mark.parametrize("params, tx_cells", [
+    # Each ended in a traceback from `math.ceil` of an infinite or NaN load.
+    ({"lam": 1e308}, ["", "", ""]),
+    ({"range_stddev": 5e-324}, ["", "", ""]),
+    ({"mean_range": 1e300}, ["1", "1", "1"]),
+])
+def test_analytics_reports_an_infinite_ceiling_as_an_infeasible_row(tmp_path, capsys, params,
+                                                                    tx_cells):
+    path = write_scenario(tmp_path, {"name": "edge", "params": {"horizon": 10, **params}})
+    assert main(["analytics", "--config", str(path), "--out", str(tmp_path)]) == 0
+    row = list(csv.reader((tmp_path / "analytics_edge.csv").read_text().splitlines()))[1]
+    assert row[4:7] == tx_cells
+    assert ("txcount infeasible: " in row[7]) == (tx_cells[0] == "")
 
 
 def test_validate_passes_inprocess(capsys):

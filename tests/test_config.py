@@ -19,9 +19,9 @@ from fleetchain.sim import MAX_VEHICLE_SLOTS, SimConfig
 SMALL = Path(__file__).resolve().parent.parent / "scenarios" / "small.json"
 HUGE_INT = "1" + "0" * 400  # 401 digits: past the range of a float
 
-# `params` that each ended in a traceback before values were checked at
-# construction, or ask for more vehicles, slots or vehicle-slots than a run
-# may hold (the last three).
+# `params` that each ended in a traceback or ran with a value it should have
+# rejected, or ask for more vehicles, slots or vehicle-slots than a run may
+# hold (the last three).
 BAD_PARAMS = [
     '"hops": 10.0',
     '"cluster_count": 2.5',
@@ -46,6 +46,14 @@ BAD_PARAMS = [
     '"per_kind_cost": [1, 2]',
     '"vehicle_tx_limit": -1',
     '"energy_per_record": -1',
+    '"stay_time": 1e308, "slot": 0.001',
+    '"use_load_model_exchange": true, "links_per_ledger": 1%s' % ("0" * 307),
+    '"use_load_model_exchange": "no"',
+    '"hops": true',
+    '"records_per_tx": true',
+    '"links_per_ledger": 2.5',
+    '"parallel_links": 1.5',
+    '"critical_fraction": -3',
     '"cluster_count": 10001',
     '"horizon": 100001',
     '"vehicles_per_cluster": 20000, "horizon": 101',
@@ -69,10 +77,10 @@ BAD_SCENARIOS = [
 ]
 
 
-def run_simulate(path: Path, *argv: str) -> tuple[int, str]:
+def run_command(command: str, path: Path, *argv: str) -> tuple[int, str]:
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = main(["simulate", "--config", str(path), *argv])
+        code = main([command, "--config", str(path), *argv])
     return code, err.getvalue()
 
 
@@ -95,14 +103,14 @@ def test_bad_input_is_one_config_error_line(tmp_path, text, argv):
     path = tmp_path / "scenario.json"
     path.write_text(text)
     out = tmp_path / "out"
-    assert_one_config_error(*run_simulate(path, "--out", str(out), *argv))
+    assert_one_config_error(*run_command("simulate", path, "--out", str(out), *argv))
     # Rejected before any comparison or summary file is written.
     assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(
     "body", ['"params": {"formula_variant": "as-printed"}', '"params": {"receiver_prob": 0.5}',
-             '"variant": "as-printed"']
+             '"variant": "as-printed"', '"params": {"regime": "baseline"}']
 )
 def test_deleted_knobs_are_unknown(tmp_path, body):
     path = tmp_path / "scenario.json"
@@ -159,14 +167,14 @@ def test_far_connect_range_runs(tmp_path):
               "connect_range": 1.7077776297938038e17, "range_stddev": 73.92677562436383}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"params": params}))
-    assert run_simulate(path, "--out", str(tmp_path / "out")) == (0, "")
+    assert run_command("simulate", path, "--out", str(tmp_path / "out")) == (0, "")
 
 
 # Small base, so an accepted config runs at most a few hundred slots.
 BASE = {"cluster_count": 2, "vehicles_per_cluster": 3, "horizon": 10}
 VALUES = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, 2.5, 1e-320,
-                     int(HUGE_INT), True, None, "x", [1, 2]]),
+                     1e308, 1e300, 5e-324, int(HUGE_INT), True, None, "x", [1, 2]]),
     st.integers(0, 12),
 )
 
@@ -184,8 +192,9 @@ def test_any_config_is_rejected_or_runs(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps({"params": params}))
-        code, err = run_simulate(path, "--out", tmp)
-    if accepted and code == 0:
-        assert err == ""
-    else:
-        assert_one_config_error(code, err)
+        for command in ("simulate", "analytics"):
+            code, err = run_command(command, path, "--out", tmp)
+            if accepted and code == 0:
+                assert err == ""
+            else:
+                assert_one_config_error(code, err)

@@ -76,7 +76,6 @@ def test_reference_config_range_holds_all_mass():
 def test_in_range_probability_trivial_cases():
     m = model()
     assert in_range_probability(m, ConnectivityParams(presence_prob=0.0)) == 1.0
-    assert in_range_probability(m, ConnectivityParams(), upper=0.0) == 1.0
 
 
 def test_in_range_probability_half_mass():

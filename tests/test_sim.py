@@ -12,7 +12,6 @@ from fleetchain.sim import (
     paired_comparison,
     run_baseline,
     run_clustered,
-    run_report_csv,
 )
 
 
@@ -196,9 +195,6 @@ def test_head_rotation_on_energy_drain():
 
 def test_same_seed_identical_csv():
     cfg = small_cfg(seed=99)
-    a = run_report_csv(run_clustered(cfg))
-    b = run_report_csv(run_clustered(cfg))
-    assert a == b
     ca = comparison_csv(paired_comparison(cfg))
     cb = comparison_csv(paired_comparison(cfg))
     assert ca == cb
@@ -221,13 +217,6 @@ def test_comparison_csv_layout():
     assert len(lines) == 1 + 2 * 3
     assert lines[1].split(",")[1] == "baseline"
     assert lines[4].split(",")[1] == "clustered"
-
-
-def test_run_report_csv_fixed_columns():
-    report = run_baseline(small_cfg(horizon=2.0))
-    lines = run_report_csv(report).splitlines()
-    assert lines[0] == "t,regime,transactions_cum,energy_cum_J,ch_changes,offloads"
-    assert len(lines) == 3
 
 
 def test_conservation_factor_series():
@@ -288,8 +277,6 @@ def test_config_validation():
         SimConfig(cluster_count=0)
     with pytest.raises(ValueError):
         SimConfig(horizon=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(regime="hybrid")
 
 
 def test_all_critical_candidates_keep_the_head():

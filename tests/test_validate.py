@@ -132,6 +132,15 @@ def test_deep_tail_load_needs_one_transaction(p):
     assert tx_oracle(replace(p, request_rate=0.0)) == 0.0
 
 
+def test_tx_oracle_with_a_peak_density_below_the_float_range():
+    # The radio range ends 1e300 deviations below the mean: the log of the
+    # peak density is -inf, and the integrand read exp(-inf - (-inf)), NaN.
+    p = replace(DEEP_TAIL_LOADS[1], mean_range=1e300)
+    assert tx_oracle(p) == math.ulp(0.0)
+    assert math.ceil(tx_oracle(p)) == transaction_count(p) == 1
+    assert tx_oracle(replace(p, request_rate=0.0)) == 0.0
+
+
 def test_midpoint_rule_in_place_is_bit_identical():
     rng = np.random.default_rng(9)
     nodes = np.arange(MIDPOINTS) + 0.5
