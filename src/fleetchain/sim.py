@@ -25,7 +25,8 @@ role, so each slot charges the whole fleet with one masked subtraction at
 each vehicle's role cost. The slot's itemised sums and the running
 transaction count are accumulated left to right in vehicle-id order, heads
 before members, so they round as one addition per vehicle would.
-`RunReport.vehicles` is built once, at the end of the run.
+`RunReport.vehicles` is built once, at the end of the run. Both regimes
+step through one slot loop; only the clustered run attaches the controller.
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ class SimConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value is not None and name not in _INT_FIELDS:  # numpy holds no int past int64
+                object.__setattr__(self, name, float(value))
         for name in _INT_FIELDS:
             value = getattr(self, name)
             low = 0 if name in ("hops", "records_per_tx", "seed") else 1
@@ -182,6 +185,8 @@ class SimConfig:
                 f"run too large: {vehicles} vehicles x {slots} slots; the caps are "
                 f"{MAX_VEHICLES} vehicles, {MAX_SLOTS} slots, {MAX_VEHICLE_SLOTS} vehicle-slots"
             )
+        if not math.isfinite(self.initial_energy * vehicles):  # bounds every sum of energies
+            raise ValueError("initial_energy x vehicles must be finite")
         if self.use_load_model_exchange and not math.isfinite(
             self.load_model_rate() * self.horizon * self.horizon / 2.0
         ):
@@ -331,7 +336,6 @@ class RunReport:
     regime: str
     rows: list[SlotRow]
     trace: list[TraceRow] = field(default_factory=list)
-    constraints: ConstraintReport | None = None
     vehicles: list[VehicleState] = field(default_factory=list)
 
     @property
@@ -446,59 +450,95 @@ def _fleet_residual(v: _SimVehicles) -> float:
     return float(np.cumsum(v.residual)[-1])
 
 
-def _constraints(cfg: SimConfig) -> ConstraintReport:
-    return check_constraints(cfg.constraint_set(), cfg.mobility(), cfg.connectivity())
+def _slot_loop(
+    cfg: SimConfig,
+    regime: str,
+    vehicles: _SimVehicles,
+    member: tuple[float, float, float],
+    head_local: tuple[float, float, float],
+    head_global: tuple[float, float, float],
+    load_rate: float | None = None,
+    controller: tuple[FleetState, ControllerConfig] | None = None,
+) -> RunReport:
+    """Step the fleet through every slot and report the run.
+
+    `member`, `head_local` and `head_global` are each role's (transmission,
+    update, transactions) per payer; heads pay `head_global` on exchange
+    slots. Exchanges fall every `period_value` slots, or, with a
+    `load_rate`, on the slots where the load model's cumulative transfers
+    pass a whole number. Only with a `controller` are critical vehicles
+    marked, heads rotated and each new head charged its security cost.
+    """
+    rows: list[SlotRow] = []
+    trace: list[TraceRow] = []
+    acc = np.zeros(4)  # security, transmission, update, transactions_cum
+    e_cum = 0.0
+    emitted_prev = 0
+    active_rate = cfg.lam > 0
+    period = cfg.period_value
+    critical_level = cfg.critical_fraction * cfg.initial_energy
+    for s in range(1, cfg.n_slots + 1):
+        t = s * cfg.slot
+        acc[:3] = 0.0
+        if load_rate is None:
+            emitted, exchange = 0, s % period == 0
+        else:
+            emitted = max(0, math.ceil(load_rate * t * t / 2.0) - emitted_prev)
+            exchange = emitted > 0
+
+        if active_rate:
+            # Heads first, so the global-transfer count uses this slot's
+            # surviving head set.
+            head = head_global if exchange else head_local
+            operating = _charge_slot(vehicles, cfg, head, member, acc)
+            if exchange and operating:
+                if load_rate is None:
+                    acc[3] += operating * (operating - 1)
+                else:
+                    acc[3] += emitted
+                    emitted_prev += emitted
+
+        security, transmission, update, tx_cum = acc.tolist()
+        changes = []
+        if controller is not None:
+            np.less(vehicles.residual, critical_level, out=vehicles.critical)
+            slot_rows = evaluate_slot(*controller, s)
+            trace.extend(slot_rows)
+            changes = [r for r in slot_rows if r.action == ACTION_CHANGE]
+            for row in changes:
+                # A new head pays one security charge when it can fund it.
+                if vehicles.residual[row.new_ch] >= cfg.security_cost:
+                    vehicles.residual[row.new_ch] -= cfg.security_cost
+                    security += cfg.security_cost
+
+        e_cum += security + transmission + update
+        rows.append(SlotRow(
+            t=t, transactions_cum=tx_cum, energy_cum=e_cum, ch_changes=len(changes),
+            offloads=len(changes), security_j=security, transmission_j=transmission,
+            update_j=update, fleet_residual=_fleet_residual(vehicles)))
+    return RunReport(regime=regime, rows=rows, trace=trace, vehicles=vehicles.states(cfg))
 
 
 def run_baseline(cfg: SimConfig) -> RunReport:
     """Broadcast regime: full-mesh dissemination, full hop cost each slot."""
     vehicles = _init_vehicles(cfg, clustered=False)
-    n = cfg.n_vehicles
     p_full = cfg.energy_params(cfg.hops)
-    tx_slot = cfg.app_count * transmission_energy(p_full) * cfg.slot
-    upd_slot = cfg.app_count * ledger_update_energy(p_full)
-    # Every vehicle is a member: (transmission, update, transactions) per slot.
-    costs = (tx_slot, upd_slot, cfg.lam * cfg.slot * (n - 1))
-
-    rows: list[SlotRow] = []
-    acc = np.zeros(4)  # security, transmission, update, transactions_cum
-    e_cum = 0.0
-    active_rate = cfg.lam > 0
-    for s in range(1, cfg.n_slots + 1):
-        t = s * cfg.slot
-        acc[:3] = 0.0
-        if active_rate:
-            _charge_slot(vehicles, cfg, costs, costs, acc)
-        security, transmission, update, tx_cum = acc.tolist()
-        e_cum += security + transmission + update
-        rows.append(
-            SlotRow(
-                t=t,
-                transactions_cum=tx_cum,
-                energy_cum=e_cum,
-                ch_changes=0,
-                offloads=0,
-                security_j=security,
-                transmission_j=transmission,
-                update_j=update,
-                fleet_residual=_fleet_residual(vehicles),
-            )
-        )
-    return RunReport(
-        regime=REGIME_BASELINE,
-        rows=rows,
-        constraints=_constraints(cfg),
-        vehicles=vehicles.states(cfg),
+    # Every vehicle is a member: (transmission, update, transactions) per
+    # slot. No vehicle is a head, so no head cost or exchange is counted.
+    costs = (
+        cfg.app_count * transmission_energy(p_full) * cfg.slot,
+        cfg.app_count * ledger_update_energy(p_full),
+        cfg.lam * cfg.slot * (cfg.n_vehicles - 1),
     )
+    return _slot_loop(cfg, REGIME_BASELINE, vehicles, costs, costs, costs)
 
 
 def run_clustered(cfg: SimConfig) -> RunReport:
     """Two-tier regime: one-hop local updates, batched global exchanges."""
     vehicles = _init_vehicles(cfg, clustered=True)
-    mobility = cfg.mobility()
     fleet = FleetState(
         vehicles=vehicles,
-        mobility=mobility,
+        mobility=cfg.mobility(),
         connectivity=cfg.connectivity(),
         lam1=cfg.lam1_value,
         decay=cfg.decay_params(),
@@ -515,82 +555,22 @@ def run_clustered(cfg: SimConfig) -> RunReport:
 
     p_local = cfg.energy_params(1)
     p_global = cfg.energy_params(cfg.hops)
-    member_tx = cfg.app_count * transmission_energy(p_local) * cfg.slot
-    member_upd = cfg.app_count * ledger_update_energy(p_local)
-    head_upd_local = cfg.app_count * ledger_update_energy(p_local)
-    head_tx_global = cfg.app_count * transmission_energy(p_global) * cfg.slot
-    head_upd_global = cfg.app_count * ledger_update_energy(p_global)
+    upd_local = cfg.app_count * ledger_update_energy(p_local)
     # (transmission, update, transactions) per payer; member updates are
     # ledger transfers unless the load model emits them.
-    member = (member_tx, member_upd, 0.0 if cfg.use_load_model_exchange else cfg.lam * cfg.slot)
-    head_local = (0.0, head_upd_local, 0.0)
-    critical_level = cfg.critical_fraction * cfg.initial_energy
-
-    load_model_rate = cfg.load_model_rate() if cfg.use_load_model_exchange else 0.0
-    rows: list[SlotRow] = []
-    trace: list[TraceRow] = []
-    acc = np.zeros(4)  # security, transmission, update, transactions_cum
-    e_cum = 0.0
-    emitted_prev = 0
-    active_rate = cfg.lam > 0
-    period = cfg.period_value
-    for s in range(1, cfg.n_slots + 1):
-        t = s * cfg.slot
-        acc[:3] = 0.0
-
-        if cfg.use_load_model_exchange:
-            cum_load = load_model_rate * t * t / 2.0
-            emitted = max(0, math.ceil(cum_load) - emitted_prev)
-            exchange = emitted > 0
-        else:
-            emitted = 0
-            exchange = s % period == 0
-
-        if active_rate:
-            # Heads first, so the global-transfer count uses this slot's
-            # surviving head set.
-            head = (head_tx_global, head_upd_global, 0.0) if exchange else head_local
-            operating = _charge_slot(vehicles, cfg, head, member, acc)
-            if exchange and operating:
-                if cfg.use_load_model_exchange:
-                    acc[3] += emitted
-                    emitted_prev += emitted
-                else:
-                    acc[3] += operating * (operating - 1)
-
-        np.less(vehicles.residual, critical_level, out=vehicles.critical)
-
-        slot_rows = evaluate_slot(fleet, ctrl, s)
-        trace.extend(slot_rows)
-        security, transmission, update, tx_cum = acc.tolist()
-        changes = [r for r in slot_rows if r.action == ACTION_CHANGE]
-        for row in changes:
-            # A new head pays one security charge when it can fund it.
-            if vehicles.residual[row.new_ch] >= cfg.security_cost:
-                vehicles.residual[row.new_ch] -= cfg.security_cost
-                security += cfg.security_cost
-
-        e_cum += security + transmission + update
-        rows.append(
-            SlotRow(
-                t=t,
-                transactions_cum=tx_cum,
-                energy_cum=e_cum,
-                ch_changes=len(changes),
-                offloads=len(changes),
-                security_j=security,
-                transmission_j=transmission,
-                update_j=update,
-                fleet_residual=_fleet_residual(vehicles),
-            )
-        )
-    return RunReport(
-        regime=REGIME_CLUSTERED,
-        rows=rows,
-        trace=trace,
-        constraints=_constraints(cfg),
-        vehicles=vehicles.states(cfg),
+    member = (
+        cfg.app_count * transmission_energy(p_local) * cfg.slot,
+        upd_local,
+        0.0 if cfg.use_load_model_exchange else cfg.lam * cfg.slot,
     )
+    head_global = (
+        cfg.app_count * transmission_energy(p_global) * cfg.slot,
+        cfg.app_count * ledger_update_energy(p_global),
+        0.0,
+    )
+    load_rate = cfg.load_model_rate() if cfg.use_load_model_exchange else None
+    return _slot_loop(cfg, REGIME_CLUSTERED, vehicles, member, (0.0, upd_local, 0.0),
+                      head_global, load_rate, (fleet, ctrl))
 
 
 def _reduction_pct(base: float, other: float) -> float:
@@ -599,37 +579,21 @@ def _reduction_pct(base: float, other: float) -> float:
     return 100.0 * (1.0 - other / base)
 
 
-@dataclass(frozen=True)
-class SlotDelta:
-    t: float
-    tx_reduction_pct: float
-    energy_conservation_pct: float
-
-
 @dataclass
 class Comparison:
     config: SimConfig
     baseline: RunReport
     clustered: RunReport
-    per_slot: list[SlotDelta]
     tx_reduction_pct: float
     energy_reduction_pct: float
     conservation_factor_pct: float
     assumptions: tuple[str, ...]
+    constraints: ConstraintReport
 
 
-def compare_reports(base: RunReport, other: RunReport) -> tuple[list[SlotDelta], float, float]:
-    """Per-slot and total percentage deltas of `other` against `base`."""
-    deltas = [
-        SlotDelta(
-            t=b.t,
-            tx_reduction_pct=_reduction_pct(b.transactions_cum, o.transactions_cum),
-            energy_conservation_pct=_reduction_pct(b.energy_cum, o.energy_cum),
-        )
-        for b, o in zip(base.rows, other.rows)
-    ]
+def compare_reports(base: RunReport, other: RunReport) -> tuple[float, float]:
+    """Total transaction and energy percentage deltas of `other` against `base`."""
     return (
-        deltas,
         _reduction_pct(base.transactions_total, other.transactions_total),
         _reduction_pct(base.energy_total, other.energy_total),
     )
@@ -680,17 +644,17 @@ def paired_comparison(cfg: SimConfig) -> Comparison:
     """Run both regimes with identical seed/parameters and compare."""
     base = run_baseline(cfg)
     clus = run_clustered(cfg)
-    per_slot, tx_red, energy_red = compare_reports(base, clus)
+    tx_red, energy_red = compare_reports(base, clus)
     r1, r2 = cfg.gaussian_rates()
     return Comparison(
         config=cfg,
         baseline=base,
         clustered=clus,
-        per_slot=per_slot,
         tx_reduction_pct=tx_red,
         energy_reduction_pct=energy_red,
         conservation_factor_pct=100.0 * conservation_factor(r1, r2),
         assumptions=baseline_assumptions(cfg),
+        constraints=check_constraints(cfg.constraint_set(), cfg.mobility(), cfg.connectivity()),
     )
 
 
@@ -722,7 +686,8 @@ def comparison_csv(comp: Comparison) -> str:
     rows = [_slot_cells(base.regime, row) + ["", ""] for row in base.rows]
     rows += [
         _slot_cells(clus.regime, row)
-        + [_fmt(delta.tx_reduction_pct), _fmt(delta.energy_conservation_pct)]
-        for row, delta in zip(clus.rows, comp.per_slot)
+        + [_fmt(_reduction_pct(b.transactions_cum, row.transactions_cum)),
+           _fmt(_reduction_pct(b.energy_cum, row.energy_cum))]
+        for b, row in zip(base.rows, clus.rows)
     ]
     return csv_text(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS, rows)

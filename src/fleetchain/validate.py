@@ -68,6 +68,14 @@ class ValidationReport:
         return out
 
 
+def _result(name: str, errors: list, tolerance: float, note: str = "") -> CheckResult:
+    """The check of `errors`: an error that is not <= `tolerance` fails, and
+    a NaN error, which no comparison holds, is the worst."""
+    failures = sum(not err <= tolerance for err in errors)
+    worst = max(errors, key=lambda err: math.inf if math.isnan(err) else err, default=0.0)
+    return CheckResult(name, len(errors), failures, worst, note)
+
+
 def _random_decay_params(rng: np.random.Generator) -> DecayParams:
     def rate() -> GaussianRate:
         mean = rng.uniform(0.0, 5.0)
@@ -98,27 +106,20 @@ def check_decay_against_quadrature(
     tolerance: float, grid: int, rng: np.random.Generator
 ) -> CheckResult:
     """Closed-form decay vs adaptive quadrature of its defining integral."""
-    failures = 0
-    worst = 0.0
+    errors = []
     for _ in range(grid):
         p = _random_decay_params(rng)
-        closed = energy_decay(p)
         oracle = decay_oracle(p)
-        rel = abs(closed - oracle) / max(abs(oracle), 1e-300)
-        worst = max(worst, rel)
-        if rel > tolerance:
-            failures += 1
-    return CheckResult("energy decay vs quadrature", grid, failures, worst)
+        errors.append(abs(energy_decay(p) - oracle) / max(abs(oracle), 1e-300))
+    return _result("energy decay vs quadrature", errors, tolerance)
 
 
 def check_synchronized_consistency(
     tolerance: float, grid: int, rng: np.random.Generator
 ) -> CheckResult:
     """Synchronized decay vs the general closed form at the estimated rate."""
-    failures = 0
-    worst = 0.0
-    done = 0
-    while done < grid:
+    errors = []
+    for _ in range(grid):
         s1 = rng.uniform(0.2, 3.0)
         s2 = rng.uniform(0.2, 3.0)
         mean1 = rng.uniform(0.0, 3.0)
@@ -136,30 +137,22 @@ def check_synchronized_consistency(
         closed = energy_decay_synchronized(p, lam1, f1)
         # Under synchronization both rate families collapse to the estimate.
         substituted = energy_decay_at_rates(p, lam2, lam2)
-        rel = abs(closed - substituted) / max(abs(substituted), 1e-300)
-        worst = max(worst, rel)
-        if rel > tolerance:
-            failures += 1
-        done += 1
-    return CheckResult("synchronized decay vs substituted rate", grid, failures, worst)
+        errors.append(abs(closed - substituted) / max(abs(substituted), 1e-300))
+    return _result("synchronized decay vs substituted rate", errors, tolerance)
 
 
 def check_rate_roundtrip(
     tolerance: float, grid: int, rng: np.random.Generator
 ) -> CheckResult:
     """density -> invert_rate recovers the rate on the upper branch."""
-    failures = 0
-    worst = 0.0
+    errors = []
     for _ in range(grid):
         mean = rng.uniform(0.0, 10.0)
         stddev = rng.uniform(0.05, 5.0)
         lam = mean + rng.uniform(0.0, 5.0 * stddev)
         g = GaussianRate.at_rate(mean, stddev, lam)
-        err = abs(invert_rate(g) - lam)
-        worst = max(worst, err)
-        if err > tolerance:
-            failures += 1
-    return CheckResult("rate inversion round-trip", grid, failures, worst)
+        errors.append(abs(invert_rate(g) - lam))
+    return _result("rate inversion round-trip", errors, tolerance)
 
 
 def tx_oracle(p: TxCountParams) -> float:
@@ -169,24 +162,32 @@ def tx_oracle(p: TxCountParams) -> float:
     density. The t-integral is exactly horizon**2 / 2 (Fubini), so one
     adaptive quadrature in x remains; it never uses the erf closed form.
 
-    The integrand is divided by its peak on [0, radio_range], and that
-    factor is applied to the integral afterwards, so a deep-tail load does
-    not underflow inside the quadrature. A positive load below the smallest
-    positive float is returned as that float: its ceiling is still 1.
+    The quadrature runs over `u`, the distance from the density's peak on
+    [0, radio_range] in deviations, on the integrand divided by that peak,
+    so a deep-tail load does not underflow inside it. It covers only the
+    window where that integrand exceeds about e**-800, broken at the peak,
+    so it finds a density far narrower than the range: 40 deviations each
+    side, or 800 / |z| of them when the peak sits at the range's edge, z
+    deviations from the mean, where the integrand falls off like
+    exp(-|z * u|). A positive load below the smallest positive float is
+    returned as that float: its ceiling is still 1.
     """
     mean, sd = p.mean_range, p.range_stddev
-    norm = sd * math.sqrt(2.0 * math.pi)
     scale = p.presence * p.total_rate() * (p.horizon * p.horizon / 2.0) / p.parallel_links
-    z_peak = (min(mean, p.radio_range) - mean) / sd
+    peak = min(mean, p.radio_range)
+    z_peak = (peak - mean) / sd
     log_peak = -0.5 * z_peak * z_peak
     if log_peak == -math.inf:  # the peak density itself is below the float range
         return math.ulp(0.0) if scale > 0.0 else 0.0
+    half = 40.0 if z_peak == 0.0 else min(40.0, -800.0 / z_peak)
+    lo, hi = max(-peak / sd, -half), min((p.radio_range - peak) / sd, half)
 
-    def integrand(x):
-        z = (x - mean) / sd
-        return math.exp(-0.5 * z * z - log_peak) / norm * scale
+    def integrand(u):  # exp(-(z_peak + u)**2 / 2 - log_peak) without the cancellation
+        return math.exp(-u * (0.5 * u + z_peak))
 
-    value, _ = integrate.quad(integrand, 0.0, p.radio_range, epsabs=1e-11, epsrel=1e-12)
+    points = [0.0] if lo < 0.0 < hi else None
+    value, _ = integrate.quad(integrand, lo, hi, points=points, epsabs=0.0, epsrel=1e-12)
+    value = value / math.sqrt(2.0 * math.pi) * scale  # a half or whole mass stays exact
     if value <= 0.0:
         return value
     return max(value * math.exp(log_peak), math.ulp(0.0))
@@ -194,8 +195,7 @@ def tx_oracle(p: TxCountParams) -> float:
 
 def check_tx_ceiling(grid: int, rng: np.random.Generator) -> CheckResult:
     """Transaction ceiling vs the numerically integrated load model."""
-    failures = 0
-    worst = 0.0
+    errors = []
     printed_diverged = 0
     for _ in range(grid):
         p = TxCountParams(
@@ -209,17 +209,13 @@ def check_tx_ceiling(grid: int, rng: np.random.Generator) -> CheckResult:
             radio_range=rng.uniform(10.0, 500.0),
             range_stddev=rng.uniform(1.0, 200.0),
         )
-        ceiling = math.ceil(tx_oracle(p))
         derived = transaction_count(p)
-        err = abs(derived - ceiling)
-        worst = max(worst, float(err))
-        if derived != ceiling:
-            failures += 1
+        errors.append(float(abs(derived - math.ceil(tx_oracle(p)))))
         printed = transaction_count(replace(p, variant="as-printed"))
         if printed != derived:
             printed_diverged += 1
     note = f"as-printed variant diverges on {printed_diverged}/{grid} points (expected)"
-    return CheckResult("transaction ceiling vs double integral", grid, failures, worst, note)
+    return _result("transaction ceiling vs double integral", errors, 0.0, note)
 
 
 MIDPOINTS = 1_000_000
@@ -280,10 +276,7 @@ def check_in_range_probability(grid: int, rng: np.random.Generator) -> CheckResu
         c = ConnectivityParams(presence_prob=rng.uniform(0.0, 1.0))
         quad = 1.0 - c.presence_prob * quad_range_mass(m)
         errors.append(abs(in_range_probability(m, c) - quad))
-    failures = sum(err > 1e-6 for err in errors)
-    return CheckResult(
-        "in-range probability vs midpoint rule and quadrature", len(errors), failures, max(errors)
-    )
+    return _result("in-range probability vs midpoint rule and quadrature", errors, 1e-6)
 
 
 def run_validation(

@@ -54,6 +54,7 @@ BAD_PARAMS = [
     '"links_per_ledger": 2.5',
     '"parallel_links": 1.5',
     '"critical_fraction": -3',
+    '"initial_energy": 1e308',
     '"cluster_count": 10001',
     '"horizon": 100001',
     '"vehicles_per_cluster": 20000, "horizon": 101',
@@ -174,7 +175,7 @@ def test_far_connect_range_runs(tmp_path):
 BASE = {"cluster_count": 2, "vehicles_per_cluster": 3, "horizon": 10}
 VALUES = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, 2.5, 1e-320,
-                     1e308, 1e300, 5e-324, int(HUGE_INT), True, None, "x", [1, 2]]),
+                     1e308, 1e300, 5e-324, 10**200, int(HUGE_INT), True, None, "x", [1, 2]]),
     st.integers(0, 12),
 )
 

@@ -15,12 +15,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import fleetchain.validate as validate
 from fleetchain.analytics import TxCountParams, transaction_count
 from fleetchain.cli import main
-from fleetchain.mobility import MobilityModel
+from fleetchain.mobility import MobilityModel, gaussian_mass
+from fleetchain.sim import SimConfig
 from fleetchain.validate import MIDPOINTS, midpoint_range_mass, run_validation, tx_oracle
 
 
@@ -139,6 +142,66 @@ def test_tx_oracle_with_a_peak_density_below_the_float_range():
     assert tx_oracle(p) == math.ulp(0.0)
     assert math.ceil(tx_oracle(p)) == transaction_count(p) == 1
     assert tx_oracle(replace(p, request_rate=0.0)) == 0.0
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def narrow_tx_params(draw) -> TxCountParams:
+    """Densities down to 1e-6 of their mean wide, over radio ranges far past
+    the mean or within 40 deviations of it."""
+    mean = draw(log_uniform(1.0, 1e6))
+    sd = draw(log_uniform(1e-3, 1e3))
+    assume(sd >= 1e-6 * mean)
+    radio = draw(st.one_of(log_uniform(1.0, 1e8),
+                           st.floats(-40.0, 40.0).map(lambda k: mean + k * sd)))
+    assume(radio > 0.0)
+    return TxCountParams(
+        cluster_count=draw(st.integers(1, 6)),
+        links_per_ledger=draw(st.integers(1, 4)),
+        request_rate=draw(st.floats(0.1, 5.0)),
+        presence=draw(st.floats(0.1, 1.0)),
+        horizon=draw(st.floats(1.0, 100.0)),
+        parallel_links=draw(st.integers(1, 4)),
+        mean_range=mean,
+        radio_range=radio,
+        range_stddev=sd,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(narrow_tx_params())
+def test_tx_oracle_matches_the_load_on_narrow_densities(p):
+    # Before the oracle's window, one quadrature over [0, radio_range] never
+    # sampled a narrow peak and read 0 for a positive load.
+    scale = p.presence * p.total_rate() * (p.horizon * p.horizon / 2.0) / p.parallel_links
+    load = scale * gaussian_mass(0.0, p.radio_range, p.mean_range, p.range_stddev)
+    value = tx_oracle(p)
+    if load >= 1e-290:
+        assert abs(value - load) <= 1e-8 * load
+    if load > 0.0:
+        assert value > 0.0
+
+
+@pytest.mark.parametrize("params, ceiling", [
+    ({"range_stddev": 0.1, "radio_range": 500.0}, 200),
+    ({"mean_range": 1e6, "range_stddev": 0.5}, 1),
+])
+def test_tx_oracle_ceiling_on_a_narrow_density(params, ceiling):
+    # The oracle read 0 for both on the 2 x 3 vehicle, 10-slot base.
+    p = SimConfig(cluster_count=2, vehicles_per_cluster=3, horizon=10.0, **params).tx_count_params()
+    assert math.ceil(tx_oracle(p)) == transaction_count(p) == ceiling
+
+
+def test_a_nan_error_fails_its_check(monkeypatch):
+    monkeypatch.setattr(validate, "decay_oracle", lambda p: math.nan)
+    report = run_validation(grid=5)
+    assert not report.passed
+    decay = report.checks[0]
+    assert decay.failures == decay.total == 5
+    assert math.isnan(decay.worst_error)
 
 
 def test_midpoint_rule_in_place_is_bit_identical():
