@@ -333,6 +333,11 @@ class FleetState:
     this). Scores come from `score_schedule` (per slot index), then
     `score_default`, then the stopping score computed from the mobility
     model and `lam1`.
+
+    `fixed_keeps` tells whether the last `evaluate_slot` kept every head by
+    the run's fixed verdict: no head was dead or critical, none was
+    indicated for a change and no score schedule is set. Until the fleet
+    changes, a later slot would return the same rows with its own slot.
     """
 
     vehicles: Sequence | VehicleArrays
@@ -348,6 +353,7 @@ class FleetState:
 
     def __post_init__(self):
         self._run: _RunConstants | None = None
+        self.fixed_keeps = False
 
     def _index(self) -> None:
         """Group the vehicles by cluster for one run."""
@@ -481,6 +487,7 @@ def evaluate_slot(
             rows.append(None)
         else:
             rows.append(TraceRow(slot_index, cluster, rule, ACTION_KEEP, ids[head], None, 0.0))
+    fleet.fixed_keeps = not pending and not fleet.score_schedule
     if not pending:
         return rows
 

@@ -20,13 +20,23 @@ Energy bookkeeping is itemised per slot into security, transmission and
 ledger-update components; a vehicle that cannot fund its full slot charge
 stops transacting (residual energy never goes negative and never rises).
 
-Vehicle state is kept as arrays over the run. Charges are uniform within a
-role, so each slot charges the whole fleet with one masked subtraction at
-each vehicle's role cost. The slot's itemised sums and the running
-transaction count are accumulated left to right in vehicle-id order, heads
-before members, so they round as one addition per vehicle would.
-`RunReport.vehicles` is built once, at the end of the run. Both regimes
-step through one slot loop; only the clustered run attaches the controller.
+Vehicle state is kept as arrays over the run, and both regimes step through
+one slot loop; only the clustered run attaches the controller. The loop
+steps the stretches between events as blocks. After a slot stepped alone
+(its charge, critical marking and `evaluate_slot`), the slots that follow
+join one block while every active vehicle can pay its charge, no head falls
+below the critical level, and that slot kept every head by the fixed
+verdict (no head changed and no new head was selected). The first slot that
+breaks a condition ends the block and runs alone; so does slot 1, which
+carries the join charge. Exchange slots stay inside a block. A block
+charges up to `BLOCK_CELLS // vehicles` slots as one set of 2-D arrays,
+reused from block to block. Each slot's itemised sums, the running
+transaction count and the fleet residual add the vehicles' shares left to
+right, heads before members, in id order, so they round as one addition
+per vehicle would. A block's slots repeat the trace rows of the slot before
+it: `RunReport` keeps those rows and the slot range, and builds the
+`TraceRow`s when `trace` is read. `RunReport.vehicles` is built once, at
+the end of the run.
 """
 
 from __future__ import annotations
@@ -75,6 +85,11 @@ REGIME_CLUSTERED = "clustered"
 MAX_VEHICLES = 100_000
 MAX_SLOTS = 100_000
 MAX_VEHICLE_SLOTS = 10_000_000
+
+# Vehicle-slots charged as one set of arrays: a stretch of slots between
+# events is charged in blocks of BLOCK_CELLS // vehicles slots. A block's
+# float arrays then take 256 KiB each, which stays in cache.
+BLOCK_CELLS = 2**15
 
 RUN_CSV_COLUMNS = ("t", "regime", "transactions_cum", "energy_cum_J", "ch_changes", "offloads")
 COMPARISON_EXTRA_COLUMNS = ("tx_reduction_pct", "energy_conservation_pct")
@@ -156,7 +171,7 @@ class SimConfig:
                 finite = optional and value is None or math.isfinite(value)
             except (TypeError, OverflowError):  # not a number, or an int past float range
                 finite = False
-            if not finite:
+            if not finite or type(value) is bool and name not in _INT_FIELDS:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             if value is not None and name not in _INT_FIELDS:  # numpy holds no int past int64
                 object.__setattr__(self, name, float(value))
@@ -335,8 +350,21 @@ class SlotRow:
 class RunReport:
     regime: str
     rows: list[SlotRow]
-    trace: list[TraceRow] = field(default_factory=list)
+    # The controller's trace as (rows of one slot, first slot, last slot):
+    # the rows repeat, with their slot set, on every slot of the range.
+    trace_runs: list[tuple[list[TraceRow], int, int]] = field(default_factory=list, repr=False)
     vehicles: list[VehicleState] = field(default_factory=list)
+
+    @property
+    def trace(self) -> list[TraceRow]:
+        """The controller's trace rows in slot order, built when read."""
+        return [
+            row if row.slot == s else TraceRow(s, row.cluster, row.rule_used, row.action,
+                                               row.old_ch, row.new_ch, row.offload_slot)
+            for rows, first, last in self.trace_runs
+            for s in range(first, last + 1)
+            for row in rows
+        ]
 
     @property
     def transactions_total(self) -> float:
@@ -360,21 +388,12 @@ class _SimVehicles(VehicleArrays):
 
     def states(self, cfg: SimConfig) -> list[VehicleState]:
         roles = ["ch" if h else "member" for h in self.head.tolist()]
+        stay, radio_range, tx_limit, energy = (
+            cfg.stay_value, cfg.radio_range, cfg.vehicle_tx_limit, cfg.initial_energy
+        )
         return [
-            VehicleState(
-                vid,
-                cluster,
-                position,
-                residual,
-                cfg.stay_value,
-                cfg.radio_range,
-                role,
-                critical,
-                active,
-                cfg.vehicle_tx_limit,
-                cfg.initial_energy,
-                joined,
-            )
+            VehicleState(vid, cluster, position, residual, stay, radio_range, role, critical,
+                         active, tx_limit, energy, joined)
             for vid, cluster, position, residual, role, critical, active, joined in zip(
                 self.id.tolist(),
                 self.cluster.tolist(),
@@ -411,56 +430,24 @@ def _init_vehicles(cfg: SimConfig, clustered: bool) -> _SimVehicles:
     )
 
 
-def _charge_slot(
-    v: _SimVehicles,
-    cfg: SimConfig,
-    head: tuple[float, float, float],
-    member: tuple[float, float, float],
-    acc: np.ndarray,
-) -> int:
-    """Charge every active vehicle one slot and return how many heads paid.
-
-    `head` and `member` are each role's (transmission, update, transactions)
-    per payer. A vehicle that cannot fund its charge in full stops
-    transacting. `acc` holds the slot's security, transmission and update
-    sums and the run's transaction count; each payer's share is added to it
-    left to right, heads before members, in id order.
-    """
-    sec = cfg.app_count * cfg.security_cost + np.where(v.joined, 0.0, cfg.security_cost)
-    total = sec + np.where(v.head, head[0], member[0]) + np.where(v.head, head[1], member[1])
-    paid = v.active & (v.residual >= total)
-    v.active[:] = paid
-    np.subtract(v.residual, total, out=v.residual, where=paid)
-    v.joined |= paid
-    heads_paid = paid & v.head
-    sec_heads, sec_members = sec[heads_paid], sec[paid ^ heads_paid]
-    n_heads = sec_heads.size
-    items = np.empty((n_heads + sec_members.size + 1, 4))
-    items[0] = acc
-    items[1 : n_heads + 1, 0] = sec_heads
-    items[1 : n_heads + 1, 1:] = head
-    items[n_heads + 1 :, 0] = sec_members
-    items[n_heads + 1 :, 1:] = member
-    acc[:] = items.cumsum(axis=0)[-1]
-    return n_heads
-
-
 def _fleet_residual(v: _SimVehicles) -> float:
     """Sum of the residual energies, added left to right in id order."""
     return float(np.cumsum(v.residual)[-1])
 
 
-def _slot_loop(
-    cfg: SimConfig,
-    regime: str,
-    vehicles: _SimVehicles,
-    member: tuple[float, float, float],
-    head_local: tuple[float, float, float],
-    head_global: tuple[float, float, float],
-    load_rate: float | None = None,
-    controller: tuple[FleetState, ControllerConfig] | None = None,
-) -> RunReport:
-    """Step the fleet through every slot and report the run.
+def _payer_sums(n_heads: int, n_members: int, head: tuple, member: tuple) -> list[float]:
+    """A slot's (security, transmission, update) sums: the items of
+    `n_heads` heads at `head` and then `n_members` members at `member`,
+    added left to right."""
+    items = np.empty((n_heads + n_members + 1, 3))
+    items[0] = 0.0
+    items[1 : n_heads + 1] = head
+    items[n_heads + 1 :] = member
+    return items.cumsum(axis=0)[-1].tolist()
+
+
+class _SlotLoop:
+    """One regime's run, stepped one slot or one block of slots at a time.
 
     `member`, `head_local` and `head_global` are each role's (transmission,
     update, transactions) per payer; heads pay `head_global` on exchange
@@ -469,54 +456,202 @@ def _slot_loop(
     pass a whole number. Only with a `controller` are critical vehicles
     marked, heads rotated and each new head charged its security cost.
     """
-    rows: list[SlotRow] = []
-    trace: list[TraceRow] = []
-    acc = np.zeros(4)  # security, transmission, update, transactions_cum
-    e_cum = 0.0
-    emitted_prev = 0
-    active_rate = cfg.lam > 0
-    period = cfg.period_value
-    critical_level = cfg.critical_fraction * cfg.initial_energy
-    for s in range(1, cfg.n_slots + 1):
-        t = s * cfg.slot
-        acc[:3] = 0.0
-        if load_rate is None:
-            emitted, exchange = 0, s % period == 0
+
+    def __init__(
+        self,
+        cfg: SimConfig,
+        vehicles: _SimVehicles,
+        member: tuple[float, float, float],
+        head_local: tuple[float, float, float],
+        head_global: tuple[float, float, float],
+        load_rate: float | None = None,
+        controller: tuple[FleetState, ControllerConfig] | None = None,
+    ):
+        n = vehicles.id.size
+        self.cfg, self.v = cfg, vehicles
+        self.member, self.head_local, self.head_global = member, head_local, head_global
+        self.load_rate, self.controller = load_rate, controller
+        self.size = max(1, min(cfg.n_slots, BLOCK_CELLS // n))
+        # Reused by every block: the residuals before and after each of its
+        # slots, and its transaction increments in the order they are added.
+        self.residuals = np.empty((self.size + 1, n))
+        self.increments = np.empty(self.size * (n + 1) + 1)
+        self.period = cfg.period_value
+        self.critical_level = cfg.critical_fraction * cfg.initial_energy
+        self.tx_cum = self.e_cum = 0.0
+        self.emitted_prev = 0
+        self.rows: list[SlotRow] = []
+        self.trace_runs: list[tuple[list[TraceRow], int, int]] = []
+        # A slot's item sums, by its payers, whether it is slot 1 (the join
+        # charge) and whether it is an exchange slot.
+        self.slot_sums: dict[tuple, list[float]] = {}
+
+    def run(self, regime: str) -> RunReport:
+        n_slots = self.cfg.n_slots
+        s, steady = 1, False
+        while s <= n_slots:
+            if steady:
+                k = min(self.size, n_slots - s + 1)
+                ran = self._block(s, k)
+                # A block cut short stops before an event; that slot runs alone.
+                steady = ran == k
+                s += ran
+            else:
+                steady = self._single(s)
+                s += 1
+        return RunReport(regime, self.rows, self.trace_runs, self.v.states(self.cfg))
+
+    def _single(self, s: int) -> bool:
+        """Step slot s alone; return whether a block may follow it."""
+        v, cfg = self.v, self.cfg
+        [(security, transmission, update)], [tx] = self._charge(s, 1, single=True)
+        changes, steady = 0, True
+        if self.controller is not None:
+            np.less(v.residual, self.critical_level, out=v.critical)
+            fleet, ctrl = self.controller
+            slot_rows = evaluate_slot(fleet, ctrl, s)
+            self.trace_runs.append((slot_rows, s, s))
+            for row in slot_rows:
+                if row.action == ACTION_CHANGE:
+                    changes += 1
+                    # A new head pays one security charge when it can fund it.
+                    if v.residual[row.new_ch] >= cfg.security_cost:
+                        v.residual[row.new_ch] -= cfg.security_cost
+                        security += cfg.security_cost
+            steady = fleet.fixed_keeps
+        self._append(s, security, transmission, update, tx, changes, _fleet_residual(v))
+        return steady
+
+    def _block(self, s: int, k: int) -> int:
+        """Step up to k slots from s as one block, ending before its first
+        event; return how many slots it stepped.
+
+        No head changes inside a block, so its slots repeat the trace rows
+        of the slot before it. Residuals only fall, so the critical flags
+        set from the residuals at its end are those its last slot would
+        have marked."""
+        sums, txs = self._charge(s, k, single=False)
+        k = len(txs)
+        if k == 0:
+            return 0
+        after = self.residuals[1 : k + 1]
+        fleet_residual = after.cumsum(axis=1, out=after)[:, -1].tolist()
+        if self.controller is not None:
+            np.less(self.v.residual, self.critical_level, out=self.v.critical)
+            rows, first, _ = self.trace_runs[-1]
+            self.trace_runs[-1] = (rows, first, s + k - 1)
+        for i in range(k):
+            self._append(s + i, *sums[i], txs[i], 0, fleet_residual[i])
+        return k
+
+    def _charge(self, s: int, k: int, single: bool) -> tuple[list, list[float]]:
+        """Charge slots s .. s + k - 1; return each one's (security,
+        transmission, update) sums and its `transactions_cum`.
+
+        A single slot charges every active vehicle that can pay and stops
+        the rest. A block charges every active vehicle on each of its slots
+        and ends before the first slot where one cannot pay or, with a
+        controller, a head falls below the critical level. Each slot's sums
+        and the running transaction count add the payers' items left to
+        right, heads before members, in id order.
+        """
+        v, cfg = self.v, self.cfg
+        work = self.residuals[: k + 1]
+        work[0] = v.residual
+        if cfg.lam <= 0:  # no vehicle transacts, so none pays
+            work[1:] = work[0]
+            return [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
+        # Every vehicle that pays slot 1 joins and one that cannot stops, so
+        # only slot 1 carries the join charge.
+        sec = cfg.app_count * cfg.security_cost + (cfg.security_cost if s == 1 else 0.0)
+        heads = (v.active & v.head).nonzero()[0]
+        exchange, transfers = self._exchanges(s, k, heads.size)
+        member = (sec, *self.member)
+        head_costs = {ex: (sec, *(self.head_global if ex else self.head_local)) for ex in exchange}
+        work[1:] = np.where(v.active, (sec + member[1]) + member[2], 0.0)
+        if heads.size:
+            charge = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
+            work[1:, heads] = np.array([charge[ex] for ex in exchange])[:, None]
+        if k == 1:  # one subtraction: an accumulate call costs about ten
+            np.subtract(work[0], work[1], out=work[1])
         else:
-            emitted = max(0, math.ceil(load_rate * t * t / 2.0) - emitted_prev)
-            exchange = emitted > 0
+            np.subtract.accumulate(work, axis=0, out=work)
+        if single:
+            # A residual minus a charge is >= 0 exactly when it covers the charge.
+            paid = v.active & (work[1] >= 0.0)
+            np.copyto(work[1], work[0], where=~paid)
+            v.active[:] = paid
+            v.joined |= paid
+            payers = int(np.count_nonzero(paid))
+            n_heads = int(np.count_nonzero(paid[heads]))
+            if n_heads < heads.size:
+                _, transfers = self._exchanges(s, 1, n_heads)
+        else:
+            k = self._slots_before_event(work[1:], heads)
+            if k == 0:
+                return [], []
+            payers, n_heads = int(np.count_nonzero(v.active)), heads.size
+        v.residual[:] = work[k]
+        if self.load_rate is not None:
+            self.emitted_prev += sum(transfers[:k])
 
-        if active_rate:
-            # Heads first, so the global-transfer count uses this slot's
-            # surviving head set.
-            head = head_global if exchange else head_local
-            operating = _charge_slot(vehicles, cfg, head, member, acc)
-            if exchange and operating:
-                if load_rate is None:
-                    acc[3] += operating * (operating - 1)
-                else:
-                    acc[3] += emitted
-                    emitted_prev += emitted
+        # The transaction count runs on from slot to slot: one flat sequence
+        # of every slot's increments, each slot's payers and then its
+        # global transfers.
+        width = payers + 1
+        flat = self.increments[: k * width + 1]
+        flat[0] = self.tx_cum
+        grid = flat[1:].reshape(k, width)
+        if n_heads:
+            grid[:, :n_heads] = np.array([head_costs[ex][3] for ex in exchange[:k]])[:, None]
+        grid[:, n_heads:-1] = member[3]
+        grid[:, -1] = transfers[:k]
+        txs = flat.cumsum(out=flat)[width::width].tolist()
+        self.tx_cum = txs[-1]
+        sums = {}
+        for ex, head in head_costs.items():
+            key = (n_heads, payers, s == 1, ex)
+            if key not in self.slot_sums:
+                self.slot_sums[key] = _payer_sums(n_heads, payers - n_heads, head[:3], member[:3])
+            sums[ex] = self.slot_sums[key]
+        return [sums[ex] for ex in exchange[:k]], txs
 
-        security, transmission, update, tx_cum = acc.tolist()
-        changes = []
-        if controller is not None:
-            np.less(vehicles.residual, critical_level, out=vehicles.critical)
-            slot_rows = evaluate_slot(*controller, s)
-            trace.extend(slot_rows)
-            changes = [r for r in slot_rows if r.action == ACTION_CHANGE]
-            for row in changes:
-                # A new head pays one security charge when it can fund it.
-                if vehicles.residual[row.new_ch] >= cfg.security_cost:
-                    vehicles.residual[row.new_ch] -= cfg.security_cost
-                    security += cfg.security_cost
+    def _slots_before_event(self, after: np.ndarray, heads: np.ndarray) -> int:
+        """The block's slots before the first one after which a residual
+        is negative (its vehicle could not pay) or, with a controller, a
+        head that was not critical is under the critical level."""
+        level = self.critical_level
+        # Heads to watch: none without a controller.
+        watch = heads[~self.v.critical[heads]] if self.controller is not None else heads[:0]
+        # Residuals only fall: no event by the last slot means none at all.
+        if after[-1].min() >= 0.0 and not (after[-1, watch] < level).any():
+            return len(after)
+        events = (after < 0.0).any(axis=1) | (after[:, watch] < level).any(axis=1)
+        return int(events.argmax())
 
-        e_cum += security + transmission + update
-        rows.append(SlotRow(
-            t=t, transactions_cum=tx_cum, energy_cum=e_cum, ch_changes=len(changes),
-            offloads=len(changes), security_j=security, transmission_j=transmission,
-            update_j=update, fleet_residual=_fleet_residual(vehicles)))
-    return RunReport(regime=regime, rows=rows, trace=trace, vehicles=vehicles.states(cfg))
+    def _exchanges(self, s: int, k: int, heads: int) -> tuple[list[bool], list[int]]:
+        """For each of slots s .. s + k - 1, with `heads` heads paying each:
+        whether it is an exchange slot, and the global transfers it counts."""
+        if self.load_rate is None:
+            exchange = [(s + i) % self.period == 0 for i in range(k)]
+            return exchange, [heads * (heads - 1) if ex else 0 for ex in exchange]
+        exchange, transfers = [], []
+        emitted_prev = self.emitted_prev
+        for slot in range(s, s + k):
+            t = slot * self.cfg.slot
+            emitted = max(0, math.ceil(self.load_rate * t * t / 2.0) - emitted_prev)
+            counted = emitted if heads else 0
+            emitted_prev += counted
+            exchange.append(emitted > 0)
+            transfers.append(counted)
+        return exchange, transfers
+
+    def _append(self, s, security, transmission, update, tx_cum, changes, fleet_residual):
+        self.e_cum += security + transmission + update
+        self.rows.append(SlotRow(
+            t=s * self.cfg.slot, transactions_cum=tx_cum, energy_cum=self.e_cum,
+            ch_changes=changes, offloads=changes, security_j=security,
+            transmission_j=transmission, update_j=update, fleet_residual=fleet_residual))
 
 
 def run_baseline(cfg: SimConfig) -> RunReport:
@@ -530,7 +665,7 @@ def run_baseline(cfg: SimConfig) -> RunReport:
         cfg.app_count * ledger_update_energy(p_full),
         cfg.lam * cfg.slot * (cfg.n_vehicles - 1),
     )
-    return _slot_loop(cfg, REGIME_BASELINE, vehicles, costs, costs, costs)
+    return _SlotLoop(cfg, vehicles, costs, costs, costs).run(REGIME_BASELINE)
 
 
 def run_clustered(cfg: SimConfig) -> RunReport:
@@ -569,8 +704,9 @@ def run_clustered(cfg: SimConfig) -> RunReport:
         0.0,
     )
     load_rate = cfg.load_model_rate() if cfg.use_load_model_exchange else None
-    return _slot_loop(cfg, REGIME_CLUSTERED, vehicles, member, (0.0, upd_local, 0.0),
-                      head_global, load_rate, (fleet, ctrl))
+    loop = _SlotLoop(cfg, vehicles, member, (0.0, upd_local, 0.0), head_global, load_rate,
+                     (fleet, ctrl))
+    return loop.run(REGIME_CLUSTERED)
 
 
 def _reduction_pct(base: float, other: float) -> float:

@@ -142,6 +142,16 @@ def test_validate_zero_tolerance_fails(capsys):
     assert main(["validate", "--grid", "5", "--tolerance", "0"]) == 2
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_validate_rejects_a_grid_under_one(capsys, grid):
+    # `--grid -3` printed "validation passed" after checking nothing.
+    assert main(["validate", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), captured.err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = write_scenario(tmp_path, {"params": {"bogus": 1}})
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
@@ -167,6 +177,20 @@ def test_subprocess_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "modelling assumptions" in result.stdout
+
+
+def test_simulate_imports_no_scipy(tmp_path):
+    # Only the oracle checks need scipy, whose import costs more than a
+    # small simulation.
+    script = (
+        "import sys\n"
+        "from fleetchain.cli import main\n"
+        f"code = main(['simulate', '--config', {str(SMALL)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=REPO)
+    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
 
 
 def test_subprocess_validate_tolerance_zero(tmp_path):

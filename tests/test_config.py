@@ -55,6 +55,8 @@ BAD_PARAMS = [
     '"parallel_links": 1.5',
     '"critical_fraction": -3',
     '"initial_energy": 1e308',
+    '"lam": true',
+    '"energy_per_record": false',
     '"cluster_count": 10001',
     '"horizon": 100001',
     '"vehicles_per_cluster": 20000, "horizon": 101',

@@ -48,6 +48,25 @@ CONFIGS = {
     # Every vehicle of both regimes runs dry before the horizon.
     "full-drain": dict(cluster_count=2, vehicles_per_cluster=3, app_count=2, lam=1.0, hops=4,
                        horizon=30.0, global_exchange_period=3, initial_energy=3e5, seed=5),
+    # The configs below pin the cuts of the event-blocked slot loop; their
+    # digests were taken from the loop that stepped one slot at a time.
+    # Every head is kept while the members run dry at slot 28 and the heads
+    # on the exchange at slot 30; baseline vehicles run dry at slot 3.
+    "member-dry": dict(cluster_count=3, vehicles_per_cluster=5, lam=2.0, horizon=60.0,
+                       global_exchange_period=10, initial_energy=5e6, seed=2),
+    # Heads pay the full-hop charge every slot and fall below the critical
+    # level at slots 25 and 48, inside runs of keeps: energy handovers. The
+    # first heads run dry as members at slot 52.
+    "head-critical": dict(cluster_count=3, vehicles_per_cluster=5, lam=2.0, horizon=60.0,
+                          global_exchange_period=1, initial_energy=5e7, seed=6),
+    # An expected score of 0 keeps every head at lam 0.1, so exchange slots
+    # fall inside blocks while the running sums round.
+    "lam-0.1-keep": dict(cluster_count=3, vehicles_per_cluster=4, lam=0.1, horizon=40.0,
+                         global_exchange_period=3, expected_score=0.0, seed=3),
+    # 2000 vehicles: the cell budget splits each run into blocks of 16
+    # slots; baseline vehicles run dry inside the fourth.
+    "large-fleet": dict(cluster_count=8, vehicles_per_cluster=250, lam=2.0, horizon=60.0,
+                        global_exchange_period=7, initial_energy=1e8, seed=4),
 }
 
 GOLDEN = {
@@ -61,10 +80,25 @@ GOLDEN = {
         "73355b3a2b578aa0dbcd367b20b01265f5586998bf96076485ac367d40d6aa34",
         "8fddb7f2cb2a40a713d87e60d0c5fcb0e307d1db20e8e5c03fef6247abb65d5a",
     ),
+    "head-critical": (
+        "3d82b7e604c1c648127136364cb49be996d281928d7d31022bbfe730f4853fb4",
+        "81e3a5d2a3739b31875a9deb42ade021946b88c547d5099ecd3156fa9a7c176c",
+        "4a90002bb05930bf2fa32d57e2110fde12797d69a1529e773151e30490f303e8",
+    ),
     "lam-0.1": (
         "389b5a7d519276125fe5e2af3ec7a7bc8c737dc4d67de19989cb6b51c25f9a59",
         "113f96c0ff28bf61fffaeeb62635b17ce3b4fd431668deb24356fd43c1bea3d6",
         "1761e7758a7535874a139d7eb4cc951ec12a5874d9b47dcecec2324350d9a93f",
+    ),
+    "lam-0.1-keep": (
+        "ff6bf38bdb993cab6555b290d89ed34d92db94f68126f0470f9d45c56ed66e2b",
+        "b9adc0a82c50c1752390cc814b97bcd184bf89a6de3cf927cf3c21725957c15a",
+        "8025754ba0cf79383705a7c8fbefc36404c7dec92138896e4ff238541894c7f9",
+    ),
+    "large-fleet": (
+        "28ce4c7b4d82c30b4e2347e36f2ecf278c865923ee60f5856406f3650a92d90b",
+        "383ef80695b8756c66e370dc5b5cf0ed04b2fc25cee15ce0a754b1b3b8117702",
+        "3f361ada0ae1c32978cdfaee351a0d7e7a213e53bb28a2024c788ded58da753f",
     ),
     "limit-keep": (
         "86c096acfa832cc86197e8f335f292198f298a827e5747190e17f239803e26ad",
@@ -80,6 +114,11 @@ GOLDEN = {
         "e3377f82d83208a164852816e6c95459974950606309e6f9edac7abc2d1f866f",
         "00eb0c11241ce8fcf5705713dcc8f34ae5f2e7b72dc6b5359a939bf20cbc9d19",
         "5c267dd797878ff22f70903d1d85aaf50357b5c06e341795bc4b1c1197ed6c3a",
+    ),
+    "member-dry": (
+        "a0de5407a43f6aa660b218bf25770c721a6f5927fa9300751d465433531274f4",
+        "1707d4d0497e15552953d7e913810ea2117ffed7de5503665a6e9ba3d26c8fbd",
+        "a2b6289a38e0273ecad00b963ecaf415b7490dc79b4f9d203763a20e6319c077",
     ),
     "tie-3x10": (
         "310fc7e32da176df64717cb6faf9aced3fa784505009dba110ea3b44e1287792",

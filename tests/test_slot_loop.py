@@ -1,11 +1,14 @@
 """Invariants of the array-backed slot loop over random small configs, the
-work the controller does on runs where no head or every head changes, and
-the slot counts of a run and of an exchange period."""
+work the controller does on runs where no head or every head changes, the
+slots the event-blocked loop steps alone, and the slot counts of a run and
+of an exchange period."""
 
 import fleetchain.controller
+import fleetchain.sim
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import CONFIGS
 
 from fleetchain.controller import ControllerConfig, FleetState, run_controller, slot_count
 from fleetchain.sim import SimConfig, paired_comparison, run_baseline, run_clustered
@@ -91,6 +94,48 @@ def test_churn_run_selects_heads_without_candidates(monkeypatch):
     comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
     assert comp.clustered.ch_changes_total == 5 * 100
     assert counts == {"candidates": 0, "decide": 0, "apply_change": 5 * 100}
+
+
+def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int]:
+    """The slots on which a paired run of `cfg` called `evaluate_slot`."""
+    slots = []
+    evaluate_slot = fleetchain.sim.evaluate_slot
+
+    def counting(fleet, ctrl, slot_index):
+        slots.append(slot_index)
+        return evaluate_slot(fleet, ctrl, slot_index)
+
+    monkeypatch.setattr(fleetchain.sim, "evaluate_slot", counting)
+    paired_comparison(cfg)
+    return slots
+
+
+def test_steady_run_evaluates_the_heads_once_per_stretch(monkeypatch):
+    # No event after slot 1: the other 99 slots repeat its keep rows.
+    assert len(evaluated_slots(monkeypatch, SimConfig(lam=2.0, horizon=100.0))) <= 5
+
+
+def test_churn_run_evaluates_every_slot(monkeypatch):
+    # Every head changes on every slot, so no slot joins a block.
+    assert len(evaluated_slots(monkeypatch, SimConfig(lam=1.5, horizon=100.0))) == 100
+
+
+@pytest.mark.parametrize("name, slots", [
+    # Slot 1 carries the join charge; the members cannot pay at slot 28 and
+    # the heads not the exchange at slot 30.
+    ("member-dry", [1, 28, 30]),
+    # Heads fall below the critical level at slots 25 and 48; the slot after
+    # each handover runs alone too, and the first heads, members since slot
+    # 25, cannot pay at slot 52.
+    ("head-critical", [1, 25, 26, 48, 49, 52]),
+    ("lam-0.1-keep", [1]),
+    ("large-fleet", [1]),
+])
+def test_events_are_stepped_alone(monkeypatch, name, slots):
+    cfg = SimConfig(**CONFIGS[name])
+    if name == "large-fleet":
+        assert fleetchain.sim.BLOCK_CELLS // cfg.n_vehicles < cfg.n_slots // 3
+    assert evaluated_slots(monkeypatch, cfg) == slots
 
 
 @pytest.mark.parametrize(
