@@ -1,22 +1,12 @@
 """
-Per-vehicle energy accounting and the consumption-drift model
-=============================================================
+Per-vehicle energy accounting
+=============================
 
 Walks the cost model bottom-up: ledger updates, transmission across message
-kinds, the per-application total, and an Euler-stepped drift trajectory.
+kinds, and the per-vehicle total assembled from its three components.
 """
 
-import numpy as np
-
-from fleetchain import (
-    EnergyLedger,
-    EnergyParams,
-    HestonParams,
-    heston_step,
-    ledger_update_energy,
-    total_blockchain_energy,
-    transmission_energy,
-)
+from fleetchain import EnergyParams, ledger_update_energy, transmission_energy
 
 # Reference constants: 2580 J per record and per request, ten intermediate
 # hops, three message kinds (send / receive / acknowledgement), two requests
@@ -34,28 +24,12 @@ params = EnergyParams(
 
 print("ledger update energy :", ledger_update_energy(params), "J")
 print("transmission energy  :", transmission_energy(params), "J")
-print("per-vehicle total    :", total_blockchain_energy(params), "J per second")
 
-# The same total, reassembled per component, shows where the joules go: the
-# transmission term dominates at any realistic request rate.
+# The total per vehicle is the three components over all its applications;
+# the split shows where the joules go: the transmission term dominates at
+# any realistic request rate.
 upd = params.app_count * ledger_update_energy(params)
 tx = params.app_count * transmission_energy(params)
 sec = params.app_count * params.security_cost
+print("per-vehicle total    :", sec + tx + upd, "J per second")
 print(f"split: security {sec:.2f} J, updates {upd:.0f} J, transmission {tx:.0f} J")
-
-# Consumption drift between accounting slots. With deviation zero the step
-# is deterministic; with a nonzero request-change rate the unit-normal draw
-# perturbs the trajectory.
-print("\ndrift trajectory (deterministic vs. noisy):")
-rng = np.random.default_rng(7)
-hp_flat = HestonParams(request_rate=0.05, excess_energy_ratio=2.0, energy_stddev=0.0)
-hp_noisy = HestonParams(
-    request_rate=0.05, excess_energy_ratio=2.0, energy_stddev=1.0, request_change_rate=0.5
-)
-flat = EnergyLedger(initial=100.0, current=95.0, history=((0.0, 95.0),))
-noisy = flat
-for _ in range(10):
-    flat = heston_step(flat, hp_flat, dt=1.0, noise=rng.standard_normal())
-    noisy = heston_step(noisy, hp_noisy, dt=1.0, noise=rng.standard_normal())
-for (t, a), (_, b) in zip(flat.history, noisy.history):
-    print(f"  t={t:4.1f}  deterministic={a:8.3f}  noisy={b:8.3f}")

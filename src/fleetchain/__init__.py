@@ -36,12 +36,9 @@ from .controller import (
     run_controller,
 )
 from .energy import (
-    EnergyLedger,
     EnergyParams,
     HestonParams,
-    heston_step,
     ledger_update_energy,
-    total_blockchain_energy,
     transmission_energy,
 )
 from .mobility import (
@@ -51,7 +48,6 @@ from .mobility import (
     MobilityModel,
     check_constraints,
     in_range_probability,
-    transfer_function,
 )
 from .scenario import ConfigError, Scenario, SweepAxis, expand, load_scenario
 from .sim import (
@@ -89,7 +85,6 @@ __all__ = [
     "ConstraintSet",
     "ControllerConfig",
     "DecayParams",
-    "EnergyLedger",
     "EnergyParams",
     "FleetState",
     "GaussianRate",
@@ -115,7 +110,6 @@ __all__ = [
     "energy_decay_synchronized",
     "estimate_synchronized_rate",
     "expand",
-    "heston_step",
     "in_range_probability",
     "invert_rate",
     "ledger_update_energy",
@@ -129,8 +123,6 @@ __all__ = [
     "run_baseline",
     "run_clustered",
     "run_controller",
-    "total_blockchain_energy",
     "transaction_count",
-    "transfer_function",
     "transmission_energy",
 ]

@@ -195,6 +195,8 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
 def cmd_validate(tolerance: float, grid: int, seed: int) -> int:
     if grid < 1:
         raise ConfigError(f"--grid must be an integer >= 1, got {grid}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"--tolerance must be a finite number >= 0, got {tolerance}")
     # Looked up on the module, so that a wrapper set as
     # `fleetchain.cli.run_validation` is the one called.
     report = sys.modules[__name__].run_validation(tolerance=tolerance, grid=grid, seed=seed)

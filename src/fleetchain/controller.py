@@ -72,7 +72,6 @@ def pre_decay_check(
     lam1: float,
     tau: float,
     omega: float,
-    expected_request_change: float = 0.0,
 ) -> bool:
     """Pre-energy-decay rule: True means change the head ahead of shortfall.
 
@@ -86,7 +85,7 @@ def pre_decay_check(
     lhs = heston.request_rate * cumulative_decay_integral(decay, window) + (
         heston.excess_energy_ratio
         * math.sqrt(heston.energy_stddev)
-        * expected_request_change
+        * heston.request_change_rate
         * window
     )
     rhs = 2.0 * lam1 * energy_decay(decay_params_at(decay, window)) + (
@@ -349,7 +348,6 @@ class FleetState:
     score_schedule: Mapping[int, float] | None = None
     score_default: float | None = None
     required_tx_limit: float | None = None
-    expected_request_change: float = 0.0
 
     def __post_init__(self):
         self._run: _RunConstants | None = None
@@ -398,14 +396,7 @@ class FleetState:
         )
         pre = False
         if self.decay is not None and self.heston is not None and cfg.slot < cfg.horizon:
-            pre = pre_decay_check(
-                self.decay,
-                self.heston,
-                self.lam1,
-                cfg.horizon,
-                cfg.slot,
-                self.expected_request_change,
-            )
+            pre = pre_decay_check(self.decay, self.heston, self.lam1, cfg.horizon, cfg.slot)
         estimate = 0.0
         if self.decay is not None:
             estimate = energy_decay(decay_params_at(self.decay, cfg.slot))

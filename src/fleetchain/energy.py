@@ -8,13 +8,9 @@ parts:
   over the configured message kinds (send / receive / acknowledgement, ...),
 * ledger-update energy ``hops * records_per_tx * per_record_energy``.
 
-Between accounting slots the drift of consumption is tracked by a
-stochastic-volatility (Heston-style) differential
-
-    dB/dt = lam * (B(t) - B(0)) + eps * sqrt(sigma) * dB'/dt,
-
-integrated with explicit Euler steps; the request-change term ``dB'/dt`` is
-realised as a configured rate scaled by a caller-supplied unit-normal draw.
+The simulator charges the last two per slot and the security charge when a
+vehicle joins or takes head duty. `HestonParams` holds the drift terms the
+controller's pre-decay rule compares against the decay closed form.
 """
 
 from __future__ import annotations
@@ -69,7 +65,13 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class HestonParams:
-    """Parameters of the consumption-drift differential."""
+    """Drift terms of the pre-decay rule (`controller.pre_decay_check`).
+
+    The expected consumption drift per unit of accumulated decay is
+    `request_rate`; `excess_energy_ratio * sqrt(energy_stddev) *
+    request_change_rate` is the drift added per unit of time by request
+    changes.
+    """
 
     request_rate: float
     excess_energy_ratio: float
@@ -80,29 +82,6 @@ class HestonParams:
         _check_nonneg(self.request_rate, "request_rate")
         _check_nonneg(self.excess_energy_ratio, "excess_energy_ratio")
         _check_nonneg(self.energy_stddev, "energy_stddev")
-
-
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Residual-energy track of one vehicle.
-
-    `initial` is the starting budget, `current` the running value, and
-    `history` the sampled (time, joules) trajectory. Consumption and budget
-    are kept distinct: `consumed` is always `initial - current`.
-    """
-
-    initial: float
-    current: float
-    history: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def start(cls, initial: float) -> "EnergyLedger":
-        _check_nonneg(initial, "initial")
-        return cls(initial=initial, current=initial, history=((0.0, initial),))
-
-    @property
-    def consumed(self) -> float:
-        return self.initial - self.current
 
 
 def ledger_update_energy(p: EnergyParams) -> float:
@@ -117,39 +96,3 @@ def transmission_energy(p: EnergyParams) -> float:
     else:
         per_kind = p.message_kinds * p.per_request_energy * p.request_rate
     return p.hop_count * per_kind
-
-
-def total_blockchain_energy(p: EnergyParams) -> float:
-    """Total energy consumed across all applications of one vehicle."""
-    return p.app_count * (
-        p.security_cost + transmission_energy(p) + ledger_update_energy(p)
-    )
-
-
-def heston_step(
-    ledger: EnergyLedger, hp: HestonParams, dt: float, noise: float
-) -> EnergyLedger:
-    """Advance the ledger by one explicit Euler step of the drift model.
-
-    `noise` is a unit-normal sample supplied by the caller (the ledger owns
-    no RNG); it scales `request_change_rate` to realise the stochastic
-    request-change term. Non-finite noise is rejected.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    if not math.isfinite(noise):
-        raise ValueError(f"noise must be finite, got {noise!r}")
-    drift = hp.request_rate * (ledger.current - ledger.initial)
-    diffusion = (
-        hp.excess_energy_ratio
-        * math.sqrt(hp.energy_stddev)
-        * hp.request_change_rate
-        * noise
-    )
-    new_current = ledger.current + dt * (drift + diffusion)
-    t_next = ledger.history[-1][0] + dt
-    return EnergyLedger(
-        initial=ledger.initial,
-        current=new_current,
-        history=ledger.history + ((t_next, new_current),),
-    )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 # Nothing calls this name; benchmarks/tracing.py looks it up to install its
 # `quadrature.adaptive_simpson` span.
@@ -74,11 +73,10 @@ class MobilityModel:
 @dataclass(frozen=True)
 class ConnectivityParams:
     presence_prob: float = 1.0
-    receiver_prob: float = 1.0
     threshold_prob: float = 0.0
 
     def __post_init__(self):
-        for name in ("presence_prob", "receiver_prob", "threshold_prob"):
+        for name in ("presence_prob", "threshold_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
@@ -86,36 +84,17 @@ class ConnectivityParams:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Operating constraints of one run.
-
-    `transfer_error` is either a constant in [0, 1] or a piecewise-constant
-    schedule given as ((start_time, value), ...) pairs sorted by start time;
-    each value holds from its start time to the next one (or to op_time).
-    """
+    """Operating constraints of one run."""
 
     op_time: float
     stay_time: float
     request_bound: float
-    transfer_error: float | Sequence[tuple[float, float]] = 0.0
 
     def __post_init__(self):
         if self.op_time <= 0:
             raise ValueError("op_time must be > 0")
         if self.stay_time < 0 or self.request_bound < 0:
             raise ValueError("stay_time and request_bound must be >= 0")
-
-    def error_integral(self, horizon: float) -> float:
-        """Exact integral of the transfer-error schedule over [0, horizon]."""
-        if isinstance(self.transfer_error, (int, float)):
-            return float(self.transfer_error) * horizon
-        total = 0.0
-        schedule = list(self.transfer_error)
-        for i, (start, level) in enumerate(schedule):
-            if start >= horizon:
-                break
-            end = schedule[i + 1][0] if i + 1 < len(schedule) else horizon
-            total += level * (min(end, horizon) - start)
-        return total
 
 
 @dataclass(frozen=True)
@@ -124,7 +103,6 @@ class ConstraintReport:
     stay_time_ok: bool
     threshold_ok: bool
     in_range_prob: float
-    transfer_error_integral: float
 
     @property
     def satisfied(self) -> bool:
@@ -143,37 +121,14 @@ def in_range_probability(m: MobilityModel, c: ConnectivityParams) -> float:
     return 1.0 - c.presence_prob * range_mass(m)
 
 
-def transfer_function(
-    m: MobilityModel,
-    c: ConnectivityParams,
-    clusters: int,
-    vehicles: int,
-    apps: int,
-) -> float:
-    """Network transfer score summed over clusters, vehicles and apps.
-
-    With a homogeneous population the triple sum collapses to the product
-    of the counts with receiver_prob * in_range_probability.
-    """
-    if clusters < 1 or vehicles < 1 or apps < 1:
-        raise ValueError("clusters, vehicles and apps must all be >= 1")
-    return clusters * vehicles * apps * c.receiver_prob * in_range_probability(m, c)
-
-
 def check_constraints(
     cs: ConstraintSet, m: MobilityModel, c: ConnectivityParams
 ) -> ConstraintReport:
-    """Evaluate the operating constraints; violations are data, not errors.
-
-    The transfer-error integral over time and range is reported for
-    minimisation tracking but not thresholded.
-    """
+    """Evaluate the operating constraints; violations are data, not errors."""
     p_in_range = in_range_probability(m, c)
-    error_int = p_in_range * m.connect_range * cs.error_integral(cs.op_time)
     return ConstraintReport(
         request_rate_ok=cs.request_bound <= cs.stay_time / cs.op_time,
         stay_time_ok=cs.stay_time <= cs.op_time,
         threshold_ok=p_in_range >= c.threshold_prob,
         in_range_prob=p_in_range,
-        transfer_error_integral=error_int,
     )

@@ -35,8 +35,8 @@ transaction count and the fleet residual add the vehicles' shares left to
 right, heads before members, in id order, so they round as one addition
 per vehicle would. A block's slots repeat the trace rows of the slot before
 it: `RunReport` keeps those rows and the slot range, and builds the
-`TraceRow`s when `trace` is read. `RunReport.vehicles` is built once, at
-the end of the run.
+`TraceRow`s when `trace` is read. `RunReport.vehicles` is built from the
+final vehicle arrays when it is read.
 """
 
 from __future__ import annotations
@@ -352,8 +352,15 @@ class RunReport:
     rows: list[SlotRow]
     # The controller's trace as (rows of one slot, first slot, last slot):
     # the rows repeat, with their slot set, on every slot of the range.
-    trace_runs: list[tuple[list[TraceRow], int, int]] = field(default_factory=list, repr=False)
-    vehicles: list[VehicleState] = field(default_factory=list)
+    trace_runs: list[tuple[list[TraceRow], int, int]] = field(repr=False)
+    # The run's final vehicle arrays and its config, read by `vehicles`.
+    final: tuple[_SimVehicles, SimConfig] = field(repr=False, compare=False)
+
+    @property
+    def vehicles(self) -> list[VehicleState]:
+        """The final vehicle states, built when read."""
+        v, cfg = self.final
+        return v.states(cfg)
 
     @property
     def trace(self) -> list[TraceRow]:
@@ -499,7 +506,7 @@ class _SlotLoop:
             else:
                 steady = self._single(s)
                 s += 1
-        return RunReport(regime, self.rows, self.trace_runs, self.v.states(self.cfg))
+        return RunReport(regime, self.rows, self.trace_runs, (self.v, self.cfg))
 
     def _single(self, s: int) -> bool:
         """Step slot s alone; return whether a block may follow it."""
@@ -679,7 +686,6 @@ def run_clustered(cfg: SimConfig) -> RunReport:
         decay=cfg.decay_params(),
         heston=cfg.heston_params(),
         required_tx_limit=cfg.required_tx_limit,
-        expected_request_change=cfg.request_change_rate,
     )
     ctrl = ControllerConfig(
         slot=cfg.slot,

@@ -142,10 +142,18 @@ def test_validate_zero_tolerance_fails(capsys):
     assert main(["validate", "--grid", "5", "--tolerance", "0"]) == 2
 
 
-@pytest.mark.parametrize("grid", ["0", "-3"])
-def test_validate_rejects_a_grid_under_one(capsys, grid):
-    # `--grid -3` printed "validation passed" after checking nothing.
-    assert main(["validate", "--grid", grid]) == 1
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--grid", "0"], id="0"),
+    pytest.param(["--grid", "-3"], id="-3"),
+    pytest.param(["--grid", "5", "--tolerance", "nan"], id="tolerance-nan"),
+    pytest.param(["--grid", "5", "--tolerance", "-1"], id="tolerance--1"),
+    pytest.param(["--grid", "5", "--tolerance", "inf"], id="tolerance-inf"),
+])
+def test_validate_rejects_a_grid_under_one(capsys, flags):
+    # `--grid -3` printed "validation passed" after checking nothing; a NaN
+    # or negative tolerance failed every value, and an infinite one passed
+    # every value.
+    assert main(["validate", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -105,7 +105,7 @@ def test_pre_decay_against_quadrature():
     p = decay()
     hp = HestonParams(request_rate=2.0, excess_energy_ratio=2.0, energy_stddev=1.5,
                       request_change_rate=0.3)
-    tau, omega, lam1, expected_change = 10.0, 1.0, 1.0, 0.3
+    tau, omega, lam1 = 10.0, 1.0, 1.0
     window = tau - omega
     lam = 3.0  # rates invert to 1 and 2
     scale = p.initial_energy / p.app_count
@@ -115,20 +115,20 @@ def test_pre_decay_against_quadrature():
 
     lhs_quad, _ = integrate.quad(
         lambda t: hp.request_rate * beta_d(t)
-        + hp.excess_energy_ratio * math.sqrt(hp.energy_stddev) * expected_change,
+        + hp.excess_energy_ratio * math.sqrt(hp.energy_stddev) * hp.request_change_rate,
         0.0,
         window,
         epsabs=1e-12,
     )
     lhs_closed = hp.request_rate * cumulative_decay_integral(p, window) + (
-        hp.excess_energy_ratio * math.sqrt(hp.energy_stddev) * expected_change * window
+        hp.excess_energy_ratio * math.sqrt(hp.energy_stddev) * hp.request_change_rate * window
     )
     assert math.isclose(lhs_closed, lhs_quad, rel_tol=1e-10)
 
     rhs = 2.0 * lam1 * energy_decay(decay_params_at(p, window)) + (
         2.0 * lam1 * hp.excess_energy_ratio * math.sqrt(1.0 * 1.0) * window
     )
-    assert pre_decay_check(p, hp, lam1, tau, omega, expected_change) == (lhs_quad < rhs)
+    assert pre_decay_check(p, hp, lam1, tau, omega) == (lhs_quad < rhs)
 
 
 # --- decide cascade -------------------------------------------------------

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fleetchain.energy import (
-    EnergyLedger,
-    EnergyParams,
-    HestonParams,
-    heston_step,
-    ledger_update_energy,
-    total_blockchain_energy,
-    transmission_energy,
-)
+from fleetchain.energy import EnergyParams, ledger_update_energy, transmission_energy
 
 
 def params(**overrides) -> EnergyParams:
@@ -50,16 +42,18 @@ def test_transmission_energy_per_kind_override():
 
 
 def test_total_blockchain_energy_composition():
+    # A vehicle's total per app is its security charge plus the two charges.
     p = params(app_count=1)
-    assert total_blockchain_energy(p) == 180_600.625
-    assert total_blockchain_energy(params(app_count=10)) == 1_806_006.25
+    assert transmission_energy(p) == 154_800.0
+    assert ledger_update_energy(p) == 25_800.0
+    assert p.security_cost + transmission_energy(p) + ledger_update_energy(p) == 180_600.625
     zero = params(
         per_record_energy=0.0,
         per_request_energy=0.0,
         security_cost=0.0,
         request_rate=0.0,
     )
-    assert total_blockchain_energy(zero) == 0.0
+    assert transmission_energy(zero) == ledger_update_energy(zero) == 0.0
 
 
 def test_linearity_in_hops():
@@ -73,19 +67,21 @@ def test_linearity_in_hops():
 
 
 def test_total_energy_monotone_in_each_parameter():
-    base = params(app_count=2)
+    # Each constant the two charges read raises one of them and lowers none.
+    base = params()
     bumped = [
-        params(app_count=2, per_record_energy=3000.0),
-        params(app_count=2, per_request_energy=3000.0),
-        params(app_count=2, hop_count=11),
-        params(app_count=2, message_kinds=4),
-        params(app_count=2, request_rate=3.0),
-        params(app_count=2, records_per_tx=2),
-        params(app_count=2, security_cost=1.0),
-        params(app_count=3),
+        params(per_record_energy=3000.0),
+        params(per_request_energy=3000.0),
+        params(hop_count=11),
+        params(message_kinds=4),
+        params(request_rate=3.0),
+        params(records_per_tx=2),
     ]
     for p in bumped:
-        assert total_blockchain_energy(p) >= total_blockchain_energy(base)
+        assert transmission_energy(p) >= transmission_energy(base)
+        assert ledger_update_energy(p) >= ledger_update_energy(base)
+        assert (transmission_energy(p) + ledger_update_energy(p)
+                > transmission_energy(base) + ledger_update_energy(base))
 
 
 def test_params_validation():
@@ -97,70 +93,3 @@ def test_params_validation():
         params(app_count=0)
     with pytest.raises(ValueError):
         params(per_record_energy=math.inf)
-
-
-def test_heston_step_zero_drift_and_diffusion():
-    ledger = EnergyLedger.start(100.0)
-    hp = HestonParams(request_rate=0.0, excess_energy_ratio=0.0, energy_stddev=1.0)
-    stepped = heston_step(ledger, hp, dt=1.0, noise=0.7)
-    assert stepped.current == 100.0
-    assert stepped.history == ((0.0, 100.0), (1.0, 100.0))
-
-
-def test_heston_step_pure_drift():
-    # current - initial = 2, lam = 1, dt = 1 -> increase by 2
-    ledger = EnergyLedger(initial=10.0, current=12.0, history=((0.0, 12.0),))
-    hp = HestonParams(request_rate=1.0, excess_energy_ratio=0.0, energy_stddev=0.0)
-    stepped = heston_step(ledger, hp, dt=1.0, noise=0.0)
-    assert stepped.current == 14.0
-    assert stepped.consumed == -4.0
-
-
-def test_heston_step_is_noise_independent_when_deterministic():
-    ledger = EnergyLedger(initial=5.0, current=8.0, history=((0.0, 8.0),))
-    hp = HestonParams(request_rate=0.5, excess_energy_ratio=2.0, energy_stddev=0.0)
-    a = heston_step(ledger, hp, dt=0.25, noise=1.3)
-    b = heston_step(ledger, hp, dt=0.25, noise=-2.9)
-    assert a.current == b.current
-    hp2 = HestonParams(
-        request_rate=0.5, excess_energy_ratio=2.0, energy_stddev=3.0, request_change_rate=0.0
-    )
-    c = heston_step(ledger, hp2, dt=0.25, noise=1.3)
-    assert c.current == a.current
-
-
-def test_heston_step_rejects_bad_inputs():
-    ledger = EnergyLedger.start(1.0)
-    hp = HestonParams(request_rate=1.0, excess_energy_ratio=1.0, energy_stddev=1.0)
-    with pytest.raises(ValueError):
-        heston_step(ledger, hp, dt=0.0, noise=0.0)
-    with pytest.raises(ValueError):
-        heston_step(ledger, hp, dt=1.0, noise=math.nan)
-
-
-def test_heston_euler_first_order_convergence():
-    # sigma = 0 reduces the step to dB/dt = lam (B - B0); compare against the
-    # exact exponential solution and check the error halves with the step.
-    lam, offset, horizon = 0.8, 1.5, 1.0
-    hp = HestonParams(request_rate=lam, excess_energy_ratio=0.0, energy_stddev=0.0)
-    exact = 10.0 + offset * math.exp(lam * horizon)
-    errors = []
-    steps = [8, 16, 32, 64, 128, 256]
-    for n in steps:
-        ledger = EnergyLedger(initial=10.0, current=10.0 + offset, history=((0.0, 10.0 + offset),))
-        dt = horizon / n
-        for _ in range(n):
-            ledger = heston_step(ledger, hp, dt=dt, noise=0.0)
-        errors.append(abs(ledger.current - exact))
-    slope = np.polyfit(np.log([horizon / n for n in steps]), np.log(errors), 1)[0]
-    assert abs(slope - 1.0) < 0.1
-
-
-def test_history_strictly_increasing_in_time():
-    ledger = EnergyLedger.start(50.0)
-    hp = HestonParams(request_rate=0.1, excess_energy_ratio=0.0, energy_stddev=0.0)
-    for _ in range(5):
-        ledger = heston_step(ledger, hp, dt=0.5, noise=0.0)
-    times = [t for t, _ in ledger.history]
-    assert times == sorted(times)
-    assert all(b > a for a, b in zip(times, times[1:]))

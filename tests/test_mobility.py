@@ -12,7 +12,6 @@ from fleetchain.mobility import (
     check_constraints,
     gaussian_mass,
     in_range_probability,
-    transfer_function,
 )
 from fleetchain.sim import SimConfig
 
@@ -116,35 +115,12 @@ def test_in_range_probability_monotone_in_range_and_presence():
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_transfer_function_values():
-    m = half_mass_model()
-    c = ConnectivityParams(presence_prob=1.0, receiver_prob=1.0)
-    single = transfer_function(m, c, clusters=1, vehicles=1, apps=1)
-    assert math.isclose(single, 0.5, abs_tol=1e-9)
-    bulk = transfer_function(m, c, clusters=5, vehicles=10, apps=10)
-    assert math.isclose(bulk, 250.0, abs_tol=1e-6)
-    zero = transfer_function(
-        m, ConnectivityParams(receiver_prob=0.0), clusters=5, vehicles=10, apps=10
-    )
-    assert zero == 0.0
-
-
-def test_transfer_function_linear_in_counts():
-    m = model()
-    c = ConnectivityParams(receiver_prob=0.8)
-    one = transfer_function(m, c, 1, 1, 1)
-    assert math.isclose(transfer_function(m, c, 4, 1, 1), 4 * one, rel_tol=1e-12)
-    assert math.isclose(transfer_function(m, c, 1, 7, 1), 7 * one, rel_tol=1e-12)
-    assert math.isclose(transfer_function(m, c, 1, 1, 9), 9 * one, rel_tol=1e-12)
-
-
 def test_check_constraints_all_satisfied():
     m = model()
     c = ConnectivityParams(threshold_prob=0.0)
-    cs = ConstraintSet(op_time=10.0, stay_time=10.0, request_bound=1.0, transfer_error=0.0)
+    cs = ConstraintSet(op_time=10.0, stay_time=10.0, request_bound=1.0)
     report = check_constraints(cs, m, c)
     assert report.satisfied
-    assert report.transfer_error_integral == 0.0
 
 
 def test_check_constraints_request_rate_violation():
@@ -169,20 +145,6 @@ def test_check_constraints_is_pure():
     a = check_constraints(cs, model(), ConnectivityParams())
     b = check_constraints(cs, model(), ConnectivityParams())
     assert a == b
-
-
-def test_transfer_error_schedule_integral():
-    cs = ConstraintSet(
-        op_time=10.0,
-        stay_time=10.0,
-        request_bound=0.5,
-        transfer_error=((0.0, 0.2), (4.0, 0.5)),
-    )
-    # 0.2 over [0, 4) then 0.5 over [4, 10): 0.8 + 3.0
-    assert math.isclose(cs.error_integral(10.0), 3.8, rel_tol=1e-12)
-    report = check_constraints(cs, model(), ConnectivityParams(presence_prob=1.0))
-    expected = report.in_range_prob * 500.0 * 3.8
-    assert math.isclose(report.transfer_error_integral, expected, rel_tol=1e-12)
 
 
 def test_model_validation():
