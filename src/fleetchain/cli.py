@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 from .analytics import energy_decay, transaction_count
@@ -159,10 +160,9 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     # Transactions-vs-time across both regimes, stacked over sweep points.
     tx_rows = []
     for label, comp in results:
-        for b, c in zip(comp.baseline.rows, comp.clustered.rows):
-            tx_rows.append(
-                [label or "-", f"{b.t:g}", f"{b.transactions_cum:g}", f"{c.transactions_cum:g}"]
-            )
+        base, clus = comp.baseline.slots, comp.clustered.slots
+        tx_rows += zip(repeat(label or "-"), *([f"{x:g}" for x in column] for column in (
+            base.t, base.transactions_cum, clus.transactions_cum)))
     _write(
         tx_path,
         csv_text(["point", "t", "baseline_transactions", "clustered_transactions"], tx_rows),

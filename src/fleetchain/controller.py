@@ -21,10 +21,16 @@ The slotted loop steps the fleet as arrays (`VehicleArrays`) only;
 objects, read into arrays once when the run starts. On its first slot a run
 indexes the clusters and computes the threshold, default score, pre-decay
 verdict and slot decay estimate. Each slot it applies the keep-or-change
-test of the cascade to every cluster's head. When a head is dead or
-critical, or the test indicates a change, one array pass over the stepped
-clusters' members (`_select`) picks the new head of every cluster at once.
-`decide` is the same selection over one cluster's `Candidate` list.
+test of the cascade to every cluster's head in one array pass: the verdict
+depends on the head's tx limit alone, so it is computed once per distinct
+limit while the observed score stays the same, and gathered per head. When
+a head is dead or critical, or the test indicates a change, one array pass
+over the stepped clusters' members (`_select`) picks the new head of every
+cluster at once. `decide` is the same selection over one cluster's
+`Candidate` list.
+
+`evaluate_slot` returns the slot's rows as a `SlotTrace` of columns;
+iterating it yields `TraceRow`s, the rows `run_controller` returns.
 """
 
 from __future__ import annotations
@@ -45,6 +51,10 @@ RULE_PRE_DECAY = "pre-decay"
 
 ACTION_KEEP = "keep"
 ACTION_CHANGE = "change"
+
+# Rule codes of a `SlotTrace`: index into RULES.
+RULES = (RULE_OST, RULE_LIMIT, RULE_PRE_DECAY)
+_LIMIT_CODE, _PRE_DECAY_CODE = RULES.index(RULE_LIMIT), RULES.index(RULE_PRE_DECAY)
 
 
 def ost_score(m: MobilityModel, c: ConnectivityParams, lam1: float) -> float:
@@ -200,22 +210,23 @@ def _select(
     rating: np.ndarray,
     eligible: np.ndarray,
     seg: _Segments,
-    limit: np.ndarray,
+    limit: np.ndarray | None,
     qualified: np.ndarray | None,
-) -> list[int]:
+) -> np.ndarray:
     """The cascade's choice of a new head for every segment at once.
 
     Entries are vehicles in id order within each segment. A segment picks
     its eligible vehicle of highest `rating`, ties to the lowest id; where
     `limit` marks that the Lemma2-limit rule fired, only its `qualified`
-    vehicles are eligible. Returns each segment's flat position of the
-    pick, or `rating.size` where no vehicle is eligible.
+    vehicles are eligible; a `limit` of None marks no segment. Returns each
+    segment's flat position of the pick, or `rating.size` where no vehicle
+    is eligible.
     """
-    if limit.any():
+    if limit is not None and np.count_nonzero(limit):
         eligible = eligible & (qualified | ~limit[seg.segment])
     top = np.maximum.reduceat(np.where(eligible, rating, -np.inf), seg.starts)
     hit = eligible & (rating == top[seg.segment])
-    return np.minimum.reduceat(np.where(hit, seg.position, rating.size), seg.starts).tolist()
+    return np.minimum.reduceat(np.where(hit, seg.position, rating.size), seg.starts)
 
 
 def _keep_or_change(
@@ -276,6 +287,42 @@ class TraceRow:
     old_ch: int
     new_ch: int | None
     offload_slot: float
+
+
+@dataclass(eq=False)
+class SlotTrace:
+    """One slot's trace rows as columns, one entry per row in cluster order.
+
+    `rule` indexes `RULES`; `change` is the action, a change where set and
+    a keep elsewhere. `new` holds the new head's id where `change` is set.
+    A change's offload is `offload`, a keep's 0.0. `len()` is the row count
+    and iterating yields the `TraceRow`s. The columns are lists: a run keeps
+    one trace per slot stepped alone, and small arrays kept that long
+    fragment the heap (peak RSS rose by about 0.5 MB on a churn run)."""
+
+    slot: int
+    offload: float
+    cluster: list[int]
+    rule: list[int]
+    change: list[bool]
+    old: list[int]
+    new: list[int]
+
+    def __len__(self) -> int:
+        return len(self.cluster)
+
+    def __iter__(self):
+        return (TraceRow(self.slot, *cells) for cells in self.cells())
+
+    def cells(self) -> list[tuple]:
+        """Each row's `TraceRow` fields after `slot`."""
+        offload = self.offload
+        return [
+            (cluster, RULES[rule], ACTION_CHANGE, old, new, offload) if change
+            else (cluster, RULES[rule], ACTION_KEEP, old, None, 0.0)
+            for cluster, rule, change, old, new in zip(
+                self.cluster, self.rule, self.change, self.old, self.new)
+        ]
 
 
 @dataclass(eq=False)
@@ -362,13 +409,17 @@ class FleetState:
         # A cluster without a head never gains one, so only clusters with
         # a head are stepped; each one's head is its lowest-id flagged member.
         stepped = [k for k, m in enumerate(members) if a.head[m].any()]
-        self._stepped = keys[stepped].tolist()
-        self._members = [members[k] for k in stepped]
-        self._heads = np.array([m[a.head[m]][0] for m in self._members], dtype=np.intp)
+        self._stepped = keys[stepped]
+        members = [members[k] for k in stepped]
+        self._heads = np.array([m[a.head[m]][0] for m in members], dtype=np.intp)
+        # Each stepped cluster's members, as a slice where their indices run
+        # on by one, for the head flag writes of `_apply_change`.
+        self._members = [slice(int(m[0]), int(m[-1]) + 1) if (np.diff(m) == 1).all() else m
+                         for m in members]
         # The stepped clusters' members as one flat array in (cluster, id)
         # order, one segment per cluster, for the head selection.
-        self._flat = np.concatenate(self._members) if stepped else np.empty(0, np.intp)
-        self._segments = _Segments.of_lengths([m.size for m in self._members])
+        self._flat = np.concatenate(members) if stepped else np.empty(0, np.intp)
+        self._segments = _Segments.of_lengths([m.size for m in members])
         self._flat_position = np.full(order.size, -1, dtype=np.intp)
         self._flat_position[self._flat] = self._segments.position
         self._flat_qualified = None  # built when the Lemma2-limit rule first fires
@@ -376,7 +427,16 @@ class FleetState:
         # extra position.
         self._cluster_of = np.full(order.size, len(stepped), dtype=np.intp)
         self._cluster_of[self._flat] = self._segments.segment
-        self._ids = a.id.tolist()
+        # Each vehicle's position among the distinct tx limits; the test's
+        # verdict per limit is cached while the observed score stays.
+        positions: dict = {}
+        self._limit_of = np.array([positions.setdefault(lim, len(positions))
+                                   for lim in a.tx_limit], dtype=np.intp)
+        self._limits = list(positions)
+        self._verdict_score = None
+        self._unknown = 0  # distinct limits without a verdict at that score
+        self._rule_of = np.full(len(positions), -1, dtype=np.intp)
+        self._change_of = np.zeros(len(positions), dtype=bool)
 
     def _run_constants(self, cfg: ControllerConfig) -> _RunConstants:
         """The cluster index and the per-run values of the cascade, computed
@@ -403,43 +463,64 @@ class FleetState:
         self._run = _RunConstants(cfg, threshold, score, pre, estimate)
         return self._run
 
-    def _select_heads(self, run: _RunConstants, limit: np.ndarray) -> list[int | None]:
-        """Per stepped cluster: the vehicle index of its new head among its
+    def _verdicts(
+        self, run: _RunConstants, observed: float, time: float, limit: np.ndarray,
+        tested: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per distinct tx limit: the rule code and the change flag of the
+        keep-or-change test at score `observed`. The limits (positions
+        among the distinct limits) where `tested` is set get a verdict if
+        they lack one; the others may hold none (code -1)."""
+        if observed != self._verdict_score:
+            self._verdict_score = observed
+            self._rule_of.fill(-1)
+            self._unknown = len(self._limits)
+        if self._unknown:
+            needed = limit[tested]
+            for i in set(needed[self._rule_of[needed] < 0].tolist()):
+                obs = OstObservation(observed=observed, expected=run.threshold,
+                                     upper_tx_limit=self._limits[i], time=time)
+                rule, change = _keep_or_change(obs, self.required_tx_limit, run.pre_decay)
+                self._rule_of[i], self._change_of[i] = RULES.index(rule), change
+                self._unknown -= 1
+        return self._rule_of, self._change_of
+
+    def _select_heads(self, run: _RunConstants, limit: np.ndarray | None) -> np.ndarray:
+        """Per stepped cluster: the flat position of its new head among its
         active, non-critical members other than the head, by `_select`, or
-        None when there is none. Members are rated in slots of decay when
-        the run's estimate is positive; `limit` marks the clusters where the
-        Lemma2-limit rule fired."""
+        `_flat.size` when there is none. Members are rated in slots of decay
+        when the run's estimate is positive; `limit` marks the clusters where
+        the Lemma2-limit rule fired, None where it fired in none."""
         a, flat = self.vehicles, self._flat
-        eligible = a.active[flat] & ~a.critical[flat]
+        eligible = (a.active & ~a.critical)[flat]
         eligible[self._flat_position[self._heads]] = False
         rating = a.residual[flat]
         if run.slot_decay_estimate > 0:
             rating = rating / run.slot_decay_estimate
-        if limit.any() and self._flat_qualified is None:
+        if limit is not None and self._flat_qualified is None and np.count_nonzero(limit):
             self._flat_qualified = _qualified(
                 [a.tx_limit[i] for i in flat.tolist()],
                 a.radio_range[flat],
                 self.required_tx_limit,
                 self.mobility.connect_range,
             )
-        picks = _select(rating, eligible, self._segments, limit, self._flat_qualified)
-        return [int(flat[p]) if p < flat.size else None for p in picks]
+        return _select(rating, eligible, self._segments, limit, self._flat_qualified)
 
 
-def evaluate_slot(
-    fleet: FleetState, cfg: ControllerConfig, slot_index: int
-) -> list[TraceRow]:
+def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> SlotTrace:
     """Run the decision cascade for every cluster at one slot.
 
-    Applies head changes to the fleet in place and returns the trace rows.
-    A cluster without a head or without an active candidate is skipped. A
-    dead or critical head is replaced ahead of the cascade when any
-    non-critical candidate exists (energy-driven handover).
+    Applies head changes to the fleet in place and returns the slot's trace
+    rows as columns. A cluster without a head or without an active
+    candidate is skipped. A dead or critical head is replaced ahead of the
+    cascade when any non-critical candidate exists (energy-driven handover).
+    The keep-or-change test is one array pass over the heads, its verdict
+    gathered by each head's tx limit; only when some cluster is indicated
+    for a change are new heads selected.
     """
     run = fleet._run_constants(cfg)
     a = fleet.vehicles
     t = slot_index * cfg.slot
-    offload = max(t - cfg.slot, 0.0)
     observed = run.score
     if fleet.score_schedule and slot_index in fleet.score_schedule:
         observed = fleet.score_schedule[slot_index]
@@ -447,56 +528,41 @@ def evaluate_slot(
     heads = fleet._heads
     n_active = np.bincount(fleet._cluster_of, weights=a.active, minlength=heads.size + 1)
     head_active = a.active[heads]
-    has_candidate = (n_active[: heads.size] > head_active).tolist()
-    steady = (head_active & ~a.critical[heads]).tolist()
-
-    rows: list[TraceRow | None] = []
-    verdicts: dict = {}  # head tx limit -> (rule, change indicated)
-    # (row index, cluster position, head id, rule) of each cluster that needs
-    # a new head; the rule is None for an energy handover.
-    pending = []
-    ids = fleet._ids
-    clusters = zip(heads.tolist(), fleet._stepped, has_candidate, steady)
-    for k, (head, cluster, live, ok) in enumerate(clusters):
-        if not live:
-            continue
-        if not ok:
-            pending.append((len(rows), k, ids[head], None))
-            rows.append(None)
-            continue
-        limit = a.tx_limit[head]
-        verdict = verdicts.get(limit)
-        if verdict is None:
-            obs = OstObservation(observed=observed, expected=run.threshold,
-                                 upper_tx_limit=limit, time=t)
-            verdict = verdicts[limit] = _keep_or_change(
-                obs, fleet.required_tx_limit, run.pre_decay
-            )
-        rule, change = verdict
-        if change:
-            pending.append((len(rows), k, ids[head], rule))
-            rows.append(None)
-        else:
-            rows.append(TraceRow(slot_index, cluster, rule, ACTION_KEEP, ids[head], None, 0.0))
-    fleet.fixed_keeps = not pending and not fleet.score_schedule
-    if not pending:
-        return rows
-
-    limit_fired = np.zeros(heads.size, dtype=bool)
-    limit_fired[[k for _, k, _, rule in pending if rule == RULE_LIMIT]] = True
-    picks = fleet._select_heads(run, limit_fired)
-    for i, k, head_id, rule in pending:
-        cluster, new = fleet._stepped[k], picks[k]
-        if new is None:
-            # No eligible (under the Lemma2-limit rule, qualified) member: the
-            # head stays. A handover with no one to take over writes no row.
-            if rule is not None:
-                rows[i] = TraceRow(slot_index, cluster, rule, ACTION_KEEP, head_id, None, 0.0)
-            continue
-        rows[i] = TraceRow(slot_index, cluster, rule or RULE_PRE_DECAY, ACTION_CHANGE, head_id,
-                           ids[new], offload)
-        _apply_change(fleet, k, new)
-    return [row for row in rows if row is not None]
+    live = n_active[: heads.size] > head_active  # the head has an active candidate
+    steady = head_active & ~a.critical[heads]  # neither dead nor critical
+    tested = live & steady
+    limit = fleet._limit_of[heads]
+    rule_of, change_of = fleet._verdicts(run, observed, t, limit, tested)
+    rule, change = rule_of[limit], change_of[limit]
+    # Dead or critical heads need a new head whatever the test says.
+    indicated = live & (~steady | change)
+    some = np.count_nonzero(indicated) > 0
+    fleet.fixed_keeps = not some and not fleet.score_schedule
+    if not some:
+        rows, picked, new = live, np.zeros(heads.size, dtype=bool), heads[:0]
+    else:
+        # The Lemma2-limit verdict always indicates a change; without a
+        # required limit it never fires.
+        fired = None
+        if fleet.required_tx_limit is not None:
+            fired = tested & (rule == _LIMIT_CODE)
+        picks = fleet._select_heads(run, fired)
+        picked = indicated & (picks < fleet._flat.size)
+        new = fleet._flat[picks[picked]]
+        # No eligible (under the Lemma2-limit rule, qualified) member: the
+        # head stays. A handover with no one to take over writes no row.
+        rows = live & (steady | picked)
+        if np.count_nonzero(steady) < steady.size:
+            rule = np.where(steady, rule, _PRE_DECAY_CODE)
+    new_heads = heads.copy()
+    new_heads[picked] = new
+    columns = fleet._stepped, rule, picked, a.id[heads], a.id[new_heads]
+    if np.count_nonzero(rows) < rows.size:
+        columns = [column[rows] for column in columns]
+    trace = SlotTrace(slot_index, max(t - cfg.slot, 0.0), *[c.tolist() for c in columns])
+    for k, vehicle in zip(picked.nonzero()[0].tolist(), new.tolist()):
+        _apply_change(fleet, k, vehicle)
+    return trace
 
 
 def _apply_change(fleet: FleetState, k: int, new: int) -> None:

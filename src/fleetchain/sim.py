@@ -33,10 +33,15 @@ charges up to `BLOCK_CELLS // vehicles` slots as one set of 2-D arrays,
 reused from block to block. Each slot's itemised sums, the running
 transaction count and the fleet residual add the vehicles' shares left to
 right, heads before members, in id order, so they round as one addition
-per vehicle would. A block's slots repeat the trace rows of the slot before
-it: `RunReport` keeps those rows and the slot range, and builds the
-`TraceRow`s when `trace` is read. `RunReport.vehicles` is built from the
-final vehicle arrays when it is read.
+per vehicle would.
+
+A run is recorded as columns: one list per `SlotRow` field
+(`SlotColumns`), and for each slot stepped alone the columnar `SlotTrace`
+that `evaluate_slot` returns. A block's slots repeat the trace of the slot
+before it, so `RunReport` keeps that trace and the slot range. The totals,
+`comparison_csv` and the new-head security charge read the columns;
+`RunReport.rows`, `trace` and `vehicles` build their dataclasses only when
+read.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -57,9 +63,9 @@ from .analytics import (
     energy_decay,  # noqa: F401  benchmarks/tracing.py wraps fleetchain.sim.energy_decay
 )
 from .controller import (
-    ACTION_CHANGE,
     ControllerConfig,
     FleetState,
+    SlotTrace,
     TraceRow,
     VehicleArrays,
     evaluate_slot,
@@ -347,14 +353,40 @@ class SlotRow:
 
 
 @dataclass
+class SlotColumns:
+    """A run's per-slot values, one list per `SlotRow` field in slot order.
+    A slot's `offloads` equal its `ch_changes`; every other value is a float."""
+
+    t: list[float] = field(default_factory=list)
+    transactions_cum: list[float] = field(default_factory=list)
+    energy_cum: list[float] = field(default_factory=list)
+    ch_changes: list[int] = field(default_factory=list)
+    security_j: list[float] = field(default_factory=list)
+    transmission_j: list[float] = field(default_factory=list)
+    update_j: list[float] = field(default_factory=list)
+    fleet_residual: list[float] = field(default_factory=list)
+
+
+@dataclass
 class RunReport:
     regime: str
-    rows: list[SlotRow]
-    # The controller's trace as (rows of one slot, first slot, last slot):
-    # the rows repeat, with their slot set, on every slot of the range.
-    trace_runs: list[tuple[list[TraceRow], int, int]] = field(repr=False)
+    slots: SlotColumns = field(repr=False)
+    # The controller's trace as (one slot's trace, first slot, last slot):
+    # its rows repeat, with their slot set, on every slot of the range.
+    trace_runs: list[tuple[SlotTrace, int, int]] = field(repr=False, compare=False)
     # The run's final vehicle arrays and its config, read by `vehicles`.
     final: tuple[_SimVehicles, SimConfig] = field(repr=False, compare=False)
+
+    @property
+    def rows(self) -> list[SlotRow]:
+        """The per-slot rows, built when read."""
+        c = self.slots
+        return [
+            SlotRow(t, tx, energy, changes, changes, security, transmission, update, residual)
+            for t, tx, energy, changes, security, transmission, update, residual in zip(
+                c.t, c.transactions_cum, c.energy_cum, c.ch_changes, c.security_j,
+                c.transmission_j, c.update_j, c.fleet_residual)
+        ]
 
     @property
     def vehicles(self) -> list[VehicleState]:
@@ -365,25 +397,25 @@ class RunReport:
     @property
     def trace(self) -> list[TraceRow]:
         """The controller's trace rows in slot order, built when read."""
-        return [
-            row if row.slot == s else TraceRow(s, row.cluster, row.rule_used, row.action,
-                                               row.old_ch, row.new_ch, row.offload_slot)
-            for rows, first, last in self.trace_runs
-            for s in range(first, last + 1)
-            for row in rows
-        ]
+        rows = []
+        for trace, first, last in self.trace_runs:
+            cells = trace.cells()
+            rows += [TraceRow(s, *row) for s in range(first, last + 1) for row in cells]
+        return rows
 
     @property
     def transactions_total(self) -> float:
-        return self.rows[-1].transactions_cum if self.rows else 0.0
+        column = self.slots.transactions_cum
+        return column[-1] if column else 0.0
 
     @property
     def energy_total(self) -> float:
-        return self.rows[-1].energy_cum if self.rows else 0.0
+        column = self.slots.energy_cum
+        return column[-1] if column else 0.0
 
     @property
     def ch_changes_total(self) -> int:
-        return sum(r.ch_changes for r in self.rows)
+        return sum(self.slots.ch_changes)
 
 
 @dataclass(eq=False)
@@ -439,7 +471,7 @@ def _init_vehicles(cfg: SimConfig, clustered: bool) -> _SimVehicles:
 
 def _fleet_residual(v: _SimVehicles) -> float:
     """Sum of the residual energies, added left to right in id order."""
-    return float(np.cumsum(v.residual)[-1])
+    return float(v.residual.cumsum()[-1])
 
 
 def _payer_sums(n_heads: int, n_members: int, head: tuple, member: tuple) -> list[float]:
@@ -487,8 +519,8 @@ class _SlotLoop:
         self.critical_level = cfg.critical_fraction * cfg.initial_energy
         self.tx_cum = self.e_cum = 0.0
         self.emitted_prev = 0
-        self.rows: list[SlotRow] = []
-        self.trace_runs: list[tuple[list[TraceRow], int, int]] = []
+        self.slots = SlotColumns()
+        self.trace_runs: list[tuple[SlotTrace, int, int]] = []
         # A slot's item sums, by its payers, whether it is slot 1 (the join
         # charge) and whether it is an exchange slot.
         self.slot_sums: dict[tuple, list[float]] = {}
@@ -506,27 +538,29 @@ class _SlotLoop:
             else:
                 steady = self._single(s)
                 s += 1
-        return RunReport(regime, self.rows, self.trace_runs, (self.v, self.cfg))
+        self.slots.t = [s * self.cfg.slot for s in range(1, n_slots + 1)]
+        return RunReport(regime, self.slots, self.trace_runs, (self.v, self.cfg))
 
     def _single(self, s: int) -> bool:
         """Step slot s alone; return whether a block may follow it."""
         v, cfg = self.v, self.cfg
-        [(security, transmission, update)], [tx] = self._charge(s, 1, single=True)
+        [(security, transmission, update)], txs = self._charge_one(s)
         changes, steady = 0, True
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
             fleet, ctrl = self.controller
-            slot_rows = evaluate_slot(fleet, ctrl, s)
-            self.trace_runs.append((slot_rows, s, s))
-            for row in slot_rows:
-                if row.action == ACTION_CHANGE:
-                    changes += 1
-                    # A new head pays one security charge when it can fund it.
-                    if v.residual[row.new_ch] >= cfg.security_cost:
-                        v.residual[row.new_ch] -= cfg.security_cost
-                        security += cfg.security_cost
+            trace = evaluate_slot(fleet, ctrl, s)
+            self.trace_runs.append((trace, s, s))
+            new_heads = [new for new, change in zip(trace.new, trace.change) if change]
+            changes = len(new_heads)
+            cost, residual = cfg.security_cost, v.residual
+            for new in new_heads:
+                # A new head pays one security charge when it can fund it.
+                if residual[new] >= cost:
+                    residual[new] -= cost
+                    security += cost
             steady = fleet.fixed_keeps
-        self._append(s, security, transmission, update, tx, changes, _fleet_residual(v))
+        self._record([(security, transmission, update)], txs, [changes], [_fleet_residual(v)])
         return steady
 
     def _block(self, s: int, k: int) -> int:
@@ -537,7 +571,7 @@ class _SlotLoop:
         of the slot before it. Residuals only fall, so the critical flags
         set from the residuals at its end are those its last slot would
         have marked."""
-        sums, txs = self._charge(s, k, single=False)
+        sums, txs = self._charge(s, k)
         k = len(txs)
         if k == 0:
             return 0
@@ -545,37 +579,50 @@ class _SlotLoop:
         fleet_residual = after.cumsum(axis=1, out=after)[:, -1].tolist()
         if self.controller is not None:
             np.less(self.v.residual, self.critical_level, out=self.v.critical)
-            rows, first, _ = self.trace_runs[-1]
-            self.trace_runs[-1] = (rows, first, s + k - 1)
-        for i in range(k):
-            self._append(s + i, *sums[i], txs[i], 0, fleet_residual[i])
+            trace, first, _ = self.trace_runs[-1]
+            self.trace_runs[-1] = (trace, first, s + k - 1)
+        self._record(sums, txs, [0] * k, fleet_residual)
         return k
 
-    def _charge(self, s: int, k: int, single: bool) -> tuple[list, list[float]]:
-        """Charge slots s .. s + k - 1; return each one's (security,
-        transmission, update) sums and its `transactions_cum`.
+    def _charge_one(self, s: int) -> tuple[list, list[float]]:
+        """Charge slot s alone: every active vehicle that can pay does and
+        the rest stop. Return its (security, transmission, update) sums and
+        its `transactions_cum`, each in a list of one."""
+        v = self.v
+        if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
+            return [(0.0, 0.0, 0.0)], [self.tx_cum]
+        heads, exchange, transfers, member, head_costs = self._costs(s, 1)
+        head = head_costs[exchange[0]]
+        charge = np.where(v.active, (member[0] + member[1]) + member[2], 0.0)
+        charge[heads] = (head[0] + head[1]) + head[2]
+        after = np.subtract(v.residual, charge, out=charge)
+        # A residual minus a charge is >= 0 exactly when it covers the charge.
+        paid = v.active & (after >= 0.0)
+        np.copyto(v.residual, after, where=paid)
+        v.active[:] = paid
+        v.joined |= paid
+        n_heads = int(np.count_nonzero(paid[heads]))
+        if n_heads < heads.size:
+            _, transfers = self._exchanges(s, 1, n_heads)
+        return self._tally(s, 1, int(np.count_nonzero(paid)), n_heads, exchange, transfers,
+                           member, head_costs)
 
-        A single slot charges every active vehicle that can pay and stops
-        the rest. A block charges every active vehicle on each of its slots
-        and ends before the first slot where one cannot pay or, with a
-        controller, a head falls below the critical level. Each slot's sums
-        and the running transaction count add the payers' items left to
-        right, heads before members, in id order.
+    def _charge(self, s: int, k: int) -> tuple[list, list[float]]:
+        """Charge the slots from s as one block; return each one's
+        (security, transmission, update) sums and its `transactions_cum`.
+
+        Every active vehicle pays on each of up to k slots; the block ends
+        before the first slot where one cannot pay or, with a controller, a
+        head falls below the critical level.
         """
-        v, cfg = self.v, self.cfg
+        v = self.v
         work = self.residuals[: k + 1]
         work[0] = v.residual
-        if cfg.lam <= 0:  # no vehicle transacts, so none pays
+        if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
             work[1:] = work[0]
             return [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
-        # Every vehicle that pays slot 1 joins and one that cannot stops, so
-        # only slot 1 carries the join charge.
-        sec = cfg.app_count * cfg.security_cost + (cfg.security_cost if s == 1 else 0.0)
-        heads = (v.active & v.head).nonzero()[0]
-        exchange, transfers = self._exchanges(s, k, heads.size)
-        member = (sec, *self.member)
-        head_costs = {ex: (sec, *(self.head_global if ex else self.head_local)) for ex in exchange}
-        work[1:] = np.where(v.active, (sec + member[1]) + member[2], 0.0)
+        heads, exchange, transfers, member, head_costs = self._costs(s, k)
+        work[1:] = np.where(v.active, (member[0] + member[1]) + member[2], 0.0)
         if heads.size:
             charge = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
             work[1:, heads] = np.array([charge[ex] for ex in exchange])[:, None]
@@ -583,25 +630,34 @@ class _SlotLoop:
             np.subtract(work[0], work[1], out=work[1])
         else:
             np.subtract.accumulate(work, axis=0, out=work)
-        if single:
-            # A residual minus a charge is >= 0 exactly when it covers the charge.
-            paid = v.active & (work[1] >= 0.0)
-            np.copyto(work[1], work[0], where=~paid)
-            v.active[:] = paid
-            v.joined |= paid
-            payers = int(np.count_nonzero(paid))
-            n_heads = int(np.count_nonzero(paid[heads]))
-            if n_heads < heads.size:
-                _, transfers = self._exchanges(s, 1, n_heads)
-        else:
-            k = self._slots_before_event(work[1:], heads)
-            if k == 0:
-                return [], []
-            payers, n_heads = int(np.count_nonzero(v.active)), heads.size
+        k = self._slots_before_event(work[1:], heads)
+        if k == 0:
+            return [], []
         v.residual[:] = work[k]
+        return self._tally(s, k, int(np.count_nonzero(v.active)), heads.size, exchange, transfers,
+                           member, head_costs)
+
+    def _costs(self, s: int, k: int) -> tuple:
+        """What slots s .. s + k - 1 charge: the active heads, whether each
+        slot is an exchange slot and the transfers it counts, and the
+        (security, transmission, update, transactions) of a member and of a
+        head on a slot with and without an exchange."""
+        v, cfg = self.v, self.cfg
+        # Every vehicle that pays slot 1 joins and one that cannot stops, so
+        # only slot 1 carries the join charge.
+        sec = cfg.app_count * cfg.security_cost + (cfg.security_cost if s == 1 else 0.0)
+        heads = (v.active & v.head).nonzero()[0]
+        exchange, transfers = self._exchanges(s, k, heads.size)
+        head_costs = {ex: (sec, *(self.head_global if ex else self.head_local)) for ex in exchange}
+        return heads, exchange, transfers, (sec, *self.member), head_costs
+
+    def _tally(self, s, k, payers, n_heads, exchange, transfers, member, head_costs):
+        """The sums and `transactions_cum` of k slots from s that `payers`
+        vehicles paid, `n_heads` heads first. Each slot's sums and the
+        running transaction count add the payers' items left to right,
+        heads before members, in id order."""
         if self.load_rate is not None:
             self.emitted_prev += sum(transfers[:k])
-
         # The transaction count runs on from slot to slot: one flat sequence
         # of every slot's increments, each slot's payers and then its
         # global transfers.
@@ -653,12 +709,19 @@ class _SlotLoop:
             transfers.append(counted)
         return exchange, transfers
 
-    def _append(self, s, security, transmission, update, tx_cum, changes, fleet_residual):
-        self.e_cum += security + transmission + update
-        self.rows.append(SlotRow(
-            t=s * self.cfg.slot, transactions_cum=tx_cum, energy_cum=self.e_cum,
-            ch_changes=changes, offloads=changes, security_j=security,
-            transmission_j=transmission, update_j=update, fleet_residual=fleet_residual))
+    def _record(self, sums, txs, changes, fleet_residual) -> None:
+        """Append the next slots' columns: each one's (security,
+        transmission, update) sums, `transactions_cum`, head changes and
+        fleet residual."""
+        c = self.slots
+        energy = list(accumulate([a + b + d for a, b, d in sums], initial=self.e_cum))
+        self.e_cum = energy[-1]
+        c.energy_cum += energy[1:]
+        for column, values in zip((c.security_j, c.transmission_j, c.update_j), zip(*sums)):
+            column += values
+        c.transactions_cum += txs
+        c.ch_changes += changes
+        c.fleet_residual += fleet_residual
 
 
 def run_baseline(cfg: SimConfig) -> RunReport:
@@ -800,21 +863,19 @@ def paired_comparison(cfg: SimConfig) -> Comparison:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if value.is_integer() and abs(value) < 1e16:
-            return str(int(value))
-        return repr(value)
-    return str(value)
+def _cells(values: Iterable[float]) -> list[str]:
+    """Floats as CSV cells: an integral one under 1e16 in magnitude as an
+    int, any other by `repr`."""
+    return [str(int(x)) if x.is_integer() and abs(x) < 1e16 else repr(x) for x in values]
 
 
-def _slot_cells(regime: str, row: SlotRow) -> list:
-    """The `RUN_CSV_COLUMNS` cells of one slot row."""
-    return [_fmt(row.t), regime, _fmt(row.transactions_cum), _fmt(row.energy_cum),
-            row.ch_changes, row.offloads]
+def _slot_cells(regime: str, slots: SlotColumns, extra: Iterable) -> Iterable[tuple]:
+    """The `RUN_CSV_COLUMNS` cells of every slot of a run, then `extra`."""
+    return zip(_cells(slots.t), repeat(regime), _cells(slots.transactions_cum),
+               _cells(slots.energy_cum), slots.ch_changes, slots.ch_changes, *extra)
 
 
-def csv_text(header: Sequence[str], rows: list[list]) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """`header` and `rows` as CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -824,12 +885,12 @@ def csv_text(header: Sequence[str], rows: list[list]) -> str:
 
 
 def comparison_csv(comp: Comparison) -> str:
-    base, clus = comp.baseline, comp.clustered
-    rows = [_slot_cells(base.regime, row) + ["", ""] for row in base.rows]
-    rows += [
-        _slot_cells(clus.regime, row)
-        + [_fmt(_reduction_pct(b.transactions_cum, row.transactions_cum)),
-           _fmt(_reduction_pct(b.energy_cum, row.energy_cum))]
-        for b, row in zip(base.rows, clus.rows)
+    base, clus = comp.baseline.slots, comp.clustered.slots
+    reductions = [
+        _cells([_reduction_pct(b, c) for b, c in zip(base_col, clus_col)])
+        for base_col, clus_col in ((base.transactions_cum, clus.transactions_cum),
+                                   (base.energy_cum, clus.energy_cum))
     ]
+    rows = chain(_slot_cells(comp.baseline.regime, base, (repeat(""), repeat(""))),
+                 _slot_cells(comp.clustered.regime, clus, reductions))
     return csv_text(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS, rows)

@@ -77,6 +77,10 @@ BAD_SCENARIOS = [
     '"name": "%s"' % ("x" * 300),  # an output file name past the name limit
     '"name": "a\\ud800b"',  # a lone surrogate: no file name can hold it
     '"params": {"lam": 1%s}' % ("0" * 5000),  # past the int parser's digit limit
+    # Two sweep points labelled `lam=2`: the second wrote over the first's
+    # comparison file and the run exited 0.
+    '"sweeps": [{"param": "lam", "values": [2.0000001, 2.0000002]}]',
+    '"sweeps": [{"param": "lam", "values": [2, 2]}]',
 ]
 
 

@@ -1,17 +1,30 @@
 """Invariants of the array-backed slot loop over random small configs, the
 work the controller does on runs where no head or every head changes, the
-slots the event-blocked loop steps alone, and the slot counts of a run and
-of an exchange period."""
+slots the event-blocked loop steps alone, the rows a run builds only when
+read, and the slot counts of a run and of an exchange period."""
 
 import fleetchain.controller
 import fleetchain.sim
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import CONFIGS
+from test_golden import CONFIGS, OBJECT_FLEET_SEEDS, object_fleet
 
-from fleetchain.controller import ControllerConfig, FleetState, run_controller, slot_count
-from fleetchain.sim import SimConfig, paired_comparison, run_baseline, run_clustered
+from fleetchain.controller import (
+    ControllerConfig,
+    FleetState,
+    VehicleArrays,
+    evaluate_slot,
+    run_controller,
+    slot_count,
+)
+from fleetchain.sim import (
+    SimConfig,
+    comparison_csv,
+    paired_comparison,
+    run_baseline,
+    run_clustered,
+)
 
 configs = st.builds(
     SimConfig,
@@ -94,6 +107,43 @@ def test_churn_run_selects_heads_without_candidates(monkeypatch):
     comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
     assert comp.clustered.ch_changes_total == 5 * 100
     assert counts == {"candidates": 0, "decide": 0, "apply_change": 5 * 100}
+
+
+def test_churn_run_builds_rows_only_when_read(monkeypatch):
+    built = {"TraceRow": 0, "SlotRow": 0}
+    for module, name in ((fleetchain.controller, "TraceRow"), (fleetchain.sim, "TraceRow"),
+                         (fleetchain.sim, "SlotRow")):
+        cls = getattr(module, name)
+
+        def counting(*args, _cls=cls, _name=name, **kwargs):
+            built[_name] += 1
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    # Every head changes on every slot, so every slot is stepped alone.
+    comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
+    comparison_csv(comp)
+    assert comp.clustered.ch_changes_total == 5 * 100
+    assert built == {"TraceRow": 0, "SlotRow": 0}
+    assert len(comp.clustered.trace) == 5 * 100
+    assert built == {"TraceRow": 5 * 100, "SlotRow": 0}
+    assert len(comp.baseline.rows) + len(comp.clustered.rows) == 2 * 100
+    assert built == {"TraceRow": 5 * 100, "SlotRow": 2 * 100}
+
+
+@pytest.mark.parametrize("seed", OBJECT_FLEET_SEEDS)
+def test_slot_trace_length_is_its_row_count(seed):
+    # Two identical fleets stepped alike: what `evaluate_slot` returns has
+    # as many rows by `len()` as it yields.
+    fleets = [object_fleet(seed), object_fleet(seed)]
+    for fleet in fleets:
+        fleet.vehicles = VehicleArrays.of(fleet.vehicles)
+    cfg = ControllerConfig(slot=1.0, horizon=12.0, expected_score=1.0)
+    for slot in range(1, 13):
+        trace = evaluate_slot(fleets[0], cfg, slot)
+        rows = list(evaluate_slot(fleets[1], cfg, slot))
+        assert len(trace) == len(rows) > 0
+        assert list(trace) == rows
 
 
 def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int]:
