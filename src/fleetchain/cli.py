@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .analytics import energy_decay, transaction_count
 from .scenario import ConfigError, Scenario, expand, load_scenario, make_config
-from .sim import Comparison, comparison_csv, csv_text, paired_comparison
+from .sim import Comparison, _cells, comparison_csv, csv_text, paired_comparison
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -157,11 +157,12 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
         results.append((label, comp))
         _write(path, comparison_csv(comp))
 
-    # Transactions-vs-time across both regimes, stacked over sweep points.
+    # Transactions-vs-time across both regimes, stacked over sweep points,
+    # in the comparison CSV's cells.
     tx_rows = []
     for label, comp in results:
         base, clus = comp.baseline.slots, comp.clustered.slots
-        tx_rows += zip(repeat(label or "-"), *([f"{x:g}" for x in column] for column in (
+        tx_rows += zip(repeat(label or "-"), *(_cells(column) for column in (
             base.t, base.transactions_cum, clus.transactions_cum)))
     _write(
         tx_path,

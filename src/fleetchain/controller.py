@@ -19,15 +19,17 @@ when a change is indicated and no candidate is eligible, the head stays.
 The slotted loop steps the fleet as arrays (`VehicleArrays`) only;
 `run_controller` is the one entry that also takes a list of vehicle
 objects, read into arrays once when the run starts. On its first slot a run
-indexes the clusters and computes the threshold, default score, pre-decay
-verdict and slot decay estimate. Each slot it applies the keep-or-change
-test of the cascade to every cluster's head in one array pass: the verdict
-depends on the head's tx limit alone, so it is computed once per distinct
-limit while the observed score stays the same, and gathered per head. When
-a head is dead or critical, or the test indicates a change, one array pass
-over the stepped clusters' members (`_select`) picks the new head of every
-cluster at once. `decide` is the same selection over one cluster's
-`Candidate` list.
+indexes the clusters, gives each vehicle its head class (no capacity data,
+a limit that covers the requirement, a limit below it) and computes the
+threshold, default score, pre-decay verdict and slot decay estimate. Each
+slot it applies the keep-or-change test of the cascade to every cluster's
+head in one array pass: the verdict depends on the head's class alone, so a
+table of one verdict per class (`_verdict_table`) is built while the
+observed score stays the same, and gathered per head. When a head is dead
+or critical, or the test indicates a change, one array pass over the
+stepped clusters' members (`_select`) picks the new head of every cluster
+at once. `decide` reads the same table and makes the same selection over
+one cluster's `Candidate` list.
 
 `evaluate_slot` returns the slot's rows as a `SlotTrace` of columns;
 iterating it yields `TraceRow`s, the rows `run_controller` returns.
@@ -54,7 +56,7 @@ ACTION_CHANGE = "change"
 
 # Rule codes of a `SlotTrace`: index into RULES.
 RULES = (RULE_OST, RULE_LIMIT, RULE_PRE_DECAY)
-_LIMIT_CODE, _PRE_DECAY_CODE = RULES.index(RULE_LIMIT), RULES.index(RULE_PRE_DECAY)
+_OST_CODE, _LIMIT_CODE, _PRE_DECAY_CODE = range(len(RULES))
 
 
 def ost_score(m: MobilityModel, c: ConnectivityParams, lam1: float) -> float:
@@ -195,12 +197,43 @@ class _Segments:
         )
 
 
+def tx_limit_value(limit: float | None) -> float:
+    """A tx limit as a float: NaN for no limit (None)."""
+    return math.nan if limit is None else limit
+
+
+def _head_classes(tx_limit: np.ndarray | float, required: float | None) -> np.ndarray:
+    """The class of each head for the keep-or-change test: 0 without
+    capacity data (no `required` limit, or a NaN limit), 1 where its limit
+    covers `required`, 2 where its limit is below it."""
+    if required is None:
+        return np.zeros(np.shape(tx_limit), dtype=np.intp)
+    return np.where(tx_limit >= required, 1, np.where(np.isnan(tx_limit), 0, 2))
+
+
+def _verdict_table(
+    observed: float, expected: float, pre_decay: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cascade's test on a head alone, per head class (`_head_classes`):
+    the rule code that fires and whether a change is indicated. It needs no
+    candidates."""
+    if not (math.isfinite(observed) and math.isfinite(expected)):
+        raise ValueError("scores must be finite")
+    if observed < expected:
+        return np.full(3, _OST_CODE), np.ones(3, dtype=bool)
+    # A tie with no capacity data: the pre-decay rule settles it.
+    no_data = (_PRE_DECAY_CODE, pre_decay) if observed == expected else (_OST_CODE, False)
+    rule, change = zip(no_data, (_OST_CODE, False), (_LIMIT_CODE, True))
+    return np.array(rule), np.array(change)
+
+
 def _qualified(
-    tx_limit: Sequence, radio_range: np.ndarray, required: float, connect_range: float | None
+    tx_limit: np.ndarray, radio_range: np.ndarray, required: float, connect_range: float | None
 ) -> np.ndarray:
     """Vehicles whose limit covers `required` and whose radio range covers
-    `connect_range`: those the Lemma2-limit rule may hand the head to."""
-    ok = np.array([lim is not None and lim >= required for lim in tx_limit], dtype=bool)
+    `connect_range`: those the Lemma2-limit rule may hand the head to. A NaN
+    limit (no limit) never qualifies."""
+    ok = tx_limit >= required
     if connect_range is not None:
         ok &= connect_range <= radio_range
     return ok
@@ -210,7 +243,7 @@ def _select(
     rating: np.ndarray,
     eligible: np.ndarray,
     seg: _Segments,
-    limit: np.ndarray | None,
+    limit: np.ndarray,
     qualified: np.ndarray | None,
 ) -> np.ndarray:
     """The cascade's choice of a new head for every segment at once.
@@ -218,32 +251,15 @@ def _select(
     Entries are vehicles in id order within each segment. A segment picks
     its eligible vehicle of highest `rating`, ties to the lowest id; where
     `limit` marks that the Lemma2-limit rule fired, only its `qualified`
-    vehicles are eligible; a `limit` of None marks no segment. Returns each
-    segment's flat position of the pick, or `rating.size` where no vehicle
-    is eligible.
+    vehicles are eligible (`qualified` may be None where `limit` marks no
+    segment). Returns each segment's flat position of the pick, or
+    `rating.size` where no vehicle is eligible.
     """
-    if limit is not None and np.count_nonzero(limit):
+    if np.count_nonzero(limit):
         eligible = eligible & (qualified | ~limit[seg.segment])
     top = np.maximum.reduceat(np.where(eligible, rating, -np.inf), seg.starts)
     hit = eligible & (rating == top[seg.segment])
     return np.minimum.reduceat(np.where(hit, seg.position, rating.size), seg.starts)
-
-
-def _keep_or_change(
-    obs: OstObservation, required_tx_limit: float | None, pre_decay: bool
-) -> tuple[str, bool]:
-    """The cascade's test on the head alone: (rule that fired, whether a
-    change is indicated). It needs no candidates."""
-    if obs.observed < obs.expected:
-        return RULE_OST, True
-    if required_tx_limit is None or obs.upper_tx_limit is None:
-        if obs.observed == obs.expected:
-            # Tie with no capacity data: the pre-decay rule settles it.
-            return RULE_PRE_DECAY, pre_decay
-        return RULE_OST, False
-    if obs.upper_tx_limit >= required_tx_limit:
-        return RULE_OST, False
-    return RULE_LIMIT, True
 
 
 def decide(
@@ -256,15 +272,20 @@ def decide(
     pre_decay: bool = False,
 ) -> ChDecision:
     """Pure decision for one cluster at one slot (see module cascade)."""
-    rule, change = _keep_or_change(obs, required_tx_limit, pre_decay)
+    rules, changes = _verdict_table(obs.observed, obs.expected, pre_decay)
+    head_class = _head_classes(tx_limit_value(obs.upper_tx_limit), required_tx_limit)
+    rule = RULES[rules[head_class]]
     pool = sorted(candidates, key=lambda c: c.vehicle_id)
-    if change and pool:
+    if changes[head_class] and pool:
         limit = rule == RULE_LIMIT
         qualified = None
         if limit:
-            ranges = np.array([c.radio_range for c in pool], dtype=float)
-            qualified = _qualified([c.tx_limit for c in pool], ranges, required_tx_limit,
-                                   connect_range)
+            qualified = _qualified(
+                np.array([tx_limit_value(c.tx_limit) for c in pool], dtype=float),
+                np.array([c.radio_range for c in pool], dtype=float),
+                required_tx_limit,
+                connect_range,
+            )
         (pick,) = _select(
             np.array([c.energy_rating for c in pool], dtype=float),
             np.array([not c.critical for c in pool], dtype=bool),
@@ -329,15 +350,15 @@ class SlotTrace:
 class VehicleArrays:
     """Vehicle state as parallel arrays, one entry per vehicle.
 
-    `head` flags the vehicles whose role is "ch"; `tx_limit` is a list
-    because a limit may be None.
+    `head` flags the vehicles whose role is "ch"; `tx_limit` is NaN where a
+    vehicle has no limit (None).
     """
 
     id: np.ndarray
     cluster: np.ndarray
     residual: np.ndarray
     radio_range: np.ndarray
-    tx_limit: list
+    tx_limit: np.ndarray
     head: np.ndarray
     critical: np.ndarray
     active: np.ndarray
@@ -350,7 +371,7 @@ class VehicleArrays:
             cluster=np.array([v.cluster for v in vehicles], dtype=np.int64),
             residual=np.array([v.residual_energy for v in vehicles], dtype=float),
             radio_range=np.array([v.radio_range for v in vehicles], dtype=float),
-            tx_limit=[v.tx_limit for v in vehicles],
+            tx_limit=np.array([tx_limit_value(v.tx_limit) for v in vehicles], dtype=float),
             head=np.array([v.role == "ch" for v in vehicles], dtype=bool),
             critical=np.array([v.critical for v in vehicles], dtype=bool),
             active=np.array([v.active for v in vehicles], dtype=bool),
@@ -373,7 +394,8 @@ class FleetState:
     """Mutable view of the fleet the controller steps over.
 
     `vehicles` is a `VehicleArrays`; `evaluate_slot` writes head changes to
-    its `head` flags in place. Only `run_controller` also takes a list of
+    its `head` flags in place, and a run leaves one flag in each cluster it
+    steps. Only `run_controller` also takes a list of
     objects exposing id/cluster/role/residual_energy/radio_range/tx_limit/
     critical/active attributes (the simulator's VehicleState satisfies
     this). Scores come from `score_schedule` (per slot index), then
@@ -401,8 +423,10 @@ class FleetState:
         self.fixed_keeps = False
 
     def _index(self) -> None:
-        """Group the vehicles by cluster for one run."""
+        """Group the vehicles by cluster and class them for one run."""
         a = self.vehicles
+        if np.count_nonzero(a.tx_limit < 0):
+            raise ValueError("tx_limit must be >= 0")
         order = np.lexsort((a.id, a.cluster))
         keys, starts = np.unique(a.cluster[order], return_index=True)
         members = np.split(order, starts[1:]) if order.size else []
@@ -412,31 +436,27 @@ class FleetState:
         self._stepped = keys[stepped]
         members = [members[k] for k in stepped]
         self._heads = np.array([m[a.head[m]][0] for m in members], dtype=np.intp)
-        # Each stepped cluster's members, as a slice where their indices run
-        # on by one, for the head flag writes of `_apply_change`.
-        self._members = [slice(int(m[0]), int(m[-1]) + 1) if (np.diff(m) == 1).all() else m
-                         for m in members]
         # The stepped clusters' members as one flat array in (cluster, id)
         # order, one segment per cluster, for the head selection.
         self._flat = np.concatenate(members) if stepped else np.empty(0, np.intp)
+        # Only the head keeps its flag, so `_apply_change` moves one flag.
+        a.head[self._flat] = False
+        a.head[self._heads] = True
         self._segments = _Segments.of_lengths([m.size for m in members])
         self._flat_position = np.full(order.size, -1, dtype=np.intp)
         self._flat_position[self._flat] = self._segments.position
-        self._flat_qualified = None  # built when the Lemma2-limit rule first fires
+        self._flat_qualified = None
+        if self.required_tx_limit is not None:
+            self._flat_qualified = _qualified(a.tx_limit[self._flat], a.radio_range[self._flat],
+                                              self.required_tx_limit, self.mobility.connect_range)
         # Vehicle -> position of its stepped cluster; the rest share one
         # extra position.
         self._cluster_of = np.full(order.size, len(stepped), dtype=np.intp)
         self._cluster_of[self._flat] = self._segments.segment
-        # Each vehicle's position among the distinct tx limits; the test's
-        # verdict per limit is cached while the observed score stays.
-        positions: dict = {}
-        self._limit_of = np.array([positions.setdefault(lim, len(positions))
-                                   for lim in a.tx_limit], dtype=np.intp)
-        self._limits = list(positions)
+        self._class_of = _head_classes(a.tx_limit, self.required_tx_limit)
+        # The verdict table, kept while the observed score stays the same.
         self._verdict_score = None
-        self._unknown = 0  # distinct limits without a verdict at that score
-        self._rule_of = np.full(len(positions), -1, dtype=np.intp)
-        self._change_of = np.zeros(len(positions), dtype=bool)
+        self._verdict = None
 
     def _run_constants(self, cfg: ControllerConfig) -> _RunConstants:
         """The cluster index and the per-run values of the cascade, computed
@@ -463,47 +483,18 @@ class FleetState:
         self._run = _RunConstants(cfg, threshold, score, pre, estimate)
         return self._run
 
-    def _verdicts(
-        self, run: _RunConstants, observed: float, time: float, limit: np.ndarray,
-        tested: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per distinct tx limit: the rule code and the change flag of the
-        keep-or-change test at score `observed`. The limits (positions
-        among the distinct limits) where `tested` is set get a verdict if
-        they lack one; the others may hold none (code -1)."""
-        if observed != self._verdict_score:
-            self._verdict_score = observed
-            self._rule_of.fill(-1)
-            self._unknown = len(self._limits)
-        if self._unknown:
-            needed = limit[tested]
-            for i in set(needed[self._rule_of[needed] < 0].tolist()):
-                obs = OstObservation(observed=observed, expected=run.threshold,
-                                     upper_tx_limit=self._limits[i], time=time)
-                rule, change = _keep_or_change(obs, self.required_tx_limit, run.pre_decay)
-                self._rule_of[i], self._change_of[i] = RULES.index(rule), change
-                self._unknown -= 1
-        return self._rule_of, self._change_of
-
-    def _select_heads(self, run: _RunConstants, limit: np.ndarray | None) -> np.ndarray:
+    def _select_heads(self, run: _RunConstants, limit: np.ndarray) -> np.ndarray:
         """Per stepped cluster: the flat position of its new head among its
         active, non-critical members other than the head, by `_select`, or
         `_flat.size` when there is none. Members are rated in slots of decay
         when the run's estimate is positive; `limit` marks the clusters where
-        the Lemma2-limit rule fired, None where it fired in none."""
+        the Lemma2-limit rule fired."""
         a, flat = self.vehicles, self._flat
         eligible = (a.active & ~a.critical)[flat]
         eligible[self._flat_position[self._heads]] = False
         rating = a.residual[flat]
         if run.slot_decay_estimate > 0:
             rating = rating / run.slot_decay_estimate
-        if limit is not None and self._flat_qualified is None and np.count_nonzero(limit):
-            self._flat_qualified = _qualified(
-                [a.tx_limit[i] for i in flat.tolist()],
-                a.radio_range[flat],
-                self.required_tx_limit,
-                self.mobility.connect_range,
-            )
         return _select(rating, eligible, self._segments, limit, self._flat_qualified)
 
 
@@ -515,8 +506,8 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     candidate is skipped. A dead or critical head is replaced ahead of the
     cascade when any non-critical candidate exists (energy-driven handover).
     The keep-or-change test is one array pass over the heads, its verdict
-    gathered by each head's tx limit; only when some cluster is indicated
-    for a change are new heads selected.
+    gathered from the verdict table by each head's class; only when some
+    cluster is indicated for a change are new heads selected.
     """
     run = fleet._run_constants(cfg)
     a = fleet.vehicles
@@ -530,10 +521,12 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     head_active = a.active[heads]
     live = n_active[: heads.size] > head_active  # the head has an active candidate
     steady = head_active & ~a.critical[heads]  # neither dead nor critical
-    tested = live & steady
-    limit = fleet._limit_of[heads]
-    rule_of, change_of = fleet._verdicts(run, observed, t, limit, tested)
-    rule, change = rule_of[limit], change_of[limit]
+    if observed != fleet._verdict_score:
+        fleet._verdict = _verdict_table(observed, run.threshold, run.pre_decay)
+        fleet._verdict_score = observed
+    rule_of, change_of = fleet._verdict
+    head_class = fleet._class_of[heads]
+    rule, change = rule_of[head_class], change_of[head_class]
     # Dead or critical heads need a new head whatever the test says.
     indicated = live & (~steady | change)
     some = np.count_nonzero(indicated) > 0
@@ -541,11 +534,8 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     if not some:
         rows, picked, new = live, np.zeros(heads.size, dtype=bool), heads[:0]
     else:
-        # The Lemma2-limit verdict always indicates a change; without a
-        # required limit it never fires.
-        fired = None
-        if fleet.required_tx_limit is not None:
-            fired = tested & (rule == _LIMIT_CODE)
+        # The Lemma2-limit verdict always indicates a change.
+        fired = steady & (rule == _LIMIT_CODE)
         picks = fleet._select_heads(run, fired)
         picked = indicated & (picks < fleet._flat.size)
         new = fleet._flat[picks[picked]]
@@ -566,9 +556,10 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
 
 
 def _apply_change(fleet: FleetState, k: int, new: int) -> None:
-    """Make vehicle `new` the only head of stepped cluster `k`."""
-    fleet.vehicles.head[fleet._members[k]] = False
-    fleet.vehicles.head[new] = True
+    """Move stepped cluster `k`'s head flag to vehicle `new`."""
+    head = fleet.vehicles.head
+    head[fleet._heads[k]] = False
+    head[new] = True
     fleet._heads[k] = new
 
 

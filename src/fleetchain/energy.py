@@ -26,7 +26,7 @@ def _check_nonneg(value: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Energy constants of one vehicle running `app_count` blockchain apps.
+    """Energy constants of one vehicle and one blockchain app.
 
     `per_kind_cost` optionally overrides the uniform per-message-kind term
     with explicit ``per_request_energy * request_rate`` products, one per
@@ -39,23 +39,20 @@ class EnergyParams:
     message_kinds: int
     request_rate: float
     records_per_tx: int
-    security_cost: float
-    app_count: int
     per_kind_cost: tuple[float, ...] | None = None
 
     def __post_init__(self):
         _check_nonneg(self.per_record_energy, "per_record_energy")
         _check_nonneg(self.per_request_energy, "per_request_energy")
         _check_nonneg(self.request_rate, "request_rate")
-        _check_nonneg(self.security_cost, "security_cost")
-        for name in ("hop_count", "message_kinds", "records_per_tx", "app_count"):
+        for name in ("hop_count", "message_kinds", "records_per_tx"):
             value = getattr(self, name)
             if not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.hop_count < 0 or self.records_per_tx < 0:
             raise ValueError("hop_count and records_per_tx must be >= 0")
-        if self.message_kinds < 1 or self.app_count < 1:
-            raise ValueError("message_kinds and app_count must be >= 1")
+        if self.message_kinds < 1:
+            raise ValueError("message_kinds must be >= 1")
         if self.per_kind_cost is not None:
             if len(self.per_kind_cost) != self.message_kinds:
                 raise ValueError("per_kind_cost must have one entry per message kind")

@@ -101,7 +101,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def expand(scenario: Scenario) -> list[tuple[str, SimConfig]]:
     """Cartesian product of the sweep axes, in declaration order; with no
-    axes, the one point labelled "". A point's label names its output file,
+    axes, the one point labelled "". A label writes an int (a bool as 1 or
+    0) in full and a float with `:g`. A point's label names its output file,
     so two points with one label (`lam` at 2 and 2, or at 2.0000001 and
     2.0000002, both `lam=2`) are a configuration error."""
     axes = [[(axis.param, v) for v in axis.values] for axis in scenario.sweeps]
@@ -109,7 +110,8 @@ def expand(scenario: Scenario) -> list[tuple[str, SimConfig]]:
     labels = set()
     for combo in itertools.product(*axes):
         cfg = make_config(dict(combo), scenario.config)
-        label = "_".join(f"{param}={value:g}" if isinstance(value, (int, float))
+        label = "_".join(f"{param}={value:d}" if isinstance(value, int)
+                         else f"{param}={value:g}" if isinstance(value, float)
                          else f"{param}={value}" for param, value in combo)
         if label in labels:
             raise ConfigError(f"two sweep points have the label {label!r}, which names "

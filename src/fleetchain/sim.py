@@ -70,6 +70,7 @@ from .controller import (
     VehicleArrays,
     evaluate_slot,
     slot_count,
+    tx_limit_value,
     whole_quotient,
 )
 from .energy import EnergyParams, HestonParams, ledger_update_energy, transmission_energy
@@ -190,8 +191,8 @@ class SimConfig:
             raise ValueError(
                 f"use_load_model_exchange must be true or false, got {self.use_load_model_exchange!r}"
             )
-        if self.initial_energy < 0 or (self.vehicle_tx_limit or 0) < 0:
-            raise ValueError("initial_energy and vehicle_tx_limit must be >= 0")
+        if min(self.initial_energy, self.security_cost, self.vehicle_tx_limit or 0) < 0:
+            raise ValueError("initial_energy, security_cost and vehicle_tx_limit must be >= 0")
         if not 0 <= self.critical_fraction <= 1:
             raise ValueError(f"critical_fraction must be in [0, 1], got {self.critical_fraction!r}")
         if min(self.op_sigma1, self.op_sigma2) <= 0:
@@ -327,8 +328,6 @@ class SimConfig:
             message_kinds=self.message_kinds,
             request_rate=self.gamma_value,
             records_per_tx=self.records_per_tx,
-            security_cost=self.security_cost,
-            app_count=self.app_count,
             per_kind_cost=per_kind,
         )
 
@@ -460,7 +459,7 @@ def _init_vehicles(cfg: SimConfig, clustered: bool) -> _SimVehicles:
         cluster=ids // cfg.vehicles_per_cluster,
         residual=np.full(n, cfg.initial_energy, dtype=float),
         radio_range=np.full(n, cfg.radio_range, dtype=float),
-        tx_limit=[cfg.vehicle_tx_limit] * n,
+        tx_limit=np.full(n, tx_limit_value(cfg.vehicle_tx_limit)),
         head=(ids % cfg.vehicles_per_cluster == 0) if clustered else np.zeros(n, dtype=bool),
         critical=np.zeros(n, dtype=bool),
         active=np.ones(n, dtype=bool),

@@ -210,3 +210,32 @@ def test_subprocess_validate_tolerance_zero(tmp_path):
         cwd=REPO,
     )
     assert result.returncode == 2
+
+
+def test_fig_transactions_cells_are_the_comparison_cells(tmp_path):
+    # At lam 1.75 the baseline count of slot 99 is 424462.5, which `:g`
+    # wrote as 424462.
+    path = write_scenario(tmp_path, {"name": "f", "params": {"lam": 1.75}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "comparison_f.csv") as f:
+        comparison = list(csv.DictReader(f))
+    with open(out / "fig_transactions_f.csv") as f:
+        figure = list(csv.DictReader(f))
+    base = [r for r in comparison if r["regime"] == "baseline"]
+    clus = [r for r in comparison if r["regime"] == "clustered"]
+    assert [(r["t"], r["baseline_transactions"], r["clustered_transactions"]) for r in figure] == [
+        (b["t"], b["transactions_cum"], c["transactions_cum"]) for b, c in zip(base, clus)]
+    assert figure[98]["baseline_transactions"] == "424462.5"
+
+
+def test_integer_sweep_values_are_labelled_in_full(tmp_path):
+    path = write_scenario(tmp_path, {"name": "s", "params": {"horizon": 5},
+                                     "sweeps": [{"param": "seed",
+                                                 "values": [123456789, 123456790]}]})
+    assert [label for label, _ in expand(load_scenario(path))] == [
+        "seed=123456789", "seed=123456790"]
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("comparison_*")) == [
+        "comparison_s_seed=123456789.csv", "comparison_s_seed=123456790.csv"]

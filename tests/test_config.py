@@ -29,6 +29,8 @@ BAD_PARAMS = [
     '"records_per_tx": 1.5',
     '"lam": NaN',
     '"security_cost": NaN',
+    '"security_cost": -1',
+    '"app_count": 0',
     '"expected_score": NaN',
     '"horizon": 1e400',
     f'"horizon": {HUGE_INT}',

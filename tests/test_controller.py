@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from scipy import integrate
 
 from fleetchain.analytics import DecayParams, GaussianRate, decay_params_at, energy_decay
@@ -14,6 +15,7 @@ from fleetchain.controller import (
     VehicleArrays,
     cumulative_decay_integral,
     decide,
+    evaluate_slot,
     ost_score,
     ost_threshold,
     pre_decay_check,
@@ -349,3 +351,42 @@ def test_run_controller_hands_over_within_the_cluster_on_duplicate_ids():
     rows = run_handover(vehicles)
     assert [(r.cluster, r.new_ch) for r in rows if r.action == ACTION_CHANGE] == [(1, 1)]
     assert [v.role for v in vehicles] == ["member", "ch", "ch", "member"]
+
+
+@pytest.mark.parametrize("schedule, expected", [({2: math.nan}, 1.0), (None, math.inf)])
+def test_a_non_finite_score_is_rejected(schedule, expected):
+    cfg = ControllerConfig(slot=1.0, horizon=3.0, expected_score=expected)
+    with pytest.raises(ValueError, match="scores must be finite"):
+        run_controller(fleet(schedule=schedule), cfg)
+
+
+def test_a_negative_tx_limit_is_rejected():
+    f = fleet()
+    f.vehicles[0].tx_limit = -1.0
+    with pytest.raises(ValueError, match="tx_limit must be >= 0"):
+        run_controller(f, ControllerConfig(slot=1.0, horizon=3.0, expected_score=1.0))
+
+
+def test_a_cluster_with_two_head_flags_keeps_one_after_a_change():
+    # Vehicles 0 and 2 are both flagged; 0, the lower id, is the head. The
+    # dip at slot 3 hands the cluster to vehicle 1, the richest other member.
+    spec = [(0, 0, "ch"), (1, 0, "member"), (2, 0, "ch"), (3, 0, "member")]
+
+    def dip_fleet(vehicles) -> FleetState:
+        return FleetState(vehicles=vehicles, mobility=mobility(),
+                          connectivity=ConnectivityParams(), score_default=5.0,
+                          score_schedule={3: 0.1})
+
+    cfg = ControllerConfig(slot=1.0, horizon=5.0, expected_score=1.0)
+    arrays = VehicleArrays.of(handover_fleet(spec))
+    f = dip_fleet(arrays)
+    slot, changed = 0, False
+    while not changed:
+        slot += 1
+        changed = any(row.action == ACTION_CHANGE for row in evaluate_slot(f, cfg, slot))
+    assert slot == 3
+    assert arrays.head.tolist() == [False, True, False, False]
+    vehicles = handover_fleet(spec)
+    rows = run_controller(dip_fleet(vehicles), cfg)
+    assert [(r.slot, r.old_ch, r.new_ch) for r in rows if r.action == ACTION_CHANGE] == [(3, 0, 1)]
+    assert [v.role for v in vehicles] == ["member", "ch", "member", "member"]

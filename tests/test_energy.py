@@ -14,8 +14,6 @@ def params(**overrides) -> EnergyParams:
         message_kinds=3,
         request_rate=2.0,
         records_per_tx=1,
-        security_cost=0.625,
-        app_count=1,
     )
     base.update(overrides)
     return EnergyParams(**base)
@@ -42,15 +40,15 @@ def test_transmission_energy_per_kind_override():
 
 
 def test_total_blockchain_energy_composition():
-    # A vehicle's total per app is its security charge plus the two charges.
-    p = params(app_count=1)
+    # A vehicle's total per app is its security charge (0.625 J at the
+    # reference point) plus the two charges.
+    p = params()
     assert transmission_energy(p) == 154_800.0
     assert ledger_update_energy(p) == 25_800.0
-    assert p.security_cost + transmission_energy(p) + ledger_update_energy(p) == 180_600.625
+    assert 0.625 + transmission_energy(p) + ledger_update_energy(p) == 180_600.625
     zero = params(
         per_record_energy=0.0,
         per_request_energy=0.0,
-        security_cost=0.0,
         request_rate=0.0,
     )
     assert transmission_energy(zero) == ledger_update_energy(zero) == 0.0
@@ -90,6 +88,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         params(hop_count=1.5)
     with pytest.raises(ValueError):
-        params(app_count=0)
+        params(message_kinds=0)
     with pytest.raises(ValueError):
         params(per_record_energy=math.inf)
