@@ -106,15 +106,17 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
 def _summary_lines(name: str, results: list[tuple[str, Comparison]]) -> list[str]:
     lines = [f"scenario: {name}", ""]
     for label, comp in results:
+        # The totals are written as the comparison CSV writes its cells.
+        base_tx, clus_tx, base_energy, clus_energy = _cells([
+            comp.baseline.transactions_total, comp.clustered.transactions_total,
+            comp.baseline.energy_total, comp.clustered.energy_total])
         lines.append(
-            f"[{label or 'single'}] transactions: baseline="
-            f"{comp.baseline.transactions_total:g} clustered="
-            f"{comp.clustered.transactions_total:g} reduction="
-            f"{comp.tx_reduction_pct:.2f}%"
+            f"[{label or 'single'}] transactions: baseline={base_tx} clustered={clus_tx} "
+            f"reduction={comp.tx_reduction_pct:.2f}%"
         )
         lines.append(
-            f"[{label or 'single'}] energy: baseline={comp.baseline.energy_total:g} J "
-            f"clustered={comp.clustered.energy_total:g} J "
+            f"[{label or 'single'}] energy: baseline={base_energy} J "
+            f"clustered={clus_energy} J "
             f"reduction={comp.energy_reduction_pct:.2f}% "
             f"conservation_factor={comp.conservation_factor_pct:.2f}%"
         )

@@ -21,10 +21,11 @@ The slotted loop steps the fleet as arrays (`VehicleArrays`) only;
 objects, read into arrays once when the run starts. On its first slot a run
 indexes the clusters, gives each vehicle its head class (no capacity data,
 a limit that covers the requirement, a limit below it) and computes the
-threshold, default score, pre-decay verdict and slot decay estimate. Each
-slot it applies the keep-or-change test of the cascade to every cluster's
-head in one array pass: the verdict depends on the head's class alone, so a
-table of one verdict per class (`_verdict_table`) is built while the
+threshold, default score, pre-decay verdict and slot decay estimate, and
+counts each cluster's active vehicles. Each slot it applies the
+keep-or-change test of the cascade to every cluster's head in one array
+pass: the verdict depends on the head's class alone, so a table of one
+verdict per class (`_verdict_table`) is spread over the vehicles while the
 observed score stays the same, and gathered per head. When a head is dead
 or critical, or the test indicates a change, one array pass over the
 stepped clusters' members (`_select`) picks the new head of every cluster
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -243,7 +245,7 @@ def _select(
     rating: np.ndarray,
     eligible: np.ndarray,
     seg: _Segments,
-    limit: np.ndarray,
+    limit: np.ndarray | None,
     qualified: np.ndarray | None,
 ) -> np.ndarray:
     """The cascade's choice of a new head for every segment at once.
@@ -251,11 +253,11 @@ def _select(
     Entries are vehicles in id order within each segment. A segment picks
     its eligible vehicle of highest `rating`, ties to the lowest id; where
     `limit` marks that the Lemma2-limit rule fired, only its `qualified`
-    vehicles are eligible (`qualified` may be None where `limit` marks no
-    segment). Returns each segment's flat position of the pick, or
-    `rating.size` where no vehicle is eligible.
+    vehicles are eligible (`limit` may be None, and `qualified` None, where
+    the rule fired in no segment). Returns each segment's flat position of
+    the pick, or `rating.size` where no vehicle is eligible.
     """
-    if np.count_nonzero(limit):
+    if limit is not None and np.count_nonzero(limit):
         eligible = eligible & (qualified | ~limit[seg.segment])
     top = np.maximum.reduceat(np.where(eligible, rating, -np.inf), seg.starts)
     hit = eligible & (rating == top[seg.segment])
@@ -402,6 +404,19 @@ class FleetState:
     `score_default`, then the stopping score computed from the mobility
     model and `lam1`.
 
+    A run counts the active vehicles of each stepped cluster once, on its
+    first slot, from the `active` flags. A vehicle never becomes active
+    again, and after that first slot only `deactivate` may clear a flag: it
+    clears the flags and updates the counts, so they stay equal to a fresh
+    `np.bincount` of the clusters weighted by `active`. The simulator calls
+    it for the vehicles that cannot pay a slot stepped alone (no vehicle
+    stops inside a block). `run_controller` and other callers that leave
+    `active` alone need nothing more.
+
+    `heads` holds the head of each stepped cluster in cluster order, from
+    the run's first slot on (None before it); head changes update it in
+    place.
+
     `fixed_keeps` tells whether the last `evaluate_slot` kept every head by
     the run's fixed verdict: no head was dead or critical, none was
     indicated for a change and no score schedule is set. Until the fleet
@@ -420,6 +435,7 @@ class FleetState:
 
     def __post_init__(self):
         self._run: _RunConstants | None = None
+        self.heads: np.ndarray | None = None
         self.fixed_keeps = False
 
     def _index(self) -> None:
@@ -433,18 +449,20 @@ class FleetState:
         # A cluster without a head never gains one, so only clusters with
         # a head are stepped; each one's head is its lowest-id flagged member.
         stepped = [k for k, m in enumerate(members) if a.head[m].any()]
-        self._stepped = keys[stepped]
+        self._stepped = keys[stepped].tolist()
         members = [members[k] for k in stepped]
-        self._heads = np.array([m[a.head[m]][0] for m in members], dtype=np.intp)
+        self.heads = np.array([m[a.head[m]][0] for m in members], dtype=np.intp)
         # The stepped clusters' members as one flat array in (cluster, id)
-        # order, one segment per cluster, for the head selection.
+        # order, one segment per cluster, for the head selection. Where it
+        # holds every vehicle in array order, a slice gathers it as a view.
         self._flat = np.concatenate(members) if stepped else np.empty(0, np.intp)
+        self._gather = self._flat
+        if np.array_equal(self._flat, np.arange(order.size)):
+            self._gather = slice(None)
         # Only the head keeps its flag, so `_apply_change` moves one flag.
         a.head[self._flat] = False
-        a.head[self._heads] = True
+        a.head[self.heads] = True
         self._segments = _Segments.of_lengths([m.size for m in members])
-        self._flat_position = np.full(order.size, -1, dtype=np.intp)
-        self._flat_position[self._flat] = self._segments.position
         self._flat_qualified = None
         if self.required_tx_limit is not None:
             self._flat_qualified = _qualified(a.tx_limit[self._flat], a.radio_range[self._flat],
@@ -453,10 +471,27 @@ class FleetState:
         # extra position.
         self._cluster_of = np.full(order.size, len(stepped), dtype=np.intp)
         self._cluster_of[self._flat] = self._segments.segment
+        self._active_count = np.bincount(self._cluster_of[a.active], minlength=len(stepped) + 1)
         self._class_of = _head_classes(a.tx_limit, self.required_tx_limit)
-        # The verdict table, kept while the observed score stays the same.
+        # Each vehicle's verdict as a head, kept while the observed score
+        # stays the same.
         self._verdict_score = None
-        self._verdict = None
+
+    def _set_verdicts(self, observed: float, run: _RunConstants) -> None:
+        """Each vehicle's rule code and change flag as a head under the
+        observed score, from the verdict table of its head class."""
+        rule, change = _verdict_table(observed, run.threshold, run.pre_decay)
+        self._rule_of, self._change_of = rule[self._class_of], change[self._class_of]
+        self._limit_fires = np.count_nonzero(self._rule_of == _LIMIT_CODE) > 0
+        self._verdict_score = observed
+
+    def deactivate(self, vehicles: np.ndarray) -> None:
+        """Clear the `active` flags of the vehicles at `vehicles` (positions
+        in the arrays, each active) and drop them from the active counts."""
+        self.vehicles.active[vehicles] = False
+        if self._run is not None:
+            self._active_count -= np.bincount(self._cluster_of[vehicles],
+                                              minlength=self._active_count.size)
 
     def _run_constants(self, cfg: ControllerConfig) -> _RunConstants:
         """The cluster index and the per-run values of the cascade, computed
@@ -483,16 +518,16 @@ class FleetState:
         self._run = _RunConstants(cfg, threshold, score, pre, estimate)
         return self._run
 
-    def _select_heads(self, run: _RunConstants, limit: np.ndarray) -> np.ndarray:
+    def _select_heads(self, run: _RunConstants, ok: np.ndarray,
+                      limit: np.ndarray | None) -> np.ndarray:
         """Per stepped cluster: the flat position of its new head among its
-        active, non-critical members other than the head, by `_select`, or
-        `_flat.size` when there is none. Members are rated in slots of decay
-        when the run's estimate is positive; `limit` marks the clusters where
-        the Lemma2-limit rule fired."""
-        a, flat = self.vehicles, self._flat
-        eligible = (a.active & ~a.critical)[flat]
-        eligible[self._flat_position[self._heads]] = False
-        rating = a.residual[flat]
+        members flagged in `ok` (active and not critical) other than the
+        head, by `_select`, or `_flat.size` when there is none. `ok` is
+        overwritten. Members are rated in slots of decay when the run's
+        estimate is positive; `limit` marks the clusters where the
+        Lemma2-limit rule fired."""
+        ok[self.heads] = False  # a head is not its own candidate
+        eligible, rating = ok[self._gather], self.vehicles.residual[self._gather]
         if run.slot_decay_estimate > 0:
             rating = rating / run.slot_decay_estimate
         return _select(rating, eligible, self._segments, limit, self._flat_qualified)
@@ -506,61 +541,57 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     candidate is skipped. A dead or critical head is replaced ahead of the
     cascade when any non-critical candidate exists (energy-driven handover).
     The keep-or-change test is one array pass over the heads, its verdict
-    gathered from the verdict table by each head's class; only when some
-    cluster is indicated for a change are new heads selected.
+    gathered from each vehicle's verdict as a head; only when some cluster
+    is indicated for a change are new heads selected.
     """
     run = fleet._run_constants(cfg)
     a = fleet.vehicles
-    t = slot_index * cfg.slot
     observed = run.score
     if fleet.score_schedule and slot_index in fleet.score_schedule:
         observed = fleet.score_schedule[slot_index]
-
-    heads = fleet._heads
-    n_active = np.bincount(fleet._cluster_of, weights=a.active, minlength=heads.size + 1)
-    head_active = a.active[heads]
-    live = n_active[: heads.size] > head_active  # the head has an active candidate
-    steady = head_active & ~a.critical[heads]  # neither dead nor critical
     if observed != fleet._verdict_score:
-        fleet._verdict = _verdict_table(observed, run.threshold, run.pre_decay)
-        fleet._verdict_score = observed
-    rule_of, change_of = fleet._verdict
-    head_class = fleet._class_of[heads]
-    rule, change = rule_of[head_class], change_of[head_class]
+        fleet._set_verdicts(observed, run)
+
+    # On flags, x > y is "x and not y".
+    heads = fleet.heads
+    ok = a.active > a.critical
+    steady = ok[heads]  # neither dead nor critical
+    live = fleet._active_count[:-1] > a.active[heads]  # the head has an active candidate
+    rule = fleet._rule_of[heads]
     # Dead or critical heads need a new head whatever the test says.
-    indicated = live & (~steady | change)
+    indicated = live > (steady > fleet._change_of[heads])
     some = np.count_nonzero(indicated) > 0
     fleet.fixed_keeps = not some and not fleet.score_schedule
+    old = a.id[heads].tolist()
     if not some:
-        rows, picked, new = live, np.zeros(heads.size, dtype=bool), heads[:0]
+        rows, change, new = live, [False] * heads.size, old
     else:
         # The Lemma2-limit verdict always indicates a change.
-        fired = steady & (rule == _LIMIT_CODE)
-        picks = fleet._select_heads(run, fired)
+        fired = steady & (rule == _LIMIT_CODE) if fleet._limit_fires else None
+        picks = fleet._select_heads(run, ok, fired)
         picked = indicated & (picks < fleet._flat.size)
-        new = fleet._flat[picks[picked]]
         # No eligible (under the Lemma2-limit rule, qualified) member: the
         # head stays. A handover with no one to take over writes no row.
         rows = live & (steady | picked)
         if np.count_nonzero(steady) < steady.size:
             rule = np.where(steady, rule, _PRE_DECAY_CODE)
-    new_heads = heads.copy()
-    new_heads[picked] = new
-    columns = fleet._stepped, rule, picked, a.id[heads], a.id[new_heads]
+        change = picked.tolist()
+        for k, vehicle in zip(picked.nonzero()[0].tolist(), fleet._flat[picks[picked]].tolist()):
+            _apply_change(fleet, k, vehicle)
+        new = a.id[heads].tolist()
+    columns = fleet._stepped, rule.tolist(), change, old, new
     if np.count_nonzero(rows) < rows.size:
-        columns = [column[rows] for column in columns]
-    trace = SlotTrace(slot_index, max(t - cfg.slot, 0.0), *[c.tolist() for c in columns])
-    for k, vehicle in zip(picked.nonzero()[0].tolist(), new.tolist()):
-        _apply_change(fleet, k, vehicle)
-    return trace
+        keep = rows.tolist()
+        columns = [list(compress(column, keep)) for column in columns]
+    return SlotTrace(slot_index, max(slot_index * cfg.slot - cfg.slot, 0.0), *columns)
 
 
 def _apply_change(fleet: FleetState, k: int, new: int) -> None:
     """Move stepped cluster `k`'s head flag to vehicle `new`."""
     head = fleet.vehicles.head
-    head[fleet._heads[k]] = False
+    head[fleet.heads[k]] = False
     head[new] = True
-    fleet._heads[k] = new
+    fleet.heads[k] = new
 
 
 def run_controller(fleet: FleetState, cfg: ControllerConfig) -> list[TraceRow]:

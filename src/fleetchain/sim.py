@@ -35,6 +35,15 @@ transaction count and the fleet residual add the vehicles' shares left to
 right, heads before members, in id order, so they round as one addition
 per vehicle would.
 
+A slot stepped alone works in vehicle-sized buffers reused from slot to
+slot: each residual minus its charge, written as one subtraction with the
+heads' charge gathered and scattered over it, and the flags of the
+vehicles that paid. The heads are the controller's, which head changes
+update in place. The controller keeps each cluster's active count and the
+loop hands it the vehicles that stop, so no slot counts the fleet again;
+the join flags are set on slot 1 only. The new heads pay their security
+charge with one fancy-index subtraction.
+
 A run is recorded as columns: one list per `SlotRow` field
 (`SlotColumns`), and for each slot stepped alone the columnar `SlotTrace`
 that `evaluate_slot` returns. A block's slots repeat the trace of the slot
@@ -51,7 +60,7 @@ import io
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 
 import numpy as np
 
@@ -468,11 +477,6 @@ def _init_vehicles(cfg: SimConfig, clustered: bool) -> _SimVehicles:
     )
 
 
-def _fleet_residual(v: _SimVehicles) -> float:
-    """Sum of the residual energies, added left to right in id order."""
-    return float(v.residual.cumsum()[-1])
-
-
 def _payer_sums(n_heads: int, n_members: int, head: tuple, member: tuple) -> list[float]:
     """A slot's (security, transmission, update) sums: the items of
     `n_heads` heads at `head` and then `n_members` members at `member`,
@@ -507,13 +511,20 @@ class _SlotLoop:
     ):
         n = vehicles.id.size
         self.cfg, self.v = cfg, vehicles
-        self.member, self.head_local, self.head_global = member, head_local, head_global
         self.load_rate, self.controller = load_rate, controller
         self.size = max(1, min(cfg.n_slots, BLOCK_CELLS // n))
         # Reused by every block: the residuals before and after each of its
         # slots, and its transaction increments in the order they are added.
         self.residuals = np.empty((self.size + 1, n))
         self.increments = np.empty(self.size * (n + 1) + 1)
+        # Reused by every slot stepped alone: each vehicle's residual minus
+        # its charge, and whether it paid.
+        self.after = np.empty(n)
+        self.paid = np.empty(n, dtype=bool)
+        # The flagged heads; once the controller has indexed the clusters,
+        # its `heads`, which head changes update in place.
+        self.heads = vehicles.head.nonzero()[0]
+        self.n_active = int(np.count_nonzero(vehicles.active))
         self.period = cfg.period_value
         self.critical_level = cfg.critical_fraction * cfg.initial_energy
         self.tx_cum = self.e_cum = 0.0
@@ -523,6 +534,15 @@ class _SlotLoop:
         # A slot's item sums, by its payers, whether it is slot 1 (the join
         # charge) and whether it is an exchange slot.
         self.slot_sums: dict[tuple, list[float]] = {}
+        # By whether the slot is slot 1: the (security, transmission,
+        # update, transactions) of a member, and of a head by whether the
+        # slot is an exchange slot. Every vehicle that pays slot 1 joins and
+        # one that cannot stops, so only slot 1 carries the join charge.
+        self.items = {}
+        for first in (False, True):
+            sec = cfg.app_count * cfg.security_cost + (cfg.security_cost if first else 0.0)
+            self.items[first] = (sec, *member), {False: (sec, *head_local),
+                                                 True: (sec, *head_global)}
 
     def run(self, regime: str) -> RunReport:
         n_slots = self.cfg.n_slots
@@ -542,24 +562,30 @@ class _SlotLoop:
 
     def _single(self, s: int) -> bool:
         """Step slot s alone; return whether a block may follow it."""
-        v, cfg = self.v, self.cfg
-        [(security, transmission, update)], txs = self._charge_one(s)
+        v = self.v
+        (security, transmission, update), tx = self._charge_one(s)
         changes, steady = 0, True
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
             fleet, ctrl = self.controller
             trace = evaluate_slot(fleet, ctrl, s)
             self.trace_runs.append((trace, s, s))
-            new_heads = [new for new, change in zip(trace.new, trace.change) if change]
-            changes = len(new_heads)
-            cost, residual = cfg.security_cost, v.residual
-            for new in new_heads:
-                # A new head pays one security charge when it can fund it.
-                if residual[new] >= cost:
-                    residual[new] -= cost
+            self.heads = fleet.heads
+            new = list(compress(trace.new, trace.change))
+            changes = len(new)
+            if new:
+                # A new head pays one security charge when it can fund it;
+                # the slot's sum adds one charge per payer.
+                cost = self.cfg.security_cost
+                new = np.array(new)
+                new = new[v.residual[new] >= cost]
+                v.residual[new] -= cost
+                for _ in range(new.size):
                     security += cost
             steady = fleet.fixed_keeps
-        self._record([(security, transmission, update)], txs, [changes], [_fleet_residual(v)])
+        # The fleet residual adds the residuals left to right in id order.
+        residual = np.add.accumulate(v.residual, out=self.after)[-1]
+        self._record_one(security, transmission, update, tx, changes, float(residual))
         return steady
 
     def _block(self, s: int, k: int) -> int:
@@ -583,28 +609,43 @@ class _SlotLoop:
         self._record(sums, txs, [0] * k, fleet_residual)
         return k
 
-    def _charge_one(self, s: int) -> tuple[list, list[float]]:
+    def _charge_one(self, s: int) -> tuple[list[float], float]:
         """Charge slot s alone: every active vehicle that can pay does and
         the rest stop. Return its (security, transmission, update) sums and
-        its `transactions_cum`, each in a list of one."""
-        v = self.v
+        its `transactions_cum`.
+
+        The `after` buffer gets every vehicle's residual minus its charge,
+        a head's charge in place of a member's; an inactive vehicle's entry
+        is masked out by `paid`. Only on a slot where some vehicle stops are
+        the `active` flags written, through the controller when there is
+        one, which keeps each cluster's active count."""
+        v, heads = self.v, self.heads
         if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
-            return [(0.0, 0.0, 0.0)], [self.tx_cum]
-        heads, exchange, transfers, member, head_costs = self._costs(s, 1)
+            return [0.0, 0.0, 0.0], self.tx_cum
+        exchange, transfers, member, head_costs = self._costs(s, 1, heads.size)
         head = head_costs[exchange[0]]
-        charge = np.where(v.active, (member[0] + member[1]) + member[2], 0.0)
-        charge[heads] = (head[0] + head[1]) + head[2]
-        after = np.subtract(v.residual, charge, out=charge)
+        after = np.subtract(v.residual, (member[0] + member[1]) + member[2], out=self.after)
+        if heads.size:
+            after[heads] = v.residual[heads] - ((head[0] + head[1]) + head[2])
         # A residual minus a charge is >= 0 exactly when it covers the charge.
-        paid = v.active & (after >= 0.0)
+        paid = np.greater_equal(after, 0.0, out=self.paid)
+        paid &= v.active
+        payers = int(np.count_nonzero(paid))
+        if payers < self.n_active:
+            stopped = (v.active > paid).nonzero()[0]
+            if self.controller is None:
+                v.active[stopped] = False
+            else:
+                self.controller[0].deactivate(stopped)
+            self.n_active = payers
         np.copyto(v.residual, after, where=paid)
-        v.active[:] = paid
-        v.joined |= paid
-        n_heads = int(np.count_nonzero(paid[heads]))
+        if s == 1:  # every vehicle that pays slot 1 joins, and only those pay later
+            v.joined |= paid
+        n_heads = int(np.count_nonzero(paid[heads])) if heads.size else 0
         if n_heads < heads.size:
             _, transfers = self._exchanges(s, 1, n_heads)
-        return self._tally(s, 1, int(np.count_nonzero(paid)), n_heads, exchange, transfers,
-                           member, head_costs)
+        sums, txs = self._tally(s, 1, payers, n_heads, exchange, transfers, member, head_costs)
+        return sums[0], txs[0]
 
     def _charge(self, s: int, k: int) -> tuple[list, list[float]]:
         """Charge the slots from s as one block; return each one's
@@ -620,7 +661,8 @@ class _SlotLoop:
         if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
             work[1:] = work[0]
             return [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
-        heads, exchange, transfers, member, head_costs = self._costs(s, k)
+        heads = self.heads[v.active[self.heads]]
+        exchange, transfers, member, head_costs = self._costs(s, k, heads.size)
         work[1:] = np.where(v.active, (member[0] + member[1]) + member[2], 0.0)
         if heads.size:
             charge = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
@@ -636,25 +678,21 @@ class _SlotLoop:
         return self._tally(s, k, int(np.count_nonzero(v.active)), heads.size, exchange, transfers,
                            member, head_costs)
 
-    def _costs(self, s: int, k: int) -> tuple:
-        """What slots s .. s + k - 1 charge: the active heads, whether each
-        slot is an exchange slot and the transfers it counts, and the
+    def _costs(self, s: int, k: int, heads: int) -> tuple:
+        """What slots s .. s + k - 1 charge with `heads` heads paying: whether
+        each slot is an exchange slot and the transfers it counts, and the
         (security, transmission, update, transactions) of a member and of a
         head on a slot with and without an exchange."""
-        v, cfg = self.v, self.cfg
-        # Every vehicle that pays slot 1 joins and one that cannot stops, so
-        # only slot 1 carries the join charge.
-        sec = cfg.app_count * cfg.security_cost + (cfg.security_cost if s == 1 else 0.0)
-        heads = (v.active & v.head).nonzero()[0]
-        exchange, transfers = self._exchanges(s, k, heads.size)
-        head_costs = {ex: (sec, *(self.head_global if ex else self.head_local)) for ex in exchange}
-        return heads, exchange, transfers, (sec, *self.member), head_costs
+        return (*self._exchanges(s, k, heads), *self.items[s == 1])
 
     def _tally(self, s, k, payers, n_heads, exchange, transfers, member, head_costs):
         """The sums and `transactions_cum` of k slots from s that `payers`
         vehicles paid, `n_heads` heads first. Each slot's sums and the
         running transaction count add the payers' items left to right,
-        heads before members, in id order."""
+        heads before members, in id order. The increments go into the
+        reused `increments` buffer: one slot (k = 1) fills it as one row of
+        slices, a block as a k-row grid. A slot's sums are computed once
+        per (payer counts, slot 1, exchange) and kept in `slot_sums`."""
         if self.load_rate is not None:
             self.emitted_prev += sum(transfers[:k])
         # The transaction count runs on from slot to slot: one flat sequence
@@ -663,20 +701,26 @@ class _SlotLoop:
         width = payers + 1
         flat = self.increments[: k * width + 1]
         flat[0] = self.tx_cum
-        grid = flat[1:].reshape(k, width)
-        if n_heads:
-            grid[:, :n_heads] = np.array([head_costs[ex][3] for ex in exchange[:k]])[:, None]
-        grid[:, n_heads:-1] = member[3]
-        grid[:, -1] = transfers[:k]
-        txs = flat.cumsum(out=flat)[width::width].tolist()
+        if k == 1:
+            flat[1 : n_heads + 1] = head_costs[exchange[0]][3]
+            flat[n_heads + 1 : width] = member[3]
+            flat[width] = transfers[0]
+        else:
+            grid = flat[1:].reshape(k, width)
+            if n_heads:
+                grid[:, :n_heads] = np.array([head_costs[ex][3] for ex in exchange[:k]])[:, None]
+            grid[:, n_heads:-1] = member[3]
+            grid[:, -1] = transfers[:k]
+        txs = np.add.accumulate(flat, out=flat)[width::width].tolist()
         self.tx_cum = txs[-1]
-        sums = {}
-        for ex, head in head_costs.items():
+        sums = []
+        for ex in exchange[:k]:
             key = (n_heads, payers, s == 1, ex)
             if key not in self.slot_sums:
-                self.slot_sums[key] = _payer_sums(n_heads, payers - n_heads, head[:3], member[:3])
-            sums[ex] = self.slot_sums[key]
-        return [sums[ex] for ex in exchange[:k]], txs
+                self.slot_sums[key] = _payer_sums(n_heads, payers - n_heads, head_costs[ex][:3],
+                                                  member[:3])
+            sums.append(self.slot_sums[key])
+        return sums, txs
 
     def _slots_before_event(self, after: np.ndarray, heads: np.ndarray) -> int:
         """The block's slots before the first one after which a residual
@@ -707,6 +751,18 @@ class _SlotLoop:
             exchange.append(emitted > 0)
             transfers.append(counted)
         return exchange, transfers
+
+    def _record_one(self, security, transmission, update, tx, changes, fleet_residual) -> None:
+        """Append one slot's columns."""
+        c = self.slots
+        self.e_cum += security + transmission + update
+        c.energy_cum.append(self.e_cum)
+        c.security_j.append(security)
+        c.transmission_j.append(transmission)
+        c.update_j.append(update)
+        c.transactions_cum.append(tx)
+        c.ch_changes.append(changes)
+        c.fleet_residual.append(fleet_residual)
 
     def _record(self, sums, txs, changes, fleet_residual) -> None:
         """Append the next slots' columns: each one's (security,

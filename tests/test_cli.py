@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,3 +240,24 @@ def test_integer_sweep_values_are_labelled_in_full(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.glob("comparison_*")) == [
         "comparison_s_seed=123456789.csv", "comparison_s_seed=123456790.csv"]
+
+
+def test_summary_totals_are_the_comparison_cells(tmp_path, capsys):
+    # `:g` wrote the lam 5 baseline count 1225000 as 1.225e+06 and every
+    # energy total to six digits.
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(REFERENCE), "--out", str(out)]) == 0
+    summary = (out / "summary_reference.txt").read_text()
+    assert capsys.readouterr().out.startswith(summary)
+    totals = {}
+    for label, metric, base, clus in re.findall(
+            r"^\[(\S+)\] (transactions|energy): baseline=(\S+)(?: J)? clustered=(\S+)",
+            summary, flags=re.MULTILINE):
+        totals[label, metric] = (base, clus)
+    assert totals["lam=5", "transactions"] == ("1225000", "22700")
+    for label in ("lam=2", "lam=3", "lam=4", "lam=5"):
+        with open(out / f"comparison_reference_{label}.csv") as f:
+            rows = list(csv.DictReader(f))
+        last = {r["regime"]: r for r in rows}
+        for metric, column in (("transactions", "transactions_cum"), ("energy", "energy_cum_J")):
+            assert totals[label, metric] == (last["baseline"][column], last["clustered"][column])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -390,3 +391,20 @@ def test_a_cluster_with_two_head_flags_keeps_one_after_a_change():
     rows = run_controller(dip_fleet(vehicles), cfg)
     assert [(r.slot, r.old_ch, r.new_ch) for r in rows if r.action == ACTION_CHANGE] == [(3, 0, 1)]
     assert [v.role for v in vehicles] == ["member", "ch", "member", "member"]
+
+
+def test_deactivated_vehicles_leave_the_active_counts():
+    # Cluster 0 is head 0 with members 1 and 2; cluster 1 is head 3 with
+    # member 4. Every head is kept, while it has an active candidate.
+    spec = [(0, 0, "ch"), (1, 0, "member"), (2, 0, "member"), (3, 1, "ch"), (4, 1, "member")]
+    cfg = ControllerConfig(slot=1.0, horizon=5.0, expected_score=1.0)
+    arrays = VehicleArrays.of(handover_fleet(spec))
+    f = FleetState(vehicles=arrays, mobility=mobility(), connectivity=ConnectivityParams(),
+                   score_default=5.0)
+    f.deactivate(np.array([2]))  # before the first slot: the counts are taken on it
+    assert [row.cluster for row in evaluate_slot(f, cfg, 1)] == [0, 1]
+    f.deactivate(np.array([1]))
+    assert [row.cluster for row in evaluate_slot(f, cfg, 2)] == [1]
+    f.deactivate(np.array([4]))
+    assert list(evaluate_slot(f, cfg, 3)) == []
+    assert arrays.active.tolist() == [True, False, False, True, False]

@@ -1,10 +1,12 @@
 """Invariants of the array-backed slot loop over random small configs, the
 work the controller does on runs where no head or every head changes, the
 slots the event-blocked loop steps alone, the rows a run builds only when
-read, and the slot counts of a run and of an exchange period."""
+read, the slot counts of a run and of an exchange period, and the active
+counts the controller keeps while vehicles stop."""
 
 import fleetchain.controller
 import fleetchain.sim
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,3 +215,39 @@ def test_exchange_period_in_whole_slots(stay_time, slot, period):
     # 2.1 / 0.7 is 3.0000000000000004 in floating point: still 3 slots.
     cfg = SimConfig(stay_time=stay_time, slot=slot, horizon=20.0)
     assert cfg.period_value == period
+
+
+
+def run_checking_counts(monkeypatch, cfg: SimConfig):
+    """`run_clustered(cfg)`, checking around every slot stepped alone that
+    the active counts the controller keeps equal a fresh count of the
+    `active` flags."""
+    evaluate_slot = fleetchain.sim.evaluate_slot
+
+    def check(fleet):
+        fresh = np.bincount(fleet._cluster_of, weights=fleet.vehicles.active,
+                            minlength=fleet._active_count.size)
+        assert fleet._active_count.tolist() == fresh.tolist()
+
+    def checking(fleet, ctrl, slot_index):
+        if slot_index > 1:  # the counts are taken on slot 1
+            check(fleet)
+        trace = evaluate_slot(fleet, ctrl, slot_index)
+        check(fleet)
+        return trace
+
+    monkeypatch.setattr(fleetchain.sim, "evaluate_slot", checking)
+    return run_clustered(cfg)
+
+
+@pytest.mark.parametrize("name", ["churn-drain", "full-drain", "head-critical"])
+def test_active_counts_follow_the_vehicles_that_stop(monkeypatch, name):
+    report = run_checking_counts(monkeypatch, SimConfig(**CONFIGS[name]))
+    assert not all(v.active for v in report.vehicles)
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs.filter(lambda cfg: cfg.lam > 0 and cfg.initial_energy <= 1e6))
+def test_active_counts_follow_draining_runs(cfg):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        run_checking_counts(monkeypatch, cfg)
