@@ -35,6 +35,22 @@ transaction count and the fleet residual add the vehicles' shares left to
 right, heads before members, in id order, so they round as one addition
 per vehicle would.
 
+Where that order cannot matter, the loop does not keep it. Each run tests
+once, from the amounts it adds and subtracts, whether its energies and its
+transaction counts stay on an exact grid (`_on_grid`): every amount is a
+multiple of one power of two g, and no partial sum can reach 2**53 * g.
+For energy the amounts are the initial energy, the security charge and
+each role's slot charge (with and without the join charge and the
+exchange), and the reach is vehicles x (initial energy + slots x largest
+charge). For transactions they are the per-payer increments and the whole
+transfers, and the reach is slots x vehicles x largest increment plus the
+transfers (vehicles**2 a slot, or the load model's count at the last slot).
+On the grid every sum is exact, so every order gives the same bits: a
+block's residuals are its first residuals minus the charges paid so far, in
+one broadcast subtraction (a cumulative sum for the heads), the fleet
+residual is a plain sum, and the transaction count adds each slot's total.
+Off the grid the sequential sums run.
+
 A slot stepped alone works in vehicle-sized buffers reused from slot to
 slot: each residual minus its charge, written as one subtraction with the
 heads' charge gathered and scattered over it, and the flags of the
@@ -477,6 +493,23 @@ def _init_vehicles(cfg: SimConfig, clustered: bool) -> _SimVehicles:
     )
 
 
+def _on_grid(amounts: Iterable[float], reach: float) -> bool:
+    """Whether every sum of `amounts` is exact: each amount is a multiple of
+    one power of two g, and `reach`, the largest magnitude a partial sum can
+    take, is below 2**53 * g. Sums on the grid give the same bits in any
+    order. A non-finite amount is off the grid, and so is a negative one,
+    -0.0 included: added left to right, -0.0s sum to -0.0, but numpy's sum
+    starts from 0.0."""
+    grid = math.inf
+    for x in amounts:
+        if not math.isfinite(x) or math.copysign(1.0, x) < 0:
+            return False
+        if x:
+            num, den = x.as_integer_ratio()
+            grid = min(grid, (num & -num) / den)
+    return reach < 2.0**53 * grid
+
+
 def _payer_sums(n_heads: int, n_members: int, head: tuple, member: tuple) -> list[float]:
     """A slot's (security, transmission, update) sums: the items of
     `n_heads` heads at `head` and then `n_members` members at `member`,
@@ -543,6 +576,29 @@ class _SlotLoop:
             sec = cfg.app_count * cfg.security_cost + (cfg.security_cost if first else 0.0)
             self.items[first] = (sec, *member), {False: (sec, *head_local),
                                                  True: (sec, *head_global)}
+        # Whether the residuals and the transaction count stay on an exact
+        # grid (`_on_grid`) for the whole run; then their sums are taken in
+        # any order. Every term of a reach is on the grid, so its float value
+        # is exact below 2**53 * g and at least that above it.
+        n_slots = cfg.n_slots
+        costs = [c for m, h in self.items.values() for c in (m, *h.values())]
+        charges = [(c[0] + c[1]) + c[2] for c in costs]
+        most = max(charges + [cfg.security_cost])
+        self.exact_energy = _on_grid(
+            [cfg.initial_energy, cfg.security_cost, *charges],
+            n * (cfg.initial_energy + n_slots * most))
+        # The transfers are whole numbers: at most vehicles**2 a slot, or
+        # the load model's cumulative count at the last slot.
+        if load_rate is None:
+            transfers = n_slots * n * n
+        else:
+            last = n_slots * cfg.slot
+            transfers = load_rate * last * last / 2.0
+            transfers = math.ceil(transfers) if math.isfinite(transfers) else math.inf
+        increments = [c[3] for c in costs]
+        self.exact_tx = _on_grid([1.0, *increments], n_slots * n * max(increments) + transfers)
+        # Slot j of a block on the grid has paid j member charges.
+        self.steps = np.arange(1.0, self.size + 1)[:, None]
 
     def run(self, regime: str) -> RunReport:
         n_slots = self.cfg.n_slots
@@ -583,8 +639,11 @@ class _SlotLoop:
                 for _ in range(new.size):
                     security += cost
             steady = fleet.fixed_keeps
-        # The fleet residual adds the residuals left to right in id order.
-        residual = np.add.accumulate(v.residual, out=self.after)[-1]
+        # Off the grid the fleet residual adds the residuals left to right.
+        if self.exact_energy:
+            residual = v.residual.sum()
+        else:
+            residual = np.add.accumulate(v.residual, out=self.after)[-1]
         self._record_one(security, transmission, update, tx, changes, float(residual))
         return steady
 
@@ -601,7 +660,10 @@ class _SlotLoop:
         if k == 0:
             return 0
         after = self.residuals[1 : k + 1]
-        fleet_residual = after.cumsum(axis=1, out=after)[:, -1].tolist()
+        if self.exact_energy:
+            fleet_residual = after.sum(axis=1).tolist()
+        else:
+            fleet_residual = after.cumsum(axis=1, out=after)[:, -1].tolist()
         if self.controller is not None:
             np.less(self.v.residual, self.critical_level, out=self.v.critical)
             trace, first, _ = self.trace_runs[-1]
@@ -661,22 +723,35 @@ class _SlotLoop:
         if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
             work[1:] = work[0]
             return [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
+        active = int(np.count_nonzero(v.active))
         heads = self.heads[v.active[self.heads]]
         exchange, transfers, member, head_costs = self._costs(s, k, heads.size)
-        work[1:] = np.where(v.active, (member[0] + member[1]) + member[2], 0.0)
+        charge = (member[0] + member[1]) + member[2]
         if heads.size:
-            charge = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
-            work[1:, heads] = np.array([charge[ex] for ex in exchange])[:, None]
-        if k == 1:  # one subtraction: an accumulate call costs about ten
-            np.subtract(work[0], work[1], out=work[1])
+            charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
+            head_charge = [charges[ex] for ex in exchange]
+        if self.exact_energy:
+            # Each slot's residuals are the first ones minus the charges
+            # paid so far, as the subtractions are exact.
+            np.subtract(work[0], self.steps[:k] * charge, out=work[1:])
+            if active < v.id.size:
+                idle = (~v.active).nonzero()[0]
+                work[1:, idle] = work[0, idle]
+            if heads.size:
+                work[1:, heads] = work[0, heads] - np.cumsum(head_charge)[:, None]
         else:
-            np.subtract.accumulate(work, axis=0, out=work)
+            work[1:] = np.where(v.active, charge, 0.0)
+            if heads.size:
+                work[1:, heads] = np.array(head_charge)[:, None]
+            if k == 1:  # one subtraction: an accumulate call costs about ten
+                np.subtract(work[0], work[1], out=work[1])
+            else:
+                np.subtract.accumulate(work, axis=0, out=work)
         k = self._slots_before_event(work[1:], heads)
         if k == 0:
             return [], []
         v.residual[:] = work[k]
-        return self._tally(s, k, int(np.count_nonzero(v.active)), heads.size, exchange, transfers,
-                           member, head_costs)
+        return self._tally(s, k, active, heads.size, exchange, transfers, member, head_costs)
 
     def _costs(self, s: int, k: int, heads: int) -> tuple:
         """What slots s .. s + k - 1 charge with `heads` heads paying: whether
@@ -687,17 +762,36 @@ class _SlotLoop:
 
     def _tally(self, s, k, payers, n_heads, exchange, transfers, member, head_costs):
         """The sums and `transactions_cum` of k slots from s that `payers`
-        vehicles paid, `n_heads` heads first. Each slot's sums and the
-        running transaction count add the payers' items left to right,
-        heads before members, in id order. The increments go into the
-        reused `increments` buffer: one slot (k = 1) fills it as one row of
-        slices, a block as a k-row grid. A slot's sums are computed once
-        per (payer counts, slot 1, exchange) and kept in `slot_sums`."""
+        vehicles paid, `n_heads` heads first. Each slot's sums add the
+        payers' items left to right, heads before members, in id order,
+        and so does the running transaction count off the exact grid. A
+        slot's sums are computed once per (payer counts, slot 1, exchange)
+        and kept in `slot_sums`."""
         if self.load_rate is not None:
             self.emitted_prev += sum(transfers[:k])
-        # The transaction count runs on from slot to slot: one flat sequence
-        # of every slot's increments, each slot's payers and then its
-        # global transfers.
+        if self.exact_tx:
+            # Exact sums: each slot adds its payers' and transfers' total.
+            members = payers - n_heads
+            txs = list(accumulate(
+                [n_heads * head_costs[ex][3] + members * member[3] + t
+                 for ex, t in zip(exchange[:k], transfers)], initial=self.tx_cum))[1:]
+        else:
+            txs = self._tx_chain(k, payers, n_heads, exchange, transfers, member, head_costs)
+        self.tx_cum = txs[-1]
+        sums = []
+        for ex in exchange[:k]:
+            key = (n_heads, payers, s == 1, ex)
+            if key not in self.slot_sums:
+                self.slot_sums[key] = _payer_sums(n_heads, payers - n_heads, head_costs[ex][:3],
+                                                  member[:3])
+            sums.append(self.slot_sums[key])
+        return sums, txs
+
+    def _tx_chain(self, k, payers, n_heads, exchange, transfers, member, head_costs):
+        """The `transactions_cum` of k slots as one sequential chain: every
+        slot's increments, its payers' and then its global transfers, in the
+        reused `increments` buffer. One slot (k = 1) fills it as one row of
+        slices, a block as a k-row grid."""
         width = payers + 1
         flat = self.increments[: k * width + 1]
         flat[0] = self.tx_cum
@@ -711,16 +805,7 @@ class _SlotLoop:
                 grid[:, :n_heads] = np.array([head_costs[ex][3] for ex in exchange[:k]])[:, None]
             grid[:, n_heads:-1] = member[3]
             grid[:, -1] = transfers[:k]
-        txs = np.add.accumulate(flat, out=flat)[width::width].tolist()
-        self.tx_cum = txs[-1]
-        sums = []
-        for ex in exchange[:k]:
-            key = (n_heads, payers, s == 1, ex)
-            if key not in self.slot_sums:
-                self.slot_sums[key] = _payer_sums(n_heads, payers - n_heads, head_costs[ex][:3],
-                                                  member[:3])
-            sums.append(self.slot_sums[key])
-        return sums, txs
+        return np.add.accumulate(flat, out=flat)[width::width].tolist()
 
     def _slots_before_event(self, after: np.ndarray, heads: np.ndarray) -> int:
         """The block's slots before the first one after which a residual

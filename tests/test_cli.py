@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import subprocess
@@ -261,3 +262,20 @@ def test_summary_totals_are_the_comparison_cells(tmp_path, capsys):
         last = {r["regime"]: r for r in rows}
         for metric, column in (("transactions", "transactions_cum"), ("energy", "energy_cum_J")):
             assert totals[label, metric] == (last["baseline"][column], last["clustered"][column])
+
+
+@pytest.mark.parametrize("params, digest", [
+    ({"energy_per_request": 1e307, "hops": 10},
+     "dd104ca16c305f5021e8e3c238bf47393a1b0c8aa0345c1c76464ad52c34d729"),
+    ({"energy_per_record": 1e308},
+     "f23a5860f287d3cfc72612aa3b0b3720c014366bf2463f877ab85cf0ddcfaa0c"),
+    ({"security_cost": 1e308},
+     "f23a5860f287d3cfc72612aa3b0b3720c014366bf2463f877ab85cf0ddcfaa0c"),
+])
+def test_non_finite_charges_run_to_completion(tmp_path, params, digest):
+    # Each config's slot charges overflow to inf, so the exact grid does
+    # not hold. The digests are those of the sequential slot loop.
+    path = write_scenario(tmp_path, {"name": "x", "params": params})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "comparison_x.csv").read_bytes()).hexdigest() == digest

@@ -1,8 +1,11 @@
 """Invariants of the array-backed slot loop over random small configs, the
 work the controller does on runs where no head or every head changes, the
 slots the event-blocked loop steps alone, the rows a run builds only when
-read, the slot counts of a run and of an exchange period, and the active
-counts the controller keeps while vehicles stop."""
+read, the slot counts of a run and of an exchange period, the active
+counts the controller keeps while vehicles stop, and the exact-grid rule
+that lets the loop take its sums in any order."""
+
+import math
 
 import fleetchain.controller
 import fleetchain.sim
@@ -22,6 +25,7 @@ from fleetchain.controller import (
 )
 from fleetchain.sim import (
     SimConfig,
+    _on_grid,
     comparison_csv,
     paired_comparison,
     run_baseline,
@@ -251,3 +255,29 @@ def test_active_counts_follow_the_vehicles_that_stop(monkeypatch, name):
 def test_active_counts_follow_draining_runs(cfg):
     with pytest.MonkeyPatch.context() as monkeypatch:
         run_checking_counts(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("amounts, reach, on", [
+    ([0.0, 0.0], 0.0, True),  # zero amounts set no grid
+    ([0.0, 1.0], 2.0**53 - 1, True),
+    ([5e-324], 2.0**-1021 - 5e-324, True),  # g is 2**-1074
+    ([5e-324], 2.0**-1021, False),
+    ([0.1], 1.0, False),  # g is 2**-55: exact only below 0.25
+    ([0.5, 3.0], 2.0**52, False),  # a reach of exactly 2**53 * g
+    ([0.5, 3.0], 2.0**52 - 0.5, True),  # one grid step below it
+    ([1e308], 1e308, True),  # 2**53 * g is past the float range
+    ([math.inf], 0.0, False),
+    ([math.nan], 0.0, False),
+    ([1.0], math.inf, False),
+    ([-0.0], 0.0, False),
+])
+def test_exact_grid_at_its_edges(amounts, reach, on):
+    assert _on_grid(amounts, reach) is on
+
+
+def test_negative_zero_energies_sum_left_to_right():
+    # Left to right, residuals of -0.0 sum to -0.0; numpy's sum gives 0.0.
+    cfg = SimConfig(cluster_count=2, vehicles_per_cluster=4, lam=0.0, horizon=5.0,
+                    initial_energy=-0.0)
+    for run in (run_baseline, run_clustered):
+        assert repr(run(cfg).slots.fleet_residual) == repr([-0.0] * 5)
