@@ -28,12 +28,10 @@ join one block while every active vehicle can pay its charge, no head falls
 below the critical level, and that slot kept every head by the fixed
 verdict (no head changed and no new head was selected). The first slot that
 breaks a condition ends the block and runs alone; so does slot 1, which
-carries the join charge. Exchange slots stay inside a block. A block
-charges up to `BLOCK_CELLS // vehicles` slots as one set of 2-D arrays,
-reused from block to block. Each slot's itemised sums, the running
-transaction count and the fleet residual add the vehicles' shares left to
-right, heads before members, in id order, so they round as one addition
-per vehicle would.
+carries the join charge. Exchange slots stay inside a block. Each slot's
+itemised sums, the running transaction count and the fleet residual add
+the vehicles' shares left to right, heads before members, in id order, so
+they round as one addition per vehicle would.
 
 Where that order cannot matter, the loop does not keep it. Each run tests
 once, from the amounts it adds and subtracts, whether its energies and its
@@ -45,11 +43,18 @@ exchange), and the reach is vehicles x (initial energy + slots x largest
 charge). For transactions they are the per-payer increments and the whole
 transfers, and the reach is slots x vehicles x largest increment plus the
 transfers (vehicles**2 a slot, or the load model's count at the last slot).
-On the grid every sum is exact, so every order gives the same bits: a
-block's residuals are its first residuals minus the charges paid so far, in
-one broadcast subtraction (a cumulative sum for the heads), the fleet
-residual is a plain sum, and the transaction count adds each slot's total.
-Off the grid the sequential sums run.
+On the grid every sum is exact, so every order gives the same bits, and a
+block is stepped in closed form, in O(vehicles + slots x heads): members
+pay alike, so the poorest one is the first that cannot pay; each head's
+residuals are its first one minus the running sum of its charges; each
+slot's fleet residual is the first total minus the charges paid so far;
+and at the end members lose the block's charges in one subtraction. The
+transaction count adds each slot's total. On both grids a block charges
+up to `BLOCK_CELLS // (heads + 1)` slots (1 560 for 20 clusters), so it
+mostly runs from a slot stepped alone to the next event. Off either grid
+it charges up to `BLOCK_CELLS // vehicles` slots in buffers reused from
+block to block, and off the energy grid its residuals are one 2-D array
+of sequential subtractions whose rows are summed left to right.
 
 A slot stepped alone works in vehicle-sized buffers reused from slot to
 slot: each residual minus its charge, written as one subtraction with the
@@ -76,7 +81,7 @@ import io
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -118,9 +123,10 @@ MAX_VEHICLES = 100_000
 MAX_SLOTS = 100_000
 MAX_VEHICLE_SLOTS = 10_000_000
 
-# Vehicle-slots charged as one set of arrays: a stretch of slots between
-# events is charged in blocks of BLOCK_CELLS // vehicles slots. A block's
-# float arrays then take 256 KiB each, which stays in cache.
+# Cells of a block's widest array: off the exact grid a stretch of slots
+# between events is charged in blocks of BLOCK_CELLS // vehicles slots, on
+# it in blocks of BLOCK_CELLS // (heads + 1). A block's float arrays then
+# take 256 KiB at most, which stays in cache.
 BLOCK_CELLS = 2**15
 
 RUN_CSV_COLUMNS = ("t", "regime", "transactions_cum", "energy_cum_J", "ch_changes", "offloads")
@@ -545,11 +551,6 @@ class _SlotLoop:
         n = vehicles.id.size
         self.cfg, self.v = cfg, vehicles
         self.load_rate, self.controller = load_rate, controller
-        self.size = max(1, min(cfg.n_slots, BLOCK_CELLS // n))
-        # Reused by every block: the residuals before and after each of its
-        # slots, and its transaction increments in the order they are added.
-        self.residuals = np.empty((self.size + 1, n))
-        self.increments = np.empty(self.size * (n + 1) + 1)
         # Reused by every slot stepped alone: each vehicle's residual minus
         # its charge, and whether it paid.
         self.after = np.empty(n)
@@ -597,8 +598,20 @@ class _SlotLoop:
             transfers = math.ceil(transfers) if math.isfinite(transfers) else math.inf
         increments = [c[3] for c in costs]
         self.exact_tx = _on_grid([1.0, *increments], n_slots * n * max(increments) + transfers)
-        # Slot j of a block on the grid has paid j member charges.
-        self.steps = np.arange(1.0, self.size + 1)[:, None]
+        # A block's widest array holds BLOCK_CELLS cells at most. On both
+        # grids it is the heads' residuals plus one column per slot; off
+        # either, it is a buffer of every vehicle per slot, reused from
+        # block to block: the residuals before and after each slot off the
+        # energy grid, the transaction increments in the order they are
+        # added off the transaction grid.
+        width = self.heads.size + 1 if self.exact_energy and self.exact_tx else n
+        self.size = max(1, min(n_slots, BLOCK_CELLS // width))
+        if not self.exact_energy:
+            self.residuals = np.empty((self.size + 1, n))
+        if not self.exact_tx:
+            self.increments = np.empty(self.size * (n + 1) + 1)
+        # Slot j of a block has paid j member charges.
+        self.steps = np.arange(1.0, self.size + 1)
 
     def run(self, regime: str) -> RunReport:
         n_slots = self.cfg.n_slots
@@ -655,15 +668,16 @@ class _SlotLoop:
         of the slot before it. Residuals only fall, so the critical flags
         set from the residuals at its end are those its last slot would
         have marked."""
-        sums, txs = self._charge(s, k)
+        if self.cfg.lam <= 0:  # no vehicle pays: the residuals stay as the last slot left them
+            sums, txs = [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
+            fleet_residual = self.slots.fleet_residual[-1:] * k
+        elif self.exact_energy:
+            sums, txs, fleet_residual = self._charge_on_grid(s, k)
+        else:
+            sums, txs, fleet_residual = self._charge(s, k)
         k = len(txs)
         if k == 0:
             return 0
-        after = self.residuals[1 : k + 1]
-        if self.exact_energy:
-            fleet_residual = after.sum(axis=1).tolist()
-        else:
-            fleet_residual = after.cumsum(axis=1, out=after)[:, -1].tolist()
         if self.controller is not None:
             np.less(self.v.residual, self.critical_level, out=self.v.critical)
             trace, first, _ = self.trace_runs[-1]
@@ -709,49 +723,78 @@ class _SlotLoop:
         sums, txs = self._tally(s, 1, payers, n_heads, exchange, transfers, member, head_costs)
         return sums[0], txs[0]
 
-    def _charge(self, s: int, k: int) -> tuple[list, list[float]]:
-        """Charge the slots from s as one block; return each one's
-        (security, transmission, update) sums and its `transactions_cum`.
+    def _charge(self, s: int, k: int) -> tuple[list, list[float], list[float]]:
+        """Charge the slots from s as one block off the energy grid; return
+        each one's (security, transmission, update) sums, `transactions_cum`
+        and fleet residual.
 
         Every active vehicle pays on each of up to k slots; the block ends
         before the first slot where one cannot pay or, with a controller, a
-        head falls below the critical level.
+        head falls below the critical level. The residuals of every vehicle
+        and slot are one (k + 1) x vehicles array of sequential
+        subtractions, and each fleet residual is its row's sum left to
+        right.
         """
         v = self.v
         work = self.residuals[: k + 1]
         work[0] = v.residual
-        if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
-            work[1:] = work[0]
-            return [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
-        active = int(np.count_nonzero(v.active))
+        heads = self.heads[v.active[self.heads]]
+        exchange, transfers, member, head_costs = self._costs(s, k, heads.size)
+        work[1:] = np.where(v.active, (member[0] + member[1]) + member[2], 0.0)
+        if heads.size:
+            charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
+            work[1:, heads] = np.array([charges[ex] for ex in exchange])[:, None]
+        if k == 1:  # one subtraction: an accumulate call costs about ten
+            np.subtract(work[0], work[1], out=work[1])
+        else:
+            np.subtract.accumulate(work, axis=0, out=work)
+        k = self._slots_before_event(work[1:], heads[self._watched(heads)])
+        if k == 0:
+            return [], [], []
+        v.residual[:] = work[k]
+        after = work[1 : k + 1]
+        fleet_residual = after.cumsum(axis=1, out=after)[:, -1].tolist()
+        sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
+                                head_costs)
+        return sums, txs, fleet_residual
+
+    def _charge_on_grid(self, s: int, k: int) -> tuple[list, list[float], list[float]]:
+        """`_charge` on the exact energy grid, in O(vehicles + k x heads).
+
+        Every subtraction and sum is exact, so each member's residual after
+        slot j is its first one minus j charges, each head's its first one
+        minus the running sum of its charges, and the fleet residual the
+        first total minus what was paid so far. Members pay alike, so the
+        one with the least residual is the first that cannot pay; the block
+        ends as `_charge`'s would.
+        """
+        v = self.v
         heads = self.heads[v.active[self.heads]]
         exchange, transfers, member, head_costs = self._costs(s, k, heads.size)
         charge = (member[0] + member[1]) + member[2]
-        if heads.size:
-            charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
-            head_charge = [charges[ex] for ex in exchange]
-        if self.exact_energy:
-            # Each slot's residuals are the first ones minus the charges
-            # paid so far, as the subtractions are exact.
-            np.subtract(work[0], self.steps[:k] * charge, out=work[1:])
-            if active < v.id.size:
-                idle = (~v.active).nonzero()[0]
-                work[1:, idle] = work[0, idle]
-            if heads.size:
-                work[1:, heads] = work[0, heads] - np.cumsum(head_charge)[:, None]
-        else:
-            work[1:] = np.where(v.active, charge, 0.0)
-            if heads.size:
-                work[1:, heads] = np.array(head_charge)[:, None]
-            if k == 1:  # one subtraction: an accumulate call costs about ten
-                np.subtract(work[0], work[1], out=work[1])
-            else:
-                np.subtract.accumulate(work, axis=0, out=work)
-        k = self._slots_before_event(work[1:], heads)
+        charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
+        paid = np.cumsum([charges[ex] for ex in exchange])
+        steps = self.steps[:k]
+        # The residuals after each slot: the poorest member's in column 0,
+        # then each head's.
+        rest = self.after
+        rest.fill(np.inf)
+        np.copyto(rest, v.residual, where=v.active)
+        rest[self.heads] = np.inf
+        after = np.empty((k, heads.size + 1))
+        after[:, 0] = rest.min() - steps * charge
+        after[:, 1:] = v.residual[heads] - paid[:, None]
+        k = self._slots_before_event(after, self._watched(heads).nonzero()[0] + 1)
         if k == 0:
-            return [], []
-        v.residual[:] = work[k]
-        return self._tally(s, k, active, heads.size, exchange, transfers, member, head_costs)
+            return [], [], []
+        members = self.n_active - heads.size
+        fleet_residual = (v.residual.sum() - steps[:k] * (charge * members)
+                          - heads.size * paid[:k]).tolist()
+        np.subtract(v.residual, k * charge, out=v.residual, where=v.active)
+        v.residual[heads] = after[k - 1, 1:]
+        sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
+                                head_costs)
+        return sums, txs, fleet_residual
 
     def _costs(self, s: int, k: int, heads: int) -> tuple:
         """What slots s .. s + k - 1 charge with `heads` heads paying: whether
@@ -807,13 +850,18 @@ class _SlotLoop:
             grid[:, -1] = transfers[:k]
         return np.add.accumulate(flat, out=flat)[width::width].tolist()
 
-    def _slots_before_event(self, after: np.ndarray, heads: np.ndarray) -> int:
+    def _watched(self, heads: np.ndarray) -> np.ndarray:
+        """Which of the paying `heads` a block watches for the critical
+        level: those not yet critical, and none without a controller."""
+        if self.controller is None:
+            return np.zeros(heads.size, dtype=bool)
+        return ~self.v.critical[heads]
+
+    def _slots_before_event(self, after: np.ndarray, watch: np.ndarray) -> int:
         """The block's slots before the first one after which a residual
-        is negative (its vehicle could not pay) or, with a controller, a
-        head that was not critical is under the critical level."""
+        in `after` (one row per slot) is negative, its vehicle could not
+        pay, or one in a `watch` column is under the critical level."""
         level = self.critical_level
-        # Heads to watch: none without a controller.
-        watch = heads[~self.v.critical[heads]] if self.controller is not None else heads[:0]
         # Residuals only fall: no event by the last slot means none at all.
         if after[-1].min() >= 0.0 and not (after[-1, watch] < level).any():
             return len(after)
@@ -1009,12 +1057,6 @@ def _cells(values: Iterable[float]) -> list[str]:
     return [str(int(x)) if x.is_integer() and abs(x) < 1e16 else repr(x) for x in values]
 
 
-def _slot_cells(regime: str, slots: SlotColumns, extra: Iterable) -> Iterable[tuple]:
-    """The `RUN_CSV_COLUMNS` cells of every slot of a run, then `extra`."""
-    return zip(_cells(slots.t), repeat(regime), _cells(slots.transactions_cum),
-               _cells(slots.energy_cum), slots.ch_changes, slots.ch_changes, *extra)
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """`header` and `rows` as CSV text."""
     buf = io.StringIO()
@@ -1025,12 +1067,23 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def comparison_csv(comp: Comparison) -> str:
+    """The paired run as CSV text: a header, each baseline slot, then each
+    clustered slot with the percentage reductions at it. The bytes are
+    those `csv_text` writes; no cell needs quoting. Both runs share the
+    slot times, so the `t` cells are formatted once."""
     base, clus = comp.baseline.slots, comp.clustered.slots
-    reductions = [
+    t = _cells(base.t)
+    tx_red, energy_red = (
         _cells([_reduction_pct(b, c) for b, c in zip(base_col, clus_col)])
         for base_col, clus_col in ((base.transactions_cum, clus.transactions_cum),
                                    (base.energy_cum, clus.energy_cum))
-    ]
-    rows = chain(_slot_cells(comp.baseline.regime, base, (repeat(""), repeat(""))),
-                 _slot_cells(comp.clustered.regime, clus, reductions))
-    return csv_text(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS, rows)
+    )
+    rows = [",".join(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS) + "\r\n"]
+    regime = comp.baseline.regime
+    rows += [f"{a},{regime},{tx},{e},{c},{c},,\r\n" for a, tx, e, c in zip(
+        t, _cells(base.transactions_cum), _cells(base.energy_cum), base.ch_changes)]
+    regime = comp.clustered.regime
+    rows += [f"{a},{regime},{tx},{e},{c},{c},{r},{q}\r\n" for a, tx, e, c, r, q in zip(
+        t, _cells(clus.transactions_cum), _cells(clus.energy_cum), clus.ch_changes, tx_red,
+        energy_red)]
+    return "".join(rows)

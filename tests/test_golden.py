@@ -63,10 +63,18 @@ CONFIGS = {
     # fall inside blocks while the running sums round.
     "lam-0.1-keep": dict(cluster_count=3, vehicles_per_cluster=4, lam=0.1, horizon=40.0,
                          global_exchange_period=3, expected_score=0.0, seed=3),
-    # 2000 vehicles: the cell budget splits each run into blocks of 16
-    # slots; baseline vehicles run dry inside the fourth.
+    # 2000 vehicles: off the exact grid (below) the cell budget splits each
+    # run into blocks of 16 slots, and baseline vehicles run dry inside the
+    # fourth; on it a block runs to that event.
     "large-fleet": dict(cluster_count=8, vehicles_per_cluster=250, lam=2.0, horizon=60.0,
                         global_exchange_period=7, initial_energy=1e8, seed=4),
+    # The same fleet off the exact energy grid (0.1 J is no multiple of a
+    # power of two): its blocks keep the cell budget and the sequential sums.
+    # Its digests were taken from the blocked loop; `spec_run` of
+    # test_slot_loop_spec.py gives the same columns, trace and vehicles.
+    "large-fleet-off-grid": dict(cluster_count=8, vehicles_per_cluster=250, lam=2.0,
+                                 horizon=60.0, global_exchange_period=7, initial_energy=1e8,
+                                 security_cost=0.1, seed=4),
 }
 
 GOLDEN = {
@@ -99,6 +107,11 @@ GOLDEN = {
         "28ce4c7b4d82c30b4e2347e36f2ecf278c865923ee60f5856406f3650a92d90b",
         "383ef80695b8756c66e370dc5b5cf0ed04b2fc25cee15ce0a754b1b3b8117702",
         "3f361ada0ae1c32978cdfaee351a0d7e7a213e53bb28a2024c788ded58da753f",
+    ),
+    "large-fleet-off-grid": (
+        "86972de262f75e6b3f5dfdf8dd1e7cfe810b1ebb18c30567b66fbb6aeed7955e",
+        "383ef80695b8756c66e370dc5b5cf0ed04b2fc25cee15ce0a754b1b3b8117702",
+        "7c97f886cc72393a897f6d9401fb2258678a586bbcc597dab0d2829f50888d86",
     ),
     "limit-keep": (
         "86c096acfa832cc86197e8f335f292198f298a827e5747190e17f239803e26ad",

@@ -1,14 +1,21 @@
 import math
 from dataclasses import replace
+from itertools import repeat
 
 import pytest
+from test_golden import CONFIGS
 
 from fleetchain.analytics import transaction_count
 from fleetchain.sim import (
+    COMPARISON_EXTRA_COLUMNS,
+    RUN_CSV_COLUMNS,
     SimConfig,
+    _cells,
+    _reduction_pct,
     baseline_assumptions,
     compare_reports,
     comparison_csv,
+    csv_text,
     paired_comparison,
     run_baseline,
     run_clustered,
@@ -216,6 +223,38 @@ def test_comparison_csv_layout():
     assert len(lines) == 1 + 2 * 3
     assert lines[1].split(",")[1] == "baseline"
     assert lines[4].split(",")[1] == "clustered"
+
+
+# Charges that overflow to inf: no vehicle can pay them.
+NON_FINITE = {"request-1e307": {"energy_per_request": 1e307, "hops": 10},
+              "record-1e308": {"energy_per_record": 1e308},
+              "security-1e308": {"security_cost": 1e308}}
+
+
+@pytest.mark.parametrize("name", [*sorted(CONFIGS), *NON_FINITE, "set-cells"])
+def test_comparison_csv_is_what_csv_writer_writes(name):
+    if name == "set-cells":
+        # Cells that no run writes: inf, nan, -0.0 and large and small floats.
+        comp = paired_comparison(small_cfg(horizon=4.0))
+        comp.baseline.slots.transactions_cum[:] = [math.inf, 1e16, 0.0, -0.0]
+        comp.baseline.slots.energy_cum[:] = [math.inf, 5e-324, 2.5, 1e300]
+        comp.clustered.slots.transactions_cum[:] = [math.inf, math.nan, -1e16, 3.0]
+    else:
+        comp = paired_comparison(SimConfig(**CONFIGS.get(name, NON_FINITE.get(name))))
+    base, clus = comp.baseline.slots, comp.clustered.slots
+    reductions = [_cells([_reduction_pct(b, c) for b, c in zip(base_col, clus_col)])
+                  for base_col, clus_col in ((base.transactions_cum, clus.transactions_cum),
+                                             (base.energy_cum, clus.energy_cum))]
+    rows = []
+    for report, extra in ((comp.baseline, (repeat(""), repeat(""))),
+                          (comp.clustered, reductions)):
+        c = report.slots
+        rows += zip(_cells(c.t), repeat(report.regime), _cells(c.transactions_cum),
+                    _cells(c.energy_cum), c.ch_changes, c.ch_changes, *extra)
+    text = comparison_csv(comp)
+    assert text == csv_text(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS, rows)
+    if name == "set-cells":
+        assert "inf" in text and "nan" in text and "e-324" in text
 
 
 def test_conservation_factor_series():

@@ -194,6 +194,49 @@ def test_events_are_stepped_alone(monkeypatch, name, slots):
     assert evaluated_slots(monkeypatch, cfg) == slots
 
 
+def block_calls(monkeypatch) -> list[tuple[int, int, int]]:
+    """Filled, as runs go, with the (first slot, slots asked, slots
+    stepped) of every `_SlotLoop._block` call."""
+    calls = []
+    block = fleetchain.sim._SlotLoop._block
+
+    def counting(loop, s, k):
+        ran = block(loop, s, k)
+        calls.append((s, k, ran))
+        return ran
+
+    monkeypatch.setattr(fleetchain.sim._SlotLoop, "_block", counting)
+    return calls
+
+
+def test_steady_grid_run_is_one_block_after_slot_one(monkeypatch):
+    # The fleet-steady shape is on the exact grid: each regime steps slot 1
+    # alone and the other 199 slots as one block, not in blocks of
+    # BLOCK_CELLS // vehicles slots.
+    blocks = block_calls(monkeypatch)
+    cfg = SimConfig(cluster_count=20, vehicles_per_cluster=50, lam=2.0, horizon=200.0,
+                    global_exchange_period=10)
+    assert fleetchain.sim.BLOCK_CELLS // cfg.n_vehicles < 199
+    assert evaluated_slots(monkeypatch, cfg) == [1]
+    assert blocks == [(2, 199, 199)] * 2
+
+
+@pytest.mark.parametrize("name, slots", [
+    ("member-dry", [1, 28, 30]),
+    ("head-critical", [1, 25, 26, 48, 49, 52]),
+])
+def test_late_events_on_the_grid_are_stepped_alone(monkeypatch, name, slots):
+    # 1000 vehicles per cluster: the cell budget is 10 slots, and every
+    # event falls past it, inside one block on the exact grid. The slots
+    # stepped alone are those of the 5-vehicle clusters.
+    blocks = block_calls(monkeypatch)
+    cfg = SimConfig(**{**CONFIGS[name], "vehicles_per_cluster": 1000})
+    size = fleetchain.sim.BLOCK_CELLS // cfg.n_vehicles
+    assert size < slots[1] - 2
+    assert evaluated_slots(monkeypatch, cfg) == slots
+    assert (2, cfg.n_slots - 1, slots[1] - 2) in blocks
+
+
 @pytest.mark.parametrize(
     "horizon, slot, n", [(14.0, 4.0, 3), (10.0, 4.0, 2), (0.3, 0.1, 3), (100.0, 1.0, 100)]
 )

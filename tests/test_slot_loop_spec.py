@@ -194,8 +194,9 @@ def spec_run(cfg: SimConfig, clustered: bool):
                         new.residual -= cfg.security_cost
                         security += cfg.security_cost
         e_cum += security + transmission + update
-        residual = 0.0
-        for v in vehicles:
+        # Left to right from the first residual: residuals of -0.0 sum to -0.0.
+        residual = vehicles[0].residual
+        for v in vehicles[1:]:
             residual += v.residual
         for name, value in (("t", t), ("transactions_cum", tx_cum), ("energy_cum", e_cum),
                             ("ch_changes", changes), ("security_j", security),
@@ -256,6 +257,9 @@ def configs(draw) -> SimConfig:
 # vehicles rounds, and a sum in another order gives other bits.
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=4, lam=2.0, horizon=30.0,
                    global_exchange_period=4, security_cost=6.25, initial_energy=2.0**51))
+# At lam 0 no vehicle pays, so every fleet residual is a sum of -0.0s.
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=4, lam=0.0, horizon=5.0,
+                   initial_energy=-0.0))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)
