@@ -14,7 +14,6 @@ vehicles = [
     VehicleState(
         id=i,
         cluster=0,
-        position=300.0,
         residual_energy=1000.0 - 10.0 * i,  # vehicle 1 has the best rating among members
         stay_time=10.0,
         radio_range=300.0,

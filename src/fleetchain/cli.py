@@ -15,7 +15,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .analytics import energy_decay, transaction_count
-from .scenario import ConfigError, Scenario, expand, load_scenario, make_config
+from .scenario import ConfigError, Scenario, expand, load_scenario
 from .sim import Comparison, _cells, comparison_csv, csv_text, paired_comparison
 
 EXIT_OK = 0
@@ -147,12 +147,17 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     cons_path = out_dir / f"fig_conservation_{name}.csv"
     summary_path = out_dir / f"summary_{name}.txt"
     _check_names([*comparisons, tx_path, cons_path, summary_path])
-    # An infeasible operation rate is a config error, found before any write.
+    # An infeasible operation rate, or a transaction count that can pass the
+    # float range, is a config error, found before any write.
     for label, cfg in points:
         try:
             energy_decay(cfg.decay_params())
         except ValueError as exc:
             raise ConfigError(f"point {label or 'single'}: {exc}") from exc
+        if not math.isfinite(cfg.lam * cfg.slot * cfg.n_vehicles**2 * cfg.n_slots):
+            raise ConfigError(
+                f"point {label or 'single'}: lam x slot x vehicles**2 x slots must be finite"
+            )
     results: list[tuple[str, Comparison]] = []
     for (label, cfg), path in zip(points, comparisons):
         comp = paired_comparison(cfg)
@@ -226,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="paired baseline/clustered runs")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", help="default: the scenario's output, else results")
-    p_sim.add_argument("--seed", type=int)
 
     p_val = sub.add_parser("validate", help="run the numerical oracle suite")
     p_val.add_argument("--tolerance", type=float, default=1e-9)
@@ -250,8 +254,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return cmd_validate(args.tolerance, args.grid, args.seed)
         scenario = load_scenario(args.config)
-        if args.command == "simulate" and args.seed is not None:
-            scenario = replace(scenario, config=make_config({"seed": args.seed}, scenario.config))
         out_dir = _prepare_out(args.out or scenario.output or "results")
         if args.command == "analytics":
             return cmd_analytics(scenario, out_dir)

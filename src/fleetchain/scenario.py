@@ -52,7 +52,7 @@ class Scenario:
 
 def make_config(params: dict, base: SimConfig | None = None) -> SimConfig:
     """`base` (default `SimConfig()`) with `params` set. Every config built
-    from a scenario file or a command-line flag is built here."""
+    from a scenario file is built here."""
     unknown = set(params) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")

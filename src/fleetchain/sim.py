@@ -1,4 +1,4 @@
-"""Discrete-time, seeded fleet simulation under two ledger regimes.
+"""Discrete-time, deterministic fleet simulation under two ledger regimes.
 
 Baseline regime (broadcast): every active vehicle issues `lam` ledger
 updates per slot, each counted once per (sender, receiver) pair across the
@@ -29,32 +29,32 @@ below the critical level, and that slot kept every head by the fixed
 verdict (no head changed and no new head was selected). The first slot that
 breaks a condition ends the block and runs alone; so does slot 1, which
 carries the join charge. Exchange slots stay inside a block. Each slot's
-itemised sums, the running transaction count and the fleet residual add
-the vehicles' shares left to right, heads before members, in id order, so
-they round as one addition per vehicle would.
+itemised sums and the running transaction count add the vehicles' shares
+left to right, heads before members, in id order, so they round as one
+addition per vehicle would.
 
 Where that order cannot matter, the loop does not keep it. Each run tests
-once, from the amounts it adds and subtracts, whether its energies and its
-transaction counts stay on an exact grid (`_on_grid`): every amount is a
-multiple of one power of two g, and no partial sum can reach 2**53 * g.
-For energy the amounts are the initial energy, the security charge and
-each role's slot charge (with and without the join charge and the
-exchange), and the reach is vehicles x (initial energy + slots x largest
-charge). For transactions they are the per-payer increments and the whole
-transfers, and the reach is slots x vehicles x largest increment plus the
-transfers (vehicles**2 a slot, or the load model's count at the last slot).
-On the grid every sum is exact, so every order gives the same bits, and a
-block is stepped in closed form, in O(vehicles + slots x heads): members
-pay alike, so the poorest one is the first that cannot pay; each head's
-residuals are its first one minus the running sum of its charges; each
-slot's fleet residual is the first total minus the charges paid so far;
-and at the end members lose the block's charges in one subtraction. The
-transaction count adds each slot's total. On both grids a block charges
-up to `BLOCK_CELLS // (heads + 1)` slots (1 560 for 20 clusters), so it
-mostly runs from a slot stepped alone to the next event. Off either grid
-it charges up to `BLOCK_CELLS // vehicles` slots in buffers reused from
-block to block, and off the energy grid its residuals are one 2-D array
-of sequential subtractions whose rows are summed left to right.
+once, from the amounts it adds and subtracts, whether its residuals and
+its transaction counts stay on an exact grid (`_on_grid`): every amount
+is a multiple of one power of two g, and no partial sum can reach
+2**53 * g. For energy the amounts are the initial energy, the security
+charge and each role's slot charge (with and without the join charge and
+the exchange), and the reach is initial energy + slots x largest charge:
+a residual is one vehicle's, never a sum over vehicles. For transactions
+they are the per-payer increments and the whole transfers, and the reach
+is slots x vehicles x largest increment plus the transfers (vehicles**2 a
+slot, or the load model's count at the last slot). On the grid every sum
+is exact, so every order gives the same bits, and a block is stepped in
+closed form, in O(vehicles + slots x heads): members pay alike, so the
+poorest one is the first that cannot pay; each head's residuals are its
+first one minus the running sum of its charges; and at the end members
+lose the block's charges in one subtraction. The transaction count adds
+each slot's total. On both grids a block charges up to
+`BLOCK_CELLS // (heads + 1)` slots (1 560 for 20 clusters), so it mostly
+runs from a slot stepped alone to the next event. Off either grid it
+charges up to `BLOCK_CELLS // vehicles` slots in buffers reused from block
+to block, and off the energy grid its residuals are one 2-D array of
+sequential subtractions.
 
 A slot stepped alone works in vehicle-sized buffers reused from slot to
 slot: each residual minus its charge, written as one subtraction with the
@@ -137,7 +137,6 @@ COMPARISON_EXTRA_COLUMNS = ("tx_reduction_pct", "energy_conservation_pct")
 class VehicleState:
     id: int
     cluster: int
-    position: float
     residual_energy: float
     stay_time: float
     radio_range: float
@@ -379,7 +378,6 @@ class SlotRow:
     security_j: float
     transmission_j: float
     update_j: float
-    fleet_residual: float
 
 
 @dataclass
@@ -394,7 +392,6 @@ class SlotColumns:
     security_j: list[float] = field(default_factory=list)
     transmission_j: list[float] = field(default_factory=list)
     update_j: list[float] = field(default_factory=list)
-    fleet_residual: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -412,10 +409,10 @@ class RunReport:
         """The per-slot rows, built when read."""
         c = self.slots
         return [
-            SlotRow(t, tx, energy, changes, changes, security, transmission, update, residual)
-            for t, tx, energy, changes, security, transmission, update, residual in zip(
+            SlotRow(t, tx, energy, changes, changes, security, transmission, update)
+            for t, tx, energy, changes, security, transmission, update in zip(
                 c.t, c.transactions_cum, c.energy_cum, c.ch_changes, c.security_j,
-                c.transmission_j, c.update_j, c.fleet_residual)
+                c.transmission_j, c.update_j)
         ]
 
     @property
@@ -452,7 +449,6 @@ class RunReport:
 class _SimVehicles(VehicleArrays):
     """The run's vehicle arrays plus the state only the simulator reads."""
 
-    position: np.ndarray
     joined: np.ndarray
 
     def states(self, cfg: SimConfig) -> list[VehicleState]:
@@ -461,12 +457,11 @@ class _SimVehicles(VehicleArrays):
             cfg.stay_value, cfg.radio_range, cfg.vehicle_tx_limit, cfg.initial_energy
         )
         return [
-            VehicleState(vid, cluster, position, residual, stay, radio_range, role, critical,
-                         active, tx_limit, energy, joined)
-            for vid, cluster, position, residual, role, critical, active, joined in zip(
+            VehicleState(vid, cluster, residual, stay, radio_range, role, critical, active,
+                         tx_limit, energy, joined)
+            for vid, cluster, residual, role, critical, active, joined in zip(
                 self.id.tolist(),
                 self.cluster.tolist(),
-                self.position.tolist(),
                 self.residual.tolist(),
                 roles,
                 self.critical.tolist(),
@@ -479,10 +474,6 @@ class _SimVehicles(VehicleArrays):
 def _init_vehicles(cfg: SimConfig, clustered: bool) -> _SimVehicles:
     """Vehicle `id` is its index; clustered runs start with each cluster's
     lowest id as head."""
-    rng = np.random.default_rng(cfg.seed)
-    positions = np.clip(
-        rng.normal(cfg.mean_range, cfg.range_stddev, cfg.n_vehicles), 0.0, None
-    )
     n = cfg.n_vehicles
     ids = np.arange(n, dtype=np.int64)
     return _SimVehicles(
@@ -494,7 +485,6 @@ def _init_vehicles(cfg: SimConfig, clustered: bool) -> _SimVehicles:
         head=(ids % cfg.vehicles_per_cluster == 0) if clustered else np.zeros(n, dtype=bool),
         critical=np.zeros(n, dtype=bool),
         active=np.ones(n, dtype=bool),
-        position=positions,
         joined=np.zeros(n, dtype=bool),
     )
 
@@ -503,12 +493,10 @@ def _on_grid(amounts: Iterable[float], reach: float) -> bool:
     """Whether every sum of `amounts` is exact: each amount is a multiple of
     one power of two g, and `reach`, the largest magnitude a partial sum can
     take, is below 2**53 * g. Sums on the grid give the same bits in any
-    order. A non-finite amount is off the grid, and so is a negative one,
-    -0.0 included: added left to right, -0.0s sum to -0.0, but numpy's sum
-    starts from 0.0."""
+    order. A non-finite or negative amount is off the grid."""
     grid = math.inf
     for x in amounts:
-        if not math.isfinite(x) or math.copysign(1.0, x) < 0:
+        if not math.isfinite(x) or x < 0:
             return False
         if x:
             num, den = x.as_integer_ratio()
@@ -587,7 +575,7 @@ class _SlotLoop:
         most = max(charges + [cfg.security_cost])
         self.exact_energy = _on_grid(
             [cfg.initial_energy, cfg.security_cost, *charges],
-            n * (cfg.initial_energy + n_slots * most))
+            cfg.initial_energy + n_slots * most)
         # The transfers are whole numbers: at most vehicles**2 a slot, or
         # the load model's cumulative count at the last slot.
         if load_rate is None:
@@ -652,12 +640,7 @@ class _SlotLoop:
                 for _ in range(new.size):
                     security += cost
             steady = fleet.fixed_keeps
-        # Off the grid the fleet residual adds the residuals left to right.
-        if self.exact_energy:
-            residual = v.residual.sum()
-        else:
-            residual = np.add.accumulate(v.residual, out=self.after)[-1]
-        self._record_one(security, transmission, update, tx, changes, float(residual))
+        self._record_one(security, transmission, update, tx, changes)
         return steady
 
     def _block(self, s: int, k: int) -> int:
@@ -670,11 +653,10 @@ class _SlotLoop:
         have marked."""
         if self.cfg.lam <= 0:  # no vehicle pays: the residuals stay as the last slot left them
             sums, txs = [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
-            fleet_residual = self.slots.fleet_residual[-1:] * k
         elif self.exact_energy:
-            sums, txs, fleet_residual = self._charge_on_grid(s, k)
+            sums, txs = self._charge_on_grid(s, k)
         else:
-            sums, txs, fleet_residual = self._charge(s, k)
+            sums, txs = self._charge(s, k)
         k = len(txs)
         if k == 0:
             return 0
@@ -682,7 +664,7 @@ class _SlotLoop:
             np.less(self.v.residual, self.critical_level, out=self.v.critical)
             trace, first, _ = self.trace_runs[-1]
             self.trace_runs[-1] = (trace, first, s + k - 1)
-        self._record(sums, txs, [0] * k, fleet_residual)
+        self._record(sums, txs, [0] * k)
         return k
 
     def _charge_one(self, s: int) -> tuple[list[float], float]:
@@ -698,7 +680,8 @@ class _SlotLoop:
         v, heads = self.v, self.heads
         if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
             return [0.0, 0.0, 0.0], self.tx_cum
-        exchange, transfers, member, head_costs = self._costs(s, 1, heads.size)
+        exchange, transfers = self._exchanges(s, 1, heads.size)
+        member, head_costs = self.items[s == 1]
         head = head_costs[exchange[0]]
         after = np.subtract(v.residual, (member[0] + member[1]) + member[2], out=self.after)
         if heads.size:
@@ -723,23 +706,23 @@ class _SlotLoop:
         sums, txs = self._tally(s, 1, payers, n_heads, exchange, transfers, member, head_costs)
         return sums[0], txs[0]
 
-    def _charge(self, s: int, k: int) -> tuple[list, list[float], list[float]]:
+    def _charge(self, s: int, k: int) -> tuple[list, list[float]]:
         """Charge the slots from s as one block off the energy grid; return
-        each one's (security, transmission, update) sums, `transactions_cum`
-        and fleet residual.
+        each one's (security, transmission, update) sums and
+        `transactions_cum`.
 
         Every active vehicle pays on each of up to k slots; the block ends
         before the first slot where one cannot pay or, with a controller, a
         head falls below the critical level. The residuals of every vehicle
         and slot are one (k + 1) x vehicles array of sequential
-        subtractions, and each fleet residual is its row's sum left to
-        right.
+        subtractions.
         """
         v = self.v
         work = self.residuals[: k + 1]
         work[0] = v.residual
         heads = self.heads[v.active[self.heads]]
-        exchange, transfers, member, head_costs = self._costs(s, k, heads.size)
+        exchange, transfers = self._exchanges(s, k, heads.size)
+        member, head_costs = self.items[s == 1]
         work[1:] = np.where(v.active, (member[0] + member[1]) + member[2], 0.0)
         if heads.size:
             charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
@@ -750,31 +733,27 @@ class _SlotLoop:
             np.subtract.accumulate(work, axis=0, out=work)
         k = self._slots_before_event(work[1:], heads[self._watched(heads)])
         if k == 0:
-            return [], [], []
+            return [], []
         v.residual[:] = work[k]
-        after = work[1 : k + 1]
-        fleet_residual = after.cumsum(axis=1, out=after)[:, -1].tolist()
-        sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
-                                head_costs)
-        return sums, txs, fleet_residual
+        return self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
+                           head_costs)
 
-    def _charge_on_grid(self, s: int, k: int) -> tuple[list, list[float], list[float]]:
+    def _charge_on_grid(self, s: int, k: int) -> tuple[list, list[float]]:
         """`_charge` on the exact energy grid, in O(vehicles + k x heads).
 
         Every subtraction and sum is exact, so each member's residual after
-        slot j is its first one minus j charges, each head's its first one
-        minus the running sum of its charges, and the fleet residual the
-        first total minus what was paid so far. Members pay alike, so the
+        slot j is its first one minus j charges, and each head's its first
+        one minus the running sum of its charges. Members pay alike, so the
         one with the least residual is the first that cannot pay; the block
         ends as `_charge`'s would.
         """
         v = self.v
         heads = self.heads[v.active[self.heads]]
-        exchange, transfers, member, head_costs = self._costs(s, k, heads.size)
+        exchange, transfers = self._exchanges(s, k, heads.size)
+        member, head_costs = self.items[s == 1]
         charge = (member[0] + member[1]) + member[2]
         charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
         paid = np.cumsum([charges[ex] for ex in exchange])
-        steps = self.steps[:k]
         # The residuals after each slot: the poorest member's in column 0,
         # then each head's.
         rest = self.after
@@ -782,26 +761,15 @@ class _SlotLoop:
         np.copyto(rest, v.residual, where=v.active)
         rest[self.heads] = np.inf
         after = np.empty((k, heads.size + 1))
-        after[:, 0] = rest.min() - steps * charge
+        after[:, 0] = rest.min() - self.steps[:k] * charge
         after[:, 1:] = v.residual[heads] - paid[:, None]
         k = self._slots_before_event(after, self._watched(heads).nonzero()[0] + 1)
         if k == 0:
-            return [], [], []
-        members = self.n_active - heads.size
-        fleet_residual = (v.residual.sum() - steps[:k] * (charge * members)
-                          - heads.size * paid[:k]).tolist()
+            return [], []
         np.subtract(v.residual, k * charge, out=v.residual, where=v.active)
         v.residual[heads] = after[k - 1, 1:]
-        sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
-                                head_costs)
-        return sums, txs, fleet_residual
-
-    def _costs(self, s: int, k: int, heads: int) -> tuple:
-        """What slots s .. s + k - 1 charge with `heads` heads paying: whether
-        each slot is an exchange slot and the transfers it counts, and the
-        (security, transmission, update, transactions) of a member and of a
-        head on a slot with and without an exchange."""
-        return (*self._exchanges(s, k, heads), *self.items[s == 1])
+        return self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
+                           head_costs)
 
     def _tally(self, s, k, payers, n_heads, exchange, transfers, member, head_costs):
         """The sums and `transactions_cum` of k slots from s that `payers`
@@ -885,7 +853,7 @@ class _SlotLoop:
             transfers.append(counted)
         return exchange, transfers
 
-    def _record_one(self, security, transmission, update, tx, changes, fleet_residual) -> None:
+    def _record_one(self, security, transmission, update, tx, changes) -> None:
         """Append one slot's columns."""
         c = self.slots
         self.e_cum += security + transmission + update
@@ -895,12 +863,10 @@ class _SlotLoop:
         c.update_j.append(update)
         c.transactions_cum.append(tx)
         c.ch_changes.append(changes)
-        c.fleet_residual.append(fleet_residual)
 
-    def _record(self, sums, txs, changes, fleet_residual) -> None:
+    def _record(self, sums, txs, changes) -> None:
         """Append the next slots' columns: each one's (security,
-        transmission, update) sums, `transactions_cum`, head changes and
-        fleet residual."""
+        transmission, update) sums, `transactions_cum` and head changes."""
         c = self.slots
         energy = list(accumulate([a + b + d for a, b, d in sums], initial=self.e_cum))
         self.e_cum = energy[-1]
@@ -909,7 +875,6 @@ class _SlotLoop:
             column += values
         c.transactions_cum += txs
         c.ch_changes += changes
-        c.fleet_residual += fleet_residual
 
 
 def run_baseline(cfg: SimConfig) -> RunReport:
@@ -1034,7 +999,7 @@ def baseline_assumptions(cfg: SimConfig) -> tuple[str, ...]:
 
 
 def paired_comparison(cfg: SimConfig) -> Comparison:
-    """Run both regimes with identical seed/parameters and compare."""
+    """Run both regimes with identical parameters and compare."""
     base = run_baseline(cfg)
     clus = run_clustered(cfg)
     tx_red, energy_red = compare_reports(base, clus)

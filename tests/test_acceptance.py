@@ -171,30 +171,38 @@ def test_criterion_5_simulation_determinism(tmp_path):
 
 
 def test_criterion_6_energy_bookkeeping():
-    """Fleet energy decrement equals itemised components, every slot."""
-    worst = 0.0
+    """Each slot's energy increment equals its itemised components, and the
+    fleet's initial energy less its final residuals equals the energy total."""
+    worst_slot = worst_run = 0.0
     scenarios = []
     for _, cfg in expand(REFERENCE):
         scenarios.append(cfg)
     scenarios.append(SimConfig(cluster_count=2, vehicles_per_cluster=3, app_count=2,
                                lam=1.0, hops=4, horizon=20.0, initial_energy=1e7,
                                global_exchange_period=3, seed=11))
-    checked = 0
+    checked = runs = 0
     for cfg in scenarios:
         for runner in (run_baseline, run_clustered):
             report = runner(cfg)
-            prev = cfg.initial_energy * cfg.n_vehicles
+            prev = 0.0
             for row in report.rows:
-                decrement = prev - row.fleet_residual
                 itemised = row.security_j + row.transmission_j + row.update_j
-                rel = abs(decrement - itemised) / max(1.0, abs(itemised))
-                worst = max(worst, rel)
-                prev = row.fleet_residual
+                rel = abs(row.energy_cum - prev - itemised) / max(1.0, row.energy_cum)
+                worst_slot = max(worst_slot, rel)
+                prev = row.energy_cum
                 checked += 1
+            initial = cfg.initial_energy * cfg.n_vehicles
+            residual = 0.0
+            for v in report.vehicles:
+                residual += v.residual_energy
+            rel = abs(initial - residual - report.energy_total) / max(1.0, initial)
+            worst_run = max(worst_run, rel)
+            runs += 1
     _report(
         6,
-        worst <= 1e-9,
-        f"worst itemisation error {worst:.3e} (<=1e-9) over {checked} slots",
+        worst_slot <= 1e-12 and worst_run <= 1e-12,
+        f"worst itemisation error {worst_slot:.3e} over {checked} slots, worst energy "
+        f"balance error {worst_run:.3e} over {runs} runs (<=1e-12)",
     )
 
 
@@ -255,7 +263,6 @@ def _controller_fleet(schedule=None):
         VehicleState(
             id=i,
             cluster=0,
-            position=300.0,
             residual_energy=1000.0 - 10.0 * i,
             stay_time=10.0,
             radio_range=300.0,

@@ -83,16 +83,6 @@ def test_simulate_writes_deterministic_files(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_simulate_seed_flag_changes_nothing_deterministic(tmp_path):
-    # same explicit seed -> same bytes; different seed -> same shape
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    main(["simulate", "--config", str(SMALL), "--out", str(out1), "--seed", "123"])
-    main(["simulate", "--config", str(SMALL), "--out", str(out2), "--seed", "123"])
-    for p in out1.iterdir():
-        assert p.read_bytes() == (out2 / p.name).read_bytes()
-
-
 def test_analytics_monotone_horizon_sweep(tmp_path, capsys):
     assert main(["analytics", "--config", str(SMALL), "--out", str(tmp_path)]) == 0
     csv_path = tmp_path / "analytics_small.csv"

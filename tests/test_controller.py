@@ -242,7 +242,6 @@ def fleet(n=4, schedule=None, default=5.0) -> FleetState:
         VehicleState(
             id=i,
             cluster=0,
-            position=300.0,
             residual_energy=1000.0 - 10.0 * i,
             stay_time=10.0,
             radio_range=300.0,
@@ -314,7 +313,6 @@ def handover_fleet(spec) -> list[VehicleState]:
         VehicleState(
             id=vid,
             cluster=cluster,
-            position=300.0,
             residual_energy=1000.0 - vid,
             stay_time=10.0,
             radio_range=300.0,

@@ -99,7 +99,6 @@ def fleets(draw):
         VehicleState(
             id=vid,
             cluster=draw(st.integers(0, 3)),
-            position=300.0,
             residual_energy=draw(st.sampled_from([120.0, 400.0, 400.0, 750.0])),
             stay_time=20.0,
             radio_range=draw(st.sampled_from([250.0, 300.0, 500.0, 600.0])),

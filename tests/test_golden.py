@@ -81,62 +81,62 @@ GOLDEN = {
     "churn-drain": (
         "f78150230ff5be69c132cb110e725ed9a4d9dbc99ba2d527050c1a0d4ab46803",
         "59ee65d45d7579334e2e9eaa3244c2062922b746f3928348c835d1d7783ab525",
-        "81cbf3145176dc59cb6341ed7376d792bd5f141da0df34e12a3adb0cf9a947c3",
+        "fb86e501d5925348c515a50ee6ace08ba7d6764f54b16bac7a29c2763e376074",
     ),
     "full-drain": (
         "62656ea91e0b985a687d6b8cdaf8411671980881ed6c03796b0464d4cb7dd410",
         "73355b3a2b578aa0dbcd367b20b01265f5586998bf96076485ac367d40d6aa34",
-        "8fddb7f2cb2a40a713d87e60d0c5fcb0e307d1db20e8e5c03fef6247abb65d5a",
+        "de29289fd4cf3853ba091b4e47395b9e8e42cf7a58ada0d09880cc418027477c",
     ),
     "head-critical": (
         "3d82b7e604c1c648127136364cb49be996d281928d7d31022bbfe730f4853fb4",
         "81e3a5d2a3739b31875a9deb42ade021946b88c547d5099ecd3156fa9a7c176c",
-        "4a90002bb05930bf2fa32d57e2110fde12797d69a1529e773151e30490f303e8",
+        "f31e753d00028ba6687549a28e266885669f8c5536027a63c651f081147db8fe",
     ),
     "lam-0.1": (
         "389b5a7d519276125fe5e2af3ec7a7bc8c737dc4d67de19989cb6b51c25f9a59",
         "113f96c0ff28bf61fffaeeb62635b17ce3b4fd431668deb24356fd43c1bea3d6",
-        "1761e7758a7535874a139d7eb4cc951ec12a5874d9b47dcecec2324350d9a93f",
+        "286c5cd252ceaa4af133fe862e59682b5f558e8a6a001ee4f6ab3d2d3d47155a",
     ),
     "lam-0.1-keep": (
         "ff6bf38bdb993cab6555b290d89ed34d92db94f68126f0470f9d45c56ed66e2b",
         "b9adc0a82c50c1752390cc814b97bcd184bf89a6de3cf927cf3c21725957c15a",
-        "8025754ba0cf79383705a7c8fbefc36404c7dec92138896e4ff238541894c7f9",
+        "7181361d8827d1c94817246b8b01cf98e9ddf379149d3b2e37f50020168e3c11",
     ),
     "large-fleet": (
         "28ce4c7b4d82c30b4e2347e36f2ecf278c865923ee60f5856406f3650a92d90b",
         "383ef80695b8756c66e370dc5b5cf0ed04b2fc25cee15ce0a754b1b3b8117702",
-        "3f361ada0ae1c32978cdfaee351a0d7e7a213e53bb28a2024c788ded58da753f",
+        "fca3ba84014193439742efa8757b193336d6715e12e9993a59d08cb11a6c6228",
     ),
     "large-fleet-off-grid": (
         "86972de262f75e6b3f5dfdf8dd1e7cfe810b1ebb18c30567b66fbb6aeed7955e",
         "383ef80695b8756c66e370dc5b5cf0ed04b2fc25cee15ce0a754b1b3b8117702",
-        "7c97f886cc72393a897f6d9401fb2258678a586bbcc597dab0d2829f50888d86",
+        "1550c35e003f87d365ad1f64142ae067704eef29d0807a4cae01cd9fe3270771",
     ),
     "limit-keep": (
         "86c096acfa832cc86197e8f335f292198f298a827e5747190e17f239803e26ad",
         "62eb58f60427dffa30515bf7d40710a2e12f5e5f2105ea91791db59d47bdada9",
-        "2e88d1b9aefdfb6920ca49de12d7c81ac08152e7c1f1102ce993c2c3ab17738c",
+        "df9381a504b40f5b6c3a9faa13e276a3fd63a596871f1751d42cfe658bea22f0",
     ),
     "limit-split": (
         "b8769ad2f9b4abb3f78123049109ea92159c82b675769f2436c26a55023efe37",
         "4ea5697da8cc6f2bcab9625007213670c43a9599758703cf435b7cb1011a75cc",
-        "2039734533adbb2681f887e42b94cb081e74e25a49a26235f182949ab97c1834",
+        "46415d0e3783fe32e7cdf99c73a5b2b3790e4ced153dc306ba1ef8c149b483f2",
     ),
     "load-model": (
         "e3377f82d83208a164852816e6c95459974950606309e6f9edac7abc2d1f866f",
         "00eb0c11241ce8fcf5705713dcc8f34ae5f2e7b72dc6b5359a939bf20cbc9d19",
-        "5c267dd797878ff22f70903d1d85aaf50357b5c06e341795bc4b1c1197ed6c3a",
+        "9e792a34f2a5e7e5310655deb48ce1178a14eee9a56e06603a187602a84bb34f",
     ),
     "member-dry": (
         "a0de5407a43f6aa660b218bf25770c721a6f5927fa9300751d465433531274f4",
         "1707d4d0497e15552953d7e913810ea2117ffed7de5503665a6e9ba3d26c8fbd",
-        "a2b6289a38e0273ecad00b963ecaf415b7490dc79b4f9d203763a20e6319c077",
+        "5e88f30e1351c1f26191578c694fbbb21d837a321b4d8fee493a602a25278b0a",
     ),
     "tie-3x10": (
         "310fc7e32da176df64717cb6faf9aced3fa784505009dba110ea3b44e1287792",
         "0982b0e8b18e4019edf5645d411816269e50e7b4fccfc83713ae7b6cbdb5537e",
-        "31df371e03efb1485dd4abfa46d77eae3f8fd7dc9ba4aa1aca936759e058a292",
+        "e70d435be9ca5fb815398f72315578fb871527e87e91cfd00a42ef0d1fb5385a",
     ),
 }
 
@@ -153,7 +153,7 @@ def digests(cfg: SimConfig) -> tuple[str, str, str]:
         for r in comp.clustered.trace
     )
     vehicles = (
-        f"{report.regime},{v.id},{v.cluster},{v.position!r},{v.residual_energy!r},"
+        f"{report.regime},{v.id},{v.cluster},{v.residual_energy!r},"
         f"{v.stay_time!r},{v.radio_range!r},{v.role},{v.critical!r},{v.active!r},"
         f"{v.tx_limit!r},{v.initial_energy!r},{v.joined!r}"
         for report in (comp.baseline, comp.clustered)
@@ -212,7 +212,6 @@ def object_fleet(seed: int) -> FleetState:
                 VehicleState(
                     id=vid,
                     cluster=cluster,
-                    position=300.0,
                     residual_energy=rng.choice([120.0, 400.0, 400.0, 750.0, 900.0]),
                     stay_time=20.0,
                     radio_range=rng.choice(RANGES[cluster == 3]),

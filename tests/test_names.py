@@ -1,8 +1,14 @@
-"""Names that other code looks up by string must keep resolving."""
+"""Names that other code looks up by string must keep resolving, and the
+benchmark's inputs must stay valid configs and command lines."""
 
 from pathlib import Path
 
+import pytest
+
 import fleetchain
+from fleetchain.cli import build_parser
+from fleetchain.scenario import expand, load_scenario
+from fleetchain.sim import SimConfig
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -29,3 +35,22 @@ def test_tracer_installs_and_restores_every_patched_attribute(monkeypatch):
         tracer.uninstall()
     assert all(getattr(owner, attr) is original
                for (owner, attr), original in zip(targets, originals))
+
+
+@pytest.mark.parametrize("workload", ["fleet-steady", "fleet-churn", "sweep-many",
+                                      "oracle-validate"])
+def test_benchmark_inputs_are_accepted(workload, monkeypatch, tmp_path):
+    # `benchmarks/run.py` builds these inputs; a field or flag they pass that
+    # no longer exists makes every benchmark operation fail.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    inputs = workloads.generate(workload, 1, tmp_path)["inputs"]
+    assert inputs
+    for inp in inputs:
+        if "config" in inp:
+            SimConfig(**inp["config"])
+            continue
+        args = build_parser().parse_args(inp["argv"])
+        if args.command == "simulate":
+            assert expand(load_scenario(args.config))

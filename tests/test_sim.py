@@ -143,19 +143,24 @@ def test_load_model_mode_emission_is_monotone():
 def test_energy_itemisation_balances_every_slot():
     for runner in (run_baseline, run_clustered):
         report = runner(small_cfg(horizon=15.0))
-        prev = report.vehicles[0].initial_energy * len(report.vehicles)
+        prev = 0.0
         for row in report.rows:
-            decrement = prev - row.fleet_residual
             itemised = row.security_j + row.transmission_j + row.update_j
-            assert abs(decrement - itemised) <= 1e-9 * max(1.0, abs(itemised))
-            prev = row.fleet_residual
+            assert abs(row.energy_cum - prev - itemised) <= 1e-12 * max(1.0, row.energy_cum)
+            prev = row.energy_cum
+        initial = report.vehicles[0].initial_energy * len(report.vehicles)
+        residual = 0.0
+        for v in report.vehicles:
+            residual += v.residual_energy
+        assert abs(initial - residual - report.energy_total) <= 1e-12 * max(1.0, initial)
 
 
 def test_residual_energy_never_increases():
+    # The fleet's residual is its initial energy less `energy_cum`.
     report = run_clustered(small_cfg(horizon=20.0))
-    residuals = [r.fleet_residual for r in report.rows]
-    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
-    assert all(v.residual_energy >= 0.0 for v in report.vehicles)
+    energy = [r.energy_cum for r in report.rows]
+    assert all(b >= a for a, b in zip(energy, energy[1:]))
+    assert all(0.0 <= v.residual_energy <= v.initial_energy for v in report.vehicles)
 
 
 def test_vehicles_deactivate_instead_of_going_negative():

@@ -138,8 +138,7 @@ def spec_run(cfg: SimConfig, clustered: bool):
     controller = Controller(cfg) if clustered else None
     level = cfg.critical_fraction * cfg.initial_energy
     columns = {name: [] for name in ("t", "transactions_cum", "energy_cum", "ch_changes",
-                                     "security_j", "transmission_j", "update_j",
-                                     "fleet_residual")}
+                                     "security_j", "transmission_j", "update_j")}
     trace = []
     tx_cum = e_cum = 0.0
     emitted_prev = 0
@@ -194,14 +193,9 @@ def spec_run(cfg: SimConfig, clustered: bool):
                         new.residual -= cfg.security_cost
                         security += cfg.security_cost
         e_cum += security + transmission + update
-        # Left to right from the first residual: residuals of -0.0 sum to -0.0.
-        residual = vehicles[0].residual
-        for v in vehicles[1:]:
-            residual += v.residual
         for name, value in (("t", t), ("transactions_cum", tx_cum), ("energy_cum", e_cum),
                             ("ch_changes", changes), ("security_j", security),
-                            ("transmission_j", transmission), ("update_j", update),
-                            ("fleet_residual", residual)):
+                            ("transmission_j", transmission), ("update_j", update)):
             columns[name].append(value)
     return columns, trace, vehicles
 
@@ -253,11 +247,10 @@ def configs(draw) -> SimConfig:
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=2, app_count=2, lam=1.0, hops=2,
                    horizon=40.0, security_cost=3e3, initial_energy=3e4, critical_fraction=0.0))
 # On the edge of the exact grid: the charges are multiples of 0.25 and
-# 2**53 * 0.25 is the initial energy, so the fleet residual of eight
-# vehicles rounds, and a sum in another order gives other bits.
+# 2**53 * 0.25 is the initial energy, so the run's reach is off the grid.
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=4, lam=2.0, horizon=30.0,
                    global_exchange_period=4, security_cost=6.25, initial_energy=2.0**51))
-# At lam 0 no vehicle pays, so every fleet residual is a sum of -0.0s.
+# At lam 0 no vehicle pays, so every residual stays -0.0.
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=4, lam=0.0, horizon=5.0,
                    initial_energy=-0.0))
 def test_slot_loop_matches_its_specification(cfg):
