@@ -34,27 +34,24 @@ left to right, heads before members, in id order, so they round as one
 addition per vehicle would.
 
 Where that order cannot matter, the loop does not keep it. Each run tests
-once, from the amounts it adds and subtracts, whether its residuals and
-its transaction counts stay on an exact grid (`_on_grid`): every amount
-is a multiple of one power of two g, and no partial sum can reach
-2**53 * g. For energy the amounts are the initial energy, the security
-charge and each role's slot charge (with and without the join charge and
-the exchange), and the reach is initial energy + slots x largest charge:
-a residual is one vehicle's, never a sum over vehicles. For transactions
-they are the per-payer increments and the whole transfers, and the reach
-is slots x vehicles x largest increment plus the transfers (vehicles**2 a
-slot, or the load model's count at the last slot). On the grid every sum
-is exact, so every order gives the same bits, and a block is stepped in
-closed form, in O(vehicles + slots x heads): members pay alike, so the
-poorest one is the first that cannot pay; each head's residuals are its
-first one minus the running sum of its charges; and at the end members
-lose the block's charges in one subtraction. The transaction count adds
-each slot's total. On both grids a block charges up to
-`BLOCK_CELLS // (heads + 1)` slots (1 560 for 20 clusters), so it mostly
-runs from a slot stepped alone to the next event. Off either grid it
-charges up to `BLOCK_CELLS // vehicles` slots in buffers reused from block
-to block, and off the energy grid its residuals are one 2-D array of
-sequential subtractions.
+once, from the amounts it adds, whether its transaction counts stay on an
+exact grid (`_on_grid`): every amount is a multiple of one power of two g,
+and no partial sum can reach 2**53 * g. The amounts are the per-payer
+increments and the whole transfers, and the reach is slots x vehicles x
+largest increment plus the transfers (vehicles**2 a slot, or the load
+model's count at the last slot). On the grid every sum is exact, so every
+order gives the same bits, and the count adds each slot's total.
+
+A block's residuals are one 2-D array of sequential subtractions: a row per
+slot, and a column per distinct member residual and per paying head.
+Members pay alike, so members whose residuals have the same bits keep the
+same bits, and a column per member would only repeat those subtractions.
+On the transaction grid a block charges up to `BLOCK_CELLS // (columns + 1)`
+slots (1 489 for 20 heads and one member residual), so it mostly runs from
+a slot stepped alone to the next event; a block that reaches its cap is
+followed by another. Off that grid it charges up to `BLOCK_CELLS //
+vehicles` slots, adding the transaction increments in order in a buffer
+reused from block to block.
 
 A slot stepped alone works in vehicle-sized buffers reused from slot to
 slot: each residual minus its charge, written as one subtraction with the
@@ -123,10 +120,11 @@ MAX_VEHICLES = 100_000
 MAX_SLOTS = 100_000
 MAX_VEHICLE_SLOTS = 10_000_000
 
-# Cells of a block's widest array: off the exact grid a stretch of slots
-# between events is charged in blocks of BLOCK_CELLS // vehicles slots, on
-# it in blocks of BLOCK_CELLS // (heads + 1). A block's float arrays then
-# take 256 KiB at most, which stays in cache.
+# Cells of a block's widest array: a stretch of slots between events is
+# charged in blocks of BLOCK_CELLS // (columns + 1) slots, the columns being
+# the distinct member residuals and the paying heads, or off the exact
+# transaction grid of BLOCK_CELLS // vehicles. A block's float arrays then
+# take about 256 KiB at most, which stays in cache.
 BLOCK_CELLS = 2**15
 
 RUN_CSV_COLUMNS = ("t", "regime", "transactions_cum", "energy_cum_J", "ch_changes", "offloads")
@@ -565,51 +563,39 @@ class _SlotLoop:
             sec = cfg.app_count * cfg.security_cost + (cfg.security_cost if first else 0.0)
             self.items[first] = (sec, *member), {False: (sec, *head_local),
                                                  True: (sec, *head_global)}
-        # Whether the residuals and the transaction count stay on an exact
-        # grid (`_on_grid`) for the whole run; then their sums are taken in
-        # any order. Every term of a reach is on the grid, so its float value
-        # is exact below 2**53 * g and at least that above it.
+        # Whether the transaction count stays on an exact grid (`_on_grid`)
+        # for the whole run; then its sums are taken in any order. Every
+        # term of the reach is on the grid, so its float value is exact
+        # below 2**53 * g and at least that above it. The transfers are
+        # whole numbers: at most vehicles**2 a slot, or the load model's
+        # cumulative count at the last slot.
         n_slots = cfg.n_slots
-        costs = [c for m, h in self.items.values() for c in (m, *h.values())]
-        charges = [(c[0] + c[1]) + c[2] for c in costs]
-        most = max(charges + [cfg.security_cost])
-        self.exact_energy = _on_grid(
-            [cfg.initial_energy, cfg.security_cost, *charges],
-            cfg.initial_energy + n_slots * most)
-        # The transfers are whole numbers: at most vehicles**2 a slot, or
-        # the load model's cumulative count at the last slot.
         if load_rate is None:
             transfers = n_slots * n * n
         else:
             last = n_slots * cfg.slot
             transfers = load_rate * last * last / 2.0
             transfers = math.ceil(transfers) if math.isfinite(transfers) else math.inf
-        increments = [c[3] for c in costs]
+        increments = [c[3] for m, h in self.items.values() for c in (m, *h.values())]
         self.exact_tx = _on_grid([1.0, *increments], n_slots * n * max(increments) + transfers)
-        # A block's widest array holds BLOCK_CELLS cells at most. On both
-        # grids it is the heads' residuals plus one column per slot; off
-        # either, it is a buffer of every vehicle per slot, reused from
-        # block to block: the residuals before and after each slot off the
-        # energy grid, the transaction increments in the order they are
-        # added off the transaction grid.
-        width = self.heads.size + 1 if self.exact_energy and self.exact_tx else n
-        self.size = max(1, min(n_slots, BLOCK_CELLS // width))
-        if not self.exact_energy:
-            self.residuals = np.empty((self.size + 1, n))
+        # Off the transaction grid a block adds its increments in order in a
+        # buffer of every vehicle per slot, reused from block to block.
         if not self.exact_tx:
-            self.increments = np.empty(self.size * (n + 1) + 1)
-        # Slot j of a block has paid j member charges.
-        self.steps = np.arange(1.0, self.size + 1)
+            self.increments = np.empty(max(1, min(n_slots, BLOCK_CELLS // n)) * (n + 1) + 1)
+        # The slots the last block could step: those left, or fewer by its
+        # size cap.
+        self.size = 0
 
     def run(self, regime: str) -> RunReport:
         n_slots = self.cfg.n_slots
         s, steady = 1, False
         while s <= n_slots:
             if steady:
-                k = min(self.size, n_slots - s + 1)
-                ran = self._block(s, k)
-                # A block cut short stops before an event; that slot runs alone.
-                steady = ran == k
+                ran = self._block(s, n_slots - s + 1)
+                # A block cut short of its size stops before an event; that
+                # slot runs alone. One that reached its size cap is followed
+                # by another block.
+                steady = ran == self.size
                 s += ran
             else:
                 steady = self._single(s)
@@ -644,17 +630,17 @@ class _SlotLoop:
         return steady
 
     def _block(self, s: int, k: int) -> int:
-        """Step up to k slots from s as one block, ending before its first
-        event; return how many slots it stepped.
+        """Step up to k slots from s as one block, ending at its size cap
+        or before its first event; return how many slots it stepped. `size`
+        gets the slots it could step: k, or fewer by its cap.
 
         No head changes inside a block, so its slots repeat the trace rows
         of the slot before it. Residuals only fall, so the critical flags
         set from the residuals at its end are those its last slot would
         have marked."""
+        self.size = k
         if self.cfg.lam <= 0:  # no vehicle pays: the residuals stay as the last slot left them
             sums, txs = [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
-        elif self.exact_energy:
-            sums, txs = self._charge_on_grid(s, k)
         else:
             sums, txs = self._charge(s, k)
         k = len(txs)
@@ -707,67 +693,45 @@ class _SlotLoop:
         return sums[0], txs[0]
 
     def _charge(self, s: int, k: int) -> tuple[list, list[float]]:
-        """Charge the slots from s as one block off the energy grid; return
-        each one's (security, transmission, update) sums and
-        `transactions_cum`.
+        """Charge the slots from s as one block; return each one's
+        (security, transmission, update) sums and `transactions_cum`.
 
         Every active vehicle pays on each of up to k slots; the block ends
         before the first slot where one cannot pay or, with a controller, a
-        head falls below the critical level. The residuals of every vehicle
-        and slot are one (k + 1) x vehicles array of sequential
-        subtractions.
+        head falls below the critical level. Members pay alike, so members
+        whose residuals have the same bits keep the same bits: the
+        residuals are one (k + 1) x columns array of sequential
+        subtractions, one column per distinct member residual (by bit
+        pattern, so 0.0 and -0.0 stay apart) and one per paying head. On
+        the transaction grid a block charges up to BLOCK_CELLS // (columns
+        + 1) slots, off it up to BLOCK_CELLS // vehicles.
         """
         v = self.v
-        work = self.residuals[: k + 1]
-        work[0] = v.residual
         heads = self.heads[v.active[self.heads]]
+        members = v.active.copy()
+        members[heads] = False
+        bits, inverse = np.unique(v.residual[members].view(np.int64), return_inverse=True)
+        m = bits.size
+        cap = BLOCK_CELLS // (m + heads.size + 1 if self.exact_tx else v.id.size)
+        k = self.size = max(1, min(k, cap))
         exchange, transfers = self._exchanges(s, k, heads.size)
         member, head_costs = self.items[s == 1]
-        work[1:] = np.where(v.active, (member[0] + member[1]) + member[2], 0.0)
+        work = np.empty((k + 1, m + heads.size))
+        work[0, :m] = bits.view(float)
+        work[0, m:] = v.residual[heads]
+        work[1:, :m] = (member[0] + member[1]) + member[2]
         if heads.size:
             charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
-            work[1:, heads] = np.array([charges[ex] for ex in exchange])[:, None]
+            work[1:, m:] = np.array([charges[ex] for ex in exchange])[:, None]
         if k == 1:  # one subtraction: an accumulate call costs about ten
             np.subtract(work[0], work[1], out=work[1])
         else:
             np.subtract.accumulate(work, axis=0, out=work)
-        k = self._slots_before_event(work[1:], heads[self._watched(heads)])
+        k = self._slots_before_event(work[1:], m + self._watched(heads).nonzero()[0])
         if k == 0:
             return [], []
-        v.residual[:] = work[k]
-        return self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
-                           head_costs)
-
-    def _charge_on_grid(self, s: int, k: int) -> tuple[list, list[float]]:
-        """`_charge` on the exact energy grid, in O(vehicles + k x heads).
-
-        Every subtraction and sum is exact, so each member's residual after
-        slot j is its first one minus j charges, and each head's its first
-        one minus the running sum of its charges. Members pay alike, so the
-        one with the least residual is the first that cannot pay; the block
-        ends as `_charge`'s would.
-        """
-        v = self.v
-        heads = self.heads[v.active[self.heads]]
-        exchange, transfers = self._exchanges(s, k, heads.size)
-        member, head_costs = self.items[s == 1]
-        charge = (member[0] + member[1]) + member[2]
-        charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
-        paid = np.cumsum([charges[ex] for ex in exchange])
-        # The residuals after each slot: the poorest member's in column 0,
-        # then each head's.
-        rest = self.after
-        rest.fill(np.inf)
-        np.copyto(rest, v.residual, where=v.active)
-        rest[self.heads] = np.inf
-        after = np.empty((k, heads.size + 1))
-        after[:, 0] = rest.min() - self.steps[:k] * charge
-        after[:, 1:] = v.residual[heads] - paid[:, None]
-        k = self._slots_before_event(after, self._watched(heads).nonzero()[0] + 1)
-        if k == 0:
-            return [], []
-        np.subtract(v.residual, k * charge, out=v.residual, where=v.active)
-        v.residual[heads] = after[k - 1, 1:]
+        v.residual[members] = work[k, inverse]
+        v.residual[heads] = work[k, m:]
         return self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
                            head_costs)
 
@@ -831,7 +795,7 @@ class _SlotLoop:
         pay, or one in a `watch` column is under the critical level."""
         level = self.critical_level
         # Residuals only fall: no event by the last slot means none at all.
-        if after[-1].min() >= 0.0 and not (after[-1, watch] < level).any():
+        if after[-1].min(initial=np.inf) >= 0.0 and not (after[-1, watch] < level).any():
             return len(after)
         events = (after < 0.0).any(axis=1) | (after[:, watch] < level).any(axis=1)
         return int(events.argmax())

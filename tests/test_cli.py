@@ -263,8 +263,9 @@ def test_summary_totals_are_the_comparison_cells(tmp_path, capsys):
      "f23a5860f287d3cfc72612aa3b0b3720c014366bf2463f877ab85cf0ddcfaa0c"),
 ])
 def test_non_finite_charges_run_to_completion(tmp_path, params, digest):
-    # Each config's slot charges overflow to inf, so the exact grid does
-    # not hold. The digests are those of the sequential slot loop.
+    # Each config's slot charges overflow to inf, so no vehicle pays slot 1
+    # and the blocks after it have no paying column. The digests are those
+    # of the sequential slot loop.
     path = write_scenario(tmp_path, {"name": "x", "params": params})
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0

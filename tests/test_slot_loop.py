@@ -188,7 +188,9 @@ def test_churn_run_evaluates_every_slot(monkeypatch):
 def test_events_are_stepped_alone(monkeypatch, name, slots):
     cfg = SimConfig(**CONFIGS[name])
     if name == "large-fleet":
-        assert fleetchain.sim.BLOCK_CELLS // cfg.n_vehicles < cfg.n_slots // 3
+        # The 2000 vehicles' members share one residual: a block's columns
+        # are it and the 8 heads, and one block holds the run after slot 1.
+        assert fleetchain.sim.BLOCK_CELLS // (1 + cfg.cluster_count + 1) >= cfg.n_slots - 1
     assert evaluated_slots(monkeypatch, cfg) == slots
 
 
@@ -208,13 +210,14 @@ def block_calls(monkeypatch) -> list[tuple[int, int, int]]:
 
 
 def test_steady_grid_run_is_one_block_after_slot_one(monkeypatch):
-    # The fleet-steady shape is on the exact grid: each regime steps slot 1
-    # alone and the other 199 slots as one block, not in blocks of
-    # BLOCK_CELLS // vehicles slots.
+    # The fleet-steady shape is on the exact transaction grid and its
+    # members share one residual: each regime steps slot 1 alone and the
+    # other 199 slots as one block whose columns are that residual and the
+    # 20 heads.
     blocks = block_calls(monkeypatch)
     cfg = SimConfig(cluster_count=20, vehicles_per_cluster=50, lam=2.0, horizon=200.0,
                     global_exchange_period=10)
-    assert fleetchain.sim.BLOCK_CELLS // cfg.n_vehicles < 199
+    assert fleetchain.sim.BLOCK_CELLS // (1 + cfg.cluster_count + 1) >= 199
     assert evaluated_slots(monkeypatch, cfg) == [1]
     assert blocks == [(2, 199, 199)] * 2
 
@@ -224,15 +227,41 @@ def test_steady_grid_run_is_one_block_after_slot_one(monkeypatch):
     ("head-critical", [1, 25, 26, 48, 49, 52]),
 ])
 def test_late_events_on_the_grid_are_stepped_alone(monkeypatch, name, slots):
-    # 1000 vehicles per cluster: the cell budget is 10 slots, and every
-    # event falls past it, inside one block on the exact grid. The slots
-    # stepped alone are those of the 5-vehicle clusters.
+    # 1000 vehicles per cluster, whose members share one residual: a block
+    # whose columns are that residual and the 3 heads holds the run after
+    # slot 1, so the first event falls inside one block on the exact
+    # transaction grid. The slots stepped alone are those of the 5-vehicle
+    # clusters.
     blocks = block_calls(monkeypatch)
     cfg = SimConfig(**{**CONFIGS[name], "vehicles_per_cluster": 1000})
-    size = fleetchain.sim.BLOCK_CELLS // cfg.n_vehicles
-    assert size < slots[1] - 2
+    assert fleetchain.sim.BLOCK_CELLS // (1 + cfg.cluster_count + 1) >= cfg.n_slots - 1
     assert evaluated_slots(monkeypatch, cfg) == slots
     assert (2, cfg.n_slots - 1, slots[1] - 2) in blocks
+
+
+def test_off_energy_grid_run_is_one_block_after_slot_one(monkeypatch):
+    # 1e9 / 3 J is on no exact energy grid. The baseline's 500 vehicles pay
+    # alike, so they are one block column, and the 199 slots after slot 1
+    # are one block.
+    blocks = block_calls(monkeypatch)
+    cfg = SimConfig(cluster_count=10, vehicles_per_cluster=50, lam=1.5, horizon=200.0,
+                    initial_energy=1e9 / 3)
+    run_baseline(cfg)
+    assert blocks == [(2, 199, 199)]
+
+
+def test_blocks_cut_by_their_size_cap_are_followed_by_blocks(monkeypatch):
+    # 100 clusters x 100 vehicles x 1000 slots at the lam 2 tie: a clustered
+    # block of one member residual and 100 heads is capped at 321 slots, and
+    # the next block starts where it stopped; only slot 1 runs alone. The
+    # baseline's vehicles run dry at slot 554, which runs alone.
+    blocks = block_calls(monkeypatch)
+    cfg = SimConfig(cluster_count=100, vehicles_per_cluster=100, lam=2.0, horizon=1000.0)
+    assert fleetchain.sim.BLOCK_CELLS // (1 + cfg.cluster_count + 1) == 321
+    assert evaluated_slots(monkeypatch, cfg) == [1]
+    assert blocks == [(2, 999, 552), (555, 446, 446),
+                      (2, 999, 321), (323, 678, 321), (644, 357, 321), (965, 36, 36)]
+    assert [(first, last) for _, first, last in run_clustered(cfg).trace_runs] == [(1, 1000)]
 
 
 @pytest.mark.parametrize(
