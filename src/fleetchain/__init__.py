@@ -61,18 +61,9 @@ from .sim import (
     run_baseline,
     run_clustered,
 )
+from .validate import ValidationReport, run_validation
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # `validate` imports scipy, which only the oracle checks need: its two
-    # names are imported when first looked up (PEP 562).
-    if name in ("ValidationReport", "run_validation"):
-        from . import validate
-
-        return getattr(validate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

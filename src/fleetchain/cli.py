@@ -17,21 +17,12 @@ from pathlib import Path
 from .analytics import energy_decay, transaction_count
 from .scenario import ConfigError, Scenario, expand, load_scenario
 from .sim import Comparison, _cells, comparison_csv, csv_text, paired_comparison
+from .validate import decay_oracle, run_validation, tx_oracle
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-
-def __getattr__(name: str):
-    # `validate` imports scipy, which `simulate` never needs: its
-    # `run_validation` is imported when first looked up here (PEP 562).
-    if name == "run_validation":
-        from .validate import run_validation
-
-        return run_validation
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _write(path: Path, text: str) -> None:
@@ -60,8 +51,6 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
     Infeasible rows (a negative radicand, or a transaction ceiling past the
     float range) are reported with a note and the run continues.
     """
-    from .validate import decay_oracle, tx_oracle
-
     header = [
         "label",
         "decay_closed_J",
@@ -205,9 +194,7 @@ def cmd_validate(tolerance: float, grid: int, seed: int) -> int:
         raise ConfigError(f"--grid must be an integer >= 1, got {grid}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ConfigError(f"--tolerance must be a finite number >= 0, got {tolerance}")
-    # Looked up on the module, so that a wrapper set as
-    # `fleetchain.cli.run_validation` is the one called.
-    report = sys.modules[__name__].run_validation(tolerance=tolerance, grid=grid, seed=seed)
+    report = run_validation(tolerance=tolerance, grid=grid, seed=seed)
     for line in report.lines():
         print(line)
     if not report.passed:

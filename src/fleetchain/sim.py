@@ -29,18 +29,21 @@ below the critical level, and that slot kept every head by the fixed
 verdict (no head changed and no new head was selected). The first slot that
 breaks a condition ends the block and runs alone; so does slot 1, which
 carries the join charge. Exchange slots stay inside a block. Each slot's
-itemised sums and the running transaction count add the vehicles' shares
-left to right, heads before members, in id order, so they round as one
-addition per vehicle would.
+itemised sums add the vehicles' shares left to right, heads before members,
+in id order, so they round as one addition per vehicle would. A head adds no
+transactions: the running transaction count adds each member's pushes to
+its head, in id order, and then the slot's global transfers.
 
 Where that order cannot matter, the loop does not keep it. Each run tests
 once, from the amounts it adds, whether its transaction counts stay on an
 exact grid (`_on_grid`): every amount is a multiple of one power of two g,
-and no partial sum can reach 2**53 * g. The amounts are the per-payer
-increments and the whole transfers, and the reach is slots x vehicles x
-largest increment plus the transfers (vehicles**2 a slot, or the load
-model's count at the last slot). On the grid every sum is exact, so every
-order gives the same bits, and the count adds each slot's total.
+and no partial sum can reach 2**53 * g. The amounts are a member's
+increment, the only one per payer (`lam * slot * (N - 1)` in the baseline,
+`lam * slot` or, under the load model, 0 in the clustered run), and the
+whole transfers. The reach is slots x vehicles x that increment plus the
+transfers (vehicles**2 a slot, or the load model's count at the last slot).
+On the grid every sum is exact, so every order gives the same bits, and the
+count adds each slot's total.
 
 A block's residuals are one 2-D array of sequential subtractions: a row per
 slot, and a column per distinct member residual and per paying head.
@@ -50,7 +53,7 @@ On the transaction grid a block charges up to `BLOCK_CELLS // (columns + 1)`
 slots (1 489 for 20 heads and one member residual), so it mostly runs from
 a slot stepped alone to the next event; a block that reaches its cap is
 followed by another. Off that grid it charges up to `BLOCK_CELLS //
-vehicles` slots, adding the transaction increments in order in a buffer
+vehicles` slots, adding the members' increments in order in a buffer
 reused from block to block.
 
 A slot stepped alone works in vehicle-sized buffers reused from slot to
@@ -517,25 +520,28 @@ class _SlotLoop:
     """One regime's run, stepped one slot or one block of slots at a time.
 
     `member`, `head_local` and `head_global` are each role's (transmission,
-    update, transactions) per payer; heads pay `head_global` on exchange
-    slots. Exchanges fall every `period_value` slots, or, with a
-    `load_rate`, on the slots where the load model's cumulative transfers
-    pass a whole number. Only with a `controller` are critical vehicles
-    marked, heads rotated and each new head charged its security cost.
+    update) per payer; heads pay `head_global` on exchange slots. A member
+    adds `member_tx` transactions a slot and a head none; the global
+    transfers add the rest. Exchanges fall every `period_value` slots, or,
+    with a `load_rate`, on the slots where the load model's cumulative
+    transfers pass a whole number. Only with a `controller` are critical
+    vehicles marked, heads rotated and each new head charged its security
+    cost.
     """
 
     def __init__(
         self,
         cfg: SimConfig,
         vehicles: _SimVehicles,
-        member: tuple[float, float, float],
-        head_local: tuple[float, float, float],
-        head_global: tuple[float, float, float],
+        member: tuple[float, float],
+        head_local: tuple[float, float],
+        head_global: tuple[float, float],
+        member_tx: float,
         load_rate: float | None = None,
         controller: tuple[FleetState, ControllerConfig] | None = None,
     ):
         n = vehicles.id.size
-        self.cfg, self.v = cfg, vehicles
+        self.cfg, self.v, self.member_tx = cfg, vehicles, member_tx
         self.load_rate, self.controller = load_rate, controller
         # Reused by every slot stepped alone: each vehicle's residual minus
         # its charge, and whether it paid.
@@ -554,15 +560,18 @@ class _SlotLoop:
         # A slot's item sums, by its payers, whether it is slot 1 (the join
         # charge) and whether it is an exchange slot.
         self.slot_sums: dict[tuple, list[float]] = {}
-        # By whether the slot is slot 1: the (security, transmission,
-        # update, transactions) of a member, and of a head by whether the
-        # slot is an exchange slot. Every vehicle that pays slot 1 joins and
-        # one that cannot stops, so only slot 1 carries the join charge.
-        self.items = {}
+        # The cost table, by whether the slot is slot 1: a member's cost,
+        # and a head's by whether the slot is an exchange slot. A cost is
+        # one payer's (security, transmission, update) items and its charge,
+        # `(security + transmission) + update`. Every vehicle that pays
+        # slot 1 joins and one that cannot stops, so only slot 1 carries the
+        # join charge.
+        self.costs = {}
         for first in (False, True):
             sec = cfg.app_count * cfg.security_cost + (cfg.security_cost if first else 0.0)
-            self.items[first] = (sec, *member), {False: (sec, *head_local),
-                                                 True: (sec, *head_global)}
+            member_cost, local, exchange = (
+                ((sec, t, u), (sec + t) + u) for t, u in (member, head_local, head_global))
+            self.costs[first] = member_cost, {False: local, True: exchange}
         # Whether the transaction count stays on an exact grid (`_on_grid`)
         # for the whole run; then its sums are taken in any order. Every
         # term of the reach is on the grid, so its float value is exact
@@ -576,10 +585,9 @@ class _SlotLoop:
             last = n_slots * cfg.slot
             transfers = load_rate * last * last / 2.0
             transfers = math.ceil(transfers) if math.isfinite(transfers) else math.inf
-        increments = [c[3] for m, h in self.items.values() for c in (m, *h.values())]
-        self.exact_tx = _on_grid([1.0, *increments], n_slots * n * max(increments) + transfers)
-        # Off the transaction grid a block adds its increments in order in a
-        # buffer of every vehicle per slot, reused from block to block.
+        self.exact_tx = _on_grid([1.0, member_tx], n_slots * n * member_tx + transfers)
+        # Off the transaction grid a block adds its members' increments in
+        # order in a buffer a fleet wide per slot, reused from block to block.
         if not self.exact_tx:
             self.increments = np.empty(max(1, min(n_slots, BLOCK_CELLS // n)) * (n + 1) + 1)
         # The slots the last block could step: those left, or fewer by its
@@ -653,6 +661,11 @@ class _SlotLoop:
         self._record(sums, txs, [0] * k)
         return k
 
+    # `_charge_one` stays beside `_charge`: a one-slot `_charge` block gives
+    # the same bits, but it costs 59 us a call on a 10 x 50 fleet against
+    # 15 us here, and the 24 fleet-churn paired runs of seed 1, which step
+    # about 4 750 slots alone, took 0.48-0.57 s with it against 0.23-0.26 s
+    # (2-vCPU Xeon, CPython 3.11, numpy 2.4).
     def _charge_one(self, s: int) -> tuple[list[float], float]:
         """Charge slot s alone: every active vehicle that can pay does and
         the rest stop. Return its (security, transmission, update) sums and
@@ -667,11 +680,9 @@ class _SlotLoop:
         if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
             return [0.0, 0.0, 0.0], self.tx_cum
         exchange, transfers = self._exchanges(s, 1, heads.size)
-        member, head_costs = self.items[s == 1]
-        head = head_costs[exchange[0]]
-        after = np.subtract(v.residual, (member[0] + member[1]) + member[2], out=self.after)
-        if heads.size:
-            after[heads] = v.residual[heads] - ((head[0] + head[1]) + head[2])
+        member, head = self.costs[s == 1]
+        after = np.subtract(v.residual, member[1], out=self.after)
+        after[heads] = v.residual[heads] - head[exchange[0]][1]
         # A residual minus a charge is >= 0 exactly when it covers the charge.
         paid = np.greater_equal(after, 0.0, out=self.paid)
         paid &= v.active
@@ -686,10 +697,10 @@ class _SlotLoop:
         np.copyto(v.residual, after, where=paid)
         if s == 1:  # every vehicle that pays slot 1 joins, and only those pay later
             v.joined |= paid
-        n_heads = int(np.count_nonzero(paid[heads])) if heads.size else 0
+        n_heads = int(np.count_nonzero(paid[heads]))
         if n_heads < heads.size:
             _, transfers = self._exchanges(s, 1, n_heads)
-        sums, txs = self._tally(s, 1, payers, n_heads, exchange, transfers, member, head_costs)
+        sums, txs = self._tally(s, 1, payers, n_heads, exchange, transfers)
         return sums[0], txs[0]
 
     def _charge(self, s: int, k: int) -> tuple[list, list[float]]:
@@ -715,71 +726,57 @@ class _SlotLoop:
         cap = BLOCK_CELLS // (m + heads.size + 1 if self.exact_tx else v.id.size)
         k = self.size = max(1, min(k, cap))
         exchange, transfers = self._exchanges(s, k, heads.size)
-        member, head_costs = self.items[s == 1]
+        member, head = self.costs[s == 1]
         work = np.empty((k + 1, m + heads.size))
         work[0, :m] = bits.view(float)
         work[0, m:] = v.residual[heads]
-        work[1:, :m] = (member[0] + member[1]) + member[2]
-        if heads.size:
-            charges = {ex: (h[0] + h[1]) + h[2] for ex, h in head_costs.items()}
-            work[1:, m:] = np.array([charges[ex] for ex in exchange])[:, None]
-        if k == 1:  # one subtraction: an accumulate call costs about ten
-            np.subtract(work[0], work[1], out=work[1])
-        else:
-            np.subtract.accumulate(work, axis=0, out=work)
+        work[1:, :m] = member[1]
+        work[1:, m:] = np.array([head[ex][1] for ex in exchange])[:, None]
+        np.subtract.accumulate(work, axis=0, out=work)
         k = self._slots_before_event(work[1:], m + self._watched(heads).nonzero()[0])
         if k == 0:
             return [], []
         v.residual[members] = work[k, inverse]
         v.residual[heads] = work[k, m:]
-        return self._tally(s, k, self.n_active, heads.size, exchange, transfers, member,
-                           head_costs)
+        return self._tally(s, k, self.n_active, heads.size, exchange, transfers)
 
-    def _tally(self, s, k, payers, n_heads, exchange, transfers, member, head_costs):
+    def _tally(self, s, k, payers, n_heads, exchange, transfers):
         """The sums and `transactions_cum` of k slots from s that `payers`
         vehicles paid, `n_heads` heads first. Each slot's sums add the
-        payers' items left to right, heads before members, in id order,
-        and so does the running transaction count off the exact grid. A
-        slot's sums are computed once per (payer counts, slot 1, exchange)
-        and kept in `slot_sums`."""
+        payers' items left to right, heads before members, in id order. Off
+        the exact grid the running transaction count adds each member's
+        increment in order, then the transfers; heads add none. A slot's
+        sums are computed once per (payer counts, slot 1, exchange) and kept
+        in `slot_sums`."""
         if self.load_rate is not None:
             self.emitted_prev += sum(transfers[:k])
+        members = payers - n_heads
         if self.exact_tx:
-            # Exact sums: each slot adds its payers' and transfers' total.
-            members = payers - n_heads
-            txs = list(accumulate(
-                [n_heads * head_costs[ex][3] + members * member[3] + t
-                 for ex, t in zip(exchange[:k], transfers)], initial=self.tx_cum))[1:]
+            # Exact sums: each slot adds its members' and transfers' total.
+            txs = list(accumulate([members * self.member_tx + t for t in transfers[:k]],
+                                  initial=self.tx_cum))[1:]
         else:
-            txs = self._tx_chain(k, payers, n_heads, exchange, transfers, member, head_costs)
+            txs = self._tx_chain(k, members, transfers)
         self.tx_cum = txs[-1]
         sums = []
         for ex in exchange[:k]:
             key = (n_heads, payers, s == 1, ex)
             if key not in self.slot_sums:
-                self.slot_sums[key] = _payer_sums(n_heads, payers - n_heads, head_costs[ex][:3],
-                                                  member[:3])
+                member, head = self.costs[s == 1]
+                self.slot_sums[key] = _payer_sums(n_heads, members, head[ex][0], member[0])
             sums.append(self.slot_sums[key])
         return sums, txs
 
-    def _tx_chain(self, k, payers, n_heads, exchange, transfers, member, head_costs):
-        """The `transactions_cum` of k slots as one sequential chain: every
-        slot's increments, its payers' and then its global transfers, in the
-        reused `increments` buffer. One slot (k = 1) fills it as one row of
-        slices, a block as a k-row grid."""
-        width = payers + 1
+    def _tx_chain(self, k, members, transfers):
+        """The `transactions_cum` of k slots as one sequential chain, a row
+        per slot in the reused `increments` buffer: each member's increment,
+        then the slot's global transfers."""
+        width = members + 1
         flat = self.increments[: k * width + 1]
         flat[0] = self.tx_cum
-        if k == 1:
-            flat[1 : n_heads + 1] = head_costs[exchange[0]][3]
-            flat[n_heads + 1 : width] = member[3]
-            flat[width] = transfers[0]
-        else:
-            grid = flat[1:].reshape(k, width)
-            if n_heads:
-                grid[:, :n_heads] = np.array([head_costs[ex][3] for ex in exchange[:k]])[:, None]
-            grid[:, n_heads:-1] = member[3]
-            grid[:, -1] = transfers[:k]
+        grid = flat[1:].reshape(k, width)
+        grid[:, :-1] = self.member_tx
+        grid[:, -1] = transfers[:k]
         return np.add.accumulate(flat, out=flat)[width::width].tolist()
 
     def _watched(self, heads: np.ndarray) -> np.ndarray:
@@ -817,6 +814,8 @@ class _SlotLoop:
             transfers.append(counted)
         return exchange, transfers
 
+    # `_record_one` stays beside `_record`: a one-row `_record` costs 3.1 us
+    # a call against 0.7 us here (2-vCPU Xeon, CPython 3.11).
     def _record_one(self, security, transmission, update, tx, changes) -> None:
         """Append one slot's columns."""
         c = self.slots
@@ -845,14 +844,15 @@ def run_baseline(cfg: SimConfig) -> RunReport:
     """Broadcast regime: full-mesh dissemination, full hop cost each slot."""
     vehicles = _init_vehicles(cfg, clustered=False)
     p_full = cfg.energy_params(cfg.hops)
-    # Every vehicle is a member: (transmission, update, transactions) per
-    # slot. No vehicle is a head, so no head cost or exchange is counted.
+    # Every vehicle is a member: (transmission, update) per slot, and one
+    # transaction per update and other vehicle. No vehicle is a head, so no
+    # head cost or exchange is counted.
     costs = (
         cfg.app_count * transmission_energy(p_full) * cfg.slot,
         cfg.app_count * ledger_update_energy(p_full),
-        cfg.lam * cfg.slot * (cfg.n_vehicles - 1),
     )
-    return _SlotLoop(cfg, vehicles, costs, costs, costs).run(REGIME_BASELINE)
+    member_tx = cfg.lam * cfg.slot * (cfg.n_vehicles - 1)
+    return _SlotLoop(cfg, vehicles, costs, costs, costs, member_tx).run(REGIME_BASELINE)
 
 
 def run_clustered(cfg: SimConfig) -> RunReport:
@@ -877,21 +877,17 @@ def run_clustered(cfg: SimConfig) -> RunReport:
     p_local = cfg.energy_params(1)
     p_global = cfg.energy_params(cfg.hops)
     upd_local = cfg.app_count * ledger_update_energy(p_local)
-    # (transmission, update, transactions) per payer; member updates are
-    # ledger transfers unless the load model emits them.
-    member = (
-        cfg.app_count * transmission_energy(p_local) * cfg.slot,
-        upd_local,
-        0.0 if cfg.use_load_model_exchange else cfg.lam * cfg.slot,
-    )
+    # (transmission, update) per payer; member updates are ledger transfers
+    # unless the load model emits them.
+    member = (cfg.app_count * transmission_energy(p_local) * cfg.slot, upd_local)
     head_global = (
         cfg.app_count * transmission_energy(p_global) * cfg.slot,
         cfg.app_count * ledger_update_energy(p_global),
-        0.0,
     )
+    member_tx = 0.0 if cfg.use_load_model_exchange else cfg.lam * cfg.slot
     load_rate = cfg.load_model_rate() if cfg.use_load_model_exchange else None
-    loop = _SlotLoop(cfg, vehicles, member, (0.0, upd_local, 0.0), head_global, load_rate,
-                     (fleet, ctrl))
+    loop = _SlotLoop(cfg, vehicles, member, (0.0, upd_local), head_global, member_tx,
+                     load_rate, (fleet, ctrl))
     return loop.run(REGIME_CLUSTERED)
 
 

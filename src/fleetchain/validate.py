@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .analytics import (
     DecayParams,
@@ -68,6 +67,15 @@ class ValidationReport:
         return out
 
 
+def _quad(f, lo: float, hi: float, **options) -> float:
+    """The value of `scipy.integrate.quad(f, lo, hi, **options)`. scipy is
+    imported on the first call: `simulate` never needs it, and its import
+    costs more than a small simulation."""
+    from scipy import integrate
+
+    return integrate.quad(f, lo, hi, **options)[0]
+
+
 def _result(name: str, errors: list, tolerance: float, note: str = "") -> CheckResult:
     """The check of `errors`: an error that is not <= `tolerance` fails, and
     a NaN error, which no comparison holds, is the worst."""
@@ -96,9 +104,7 @@ def decay_oracle(p: DecayParams) -> float:
     """Energy decay by adaptive quadrature of its defining integral,
     (E0 / apps) * integral of exp(-(lam1 + lam2) t) over [0, horizon]."""
     lam = invert_rate(p.rate1) + invert_rate(p.rate2)
-    value, _ = integrate.quad(
-        lambda t: math.exp(-lam * t), 0.0, p.horizon, epsabs=1e-14, epsrel=1e-13
-    )
+    value = _quad(lambda t: math.exp(-lam * t), 0.0, p.horizon, epsabs=1e-14, epsrel=1e-13)
     return value * (p.initial_energy / p.app_count)
 
 
@@ -186,7 +192,7 @@ def tx_oracle(p: TxCountParams) -> float:
         return math.exp(-u * (0.5 * u + z_peak))
 
     points = [0.0] if lo < 0.0 < hi else None
-    value, _ = integrate.quad(integrand, lo, hi, points=points, epsabs=0.0, epsrel=1e-12)
+    value = _quad(integrand, lo, hi, points=points, epsabs=0.0, epsrel=1e-12)
     value = value / math.sqrt(2.0 * math.pi) * scale  # a half or whole mass stays exact
     if value <= 0.0:
         return value
@@ -246,8 +252,7 @@ def quad_range_mass(m: MobilityModel) -> float:
     density far narrower than the range."""
     mean, sd, r = m.mean_range, m.range_stddev, m.connect_range
     points = [x for x in (mean - 8.0 * sd, mean, mean + 8.0 * sd) if 0.0 < x < r]
-    value, _ = integrate.quad(m.pdf, 0.0, r, points=points or None, epsabs=1e-13, epsrel=1e-12)
-    return value
+    return _quad(m.pdf, 0.0, r, points=points or None, epsabs=1e-13, epsrel=1e-12)
 
 
 def check_in_range_probability(grid: int, rng: np.random.Generator) -> CheckResult:

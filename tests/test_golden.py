@@ -63,13 +63,14 @@ CONFIGS = {
     # fall inside blocks while the running sums round.
     "lam-0.1-keep": dict(cluster_count=3, vehicles_per_cluster=4, lam=0.1, horizon=40.0,
                          global_exchange_period=3, expected_score=0.0, seed=3),
-    # 2000 vehicles: off the exact grid (below) the cell budget splits each
-    # run into blocks of 16 slots, and baseline vehicles run dry inside the
-    # fourth; on it a block runs to that event.
+    # 2000 vehicles on the exact transaction grid: a block's cap exceeds the
+    # run, so the baseline's first block runs from slot 2 to slot 56, where
+    # its vehicles run dry, and the clustered run is one block from slot 2.
     "large-fleet": dict(cluster_count=8, vehicles_per_cluster=250, lam=2.0, horizon=60.0,
                         global_exchange_period=7, initial_energy=1e8, seed=4),
-    # The same fleet off the exact energy grid (0.1 J is no multiple of a
-    # power of two): its blocks keep the cell budget and the sequential sums.
+    # The same fleet at a 0.1 J security cost, no multiple of a power of two,
+    # so slot 1's security sum rounds (2199.9999999999177 J, not 2200); its
+    # blocks fall as above.
     # Its digests were taken from the blocked loop; `spec_run` of
     # test_slot_loop_spec.py gives the same columns, trace and vehicles.
     "large-fleet-off-grid": dict(cluster_count=8, vehicles_per_cluster=250, lam=2.0,

@@ -2,10 +2,12 @@
 work the controller does on runs where no head or every head changes, the
 slots the event-blocked loop steps alone, the rows a run builds only when
 read, the slot counts of a run and of an exchange period, the active
-counts the controller keeps while vehicles stop, and the exact-grid rule
-that lets the loop take its sums in any order."""
+counts the controller keeps while vehicles stop, the exact-grid rule
+that lets the loop take its sums in any order, and the closed-form
+transaction totals of runs where no vehicle stops."""
 
 import math
+from fractions import Fraction
 
 import fleetchain.controller
 import fleetchain.sim
@@ -343,3 +345,41 @@ def test_active_counts_follow_draining_runs(cfg):
 ])
 def test_exact_grid_at_its_edges(amounts, reach, on):
     assert _on_grid(amounts, reach) is on
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cluster_count=st.integers(1, 4),
+    vehicles_per_cluster=st.integers(1, 6),
+    lam=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 1.75, 2.0, 2.5, 3.0]),
+    slot=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    slots=st.integers(1, 40),
+    period=st.integers(1, 12),
+    load_model=st.booleans(),
+)
+def test_transaction_totals_match_their_closed_form(cluster_count, vehicles_per_cluster, lam,
+                                                    slot, slots, period, load_model):
+    # No vehicle stops (each can pay some 1e8 slots), and lam * slot is
+    # dyadic, so the totals are exact. N vehicles in C clusters: a member
+    # pushes lam * slot updates a slot to its head, and each exchange slot
+    # counts C(C - 1) transfers; a baseline vehicle counts lam * slot per
+    # other vehicle. Load-model runs are kept: their clustered total is the
+    # model's count at the last slot, ceil(rate * T**2 / 2), and nothing
+    # else. At lam 0 no vehicle pays, so neither regime counts any.
+    cfg = SimConfig(cluster_count=cluster_count, vehicles_per_cluster=vehicles_per_cluster,
+                    lam=lam, slot=slot, horizon=slots * slot, global_exchange_period=period,
+                    initial_energy=1e15, use_load_model_exchange=load_model)
+    comp = paired_comparison(cfg)
+    assert all(v.active for r in (comp.baseline, comp.clustered) for v in r.vehicles)
+    n, c, pushes = cfg.n_vehicles, cluster_count, Fraction(lam) * Fraction(slot)
+    if lam <= 0:
+        baseline = clustered = 0
+    else:
+        baseline = pushes * n * (n - 1) * slots
+        if load_model:
+            last = slots * slot
+            clustered = math.ceil(cfg.load_model_rate() * last * last / 2.0)
+        else:
+            clustered = pushes * (n - c) * slots + (slots // period) * c * (c - 1)
+    assert Fraction(comp.baseline.transactions_total) == baseline
+    assert Fraction(comp.clustered.transactions_total) == clustered

@@ -246,8 +246,8 @@ def configs(draw) -> SimConfig:
 # The new heads of slot 1 cannot pay the 3e3 J security charge.
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=2, app_count=2, lam=1.0, hops=2,
                    horizon=40.0, security_cost=3e3, initial_energy=3e4, critical_fraction=0.0))
-# On the edge of the exact grid: the charges are multiples of 0.25 and
-# 2**53 * 0.25 is the initial energy, so the run's reach is off the grid.
+# Large residuals: they start at 2**51 = 2**53 * 0.25, and the charges are
+# multiples of 0.25, the float spacing just below 2**51.
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=4, lam=2.0, horizon=30.0,
                    global_exchange_period=4, security_cost=6.25, initial_energy=2.0**51))
 # At lam 0 no vehicle pays, so every residual stays -0.0.

@@ -226,7 +226,7 @@ def test_validation_runs_without_double_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dblquad called")
 
-    monkeypatch.setattr(validate.integrate, "dblquad", refuse)
+    monkeypatch.setattr(integrate, "dblquad", refuse)
     report = run_validation(grid=20)
     assert [c.total for c in report.checks] == [20, 20, 200, 40, 11]
 
