@@ -4,7 +4,7 @@ slots the event-blocked loop steps alone, the rows a run builds only when
 read, the slot counts of a run and of an exchange period, the active
 counts the controller keeps while vehicles stop, the exact-grid rule
 that lets the loop take its sums in any order, and the closed-form
-transaction totals of runs where no vehicle stops."""
+transaction and energy totals of runs where no vehicle stops."""
 
 import math
 from fractions import Fraction
@@ -25,6 +25,7 @@ from fleetchain.controller import (
     run_controller,
     slot_count,
 )
+from fleetchain.energy import ledger_update_energy, transmission_energy
 from fleetchain.sim import (
     SimConfig,
     _on_grid,
@@ -383,3 +384,64 @@ def test_transaction_totals_match_their_closed_form(cluster_count, vehicles_per_
             clustered = pushes * (n - c) * slots + (slots // period) * c * (c - 1)
     assert Fraction(comp.baseline.transactions_total) == baseline
     assert Fraction(comp.clustered.transactions_total) == clustered
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cluster_count=st.integers(1, 4),
+    vehicles_per_cluster=st.integers(1, 6),
+    app_count=st.integers(1, 4),
+    lam=st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5, 1.75, 2.0, 3.0]),
+    hops=st.integers(0, 10),
+    slot=st.sampled_from([0.25, 0.3, 1.0, 2.5]),
+    slots=st.integers(1, 40),
+    period=st.integers(1, 12),
+    load_model=st.booleans(),
+    security_cost=st.sampled_from([0.625, 0.1, 3e3]),
+    energy_per_record=st.sampled_from([2580.0, 2580.3]),
+    critical_fraction=st.sampled_from([0.0, 0.1, 1.0]),
+)
+def test_energy_totals_match_their_closed_form(cluster_count, vehicles_per_cluster, app_count,
+                                               lam, hops, slot, slots, period, load_model,
+                                               security_cost, energy_per_record,
+                                               critical_fraction):
+    # No vehicle stops (each can pay some 1e8 slots). N vehicles in C
+    # clusters: each slot the N - C members pay the one-hop charge and the C
+    # heads the local update, or the full-hop charge on an exchange slot;
+    # every baseline vehicle pays the full-hop charge. A charge is
+    # app_count x (security + transmission x slot + update). Each vehicle
+    # joins once, for one security cost, and each head change costs one
+    # more. At lam 0 no vehicle pays a slot or joins, but new heads still
+    # pay their security cost. Lam under 2 changes every head on every slot
+    # (a critical fraction of 1 leaves no one to take over).
+    cfg = SimConfig(cluster_count=cluster_count, vehicles_per_cluster=vehicles_per_cluster,
+                    app_count=app_count, lam=lam, hops=hops, slot=slot,
+                    horizon=slots * slot, global_exchange_period=period,
+                    use_load_model_exchange=load_model, security_cost=security_cost,
+                    energy_per_record=energy_per_record, critical_fraction=critical_fraction,
+                    initial_energy=1e15)
+    comp = paired_comparison(cfg)
+    assert all(v.active for r in (comp.baseline, comp.clustered) for v in r.vehicles)
+    n, c, slots, q = cfg.n_vehicles, cluster_count, cfg.n_slots, Fraction
+
+    def charge(hop_count: int, transmits: bool) -> Fraction:
+        p = cfg.energy_params(hop_count)
+        transmission = q(transmission_energy(p)) * q(slot) if transmits else 0
+        return app_count * (q(security_cost) + transmission + q(ledger_update_energy(p)))
+
+    if load_model:  # an exchange slot is one on which the model's count grows
+        rate = cfg.load_model_rate()
+        counts = [math.ceil(rate * (s * slot) ** 2 / 2.0) for s in range(slots + 1)]
+        exchanges = sum(b > a for a, b in zip(counts, counts[1:]))
+    else:
+        exchanges = slots // period
+    changes = q(security_cost) * comp.clustered.ch_changes_total
+    if lam <= 0:
+        baseline, clustered = 0, changes
+    else:
+        joins = n * q(security_cost)
+        baseline = n * slots * charge(hops, True) + joins
+        clustered = ((n - c) * slots * charge(1, True) + c * (slots - exchanges) * charge(1, False)
+                     + c * exchanges * charge(hops, True) + joins + changes)
+    for report, want in ((comp.baseline, baseline), (comp.clustered, clustered)):
+        assert abs(q(report.energy_total) - want) <= q(1e-12) * want
