@@ -56,6 +56,10 @@ RULE_PRE_DECAY = "pre-decay"
 ACTION_KEEP = "keep"
 ACTION_CHANGE = "change"
 
+# The fixed verdicts of `FleetState.fixed`.
+FIXED_KEEP = "keep every head"
+FIXED_SWAP = "swap every pair"
+
 # Rule codes of a `SlotTrace`: index into RULES.
 RULES = (RULE_OST, RULE_LIMIT, RULE_PRE_DECAY)
 _OST_CODE, _LIMIT_CODE, _PRE_DECAY_CODE = range(len(RULES))
@@ -417,10 +421,16 @@ class FleetState:
     the run's first slot on (None before it); head changes update it in
     place.
 
-    `fixed_keeps` tells whether the last `evaluate_slot` kept every head by
-    the run's fixed verdict: no head was dead or critical, none was
-    indicated for a change and no score schedule is set. Until the fleet
+    `fixed` tells whether the last `evaluate_slot` reached a fixed verdict,
+    which needs no score schedule. `FIXED_KEEP`: it kept every head, none
+    being dead, critical or indicated for a change. Until the fleet
     changes, a later slot would return the same rows with its own slot.
+    `FIXED_SWAP`: every row changed its head, as on the slot before, which
+    was evaluated too, and the new heads are that slot's old heads. Each
+    such cluster's head then alternates between two vehicles while each
+    stays healthy, no vehicle stops and the returning one is its cluster's
+    best candidate; the slots alternate the two slots' rows. Otherwise
+    `fixed` is None.
     """
 
     vehicles: Sequence | VehicleArrays
@@ -436,7 +446,10 @@ class FleetState:
     def __post_init__(self):
         self._run: _RunConstants | None = None
         self.heads: np.ndarray | None = None
-        self.fixed_keeps = False
+        self.fixed: str | None = None
+        # (slot, old heads) of the last evaluated slot if every row changed
+        # its head.
+        self._changed_all: tuple[int, list[int]] | None = None
 
     def _index(self) -> None:
         """Group the vehicles by cluster and class them for one run."""
@@ -518,18 +531,28 @@ class FleetState:
         self._run = _RunConstants(cfg, threshold, score, pre, estimate)
         return self._run
 
-    def _select_heads(self, run: _RunConstants, ok: np.ndarray,
-                      limit: np.ndarray | None) -> np.ndarray:
+    def ratings(self, residual: np.ndarray) -> np.ndarray:
+        """Residual energies as the head selection rates them: in slots of
+        decay when the run's estimate is positive."""
+        estimate = self._run.slot_decay_estimate
+        return residual / estimate if estimate > 0 else residual
+
+    def hand_over(self, old: np.ndarray, new: np.ndarray) -> None:
+        """Give the head of each stepped cluster headed by a vehicle at
+        `old` to the vehicle at the same place in `new` (positions in the
+        arrays, in cluster order)."""
+        self.heads[np.isin(self.heads, old)] = new
+        self.vehicles.head[old] = False
+        self.vehicles.head[new] = True
+
+    def _select_heads(self, ok: np.ndarray, limit: np.ndarray | None) -> np.ndarray:
         """Per stepped cluster: the flat position of its new head among its
         members flagged in `ok` (active and not critical) other than the
         head, by `_select`, or `_flat.size` when there is none. `ok` is
-        overwritten. Members are rated in slots of decay when the run's
-        estimate is positive; `limit` marks the clusters where the
-        Lemma2-limit rule fired."""
+        overwritten. Members are rated by `ratings`; `limit` marks the
+        clusters where the Lemma2-limit rule fired."""
         ok[self.heads] = False  # a head is not its own candidate
-        eligible, rating = ok[self._gather], self.vehicles.residual[self._gather]
-        if run.slot_decay_estimate > 0:
-            rating = rating / run.slot_decay_estimate
+        eligible, rating = ok[self._gather], self.ratings(self.vehicles.residual[self._gather])
         return _select(rating, eligible, self._segments, limit, self._flat_qualified)
 
 
@@ -561,14 +584,17 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     # Dead or critical heads need a new head whatever the test says.
     indicated = live > (steady > fleet._change_of[heads])
     some = np.count_nonzero(indicated) > 0
-    fleet.fixed_keeps = not some and not fleet.score_schedule
+    changed_all = fleet._changed_all
+    fleet._changed_all = fleet.fixed = None
     old = a.id[heads].tolist()
     if not some:
         rows, change, new = live, [False] * heads.size, old
+        if not fleet.score_schedule:
+            fleet.fixed = FIXED_KEEP
     else:
         # The Lemma2-limit verdict always indicates a change.
         fired = steady & (rule == _LIMIT_CODE) if fleet._limit_fires else None
-        picks = fleet._select_heads(run, ok, fired)
+        picks = fleet._select_heads(ok, fired)
         picked = indicated & (picks < fleet._flat.size)
         # No eligible (under the Lemma2-limit rule, qualified) member: the
         # head stays. A handover with no one to take over writes no row.
@@ -579,6 +605,10 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
         for k, vehicle in zip(picked.nonzero()[0].tolist(), fleet._flat[picks[picked]].tolist()):
             _apply_change(fleet, k, vehicle)
         new = a.id[heads].tolist()
+        if not fleet.score_schedule and 0 < np.count_nonzero(picked) == np.count_nonzero(rows):
+            fleet._changed_all = slot_index, old
+            if changed_all == (slot_index - 1, new):
+                fleet.fixed = FIXED_SWAP
     columns = fleet._stepped, rule.tolist(), change, old, new
     if np.count_nonzero(rows) < rows.size:
         keep = rows.tolist()

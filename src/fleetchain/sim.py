@@ -22,15 +22,22 @@ stops transacting (residual energy never goes negative and never rises).
 
 Vehicle state is kept as arrays over the run, and both regimes step through
 one slot loop; only the clustered run attaches the controller. The loop
-steps the stretches between events as blocks. After a slot stepped alone
-(its charge, critical marking and `evaluate_slot`), the slots that follow
-join one block while every active vehicle can pay its charge, no head falls
-below the critical level, and that slot kept every head by the fixed
-verdict (no head changed and no new head was selected). The first slot that
-breaks a condition ends the block and runs alone; so does slot 1, which
-carries the join charge. Exchange slots stay inside a block. Each slot's
-itemised sums add the vehicles' shares left to right, heads before members,
-in id order, so they round as one addition per vehicle would. A head adds no
+steps the stretches between events as blocks of two kinds. After a slot
+stepped alone (its charge, critical marking and `evaluate_slot`) that kept
+every head by the fixed verdict (no head changed and no new head was
+selected), the slots that follow join one block while every active vehicle
+can pay its charge and no head falls below the critical level; exchange
+slots stay inside it. After two slots stepped alone that changed the head
+of every cluster with a trace row, the second handing each head back to
+the vehicle the first took it from, the slots that follow join one swap
+block: each such head keeps alternating between its two vehicles while
+every vehicle can pay its charge and each new head its security charge,
+neither of a pair falls below the critical level, the returning vehicle is
+rated strictly above every other member of its cluster, and no exchange
+falls. The first slot that breaks a condition ends the block and runs
+alone; so does slot 1, which carries the join charge. Each slot's itemised
+sums add the vehicles' shares left to right, heads before members, in id
+order, so they round as one addition per vehicle would. A head adds no
 transactions: the running transaction count adds each member's pushes to
 its head, in id order, and then the slot's global transfers.
 
@@ -46,9 +53,11 @@ On the grid every sum is exact, so every order gives the same bits, and the
 count adds each slot's total.
 
 A block's residuals are one 2-D array of sequential subtractions: a row per
-slot, and a column per distinct member residual and per paying head.
-Members pay alike, so members whose residuals have the same bits keep the
-same bits, and a column per member would only repeat those subtractions.
+slot, and a column per distinct member residual and per paying head. A
+swap block takes two rows a slot, the charge by role and then the new
+heads' security charge, and a column for each of a pair. Members pay
+alike, so members whose residuals have the same bits keep the same bits,
+and a column per member would only repeat those subtractions.
 On the transaction grid a block charges up to `BLOCK_CELLS // (columns + 1)`
 slots (1 489 for 20 heads and one member residual), so it mostly runs from
 a slot stepped alone to the next event; a block that reaches its cap is
@@ -68,7 +77,8 @@ charge with one fancy-index subtraction.
 A run is recorded as columns: one list per `SlotRow` field
 (`SlotColumns`), and for each slot stepped alone the columnar `SlotTrace`
 that `evaluate_slot` returns. A block's slots repeat the trace of the slot
-before it, so `RunReport` keeps that trace and the slot range. The totals,
+before it, and a swap block's alternate the traces of the two slots before
+it, so `RunReport` keeps those traces and the slot range. The totals,
 `comparison_csv` and the new-head security charge read the columns;
 `RunReport.rows`, `trace` and `vehicles` build their dataclasses only when
 read.
@@ -93,6 +103,8 @@ from .analytics import (
     energy_decay,  # noqa: F401  benchmarks/tracing.py wraps fleetchain.sim.energy_decay
 )
 from .controller import (
+    FIXED_KEEP,
+    FIXED_SWAP,
     ControllerConfig,
     FleetState,
     SlotTrace,
@@ -126,8 +138,9 @@ MAX_VEHICLE_SLOTS = 10_000_000
 # Cells of a block's widest array: a stretch of slots between events is
 # charged in blocks of BLOCK_CELLS // (columns + 1) slots, the columns being
 # the distinct member residuals and the paying heads, or off the exact
-# transaction grid of BLOCK_CELLS // vehicles. A block's float arrays then
-# take about 256 KiB at most, which stays in cache.
+# transaction grid of BLOCK_CELLS // vehicles. A swap block takes two rows a
+# slot, so it charges BLOCK_CELLS // (2 x (columns + 1)) slots. A block's
+# float arrays then take about 256 KiB at most, which stays in cache.
 BLOCK_CELLS = 2**15
 
 RUN_CSV_COLUMNS = ("t", "regime", "transactions_cum", "energy_cum_J", "ch_changes", "offloads")
@@ -399,9 +412,12 @@ class SlotColumns:
 class RunReport:
     regime: str
     slots: SlotColumns = field(repr=False)
-    # The controller's trace as (one slot's trace, first slot, last slot):
-    # its rows repeat, with their slot set, on every slot of the range.
-    trace_runs: list[tuple[SlotTrace, int, int]] = field(repr=False, compare=False)
+    # The controller's trace as (the cycle of slot traces it repeats, first
+    # slot, last slot): slot s takes the rows of trace (s - first) % cycle
+    # length, with their slot set to s. One trace repeats over a slot stepped
+    # alone and the keeps after it, two alternate over a swap block.
+    trace_runs: list[tuple[tuple[SlotTrace, ...], int, int]] = field(repr=False,
+                                                                     compare=False)
     # The run's final vehicle arrays and its config, read by `vehicles`.
     final: tuple[_SimVehicles, SimConfig] = field(repr=False, compare=False)
 
@@ -424,11 +440,16 @@ class RunReport:
 
     @property
     def trace(self) -> list[TraceRow]:
-        """The controller's trace rows in slot order, built when read."""
-        rows = []
-        for trace, first, last in self.trace_runs:
-            cells = trace.cells()
-            rows += [TraceRow(s, *row) for s in range(first, last + 1) for row in cells]
+        """The controller's trace rows in slot order, built when read. A
+        change row's offload is stamped one slot before its slot."""
+        rows, slot = [], self.final[1].slot
+        for traces, first, last in self.trace_runs:
+            cycle = [trace.cells() for trace in traces]
+            for s in range(first, last + 1):
+                offload = max(s * slot - slot, 0.0)
+                rows += [TraceRow(s, cluster, rule, action, old, new,
+                                  0.0 if new is None else offload)
+                         for cluster, rule, action, old, new, _ in cycle[(s - first) % len(cycle)]]
         return rows
 
     @property
@@ -556,7 +577,9 @@ class _SlotLoop:
         self.tx_cum = self.e_cum = 0.0
         self.emitted_prev = 0
         self.slots = SlotColumns()
-        self.trace_runs: list[tuple[SlotTrace, int, int]] = []
+        self.trace_runs: list[tuple[tuple[SlotTrace, ...], int, int]] = []
+        # The two slot traces a swap block alternates, the next slot's first.
+        self.cycle: tuple[SlotTrace, SlotTrace] | None = None
         # A slot's item sums, by its payers, whether it is slot 1 (the join
         # charge) and whether it is an exchange slot.
         self.slot_sums: dict[tuple, list[float]] = {}
@@ -596,31 +619,33 @@ class _SlotLoop:
 
     def run(self, regime: str) -> RunReport:
         n_slots = self.cfg.n_slots
-        s, steady = 1, False
+        s, block = 1, None
         while s <= n_slots:
-            if steady:
-                ran = self._block(s, n_slots - s + 1)
+            if block is None:
+                block = self._single(s)
+                s += 1
+            else:
+                ran = block(s, n_slots - s + 1)
                 # A block cut short of its size stops before an event; that
                 # slot runs alone. One that reached its size cap is followed
-                # by another block.
-                steady = ran == self.size
+                # by another block of its kind.
+                if ran < self.size:
+                    block = None
                 s += ran
-            else:
-                steady = self._single(s)
-                s += 1
         self.slots.t = [s * self.cfg.slot for s in range(1, n_slots + 1)]
         return RunReport(regime, self.slots, self.trace_runs, (self.v, self.cfg))
 
-    def _single(self, s: int) -> bool:
-        """Step slot s alone; return whether a block may follow it."""
+    def _single(self, s: int):
+        """Step slot s alone; return the block step (`_block` or `_swap`)
+        that may follow it, or None."""
         v = self.v
         (security, transmission, update), tx = self._charge_one(s)
-        changes, steady = 0, True
+        changes, follow = 0, self._block
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
             fleet, ctrl = self.controller
             trace = evaluate_slot(fleet, ctrl, s)
-            self.trace_runs.append((trace, s, s))
+            self.trace_runs.append(((trace,), s, s))
             self.heads = fleet.heads
             new = list(compress(trace.new, trace.change))
             changes = len(new)
@@ -633,19 +658,26 @@ class _SlotLoop:
                 v.residual[new] -= cost
                 for _ in range(new.size):
                     security += cost
-            steady = fleet.fixed_keeps
+            follow = None
+            if fleet.fixed == FIXED_KEEP:
+                follow = self._block
+            elif fleet.fixed == FIXED_SWAP and self.cfg.lam > 0:
+                # Slot s - 1 was stepped alone too (at lam 0, where no
+                # vehicle pays a slot, swaps run alone).
+                self.cycle = self.trace_runs[-2][0][0], trace
+                follow = self._swap
         self._record_one(security, transmission, update, tx, changes)
-        return steady
+        return follow
 
     def _block(self, s: int, k: int) -> int:
         """Step up to k slots from s as one block, ending at its size cap
         or before its first event; return how many slots it stepped. `size`
         gets the slots it could step: k, or fewer by its cap.
 
-        No head changes inside a block, so its slots repeat the trace rows
-        of the slot before it. Residuals only fall, so the critical flags
-        set from the residuals at its end are those its last slot would
-        have marked."""
+        The slot before it kept every head by the fixed verdict, so no head
+        changes inside the block and its slots repeat that slot's trace
+        rows. Residuals only fall, so the critical flags set from the
+        residuals at its end are those its last slot would have marked."""
         self.size = k
         if self.cfg.lam <= 0:  # no vehicle pays: the residuals stay as the last slot left them
             sums, txs = [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
@@ -656,16 +688,104 @@ class _SlotLoop:
             return 0
         if self.controller is not None:
             np.less(self.v.residual, self.critical_level, out=self.v.critical)
-            trace, first, _ = self.trace_runs[-1]
-            self.trace_runs[-1] = (trace, first, s + k - 1)
+            traces, first, _ = self.trace_runs[-1]
+            self.trace_runs[-1] = (traces, first, s + k - 1)
         self._record(sums, txs, [0] * k)
         return k
 
-    # `_charge_one` stays beside `_charge`: a one-slot `_charge` block gives
-    # the same bits, but it costs 59 us a call on a 10 x 50 fleet against
-    # 15 us here, and the 24 fleet-churn paired runs of seed 1, which step
-    # about 4 750 slots alone, took 0.48-0.57 s with it against 0.23-0.26 s
-    # (2-vCPU Xeon, CPython 3.11, numpy 2.4).
+    def _swap(self, s: int, k: int) -> int:
+        """Step up to k slots from s as one swap block, ending at its size
+        cap or before its first event; return how many slots it stepped.
+        `size` gets the slots it could step: k, or fewer by its cap.
+
+        Slot s repeats the first trace of `cycle`, the next slot the second,
+        and so on: each changing cluster's head goes to the other vehicle of
+        its pair and comes back. The residuals are one (2k + 1) x columns
+        array of sequential subtractions, two rows a slot: the charge by
+        role, then the new heads' security charge. The columns are the
+        distinct member residuals, the other paying heads, each pair's two
+        vehicles, and each pair cluster's richest other member (-inf where
+        there is none), read only for the rating. The block ends before the
+        first exchange slot, or the first slot on which a vehicle cannot pay
+        its charge or a new head its security charge, one of a pair is
+        under the critical level after the charge, or the returning vehicle
+        is not rated strictly above every other member of its cluster (a
+        tie ends it too). Each slot counts one change per pair."""
+        v, (fleet, _), (first, second) = self.v, self.controller, self.cycle
+        self.size = k
+        # Vehicle ids are positions in the arrays.
+        cur, new = np.array(first.old), np.array(first.new)
+        p = cur.size
+        if not v.active[new].all():  # a vehicle that stopped takes over no head
+            return 0
+        heads = self.heads[v.active[self.heads]]
+        fixed = heads[~np.isin(heads, cur)]
+        members = v.active.copy()
+        members[heads] = False
+        members[new] = False
+        residual = v.residual[members]
+        bits, inverse = np.unique(residual.view(np.int64), return_inverse=True)
+        rich = np.full(self.cfg.cluster_count, -np.inf)
+        np.maximum.at(rich, v.cluster[members], residual)
+        # Column offsets: members, other heads, `cur`, `new`, richest members.
+        a = bits.size + fixed.size
+        b, c = a + p, a + 2 * p
+        cap = BLOCK_CELLS // (2 * (c + p + 1))
+        if not self.exact_tx:
+            cap = min(cap, BLOCK_CELLS // v.id.size)
+        k = self.size = max(1, min(k, cap))
+        exchange, transfers = self._exchanges(s, k, heads.size)
+        if True in exchange:
+            k = exchange.index(True)
+        if k == 0:
+            return 0
+        member, head = self.costs[False]
+        cost = self.cfg.security_cost
+        work = np.empty((2 * k + 1, c + p))
+        work[0] = np.concatenate((bits.view(float), v.residual[fixed], v.residual[cur],
+                                  v.residual[new], rich[v.cluster[cur]]))
+        work[1::2] = member[1]
+        work[1::2, bits.size:a] = head[False][1]
+        work[1::4, a:b] = head[False][1]
+        work[3::4, b:c] = head[False][1]
+        work[2::2] = 0.0
+        work[2::4, b:c] = cost
+        work[4::4, a:b] = cost
+        np.subtract.accumulate(work, axis=0, out=work)
+        charged = work[1::2]
+        # Slot j's new heads: `new` on even j, `cur` on odd j.
+        taking = np.where((np.arange(k) % 2 == 0)[:, None], charged[:, b:c], charged[:, a:b])
+        events = ((charged[:, :c] < 0.0).any(axis=1)
+                  | (charged[:, a:c] < self.critical_level).any(axis=1)
+                  | (taking < cost).any(axis=1)
+                  | ~(fleet.ratings(taking) > fleet.ratings(charged[:, c:])).all(axis=1))
+        if events.any():
+            k = int(events.argmax())
+            if k == 0:
+                return 0
+        end = work[2 * k]
+        v.residual[members] = end[inverse]
+        v.residual[fixed] = end[bits.size:a]
+        v.residual[cur] = end[a:b]
+        v.residual[new] = end[b:c]
+        np.less(v.residual, self.critical_level, out=v.critical)
+        if k % 2:
+            fleet.hand_over(cur, new)
+            self.cycle = second, first
+        self.trace_runs.append(((first, second), s, s + k - 1))
+        sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers)
+        security, transmission, update = sums[0]
+        for _ in range(p):
+            security += cost
+        self._record([(security, transmission, update)] * k, txs, [p] * k)
+        return k
+
+    # `_charge_one` stays beside `_charge`: on a slot where no vehicle stops
+    # a one-slot `_charge` block gives the same bits, but on a 10 x 50 fleet
+    # it costs about four times as much a call (38-70 us against 9-16 us
+    # over two series). The 24 fleet-churn paired runs of seed 1 step 235
+    # slots alone, 187 of them clustered, so it would add 7-13 ms to their
+    # 0.04 s (2-vCPU Xeon, CPython 3.11, numpy 2.4).
     def _charge_one(self, s: int) -> tuple[list[float], float]:
         """Charge slot s alone: every active vehicle that can pay does and
         the rest stop. Return its (security, transmission, update) sums and

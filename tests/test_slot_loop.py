@@ -1,10 +1,11 @@
 """Invariants of the array-backed slot loop over random small configs, the
 work the controller does on runs where no head or every head changes, the
-slots the event-blocked loop steps alone, the rows a run builds only when
-read, the slot counts of a run and of an exchange period, the active
-counts the controller keeps while vehicles stop, the exact-grid rule
-that lets the loop take its sums in any order, and the closed-form
-transaction and energy totals of runs where no vehicle stops."""
+slots the event-blocked loop steps alone, where its swap blocks end, the
+rows a run builds only when read, the slot counts of a run and of an
+exchange period, the active counts the controller keeps while vehicles
+stop, the exact-grid rule that lets the loop take its sums in any order,
+and the closed-form transaction and energy totals of runs where no vehicle
+stops."""
 
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import CONFIGS, OBJECT_FLEET_SEEDS, object_fleet
+from test_slot_loop_spec import spec_run, vehicle_cells
 
 from fleetchain.controller import (
     ControllerConfig,
@@ -110,10 +112,11 @@ def test_churn_run_selects_heads_without_candidates(monkeypatch):
     monkeypatch.setattr(fleetchain.controller, "decide", counting("decide"))
     monkeypatch.setattr(fleetchain.controller, "_apply_change", counting("apply_change"))
     # 5 clusters x 10 vehicles x 100 slots at lam 1.5: every head changes on
-    # every slot.
+    # every slot. `evaluate_slot` moves each head on the 3 slots stepped
+    # alone; the swap block in between moves them without it.
     comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
     assert comp.clustered.ch_changes_total == 5 * 100
-    assert counts == {"candidates": 0, "decide": 0, "apply_change": 5 * 100}
+    assert counts == {"candidates": 0, "decide": 0, "apply_change": 5 * 3}
 
 
 def test_churn_run_builds_rows_only_when_read(monkeypatch):
@@ -127,7 +130,8 @@ def test_churn_run_builds_rows_only_when_read(monkeypatch):
             return _cls(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    # Every head changes on every slot, so every slot is stepped alone.
+    # Every head changes on every slot; the trace holds a row per cluster
+    # and slot, whether the slot was stepped alone or in a swap block.
     comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
     comparison_csv(comp)
     assert comp.clustered.ch_changes_total == 5 * 100
@@ -172,9 +176,54 @@ def test_steady_run_evaluates_the_heads_once_per_stretch(monkeypatch):
     assert len(evaluated_slots(monkeypatch, SimConfig(lam=2.0, horizon=100.0))) <= 5
 
 
-def test_churn_run_evaluates_every_slot(monkeypatch):
-    # Every head changes on every slot, so no slot joins a block.
-    assert len(evaluated_slots(monkeypatch, SimConfig(lam=1.5, horizon=100.0))) == 100
+def test_churn_run_evaluates_the_slots_around_its_swap_block(monkeypatch):
+    # Every head changes on every slot, and from slot 2 on it hands the head
+    # back to the vehicle that held it two slots before: slots 3 to 99 are
+    # one swap block, and the exchange at slot 100 runs alone.
+    assert evaluated_slots(monkeypatch, SimConfig(lam=1.5, horizon=100.0)) == [1, 2, 100]
+
+
+@pytest.mark.parametrize("config, slots", [
+    # The exchange slots 10, 20 and 30 run alone. The head of slot 10 pays
+    # the full-hop charge, so the third vehicle takes the head at slot 11,
+    # and the new pair's swaps are a block again after slot 12.
+    (dict(cluster_count=2, vehicles_per_cluster=3, lam=1.5, horizon=30.0,
+          global_exchange_period=10), [1, 2, 10, 11, 12, 20, 21, 22, 30]),
+    # The two members cannot pay slot 18. The pair swaps on, as a block from
+    # slot 20 to the exchange at the horizon.
+    (dict(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0, initial_energy=2.5e6,
+          critical_fraction=0.0), [1, 2, 18, 19, 30]),
+    # The vehicle to take the head back falls under the critical level (half
+    # the initial energy) at slot 15; the members did at slot 9, which ends
+    # no block. Then no one can take over, so the slots run alone until
+    # slot 24, when only the head is left active, and the rest is one block.
+    (dict(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0, initial_energy=2.5e6,
+          critical_fraction=0.5), [1, 2, *range(15, 25), 30]),
+    # A security cost equal to the local transmission charge leaves the
+    # returning vehicle tied with the third on every other slot. The tie ends
+    # the block, though the lowest id (the returning vehicle) wins it.
+    (dict(cluster_count=1, vehicles_per_cluster=3, app_count=1, lam=1.5, security_cost=11610.0,
+          horizon=12.0), [1, 2, 3, 5, 6, 7, 9, 10, 11, 12]),
+    # The vehicle taking the head cannot pay its security charge at slot 7;
+    # both vehicles run dry at slot 8.
+    (dict(cluster_count=1, vehicles_per_cluster=2, app_count=1, lam=1.5, security_cost=3e3,
+          initial_energy=1e5, critical_fraction=0.0, horizon=30.0), [1, 2, 7, 8]),
+    # The head cannot pay the exchange at slot 2 and hands back to vehicle
+    # 0; a vehicle that stopped takes no head, so slot 3 runs alone.
+    (dict(cluster_count=1, vehicles_per_cluster=2, app_count=1, lam=1.5, security_cost=3e3,
+          initial_energy=1e5, critical_fraction=0.0, horizon=30.0, global_exchange_period=2),
+     [1, 2, 3, 4]),
+])
+def test_swap_blocks_end_before_events(monkeypatch, config, slots):
+    cfg = SimConfig(**config)
+    assert evaluated_slots(monkeypatch, cfg) == slots
+    report = run_clustered(cfg)
+    columns, trace, vehicles = spec_run(cfg, clustered=True)
+    for name, want in columns.items():
+        assert repr(getattr(report.slots, name)) == repr(want), name
+    assert report.trace == trace
+    assert repr([vehicle_cells(v) for v in report.vehicles]) == repr(
+        [vehicle_cells(v) for v in vehicles])
 
 
 @pytest.mark.parametrize("name, slots", [
@@ -431,7 +480,7 @@ def test_energy_totals_match_their_closed_form(cluster_count, vehicles_per_clust
 
     if load_model:  # an exchange slot is one on which the model's count grows
         rate = cfg.load_model_rate()
-        counts = [math.ceil(rate * (s * slot) ** 2 / 2.0) for s in range(slots + 1)]
+        counts = [math.ceil(rate * (s * slot) * (s * slot) / 2.0) for s in range(slots + 1)]
         exchanges = sum(b > a for a, b in zip(counts, counts[1:]))
     else:
         exchanges = slots // period

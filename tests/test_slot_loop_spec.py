@@ -253,6 +253,23 @@ def configs(draw) -> SimConfig:
 # At lam 0 no vehicle pays, so every residual stays -0.0.
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=4, lam=0.0, horizon=5.0,
                    initial_energy=-0.0))
+# Heads swap between two vehicles on every slot, in blocks that end before
+# an exchange slot, a member that cannot pay, a pair member under the
+# critical level, a rating tie, a security charge the new head cannot pay,
+# and a head handed back by a vehicle that stopped.
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=1.5, horizon=30.0,
+                   global_exchange_period=10))
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0,
+                   initial_energy=2.5e6, critical_fraction=0.0))
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0,
+                   initial_energy=2.5e6, critical_fraction=0.5))
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=3, app_count=1, lam=1.5,
+                   security_cost=11610.0, horizon=12.0))
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=2, app_count=1, lam=1.5,
+                   security_cost=3e3, initial_energy=1e5, critical_fraction=0.0, horizon=30.0))
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=2, app_count=1, lam=1.5,
+                   security_cost=3e3, initial_energy=1e5, critical_fraction=0.0, horizon=30.0,
+                   global_exchange_period=2))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)
