@@ -422,9 +422,12 @@ class FleetState:
     place.
 
     `fixed` tells whether the last `evaluate_slot` reached a fixed verdict,
-    which needs no score schedule. `FIXED_KEEP`: it kept every head, none
-    being dead, critical or indicated for a change. Until the fleet
-    changes, a later slot would return the same rows with its own slot.
+    which needs no score schedule. `FIXED_KEEP`: it changed no head, either
+    because none was indicated for a change or because no one could take
+    over. A cluster with no eligible member keeps having none while
+    residuals only fall, the critical flags only rise and no vehicle stops,
+    so until a vehicle stops or a head turns critical, a later slot would
+    return the same rows with its own slot.
     `FIXED_SWAP`: every row changed its head, as on the slot before, which
     was evaluated too, and the new heads are that slot's old heads. Each
     such cluster's head then alternates between two vehicles while each
@@ -589,8 +592,6 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     old = a.id[heads].tolist()
     if not some:
         rows, change, new = live, [False] * heads.size, old
-        if not fleet.score_schedule:
-            fleet.fixed = FIXED_KEEP
     else:
         # The Lemma2-limit verdict always indicates a change.
         fired = steady & (rule == _LIMIT_CODE) if fleet._limit_fires else None
@@ -609,6 +610,8 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
             fleet._changed_all = slot_index, old
             if changed_all == (slot_index - 1, new):
                 fleet.fixed = FIXED_SWAP
+    if not fleet.score_schedule and True not in change:
+        fleet.fixed = FIXED_KEEP
     columns = fleet._stepped, rule.tolist(), change, old, new
     if np.count_nonzero(rows) < rows.size:
         keep = rows.tolist()

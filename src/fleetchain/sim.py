@@ -22,22 +22,22 @@ stops transacting (residual energy never goes negative and never rises).
 
 Vehicle state is kept as arrays over the run, and both regimes step through
 one slot loop; only the clustered run attaches the controller. The loop
-steps the stretches between events as blocks of two kinds. After a slot
-stepped alone (its charge, critical marking and `evaluate_slot`) that kept
-every head by the fixed verdict (no head changed and no new head was
-selected), the slots that follow join one block while every active vehicle
-can pay its charge and no head falls below the critical level; exchange
-slots stay inside it. After two slots stepped alone that changed the head
-of every cluster with a trace row, the second handing each head back to
-the vehicle the first took it from, the slots that follow join one swap
-block: each such head keeps alternating between its two vehicles while
-every vehicle can pay its charge and each new head its security charge,
-neither of a pair falls below the critical level, the returning vehicle is
-rated strictly above every other member of its cluster, and no exchange
-falls. The first slot that breaks a condition ends the block and runs
-alone; so does slot 1, which carries the join charge. Each slot's itemised
-sums add the vehicles' shares left to right, heads before members, in id
-order, so they round as one addition per vehicle would. A head adds no
+steps the stretches between events as blocks, each repeating a cycle of
+slot traces. After a slot stepped alone (its charge, critical marking and
+`evaluate_slot`) that changed no head by the fixed verdict, the cycle is
+its trace and every head is kept. After two slots stepped alone that
+changed the head of every cluster with a trace row, the second handing
+each head back to the vehicle the first took it from, the cycle is their
+two traces and each such head alternates between its two vehicles, a pair.
+A block runs while every active vehicle can pay its charge and no watched
+head falls below the critical level: the heads not yet critical and both
+vehicles of each pair. With pairs it also needs each new head to pay its
+security charge, the returning vehicle to be rated strictly above every
+other member of its cluster, and no exchange to fall; exchange slots stay
+inside a keep. The first slot that breaks a condition ends the block and
+runs alone; so does slot 1, which carries the join charge. Each slot's
+itemised sums add the vehicles' shares left to right, heads before members,
+in id order, so they round as one addition per vehicle would. A head adds no
 transactions: the running transaction count adds each member's pushes to
 its head, in id order, and then the slot's global transfers.
 
@@ -52,16 +52,17 @@ transfers (vehicles**2 a slot, or the load model's count at the last slot).
 On the grid every sum is exact, so every order gives the same bits, and the
 count adds each slot's total.
 
-A block's residuals are one 2-D array of sequential subtractions: a row per
-slot, and a column per distinct member residual and per paying head. A
-swap block takes two rows a slot, the charge by role and then the new
-heads' security charge, and a column for each of a pair. Members pay
-alike, so members whose residuals have the same bits keep the same bits,
-and a column per member would only repeat those subtractions.
-On the transaction grid a block charges up to `BLOCK_CELLS // (columns + 1)`
-slots (1 489 for 20 heads and one member residual), so it mostly runs from
-a slot stepped alone to the next event; a block that reaches its cap is
-followed by another. Off that grid it charges up to `BLOCK_CELLS //
+A block's residuals are one 2-D array of sequential subtractions: a row
+per slot for its charge by role and, with pairs, a second for the new
+heads' security charge; a column per distinct member residual, per paying
+head and per vehicle of a pair, and with pairs one per pair cluster's
+richest other member, read for the rating. Members pay alike, so members
+whose residuals have the same bits keep the same bits, and a column per
+member would only repeat those subtractions. On the transaction grid a
+block charges up to `BLOCK_CELLS // (rows a slot x (columns + 1))` slots
+(1 489 for a keep of 20 heads and one member residual), so it mostly runs
+from a slot stepped alone to the next event; a block that reaches its cap
+is followed by another. Off that grid it charges at most `BLOCK_CELLS //
 vehicles` slots, adding the members' increments in order in a buffer
 reused from block to block.
 
@@ -76,9 +77,8 @@ charge with one fancy-index subtraction.
 
 A run is recorded as columns: one list per `SlotRow` field
 (`SlotColumns`), and for each slot stepped alone the columnar `SlotTrace`
-that `evaluate_slot` returns. A block's slots repeat the trace of the slot
-before it, and a swap block's alternate the traces of the two slots before
-it, so `RunReport` keeps those traces and the slot range. The totals,
+that `evaluate_slot` returns. A block's slots repeat its cycle of those
+traces, so `RunReport` keeps the cycle and the slot range. The totals,
 `comparison_csv` and the new-head security charge read the columns;
 `RunReport.rows`, `trace` and `vehicles` build their dataclasses only when
 read.
@@ -136,12 +136,16 @@ MAX_SLOTS = 100_000
 MAX_VEHICLE_SLOTS = 10_000_000
 
 # Cells of a block's widest array: a stretch of slots between events is
-# charged in blocks of BLOCK_CELLS // (columns + 1) slots, the columns being
-# the distinct member residuals and the paying heads, or off the exact
-# transaction grid of BLOCK_CELLS // vehicles. A swap block takes two rows a
-# slot, so it charges BLOCK_CELLS // (2 x (columns + 1)) slots. A block's
-# float arrays then take about 256 KiB at most, which stays in cache.
+# charged in blocks of BLOCK_CELLS // (rows x (columns + 1)) slots, and off
+# the exact transaction grid of at most BLOCK_CELLS // vehicles. A keep takes
+# one row a slot and a swap two; the columns are the distinct member
+# residuals, the paying heads and the pairs' vehicles, and for a swap each
+# pair cluster's richest other member. A block's float arrays then take
+# about 256 KiB at most, which stays in cache.
 BLOCK_CELLS = 2**15
+
+# The (cur, new) pairs of a block that keeps every head.
+_NO_PAIRS = (np.empty(0, dtype=np.intp),) * 2
 
 RUN_CSV_COLUMNS = ("t", "regime", "transactions_cum", "energy_cum_J", "ch_changes", "offloads")
 COMPARISON_EXTRA_COLUMNS = ("tx_reduction_pct", "energy_conservation_pct")
@@ -414,8 +418,9 @@ class RunReport:
     slots: SlotColumns = field(repr=False)
     # The controller's trace as (the cycle of slot traces it repeats, first
     # slot, last slot): slot s takes the rows of trace (s - first) % cycle
-    # length, with their slot set to s. One trace repeats over a slot stepped
-    # alone and the keeps after it, two alternate over a swap block.
+    # length, with their slot set to s. A slot stepped alone starts a run of
+    # its one trace and a swap block one of the two it alternates; a block
+    # that continues the last run's cycle extends that run.
     trace_runs: list[tuple[tuple[SlotTrace, ...], int, int]] = field(repr=False,
                                                                      compare=False)
     # The run's final vehicle arrays and its config, read by `vehicles`.
@@ -578,8 +583,10 @@ class _SlotLoop:
         self.emitted_prev = 0
         self.slots = SlotColumns()
         self.trace_runs: list[tuple[tuple[SlotTrace, ...], int, int]] = []
-        # The two slot traces a swap block alternates, the next slot's first.
-        self.cycle: tuple[SlotTrace, SlotTrace] | None = None
+        # The next block's cycle of slot traces, the next slot's first, and
+        # its (cur, new) pairs: one trace and none for a keep, two for a swap.
+        self.cycle: tuple[SlotTrace, ...] = ()
+        self.pairs = _NO_PAIRS
         # A slot's item sums, by its payers, whether it is slot 1 (the join
         # charge) and whether it is an exchange slot.
         self.slot_sums: dict[tuple, list[float]] = {}
@@ -619,33 +626,33 @@ class _SlotLoop:
 
     def run(self, regime: str) -> RunReport:
         n_slots = self.cfg.n_slots
-        s, block = 1, None
+        s, block = 1, False
         while s <= n_slots:
-            if block is None:
+            if not block:
                 block = self._single(s)
                 s += 1
             else:
-                ran = block(s, n_slots - s + 1)
+                ran = self._block(s, n_slots - s + 1)
                 # A block cut short of its size stops before an event; that
                 # slot runs alone. One that reached its size cap is followed
-                # by another block of its kind.
-                if ran < self.size:
-                    block = None
+                # by another block.
+                block = ran == self.size
                 s += ran
         self.slots.t = [s * self.cfg.slot for s in range(1, n_slots + 1)]
         return RunReport(regime, self.slots, self.trace_runs, (self.v, self.cfg))
 
-    def _single(self, s: int):
-        """Step slot s alone; return the block step (`_block` or `_swap`)
-        that may follow it, or None."""
+    def _single(self, s: int) -> bool:
+        """Step slot s alone; return whether a block may follow it, and if
+        so set the `cycle` and `pairs` it repeats."""
         v = self.v
         (security, transmission, update), tx = self._charge_one(s)
-        changes, follow = 0, self._block
+        changes, follow = 0, True
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
             fleet, ctrl = self.controller
             trace = evaluate_slot(fleet, ctrl, s)
-            self.trace_runs.append(((trace,), s, s))
+            cycle = (trace,)
+            self.trace_runs.append((cycle, s, s))
             self.heads = fleet.heads
             new = list(compress(trace.new, trace.change))
             changes = len(new)
@@ -658,134 +665,132 @@ class _SlotLoop:
                 v.residual[new] -= cost
                 for _ in range(new.size):
                     security += cost
-            follow = None
-            if fleet.fixed == FIXED_KEEP:
-                follow = self._block
+            follow = fleet.fixed == FIXED_KEEP
+            if follow:
+                self.cycle, self.pairs = cycle, _NO_PAIRS
             elif fleet.fixed == FIXED_SWAP and self.cfg.lam > 0:
                 # Slot s - 1 was stepped alone too (at lam 0, where no
-                # vehicle pays a slot, swaps run alone).
-                self.cycle = self.trace_runs[-2][0][0], trace
-                follow = self._swap
+                # vehicle pays a slot, swaps run alone), and the block
+                # repeats its trace first. Vehicle ids are positions in the
+                # arrays.
+                first = self.trace_runs[-2][0][0]
+                self.cycle = first, trace
+                self.pairs = np.array(first.old), np.array(first.new)
+                # A vehicle that stopped takes over no head.
+                follow = bool(v.active[self.pairs[1]].all())
         self._record_one(security, transmission, update, tx, changes)
         return follow
 
     def _block(self, s: int, k: int) -> int:
         """Step up to k slots from s as one block, ending at its size cap
-        or before its first event; return how many slots it stepped. `size`
-        gets the slots it could step: k, or fewer by its cap.
+        or before its first event (see the module docstring); return how
+        many slots it stepped. `size` gets the slots it could step: k, or
+        fewer by its cap.
 
-        The slot before it kept every head by the fixed verdict, so no head
-        changes inside the block and its slots repeat that slot's trace
-        rows. Residuals only fall, so the critical flags set from the
-        residuals at its end are those its last slot would have marked."""
+        Slot s repeats the first trace of `cycle`, the next slot the next
+        one, and so on; with `pairs` (cur, new), each pair cluster's head
+        goes from cur to new and back, one change a slot. The columns are
+        the distinct member residuals (by bit pattern, so 0.0 and -0.0 stay
+        apart), the other paying heads, cur, new, and with pairs each pair
+        cluster's richest other member (-inf where there is none). Residuals
+        only fall, so the critical flags set from the residuals at its end
+        are those its last slot would have marked."""
+        v, (cur, new), cost = self.v, self.pairs, self.cfg.security_cost
+        p = cur.size
         self.size = k
         if self.cfg.lam <= 0:  # no vehicle pays: the residuals stay as the last slot left them
             sums, txs = [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
         else:
-            sums, txs = self._charge(s, k)
-        k = len(txs)
-        if k == 0:
-            return 0
+            heads = fixed = self.heads[v.active[self.heads]]
+            if p:
+                paired = np.zeros(self.cfg.cluster_count, dtype=bool)
+                paired[v.cluster[cur]] = True
+                fixed = heads[~paired[v.cluster[heads]]]
+            paying = np.concatenate((fixed, cur, new))
+            members = v.active.copy()
+            members[paying] = False
+            residual = v.residual[members]
+            bits, inverse = np.unique(residual.view(np.int64), return_inverse=True)
+            # Column offsets: members, other heads, cur, new, richest members.
+            m = bits.size
+            a = m + fixed.size
+            b, c = a + p, a + 2 * p
+            rows = 2 if p else 1
+            cap = BLOCK_CELLS // (rows * (c + p + 1))
+            if not self.exact_tx:
+                cap = min(cap, BLOCK_CELLS // v.id.size)
+            k = self.size = max(1, min(k, cap))
+            exchange, transfers = self._exchanges(s, k, heads.size)
+            if p and True in exchange:
+                k = exchange.index(True)
+                if k == 0:
+                    return 0
+            member, head = self.costs[False]
+            work = np.empty((rows * k + 1, c + p))
+            work[0, :m] = bits.view(float)
+            work[0, m:c] = v.residual[paying]
+            work[1::rows, :m] = member[1]
+            work[1::rows, m:c] = np.array([head[ex][1] for ex in exchange[:k]])[:, None]
+            if p:
+                rich = np.full(self.cfg.cluster_count, -np.inf)
+                np.maximum.at(rich, v.cluster[members], residual)
+                work[0, c:] = rich[v.cluster[cur]]
+                work[1::2, c:] = member[1]
+                work[3::4, a:b] = member[1]
+                work[1::4, b:c] = member[1]
+                work[2::2] = 0.0
+                work[2::4, b:c] = cost
+                work[4::4, a:b] = cost
+            np.subtract.accumulate(work, axis=0, out=work)
+            # The least residual each column may be left with after a charge.
+            floor = np.full(c, self.critical_level)
+            floor[:m] = 0.0
+            floor[m:a][v.critical[fixed]] = 0.0
+            charged = work[1::rows, :c]
+            # With no pairs, residuals only fall: no event by the last slot
+            # means none at all.
+            if p or not (charged[-1] >= floor).all():
+                events = (charged < floor).any(axis=1)
+                if p:
+                    fleet = self.controller[0]
+                    # Slot j's new heads: `new` on even j, `cur` on odd j.
+                    taking = np.where((np.arange(k) % 2 == 0)[:, None], charged[:, b:c],
+                                      charged[:, a:b])
+                    events |= (taking < cost).any(axis=1)
+                    events |= ~(fleet.ratings(taking) > fleet.ratings(work[1::2, c:])).all(axis=1)
+                if events.any():
+                    k = int(events.argmax())
+                    if k == 0:
+                        return 0
+            end = work[rows * k]
+            v.residual[members] = end[inverse]
+            v.residual[paying] = end[m:c]
+            sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers)
         if self.controller is not None:
-            np.less(self.v.residual, self.critical_level, out=self.v.critical)
+            np.less(v.residual, self.critical_level, out=v.critical)
+            cycle = self.cycle
             traces, first, _ = self.trace_runs[-1]
-            self.trace_runs[-1] = (traces, first, s + k - 1)
-        self._record(sums, txs, [0] * k)
+            if traces is cycle:
+                self.trace_runs[-1] = (cycle, first, s + k - 1)
+            else:
+                self.trace_runs.append((cycle, s, s + k - 1))
+            if k % len(cycle):
+                self.controller[0].hand_over(cur, new)
+                self.cycle, self.pairs = cycle[1:] + cycle[:1], (new, cur)
+        if p:
+            security, transmission, update = sums[0]
+            for _ in range(p):
+                security += cost
+            sums = [(security, transmission, update)] * k
+        self._record(sums, txs, [p] * k)
         return k
 
-    def _swap(self, s: int, k: int) -> int:
-        """Step up to k slots from s as one swap block, ending at its size
-        cap or before its first event; return how many slots it stepped.
-        `size` gets the slots it could step: k, or fewer by its cap.
-
-        Slot s repeats the first trace of `cycle`, the next slot the second,
-        and so on: each changing cluster's head goes to the other vehicle of
-        its pair and comes back. The residuals are one (2k + 1) x columns
-        array of sequential subtractions, two rows a slot: the charge by
-        role, then the new heads' security charge. The columns are the
-        distinct member residuals, the other paying heads, each pair's two
-        vehicles, and each pair cluster's richest other member (-inf where
-        there is none), read only for the rating. The block ends before the
-        first exchange slot, or the first slot on which a vehicle cannot pay
-        its charge or a new head its security charge, one of a pair is
-        under the critical level after the charge, or the returning vehicle
-        is not rated strictly above every other member of its cluster (a
-        tie ends it too). Each slot counts one change per pair."""
-        v, (fleet, _), (first, second) = self.v, self.controller, self.cycle
-        self.size = k
-        # Vehicle ids are positions in the arrays.
-        cur, new = np.array(first.old), np.array(first.new)
-        p = cur.size
-        if not v.active[new].all():  # a vehicle that stopped takes over no head
-            return 0
-        heads = self.heads[v.active[self.heads]]
-        fixed = heads[~np.isin(heads, cur)]
-        members = v.active.copy()
-        members[heads] = False
-        members[new] = False
-        residual = v.residual[members]
-        bits, inverse = np.unique(residual.view(np.int64), return_inverse=True)
-        rich = np.full(self.cfg.cluster_count, -np.inf)
-        np.maximum.at(rich, v.cluster[members], residual)
-        # Column offsets: members, other heads, `cur`, `new`, richest members.
-        a = bits.size + fixed.size
-        b, c = a + p, a + 2 * p
-        cap = BLOCK_CELLS // (2 * (c + p + 1))
-        if not self.exact_tx:
-            cap = min(cap, BLOCK_CELLS // v.id.size)
-        k = self.size = max(1, min(k, cap))
-        exchange, transfers = self._exchanges(s, k, heads.size)
-        if True in exchange:
-            k = exchange.index(True)
-        if k == 0:
-            return 0
-        member, head = self.costs[False]
-        cost = self.cfg.security_cost
-        work = np.empty((2 * k + 1, c + p))
-        work[0] = np.concatenate((bits.view(float), v.residual[fixed], v.residual[cur],
-                                  v.residual[new], rich[v.cluster[cur]]))
-        work[1::2] = member[1]
-        work[1::2, bits.size:a] = head[False][1]
-        work[1::4, a:b] = head[False][1]
-        work[3::4, b:c] = head[False][1]
-        work[2::2] = 0.0
-        work[2::4, b:c] = cost
-        work[4::4, a:b] = cost
-        np.subtract.accumulate(work, axis=0, out=work)
-        charged = work[1::2]
-        # Slot j's new heads: `new` on even j, `cur` on odd j.
-        taking = np.where((np.arange(k) % 2 == 0)[:, None], charged[:, b:c], charged[:, a:b])
-        events = ((charged[:, :c] < 0.0).any(axis=1)
-                  | (charged[:, a:c] < self.critical_level).any(axis=1)
-                  | (taking < cost).any(axis=1)
-                  | ~(fleet.ratings(taking) > fleet.ratings(charged[:, c:])).all(axis=1))
-        if events.any():
-            k = int(events.argmax())
-            if k == 0:
-                return 0
-        end = work[2 * k]
-        v.residual[members] = end[inverse]
-        v.residual[fixed] = end[bits.size:a]
-        v.residual[cur] = end[a:b]
-        v.residual[new] = end[b:c]
-        np.less(v.residual, self.critical_level, out=v.critical)
-        if k % 2:
-            fleet.hand_over(cur, new)
-            self.cycle = second, first
-        self.trace_runs.append(((first, second), s, s + k - 1))
-        sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers)
-        security, transmission, update = sums[0]
-        for _ in range(p):
-            security += cost
-        self._record([(security, transmission, update)] * k, txs, [p] * k)
-        return k
-
-    # `_charge_one` stays beside `_charge`: on a slot where no vehicle stops
-    # a one-slot `_charge` block gives the same bits, but on a 10 x 50 fleet
-    # it costs about four times as much a call (38-70 us against 9-16 us
-    # over two series). The 24 fleet-churn paired runs of seed 1 step 235
-    # slots alone, 187 of them clustered, so it would add 7-13 ms to their
-    # 0.04 s (2-vCPU Xeon, CPython 3.11, numpy 2.4).
+    # `_charge_one` stays beside `_block`: on a slot where no vehicle stops
+    # a one-slot block gives the same bits, but on a 10 x 50 fleet it costs
+    # about four times as much a call (71-74 us against 17-18 us over four
+    # series). The 24 fleet-churn paired runs of seed 1 step 179 slots
+    # alone, 131 of them clustered, so it would add about 10 ms to their
+    # 0.08 s (2-vCPU Xeon, CPython 3.11, numpy 2.4).
     def _charge_one(self, s: int) -> tuple[list[float], float]:
         """Charge slot s alone: every active vehicle that can pay does and
         the rest stop. Return its (security, transmission, update) sums and
@@ -822,43 +827,6 @@ class _SlotLoop:
             _, transfers = self._exchanges(s, 1, n_heads)
         sums, txs = self._tally(s, 1, payers, n_heads, exchange, transfers)
         return sums[0], txs[0]
-
-    def _charge(self, s: int, k: int) -> tuple[list, list[float]]:
-        """Charge the slots from s as one block; return each one's
-        (security, transmission, update) sums and `transactions_cum`.
-
-        Every active vehicle pays on each of up to k slots; the block ends
-        before the first slot where one cannot pay or, with a controller, a
-        head falls below the critical level. Members pay alike, so members
-        whose residuals have the same bits keep the same bits: the
-        residuals are one (k + 1) x columns array of sequential
-        subtractions, one column per distinct member residual (by bit
-        pattern, so 0.0 and -0.0 stay apart) and one per paying head. On
-        the transaction grid a block charges up to BLOCK_CELLS // (columns
-        + 1) slots, off it up to BLOCK_CELLS // vehicles.
-        """
-        v = self.v
-        heads = self.heads[v.active[self.heads]]
-        members = v.active.copy()
-        members[heads] = False
-        bits, inverse = np.unique(v.residual[members].view(np.int64), return_inverse=True)
-        m = bits.size
-        cap = BLOCK_CELLS // (m + heads.size + 1 if self.exact_tx else v.id.size)
-        k = self.size = max(1, min(k, cap))
-        exchange, transfers = self._exchanges(s, k, heads.size)
-        member, head = self.costs[s == 1]
-        work = np.empty((k + 1, m + heads.size))
-        work[0, :m] = bits.view(float)
-        work[0, m:] = v.residual[heads]
-        work[1:, :m] = member[1]
-        work[1:, m:] = np.array([head[ex][1] for ex in exchange])[:, None]
-        np.subtract.accumulate(work, axis=0, out=work)
-        k = self._slots_before_event(work[1:], m + self._watched(heads).nonzero()[0])
-        if k == 0:
-            return [], []
-        v.residual[members] = work[k, inverse]
-        v.residual[heads] = work[k, m:]
-        return self._tally(s, k, self.n_active, heads.size, exchange, transfers)
 
     def _tally(self, s, k, payers, n_heads, exchange, transfers):
         """The sums and `transactions_cum` of k slots from s that `payers`
@@ -898,24 +866,6 @@ class _SlotLoop:
         grid[:, :-1] = self.member_tx
         grid[:, -1] = transfers[:k]
         return np.add.accumulate(flat, out=flat)[width::width].tolist()
-
-    def _watched(self, heads: np.ndarray) -> np.ndarray:
-        """Which of the paying `heads` a block watches for the critical
-        level: those not yet critical, and none without a controller."""
-        if self.controller is None:
-            return np.zeros(heads.size, dtype=bool)
-        return ~self.v.critical[heads]
-
-    def _slots_before_event(self, after: np.ndarray, watch: np.ndarray) -> int:
-        """The block's slots before the first one after which a residual
-        in `after` (one row per slot) is negative, its vehicle could not
-        pay, or one in a `watch` column is under the critical level."""
-        level = self.critical_level
-        # Residuals only fall: no event by the last slot means none at all.
-        if after[-1].min(initial=np.inf) >= 0.0 and not (after[-1, watch] < level).any():
-            return len(after)
-        events = (after < 0.0).any(axis=1) | (after[:, watch] < level).any(axis=1)
-        return int(events.argmax())
 
     def _exchanges(self, s: int, k: int, heads: int) -> tuple[list[bool], list[int]]:
         """For each of slots s .. s + k - 1, with `heads` heads paying each:

@@ -179,8 +179,14 @@ def test_steady_run_evaluates_the_heads_once_per_stretch(monkeypatch):
 def test_churn_run_evaluates_the_slots_around_its_swap_block(monkeypatch):
     # Every head changes on every slot, and from slot 2 on it hands the head
     # back to the vehicle that held it two slots before: slots 3 to 99 are
-    # one swap block, and the exchange at slot 100 runs alone.
+    # one swap block, and the exchange at slot 100 runs alone. The baseline
+    # steps slots 2 to 100 as one block; both go through `_block`.
+    blocks = block_calls(monkeypatch)
     assert evaluated_slots(monkeypatch, SimConfig(lam=1.5, horizon=100.0)) == [1, 2, 100]
+    assert blocks == [(2, 99, 99), (3, 98, 97)]
+
+
+SWAP_CAP_CONFIG = dict(cluster_count=41, vehicles_per_cluster=3, lam=1.5, horizon=300.0)
 
 
 @pytest.mark.parametrize("config, slots", [
@@ -195,10 +201,12 @@ def test_churn_run_evaluates_the_slots_around_its_swap_block(monkeypatch):
           critical_fraction=0.0), [1, 2, 18, 19, 30]),
     # The vehicle to take the head back falls under the critical level (half
     # the initial energy) at slot 15; the members did at slot 9, which ends
-    # no block. Then no one can take over, so the slots run alone until
-    # slot 24, when only the head is left active, and the rest is one block.
+    # no block. Then no one can take over and every slot keeps the head: a
+    # keep block runs until the head turns critical at slot 17, the members
+    # stop at slot 18, vehicle 1 at slot 24, and the head cannot pay the
+    # exchange at slot 30.
     (dict(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0, initial_energy=2.5e6,
-          critical_fraction=0.5), [1, 2, *range(15, 25), 30]),
+          critical_fraction=0.5), [1, 2, 15, 17, 18, 24, 30]),
     # A security cost equal to the local transmission charge leaves the
     # returning vehicle tied with the third on every other slot. The tie ends
     # the block, though the lowest id (the returning vehicle) wins it.
@@ -213,6 +221,10 @@ def test_churn_run_evaluates_the_slots_around_its_swap_block(monkeypatch):
     (dict(cluster_count=1, vehicles_per_cluster=2, app_count=1, lam=1.5, security_cost=3e3,
           initial_energy=1e5, critical_fraction=0.0, horizon=30.0, global_exchange_period=2),
      [1, 2, 3, 4]),
+    # 41 clusters of 3: swap blocks cut by their size cap after an odd
+    # number of slots hand the heads over and are followed by swap blocks
+    # (`test_blocks_cut_by_their_size_cap_are_followed_by_blocks`).
+    (SWAP_CAP_CONFIG, [1, 2, 300]),
 ])
 def test_swap_blocks_end_before_events(monkeypatch, config, slots):
     cfg = SimConfig(**config)
@@ -314,6 +326,17 @@ def test_blocks_cut_by_their_size_cap_are_followed_by_blocks(monkeypatch):
     assert blocks == [(2, 999, 552), (555, 446, 446),
                       (2, 999, 321), (323, 678, 321), (644, 357, 321), (965, 36, 36)]
     assert [(first, last) for _, first, last in run_clustered(cfg).trace_runs] == [(1, 1000)]
+    # A swap block of 41 pairs and one member residual takes two rows a slot
+    # and 125 columns with the richest members, so it is capped at 131
+    # slots. Each block cut after an odd number of slots starts the next one
+    # on the other trace of the cycle; the exchange at slot 300 runs alone.
+    blocks.clear()
+    cfg = SimConfig(**SWAP_CAP_CONFIG)
+    assert fleetchain.sim.BLOCK_CELLS // (2 * (1 + 3 * cfg.cluster_count + 1)) == 131
+    report = run_clustered(cfg)
+    assert blocks == [(3, 298, 131), (134, 167, 131), (265, 36, 35)]
+    assert [(first, last) for _, first, last in report.trace_runs] == [
+        (1, 1), (2, 2), (3, 133), (134, 264), (265, 299), (300, 300)]
 
 
 @pytest.mark.parametrize(
