@@ -148,18 +148,15 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
                 f"point {label or 'single'}: lam x slot x vehicles**2 x slots must be finite"
             )
     results: list[tuple[str, Comparison]] = []
-    for (label, cfg), path in zip(points, comparisons):
-        comp = paired_comparison(cfg)
-        results.append((label, comp))
-        _write(path, comparison_csv(comp))
-
     # Transactions-vs-time across both regimes, stacked over sweep points,
     # in the comparison CSV's cells.
     tx_rows = []
-    for label, comp in results:
-        base, clus = comp.baseline.slots, comp.clustered.slots
-        tx_rows += zip(repeat(label or "-"), *(_cells(column) for column in (
-            base.t, base.transactions_cum, clus.transactions_cum)))
+    for (label, cfg), path in zip(points, comparisons):
+        comp = paired_comparison(cfg)
+        results.append((label, comp))
+        cells = {}
+        _write(path, comparison_csv(comp, cells))
+        tx_rows += zip(repeat(label or "-"), cells["t"], cells["baseline"], cells["clustered"])
     _write(
         tx_path,
         csv_text(["point", "t", "baseline_transactions", "clustered_transactions"], tx_rows),

@@ -428,11 +428,15 @@ class FleetState:
     residuals only fall, the critical flags only rise and no vehicle stops,
     so until a vehicle stops or a head turns critical, a later slot would
     return the same rows with its own slot.
-    `FIXED_SWAP`: every row changed its head, as on the slot before, which
-    was evaluated too, and the new heads are that slot's old heads. Each
-    such cluster's head then alternates between two vehicles while each
-    stays healthy, no vehicle stops and the returning one is its cluster's
-    best candidate; the slots alternate the two slots' rows. Otherwise
+    `FIXED_SWAP`: every row changed its head, and as far as this slot
+    tells, the next hands each head back (`handed_back` gives its rows):
+    the new head's verdict is a change, the returning vehicle's residual
+    is above every other candidate's in its cluster, and it qualifies where
+    the new head's rule is the Lemma2-limit rule. Each such cluster's head
+    then alternates between the two vehicles while each stays healthy, no
+    vehicle stops and the returning one stays its cluster's best candidate
+    after each slot's charge, which the simulator checks slot by slot; the
+    slots alternate the rows of this slot and of the next. Otherwise
     `fixed` is None.
     """
 
@@ -450,9 +454,6 @@ class FleetState:
         self._run: _RunConstants | None = None
         self.heads: np.ndarray | None = None
         self.fixed: str | None = None
-        # (slot, old heads) of the last evaluated slot if every row changed
-        # its head.
-        self._changed_all: tuple[int, list[int]] | None = None
 
     def _index(self) -> None:
         """Group the vehicles by cluster and class them for one run."""
@@ -540,11 +541,43 @@ class FleetState:
         estimate = self._run.slot_decay_estimate
         return residual / estimate if estimate > 0 else residual
 
+    def handed_back(self, trace: SlotTrace) -> SlotTrace:
+        """The rows of the slot after `trace` when `fixed` is `FIXED_SWAP`:
+        each row's new head, under its own rule, hands the head back to the
+        old one. Vehicle ids are positions in the arrays."""
+        slot, length = trace.slot + 1, self._run.cfg.slot
+        return SlotTrace(slot, max(slot * length - length, 0.0), trace.cluster,
+                         self._rule_of[trace.new].tolist(), trace.change, trace.new, trace.old)
+
+    def _hands_back(self, returning: np.ndarray, taken: np.ndarray, ok: np.ndarray) -> bool:
+        """Whether the next slot, as far as this one tells, gives each head
+        taken by the vehicle at `taken` back to the one at `returning`: the
+        new head's verdict is a change, the returning vehicle's residual is
+        above that of every other member flagged in `ok` (active, not
+        critical and not an old head; `ok` is overwritten), and where the
+        new head's rule is the Lemma2-limit rule, the returning vehicle
+        qualifies. Those members pay a member's charge on the next slot as
+        the returning vehicle does, so one it is not above now stays rated
+        at least as high; where it is above, the next slot's charge can
+        still tie them."""
+        if np.count_nonzero(~self._change_of[taken]):
+            return False
+        a = self.vehicles
+        ok[taken] = False
+        top = np.maximum.reduceat(np.where(ok[self._gather], a.residual[self._gather], -np.inf),
+                                  self._segments.starts)
+        if np.count_nonzero(a.residual[returning] > top[self._cluster_of[taken]]) < taken.size:
+            return False
+        back = returning[self._rule_of[taken] == _LIMIT_CODE]
+        return not back.size or bool(_qualified(a.tx_limit[back], a.radio_range[back],
+                                                self.required_tx_limit,
+                                                self.mobility.connect_range).all())
+
     def hand_over(self, old: np.ndarray, new: np.ndarray) -> None:
         """Give the head of each stepped cluster headed by a vehicle at
         `old` to the vehicle at the same place in `new` (positions in the
         arrays, in cluster order)."""
-        self.heads[np.isin(self.heads, old)] = new
+        self.heads[self._cluster_of[old]] = new
         self.vehicles.head[old] = False
         self.vehicles.head[new] = True
 
@@ -587,8 +620,7 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     # Dead or critical heads need a new head whatever the test says.
     indicated = live > (steady > fleet._change_of[heads])
     some = np.count_nonzero(indicated) > 0
-    changed_all = fleet._changed_all
-    fleet._changed_all = fleet.fixed = None
+    fleet.fixed = None
     old = a.id[heads].tolist()
     if not some:
         rows, change, new = live, [False] * heads.size, old
@@ -603,13 +635,13 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
         if np.count_nonzero(steady) < steady.size:
             rule = np.where(steady, rule, _PRE_DECAY_CODE)
         change = picked.tolist()
+        returning = heads[picked]
         for k, vehicle in zip(picked.nonzero()[0].tolist(), fleet._flat[picks[picked]].tolist()):
             _apply_change(fleet, k, vehicle)
         new = a.id[heads].tolist()
-        if not fleet.score_schedule and 0 < np.count_nonzero(picked) == np.count_nonzero(rows):
-            fleet._changed_all = slot_index, old
-            if changed_all == (slot_index - 1, new):
-                fleet.fixed = FIXED_SWAP
+        if (not fleet.score_schedule and 0 < np.count_nonzero(picked) == np.count_nonzero(rows)
+                and fleet._hands_back(returning, heads[picked], ok)):
+            fleet.fixed = FIXED_SWAP
     if not fleet.score_schedule and True not in change:
         fleet.fixed = FIXED_KEEP
     columns = fleet._stepped, rule.tolist(), change, old, new

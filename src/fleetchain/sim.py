@@ -25,16 +25,18 @@ one slot loop; only the clustered run attaches the controller. The loop
 steps the stretches between events as blocks, each repeating a cycle of
 slot traces. After a slot stepped alone (its charge, critical marking and
 `evaluate_slot`) that changed no head by the fixed verdict, the cycle is
-its trace and every head is kept. After two slots stepped alone that
-changed the head of every cluster with a trace row, the second handing
-each head back to the vehicle the first took it from, the cycle is their
-two traces and each such head alternates between its two vehicles, a pair.
-A block runs while every active vehicle can pay its charge and no watched
-head falls below the critical level: the heads not yet critical and both
-vehicles of each pair. With pairs it also needs each new head to pay its
-security charge, the returning vehicle to be rated strictly above every
-other member of its cluster, and no exchange to fall; exchange slots stay
-inside a keep. The first slot that breaks a condition ends the block and
+its trace and every head is kept. After one that changed the head of
+every cluster with a trace row, where the controller tells that the next
+slot hands each head back (`FIXED_SWAP`), the cycle is the trace of that
+hand-back and then the slot's own, and each such head alternates between
+its two vehicles, a pair. A block runs while every active vehicle can pay
+its charge and no watched head falls below the critical level: the heads
+not yet critical and both vehicles of each pair. With pairs it also needs
+each new head to pay its security charge and the returning vehicle to be
+rated strictly above every other member of its cluster after the charge.
+Exchange slots stay inside every block; a head that paid the exchange is
+mostly not rated above the others on the next slot, which then ends a
+swap block. The first slot that breaks a condition ends the block and
 runs alone; so does slot 1, which carries the join charge. Each slot's
 itemised sums add the vehicles' shares left to right, heads before members,
 in id order, so they round as one addition per vehicle would. A head adds no
@@ -643,7 +645,12 @@ class _SlotLoop:
 
     def _single(self, s: int) -> bool:
         """Step slot s alone; return whether a block may follow it, and if
-        so set the `cycle` and `pairs` it repeats."""
+        so set the `cycle` and `pairs` it repeats. After a fixed keep the
+        cycle is the slot's trace. After a fixed swap it is the trace of
+        the next slot, which hands each head back
+        (`FleetState.handed_back`), and then the slot's own, and the pairs
+        are (new head, old head); it does not start where a vehicle to take
+        a head back stopped."""
         v = self.v
         (security, transmission, update), tx = self._charge_one(s)
         changes, follow = 0, True
@@ -669,13 +676,11 @@ class _SlotLoop:
             if follow:
                 self.cycle, self.pairs = cycle, _NO_PAIRS
             elif fleet.fixed == FIXED_SWAP and self.cfg.lam > 0:
-                # Slot s - 1 was stepped alone too (at lam 0, where no
-                # vehicle pays a slot, swaps run alone), and the block
-                # repeats its trace first. Vehicle ids are positions in the
-                # arrays.
-                first = self.trace_runs[-2][0][0]
-                self.cycle = first, trace
-                self.pairs = np.array(first.old), np.array(first.new)
+                # The block's first slot hands each head back (at lam 0,
+                # where no vehicle pays a slot, swaps run alone). Vehicle
+                # ids are positions in the arrays.
+                self.cycle = fleet.handed_back(trace), trace
+                self.pairs = np.array(trace.new), np.array(trace.old)
                 # A vehicle that stopped takes over no head.
                 follow = bool(v.active[self.pairs[1]].all())
         self._record_one(security, transmission, update, tx, changes)
@@ -689,7 +694,10 @@ class _SlotLoop:
 
         Slot s repeats the first trace of `cycle`, the next slot the next
         one, and so on; with `pairs` (cur, new), each pair cluster's head
-        goes from cur to new and back, one change a slot. The columns are
+        goes from cur to new and back, one change a slot. Exchange slots
+        stay inside: on them the heads pay the exchange charge, and each
+        slot's sums are those of its kind. The rating, floor, security and
+        charge checks run on every slot, the first too. The columns are
         the distinct member residuals (by bit pattern, so 0.0 and -0.0 stay
         apart), the other paying heads, cur, new, and with pairs each pair
         cluster's richest other member (-inf where there is none). Residuals
@@ -721,10 +729,6 @@ class _SlotLoop:
                 cap = min(cap, BLOCK_CELLS // v.id.size)
             k = self.size = max(1, min(k, cap))
             exchange, transfers = self._exchanges(s, k, heads.size)
-            if p and True in exchange:
-                k = exchange.index(True)
-                if k == 0:
-                    return 0
             member, head = self.costs[False]
             work = np.empty((rows * k + 1, c + p))
             work[0, :m] = bits.view(float)
@@ -765,7 +769,7 @@ class _SlotLoop:
             end = work[rows * k]
             v.residual[members] = end[inverse]
             v.residual[paying] = end[m:c]
-            sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers)
+            sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers, p)
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
             cycle = self.cycle
@@ -777,11 +781,6 @@ class _SlotLoop:
             if k % len(cycle):
                 self.controller[0].hand_over(cur, new)
                 self.cycle, self.pairs = cycle[1:] + cycle[:1], (new, cur)
-        if p:
-            security, transmission, update = sums[0]
-            for _ in range(p):
-                security += cost
-            sums = [(security, transmission, update)] * k
         self._record(sums, txs, [p] * k)
         return k
 
@@ -828,14 +827,16 @@ class _SlotLoop:
         sums, txs = self._tally(s, 1, payers, n_heads, exchange, transfers)
         return sums[0], txs[0]
 
-    def _tally(self, s, k, payers, n_heads, exchange, transfers):
+    def _tally(self, s, k, payers, n_heads, exchange, transfers, changes=0):
         """The sums and `transactions_cum` of k slots from s that `payers`
-        vehicles paid, `n_heads` heads first. Each slot's sums add the
-        payers' items left to right, heads before members, in id order. Off
-        the exact grid the running transaction count adds each member's
-        increment in order, then the transfers; heads add none. A slot's
-        sums are computed once per (payer counts, slot 1, exchange) and kept
-        in `slot_sums`."""
+        vehicles paid, `n_heads` heads first, and on which `changes` new
+        heads paid their security charge. Each slot's sums add the payers'
+        items left to right, heads before members, in id order, and then one
+        security charge per new head. Off the exact grid the running
+        transaction count adds each member's increment in order, then the
+        transfers; heads add none. A slot's sums are computed once per
+        (payer counts, slot 1, exchange, changes) and kept in `slot_sums`;
+        the k slots look up at most two keys, exchange or not."""
         if self.load_rate is not None:
             self.emitted_prev += sum(transfers[:k])
         members = payers - n_heads
@@ -846,14 +847,19 @@ class _SlotLoop:
         else:
             txs = self._tx_chain(k, members, transfers)
         self.tx_cum = txs[-1]
-        sums = []
-        for ex in exchange[:k]:
-            key = (n_heads, payers, s == 1, ex)
-            if key not in self.slot_sums:
-                member, head = self.costs[s == 1]
-                self.slot_sums[key] = _payer_sums(n_heads, members, head[ex][0], member[0])
-            sums.append(self.slot_sums[key])
-        return sums, txs
+        exchange, first, by_exchange = exchange[:k], s == 1, {}
+        for ex in {*exchange}:
+            key = (n_heads, payers, first, ex, changes)
+            sums = self.slot_sums.get(key)
+            if sums is None:
+                member, head = self.costs[first]
+                security, transmission, update = _payer_sums(n_heads, members, head[ex][0],
+                                                             member[0])
+                for _ in range(changes):
+                    security += self.cfg.security_cost
+                sums = self.slot_sums[key] = security, transmission, update
+            by_exchange[ex] = sums
+        return list(map(by_exchange.__getitem__, exchange)), txs
 
     def _tx_chain(self, k, members, transfers):
         """The `transactions_cum` of k slots as one sequential chain, a row
@@ -1061,13 +1067,18 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def comparison_csv(comp: Comparison) -> str:
+def comparison_csv(comp: Comparison, cells: dict | None = None) -> str:
     """The paired run as CSV text: a header, each baseline slot, then each
     clustered slot with the percentage reductions at it. The bytes are
     those `csv_text` writes; no cell needs quoting. Both runs share the
-    slot times, so the `t` cells are formatted once."""
+    slot times, so the `t` cells are formatted once. A `cells` dict gets
+    the `t` cells and each regime's `transactions_cum` cells, by the keys
+    "t", "baseline" and "clustered"."""
     base, clus = comp.baseline.slots, comp.clustered.slots
     t = _cells(base.t)
+    base_tx, clus_tx = _cells(base.transactions_cum), _cells(clus.transactions_cum)
+    if cells is not None:
+        cells.update(t=t, baseline=base_tx, clustered=clus_tx)
     tx_red, energy_red = (
         _cells([_reduction_pct(b, c) for b, c in zip(base_col, clus_col)])
         for base_col, clus_col in ((base.transactions_cum, clus.transactions_cum),
@@ -1076,9 +1087,9 @@ def comparison_csv(comp: Comparison) -> str:
     rows = [",".join(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS) + "\r\n"]
     regime = comp.baseline.regime
     rows += [f"{a},{regime},{tx},{e},{c},{c},,\r\n" for a, tx, e, c in zip(
-        t, _cells(base.transactions_cum), _cells(base.energy_cum), base.ch_changes)]
+        t, base_tx, _cells(base.energy_cum), base.ch_changes)]
     regime = comp.clustered.regime
     rows += [f"{a},{regime},{tx},{e},{c},{c},{r},{q}\r\n" for a, tx, e, c, r, q in zip(
-        t, _cells(clus.transactions_cum), _cells(clus.energy_cum), clus.ch_changes, tx_red,
+        t, clus_tx, _cells(clus.energy_cum), clus.ch_changes, tx_red,
         energy_red)]
     return "".join(rows)

@@ -112,11 +112,11 @@ def test_churn_run_selects_heads_without_candidates(monkeypatch):
     monkeypatch.setattr(fleetchain.controller, "decide", counting("decide"))
     monkeypatch.setattr(fleetchain.controller, "_apply_change", counting("apply_change"))
     # 5 clusters x 10 vehicles x 100 slots at lam 1.5: every head changes on
-    # every slot. `evaluate_slot` moves each head on the 3 slots stepped
-    # alone; the swap block in between moves them without it.
+    # every slot. `evaluate_slot` moves each head on slot 1, the one slot
+    # stepped alone; the swap block after it moves them without it.
     comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
     assert comp.clustered.ch_changes_total == 5 * 100
-    assert counts == {"candidates": 0, "decide": 0, "apply_change": 5 * 3}
+    assert counts == {"candidates": 0, "decide": 0, "apply_change": 5}
 
 
 def test_churn_run_builds_rows_only_when_read(monkeypatch):
@@ -157,16 +157,27 @@ def test_slot_trace_length_is_its_row_count(seed):
         assert list(trace) == rows
 
 
-def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int]:
-    """The slots on which a paired run of `cfg` called `evaluate_slot`."""
+def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int | tuple[int, int]]:
+    """The slots on which a paired run of `cfg` called `evaluate_slot`, in
+    order, and as (s, 0) each `_SlotLoop._block` call of the clustered run
+    that stepped no slot: a block attempt that failed at its first slot s,
+    which then runs alone."""
     slots = []
     evaluate_slot = fleetchain.sim.evaluate_slot
+    block = fleetchain.sim._SlotLoop._block
 
     def counting(fleet, ctrl, slot_index):
         slots.append(slot_index)
         return evaluate_slot(fleet, ctrl, slot_index)
 
+    def attempting(loop, s, k):
+        ran = block(loop, s, k)
+        if ran == 0 and loop.controller is not None:
+            slots.append((s, 0))
+        return ran
+
     monkeypatch.setattr(fleetchain.sim, "evaluate_slot", counting)
+    monkeypatch.setattr(fleetchain.sim._SlotLoop, "_block", attempting)
     paired_comparison(cfg)
     return slots
 
@@ -177,57 +188,99 @@ def test_steady_run_evaluates_the_heads_once_per_stretch(monkeypatch):
 
 
 def test_churn_run_evaluates_the_slots_around_its_swap_block(monkeypatch):
-    # Every head changes on every slot, and from slot 2 on it hands the head
-    # back to the vehicle that held it two slots before: slots 3 to 99 are
-    # one swap block, and the exchange at slot 100 runs alone. The baseline
-    # steps slots 2 to 100 as one block; both go through `_block`.
+    # Every head changes on every slot, and from slot 2 on each head goes
+    # back to the vehicle it came from: slots 2 to 100 are one swap block,
+    # through the exchange at slot 100, and no block attempt fails. The
+    # baseline steps slots 2 to 100 as one block; both go through `_block`.
     blocks = block_calls(monkeypatch)
-    assert evaluated_slots(monkeypatch, SimConfig(lam=1.5, horizon=100.0)) == [1, 2, 100]
-    assert blocks == [(2, 99, 99), (3, 98, 97)]
+    assert evaluated_slots(monkeypatch, SimConfig(lam=1.5, horizon=100.0)) == [1]
+    assert blocks == [(2, 99, 99), (2, 99, 99)]
 
 
 SWAP_CAP_CONFIG = dict(cluster_count=41, vehicles_per_cluster=3, lam=1.5, horizon=300.0)
 
 
 @pytest.mark.parametrize("config, slots", [
-    # The exchange slots 10, 20 and 30 run alone. The head of slot 10 pays
-    # the full-hop charge, so the third vehicle takes the head at slot 11,
-    # and the new pair's swaps are a block again after slot 12.
+    # The exchanges at slots 10, 20 and 30 fall inside swap blocks. The head
+    # of slot 10 pays the full-hop charge, so the third vehicle takes the
+    # head at slot 11, which runs alone, and the new pair's swaps are a
+    # block from slot 12 on.
     (dict(cluster_count=2, vehicles_per_cluster=3, lam=1.5, horizon=30.0,
-          global_exchange_period=10), [1, 2, 10, 11, 12, 20, 21, 22, 30]),
+          global_exchange_period=10), [1, 11, 21]),
     # The two members cannot pay slot 18. The pair swaps on, as a block from
-    # slot 20 to the exchange at the horizon.
+    # slot 19, until neither can pay slot 30.
     (dict(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0, initial_energy=2.5e6,
-          critical_fraction=0.0), [1, 2, 18, 19, 30]),
+          critical_fraction=0.0), [1, 18, 30]),
     # The vehicle to take the head back falls under the critical level (half
     # the initial energy) at slot 15; the members did at slot 9, which ends
     # no block. Then no one can take over and every slot keeps the head: a
     # keep block runs until the head turns critical at slot 17, the members
-    # stop at slot 18, vehicle 1 at slot 24, and the head cannot pay the
-    # exchange at slot 30.
+    # stop at slot 18 (the keep block tried there fails at once), vehicle 1
+    # at slot 24, and the head cannot pay the exchange at slot 30.
     (dict(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0, initial_energy=2.5e6,
-          critical_fraction=0.5), [1, 2, 15, 17, 18, 24, 30]),
+          critical_fraction=0.5), [1, 15, 17, (18, 0), 18, 24, 30]),
     # A security cost equal to the local transmission charge leaves the
     # returning vehicle tied with the third on every other slot. The tie ends
     # the block, though the lowest id (the returning vehicle) wins it.
     (dict(cluster_count=1, vehicles_per_cluster=3, app_count=1, lam=1.5, security_cost=11610.0,
-          horizon=12.0), [1, 2, 3, 5, 6, 7, 9, 10, 11, 12]),
+          horizon=12.0), [1, 3, 5, 7, 9, 11]),
     # The vehicle taking the head cannot pay its security charge at slot 7;
-    # both vehicles run dry at slot 8.
+    # both vehicles run dry at slot 8, the first slot of the swap block
+    # tried after slot 7.
     (dict(cluster_count=1, vehicles_per_cluster=2, app_count=1, lam=1.5, security_cost=3e3,
-          initial_energy=1e5, critical_fraction=0.0, horizon=30.0), [1, 2, 7, 8]),
-    # The head cannot pay the exchange at slot 2 and hands back to vehicle
-    # 0; a vehicle that stopped takes no head, so slot 3 runs alone.
+          initial_energy=1e5, critical_fraction=0.0, horizon=30.0), [1, 7, (8, 0), 8]),
+    # The head cannot pay the exchange at slot 2, the first slot of the swap
+    # block tried after slot 1, and hands back to vehicle 0; a vehicle that
+    # stopped takes no head, so slot 3 runs alone.
     (dict(cluster_count=1, vehicles_per_cluster=2, app_count=1, lam=1.5, security_cost=3e3,
           initial_energy=1e5, critical_fraction=0.0, horizon=30.0, global_exchange_period=2),
-     [1, 2, 3, 4]),
+     [1, (2, 0), 2, 3, (4, 0), 4]),
     # 41 clusters of 3: swap blocks cut by their size cap after an odd
     # number of slots hand the heads over and are followed by swap blocks
     # (`test_blocks_cut_by_their_size_cap_are_followed_by_blocks`).
-    (SWAP_CAP_CONFIG, [1, 2, 300]),
+    (SWAP_CAP_CONFIG, [1]),
+    # The load model emits global transfers on slots 1, 12, 17, 21, 24, 26
+    # and 29. Pairs of two have no third vehicle to break them, so one swap
+    # block runs from slot 2 to the horizon across the emission slots.
+    (dict(cluster_count=2, vehicles_per_cluster=2, lam=1.5, horizon=30.0,
+          use_load_model_exchange=True, presence=0.01), [1]),
+    # The head of each exchange slot (7, 14, 21, 28) pays the full-hop
+    # charge and is no longer rated above the cluster's richest other
+    # member: each pair breaks the slot after an exchange, which runs alone.
+    (dict(cluster_count=3, vehicles_per_cluster=4, lam=1.75, horizon=30.0,
+          global_exchange_period=7), [1, 8, 15, 22, 29]),
 ])
 def test_swap_blocks_end_before_events(monkeypatch, config, slots):
-    cfg = SimConfig(**config)
+    assert_slots_and_spec(monkeypatch, SimConfig(**config), slots)
+
+
+@pytest.mark.parametrize("config, slots", [
+    # Critical heads are handed over at slot 3, on every row. The limit of
+    # 60 covers the required 50 and the observed score is above the
+    # expected, so the new heads' verdict is a keep: no swap block is
+    # tried, and slot 4 keeps every head. The keep block tried after it ends
+    # at once, as the new heads turn critical at slot 5.
+    (dict(cluster_count=2, vehicles_per_cluster=2, lam=2.5, horizon=40.0,
+          global_exchange_period=1, initial_energy=1e7, critical_fraction=0.5,
+          vehicle_tx_limit=60.0, required_tx_limit=50.0), [1, 3, 4, (5, 0), 5, 8, 19]),
+    # The same with a limit of 10: the new heads' rule is the Lemma2-limit
+    # rule, and the vehicles to take the head back do not qualify.
+    (dict(cluster_count=2, vehicles_per_cluster=2, lam=2.5, horizon=40.0,
+          global_exchange_period=1, initial_energy=1e7, critical_fraction=0.5,
+          vehicle_tx_limit=10.0, required_tx_limit=50.0), [1, 3, 4, (5, 0), 5, 8, 19]),
+    # Heads pay the full-hop charge on every slot, so the returning vehicle
+    # is never rated above the third: heads go round in turn, every slot
+    # runs alone and no swap block is tried.
+    (dict(cluster_count=2, vehicles_per_cluster=3, lam=1.5, horizon=12.0,
+          global_exchange_period=1), list(range(1, 13))),
+])
+def test_swap_blocks_start_only_where_a_head_is_handed_back(monkeypatch, config, slots):
+    assert_slots_and_spec(monkeypatch, SimConfig(**config), slots)
+
+
+def assert_slots_and_spec(monkeypatch, cfg: SimConfig, slots) -> None:
+    """A paired run of `cfg` steps `slots` alone (`evaluated_slots`), and its
+    clustered report equals `spec_run`'s, bit for bit."""
     assert evaluated_slots(monkeypatch, cfg) == slots
     report = run_clustered(cfg)
     columns, trace, vehicles = spec_run(cfg, clustered=True)
@@ -329,14 +382,15 @@ def test_blocks_cut_by_their_size_cap_are_followed_by_blocks(monkeypatch):
     # A swap block of 41 pairs and one member residual takes two rows a slot
     # and 125 columns with the richest members, so it is capped at 131
     # slots. Each block cut after an odd number of slots starts the next one
-    # on the other trace of the cycle; the exchange at slot 300 runs alone.
+    # on the other trace of the cycle; the exchange at slot 300 falls inside
+    # the last one.
     blocks.clear()
     cfg = SimConfig(**SWAP_CAP_CONFIG)
     assert fleetchain.sim.BLOCK_CELLS // (2 * (1 + 3 * cfg.cluster_count + 1)) == 131
     report = run_clustered(cfg)
-    assert blocks == [(3, 298, 131), (134, 167, 131), (265, 36, 35)]
+    assert blocks == [(2, 299, 131), (133, 168, 131), (264, 37, 37)]
     assert [(first, last) for _, first, last in report.trace_runs] == [
-        (1, 1), (2, 2), (3, 133), (134, 264), (265, 299), (300, 300)]
+        (1, 1), (2, 132), (133, 263), (264, 300)]
 
 
 @pytest.mark.parametrize(

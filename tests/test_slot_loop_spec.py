@@ -270,6 +270,23 @@ def configs(draw) -> SimConfig:
 @example(SimConfig(cluster_count=1, vehicles_per_cluster=2, app_count=1, lam=1.5,
                    security_cost=3e3, initial_energy=1e5, critical_fraction=0.0, horizon=30.0,
                    global_exchange_period=2))
+# Swap blocks run through load-model emission slots and pairs break the slot
+# after an exchange; critical heads handed over to new heads whose verdict
+# is a keep, or whose Lemma2-limit rule the returning vehicle does not
+# meet, start no swap block; heads that pay the full-hop charge every slot
+# go round in turn.
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=2, lam=1.5, horizon=30.0,
+                   use_load_model_exchange=True, presence=0.01))
+@example(SimConfig(cluster_count=3, vehicles_per_cluster=4, lam=1.75, horizon=30.0,
+                   global_exchange_period=7))
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=2, lam=2.5, horizon=40.0,
+                   global_exchange_period=1, initial_energy=1e7, critical_fraction=0.5,
+                   vehicle_tx_limit=60.0, required_tx_limit=50.0))
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=2, lam=2.5, horizon=40.0,
+                   global_exchange_period=1, initial_energy=1e7, critical_fraction=0.5,
+                   vehicle_tx_limit=10.0, required_tx_limit=50.0))
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=1.5, horizon=12.0,
+                   global_exchange_period=1))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)
