@@ -243,3 +243,36 @@ def test_validate_report_digests(seed, capsys):
     assert main(["validate", "--grid", "300", "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_GOLDEN[seed]
+
+
+# The four grid-300 validate seeds of the oracle-validate benchmark's seed 601
+# (`workloads.generate("oracle-validate", 601, ...)`).
+BENCHMARK_VALIDATE_GOLDEN = {
+    1680111943: "2b9f08efd2e372173b844e3e6a6167f636f465685f64b19047450a62fecc42c6",
+    771741708: "a219112a85e5a2debeb98ed5226859fafaa0172e895a0b7670dc9c21597f0b63",
+    1509239495: "4b93646224d3b98a1c9fd337d83892d88dab94c071c53fc22b38d051db404f94",
+    1605614394: "a3a945c7177f61762f37c95781457516ddbf9c37c7221380773f9e48a7a50002",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCHMARK_VALIDATE_GOLDEN))
+def test_benchmark_validate_report_digests(seed, capsys):
+    assert main(["validate", "--grid", "300", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_VALIDATE_GOLDEN[seed]
+
+
+# Small and degenerate grids at seed 20240, the newline-joined report lines.
+SMALL_GRID_GOLDEN = {
+    -3: "6f5155b890eab876e7e01d4f8ff13db15eec3b829295a7dd683f589e6fe92ed0",
+    0: "257095e6a7ced6189722c03761a10b177ca6db0f4fc57805f07cfd9e94ba2807",
+    1: "ec2446aec98481a8cb880b65061a5ca3f550a2a24620d021cda3eaf038ed7355",
+    7: "8097207c5d7bfb811efba31d426d1c9c1b759db23156bd406b06cc642dd209a7",
+    41: "2d3db7c944e771557804ab69bac096eca122a56bafdaa9173497125599088570",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SMALL_GRID_GOLDEN))
+def test_small_grid_report_digests(grid):
+    text = "\n".join(run_validation(grid=grid, seed=20240).lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_GRID_GOLDEN[grid]
