@@ -8,6 +8,7 @@ seeded random parameter grids. The suite backs the `validate` CLI command.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,6 +85,22 @@ def _result(name: str, errors: list, tolerance: float, note: str = "") -> CheckR
     return CheckResult(name, len(errors), failures, worst, note)
 
 
+DRAW_CHUNK = 4096
+
+
+def _uniform_draws(rng: np.random.Generator, rows: int, width: int):
+    """`rows` lists of `width` doubles of `rng.random`, drawn `DRAW_CHUNK`
+    rows at a time: the doubles, in order, that `rows * width` scalar
+    `rng.uniform` calls consume. Nothing is drawn when `rows` <= 0."""
+    for start in range(0, rows, DRAW_CHUNK):
+        yield from rng.random((min(DRAW_CHUNK, rows - start), width)).tolist()
+
+
+def _uniform(low: float, high: float, u: float) -> float:
+    """The value `rng.uniform(low, high)` returns when it draws the double `u`."""
+    return low + (high - low) * u
+
+
 def _random_decay_params(rng: np.random.Generator) -> DecayParams:
     def rate() -> GaussianRate:
         mean = rng.uniform(0.0, 5.0)
@@ -152,10 +169,10 @@ def check_rate_roundtrip(
 ) -> CheckResult:
     """density -> invert_rate recovers the rate on the upper branch."""
     errors = []
-    for _ in range(grid):
-        mean = rng.uniform(0.0, 10.0)
-        stddev = rng.uniform(0.05, 5.0)
-        lam = mean + rng.uniform(0.0, 5.0 * stddev)
+    for u_mean, u_sd, u_lam in _uniform_draws(rng, grid, 3):
+        mean = _uniform(0.0, 10.0, u_mean)
+        stddev = _uniform(0.05, 5.0, u_sd)
+        lam = mean + _uniform(0.0, 5.0 * stddev, u_lam)
         g = GaussianRate.at_rate(mean, stddev, lam)
         errors.append(abs(invert_rate(g) - lam))
     return _result("rate inversion round-trip", errors, tolerance)
@@ -225,24 +242,42 @@ def check_tx_ceiling(grid: int, rng: np.random.Generator) -> CheckResult:
 
 
 MIDPOINTS = 1_000_000
+# exp(-0.5 * z * z) is exactly 0.0 beyond this many deviations: the exponent,
+# below -748.8, is under the -745.14 at which the smallest subnormal rounds to 0.
+MIDPOINT_WINDOW = 38.7
 
 
 def midpoint_range_mass(m: MobilityModel, nodes: np.ndarray, out: np.ndarray) -> float:
     """Midpoint rule for the Gaussian range mass on [0, connect_range].
 
     `nodes` holds `np.arange(n) + 0.5` and `out` is a float buffer of the
-    same length that is overwritten. Every ufunc writes into `out`, so a
-    call allocates no array, and the value is bit-identical to evaluating
-    `exp(-0.5 * z * z) / (sd * sqrt(2 pi))` at the midpoints and summing.
+    same length that is overwritten. The density is evaluated only at the
+    nodes within `MIDPOINT_WINDOW` deviations of the mean, found by
+    bisection on the same float steps, and every other node is written as
+    the 0.0 its density would underflow to. Every ufunc writes into `out`,
+    so a call allocates no array, and the sum runs over the whole buffer:
+    the value is bit-identical to evaluating
+    `exp(-0.5 * z * z) / (sd * sqrt(2 pi))` at every midpoint and summing.
     """
     n = len(nodes)
-    np.multiply(nodes, m.connect_range / n, out=out)
-    np.subtract(out, m.mean_range, out=out)
-    np.divide(out, m.range_stddev, out=out)
-    np.square(out, out=out)
-    out *= -0.5
-    np.exp(out, out=out)
-    np.divide(out, m.range_stddev * math.sqrt(2.0 * math.pi), out=out)
+    step, mean, sd = m.connect_range / n, m.mean_range, m.range_stddev
+
+    def z(i: int) -> float:  # the chain's value at node i, before the square
+        return (float(nodes[i]) * step - mean) / sd
+
+    # z never decreases along the nodes, so the window is one slice.
+    lo = bisect_left(range(n), -MIDPOINT_WINDOW, key=z)
+    hi = bisect_right(range(lo, n), MIDPOINT_WINDOW, key=z) + lo
+    out[:lo] = 0.0
+    out[hi:] = 0.0
+    w = out[lo:hi]
+    np.multiply(nodes[lo:hi], step, out=w)
+    np.subtract(w, mean, out=w)
+    np.divide(w, sd, out=w)
+    np.square(w, out=w)
+    w *= -0.5
+    np.exp(w, out=w)
+    np.divide(w, sd * math.sqrt(2.0 * math.pi), out=w)
     return float(out.sum() * m.connect_range / n)
 
 
@@ -262,23 +297,23 @@ def check_in_range_probability(grid: int, rng: np.random.Generator) -> CheckResu
     errors = []
     nodes = np.arange(MIDPOINTS) + 0.5
     buf = np.empty(MIDPOINTS)
-    for _ in range(max(1, grid // 20)):
+    for u in _uniform_draws(rng, max(1, grid // 20), 5):
         m = MobilityModel(
-            connect_range=rng.uniform(10.0, 500.0),
-            radio_range=rng.uniform(10.0, 500.0),
-            mean_range=rng.uniform(10.0, 500.0),
-            range_stddev=rng.uniform(1.0, 200.0),
+            connect_range=_uniform(10.0, 500.0, u[0]),
+            radio_range=_uniform(10.0, 500.0, u[1]),
+            mean_range=_uniform(10.0, 500.0, u[2]),
+            range_stddev=_uniform(1.0, 200.0, u[3]),
         )
-        c = ConnectivityParams(presence_prob=rng.uniform(0.0, 1.0))
+        c = ConnectivityParams(presence_prob=_uniform(0.0, 1.0, u[4]))
         mid = 1.0 - c.presence_prob * midpoint_range_mass(m, nodes, buf)
         errors.append(abs(in_range_probability(m, c) - mid))
-    for i in range(max(1, grid // 2)):
-        sd = 10.0 ** rng.uniform(-1.0, 2.0)
-        mean = 10.0 ** rng.uniform(3.0, 6.0)
+    for i, u in enumerate(_uniform_draws(rng, max(1, grid // 2), 4)):
+        sd = 10.0 ** _uniform(-1.0, 2.0, u[0])
+        mean = 10.0 ** _uniform(3.0, 6.0, u[1])
         # Every other range lies within 8 sd of the mean, so part of the mass is cut.
-        r = 10.0 ** rng.uniform(1.0, 23.0) if i % 2 == 0 else mean + sd * rng.uniform(-8.0, 8.0)
+        r = 10.0 ** _uniform(1.0, 23.0, u[2]) if i % 2 == 0 else mean + sd * _uniform(-8.0, 8.0, u[2])
         m = MobilityModel(connect_range=r, radio_range=r, mean_range=mean, range_stddev=sd)
-        c = ConnectivityParams(presence_prob=rng.uniform(0.0, 1.0))
+        c = ConnectivityParams(presence_prob=_uniform(0.0, 1.0, u[3]))
         quad = 1.0 - c.presence_prob * quad_range_mass(m)
         errors.append(abs(in_range_probability(m, c) - quad))
     return _result("in-range probability vs midpoint rule and quadrature", errors, 1e-6)

@@ -68,14 +68,14 @@ CONFIGS = {
     # its vehicles run dry, and the clustered run is one block from slot 2.
     "large-fleet": dict(cluster_count=8, vehicles_per_cluster=250, lam=2.0, horizon=60.0,
                         global_exchange_period=7, initial_energy=1e8, seed=4),
-    # The same fleet at a 0.1 J security cost, no multiple of a power of two,
-    # so slot 1's security sum rounds (2199.9999999999177 J, not 2200); its
-    # blocks fall as above.
+    # The same fleet, still on the exact transaction grid and stepped in the
+    # same blocks, at a 0.1 J security cost: no multiple of a power of two,
+    # so slot 1's security sum rounds (2199.9999999999177 J, not 2200).
     # Its digests were taken from the blocked loop; `spec_run` of
     # test_slot_loop_spec.py gives the same columns, trace and vehicles.
-    "large-fleet-off-grid": dict(cluster_count=8, vehicles_per_cluster=250, lam=2.0,
-                                 horizon=60.0, global_exchange_period=7, initial_energy=1e8,
-                                 security_cost=0.1, seed=4),
+    "large-fleet-security-0.1": dict(cluster_count=8, vehicles_per_cluster=250, lam=2.0,
+                                     horizon=60.0, global_exchange_period=7,
+                                     initial_energy=1e8, security_cost=0.1, seed=4),
 }
 
 GOLDEN = {
@@ -109,7 +109,7 @@ GOLDEN = {
         "383ef80695b8756c66e370dc5b5cf0ed04b2fc25cee15ce0a754b1b3b8117702",
         "fca3ba84014193439742efa8757b193336d6715e12e9993a59d08cb11a6c6228",
     ),
-    "large-fleet-off-grid": (
+    "large-fleet-security-0.1": (
         "86972de262f75e6b3f5dfdf8dd1e7cfe810b1ebb18c30567b66fbb6aeed7955e",
         "383ef80695b8756c66e370dc5b5cf0ed04b2fc25cee15ce0a754b1b3b8117702",
         "1550c35e003f87d365ad1f64142ae067704eef29d0807a4cae01cd9fe3270771",

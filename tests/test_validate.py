@@ -20,9 +20,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import fleetchain.validate as validate
-from fleetchain.analytics import TxCountParams, transaction_count
+from fleetchain.analytics import GaussianRate, TxCountParams, invert_rate, transaction_count
 from fleetchain.cli import main
-from fleetchain.mobility import MobilityModel, gaussian_mass
+from fleetchain.mobility import (
+    ConnectivityParams,
+    MobilityModel,
+    gaussian_mass,
+    in_range_probability,
+)
 from fleetchain.sim import SimConfig
 from fleetchain.validate import MIDPOINTS, midpoint_range_mass, run_validation, tx_oracle
 
@@ -220,6 +225,147 @@ def test_midpoint_rule_in_place_is_bit_identical():
         pdf = np.exp(-0.5 * z * z) / (m.range_stddev * math.sqrt(2.0 * math.pi))
         plain = float(pdf.sum() * m.connect_range / MIDPOINTS)
         assert midpoint_range_mass(m, nodes, buf) == plain, m
+
+
+def plain_midpoint(m: MobilityModel, n: int) -> tuple[np.ndarray, float]:
+    """The densities at every midpoint, and the rule's value, as the plain
+    full-array expression gives them."""
+    xs = (np.arange(n) + 0.5) * (m.connect_range / n)
+    with np.errstate(over="ignore"):  # |z| beyond the float range reads inf
+        z = (xs - m.mean_range) / m.range_stddev
+        pdf = np.exp(-0.5 * z * z) / (m.range_stddev * math.sqrt(2.0 * math.pi))
+    return pdf, float(pdf.sum() * m.connect_range / n)
+
+
+def assert_windowed_midpoint_is_plain(m: MobilityModel, n: int = MIDPOINTS):
+    nodes = np.arange(n) + 0.5
+    buf = np.full(n, np.nan)
+    value = midpoint_range_mass(m, nodes, buf)
+    pdf, plain = plain_midpoint(m, n)
+    assert np.array_equal(buf, pdf), m
+    assert value == plain, m
+
+
+@pytest.mark.parametrize("log_sd", np.linspace(-3.0, 1.0, 9))
+def test_windowed_midpoint_on_narrow_densities(log_sd):
+    # sd 1e-3 to 10 over ranges of 10 to 500: most nodes lie beyond the window.
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        r = rng.uniform(10.0, 500.0)
+        m = MobilityModel(connect_range=r, radio_range=r, mean_range=rng.uniform(0.01, r),
+                          range_stddev=10.0**log_sd)
+        assert_windowed_midpoint_is_plain(m)
+
+
+@pytest.mark.parametrize("mean, sd, r", [
+    (1e6, 1.0, 100.0),      # every node lies far below the mean: all 0
+    (1e-3, 1e-3, 100.0),    # the window is clipped at node 0
+    (0.5e-4, 0.5, 100.0),   # a wide density clipped at node 0
+    (100.0, 1e-3, 100.0),   # the window is clipped at node n - 1
+    (99.99995, 1e-9, 100.0),  # the window holds one node, n - 1
+    (50.0, 1e4, 100.0),     # the window covers every node
+    (1e300, 1.0, 1e-300),   # z overflows to -inf on every node
+    (1e300, 1e-300, 1e-300),
+    (1e-300, 1e-300, 1e300),  # z overflows to +inf on every node
+    (1.0, 1e300, 1e-300),
+    (1.0, 1e308, 1.0),      # sd * sqrt(2 pi) overflows: every density is 0
+    (1e308, 1e306, 1.7e308),
+])
+def test_windowed_midpoint_at_the_edges(mean, sd, r):
+    assert_windowed_midpoint_is_plain(
+        MobilityModel(connect_range=r, radio_range=r, mean_range=mean, range_stddev=sd)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_windowed_midpoint_on_few_nodes(n):
+    for mean in (1e-9, 0.3, 0.5, 0.7, 1.0, 1e9):
+        for sd in (1e-12, 1e-3, 0.05, 1.0):
+            m = MobilityModel(connect_range=1.0, radio_range=1.0, mean_range=mean,
+                              range_stddev=sd)
+            assert_windowed_midpoint_is_plain(m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_uniform(1e-300, 1e300), log_uniform(1e-300, 1e300), log_uniform(1e-300, 1e300))
+def test_windowed_midpoint_over_the_float_range(mean, sd, r):
+    assert_windowed_midpoint_is_plain(
+        MobilityModel(connect_range=r, radio_range=r, mean_range=mean, range_stddev=sd), 1000
+    )
+
+
+def scalar_rate_roundtrip(tolerance: float, grid: int, rng: np.random.Generator):
+    """`check_rate_roundtrip` with one `rng.uniform` call per value."""
+    errors = []
+    for _ in range(grid):
+        mean = rng.uniform(0.0, 10.0)
+        stddev = rng.uniform(0.05, 5.0)
+        lam = mean + rng.uniform(0.0, 5.0 * stddev)
+        g = GaussianRate.at_rate(mean, stddev, lam)
+        errors.append(abs(invert_rate(g) - lam))
+    return validate._result("rate inversion round-trip", errors, tolerance)
+
+
+def scalar_in_range(grid: int, rng: np.random.Generator):
+    """`check_in_range_probability` with one `rng.uniform` call per value and
+    the plain full-array midpoint rule."""
+    errors = []
+    for _ in range(max(1, grid // 20)):
+        m = MobilityModel(
+            connect_range=rng.uniform(10.0, 500.0),
+            radio_range=rng.uniform(10.0, 500.0),
+            mean_range=rng.uniform(10.0, 500.0),
+            range_stddev=rng.uniform(1.0, 200.0),
+        )
+        c = ConnectivityParams(presence_prob=rng.uniform(0.0, 1.0))
+        mid = 1.0 - c.presence_prob * plain_midpoint(m, MIDPOINTS)[1]
+        errors.append(abs(in_range_probability(m, c) - mid))
+    for i in range(max(1, grid // 2)):
+        sd = 10.0 ** rng.uniform(-1.0, 2.0)
+        mean = 10.0 ** rng.uniform(3.0, 6.0)
+        r = 10.0 ** rng.uniform(1.0, 23.0) if i % 2 == 0 else mean + sd * rng.uniform(-8.0, 8.0)
+        m = MobilityModel(connect_range=r, radio_range=r, mean_range=mean, range_stddev=sd)
+        c = ConnectivityParams(presence_prob=rng.uniform(0.0, 1.0))
+        quad = 1.0 - c.presence_prob * validate.quad_range_mass(m)
+        errors.append(abs(in_range_probability(m, c) - quad))
+    return validate._result("in-range probability vs midpoint rule and quadrature", errors, 1e-6)
+
+
+def primed_pair(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two generators in one state, each holding the spare 32-bit half that a
+    small `integers` draw leaves, as the checks before these ones do."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in pair:
+        rng.integers(1, 21)
+    assert pair[0].bit_generator.state["has_uint32"] == 1
+    return pair
+
+
+@pytest.mark.parametrize("grid", [-3, 0, 1, 7, 41, validate.DRAW_CHUNK + 1])
+def test_rate_roundtrip_draws_the_scalar_stream(grid):
+    rng, ref = primed_pair(grid + 5)
+    assert validate.check_rate_roundtrip(1e-9, grid, rng) == scalar_rate_roundtrip(1e-9, grid, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("grid, chunk", [(-3, None), (0, None), (1, None), (7, None),
+                                         (41, None), (10, 4), (100, 4)])
+def test_in_range_draws_the_scalar_stream(grid, chunk, monkeypatch):
+    # A chunk of 4 rows puts both loops' draws just past a chunk's end.
+    if chunk is not None:
+        monkeypatch.setattr(validate, "DRAW_CHUNK", chunk)
+    rng, ref = primed_pair(grid + 11)
+    assert validate.check_in_range_probability(grid, rng) == scalar_in_range(grid, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_uniform_draws_are_drawn_a_chunk_at_a_time():
+    # A grid of 10**9 draws one chunk of rows before its first row is used.
+    rng, ref = primed_pair(3)
+    first = next(validate._uniform_draws(rng, 10**9, 3))
+    block = ref.random((validate.DRAW_CHUNK, 3))
+    assert first == block[0].tolist()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_validation_runs_without_double_quadrature(monkeypatch):
