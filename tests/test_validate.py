@@ -1,6 +1,8 @@
 """The validation oracles: the single-quadrature load-model oracle against the
-double integral it replaces, the allocation-free midpoint rule against the
-plain expression, and golden digests of whole `fleetchain validate` reports.
+double integral it replaces, the allocation-free and windowed midpoint rule
+against the plain expression, the chunked uniform draws against scalar
+`rng.uniform` calls, and golden digests of whole `fleetchain validate`
+reports.
 
 The report digests were retaken when the in-range check gained its
 narrow-density quadrature draws and a positive load got a ceiling of at
