@@ -23,13 +23,9 @@ from .analytics import (
     transaction_count,
 )
 from .controller import (
-    Candidate,
-    ChDecision,
     ControllerConfig,
     FleetState,
-    OstObservation,
     TraceRow,
-    decide,
     ost_score,
     ost_threshold,
     pre_decay_check,
@@ -67,8 +63,6 @@ __version__ = "0.1.0"
 
 
 __all__ = [
-    "Candidate",
-    "ChDecision",
     "Comparison",
     "ConfigError",
     "ConnectivityParams",
@@ -82,7 +76,6 @@ __all__ = [
     "HestonParams",
     "InfeasibleRateError",
     "MobilityModel",
-    "OstObservation",
     "RunReport",
     "Scenario",
     "SimConfig",
@@ -95,7 +88,6 @@ __all__ = [
     "compare_reports",
     "comparison_csv",
     "conservation_factor",
-    "decide",
     "energy_decay",
     "energy_decay_at_rates",
     "energy_decay_synchronized",

@@ -29,8 +29,9 @@ verdict per class (`_verdict_table`) is spread over the vehicles while the
 observed score stays the same, and gathered per head. When a head is dead
 or critical, or the test indicates a change, one array pass over the
 stepped clusters' members (`_select`) picks the new head of every cluster
-at once. `decide` reads the same table and makes the same selection over
-one cluster's `Candidate` list.
+at once. These two passes are the package's only implementation of the
+cascade; the slot-loop specification in the tests writes it out again,
+one cluster at a time.
 
 `evaluate_slot` returns the slot's rows as a `SlotTrace` of columns;
 iterating it yields `TraceRow`s, the rows `run_controller` returns.
@@ -63,6 +64,11 @@ FIXED_SWAP = "swap every pair"
 # Rule codes of a `SlotTrace`: index into RULES.
 RULES = (RULE_OST, RULE_LIMIT, RULE_PRE_DECAY)
 _OST_CODE, _LIMIT_CODE, _PRE_DECAY_CODE = range(len(RULES))
+
+# Nothing calls these names; benchmarks/tracing.py looks them up to install
+# its `controller.decide` span and `controller.candidates_built` counter.
+decide = None
+Candidate = None
 
 
 def ost_score(m: MobilityModel, c: ConnectivityParams, lam1: float) -> float:
@@ -117,45 +123,6 @@ def pre_decay_check(
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """A vehicle eligible for head duty within its cluster."""
-
-    vehicle_id: int
-    energy_rating: float
-    radio_range: float
-    tx_limit: float | None = None
-    critical: bool = False
-
-
-@dataclass(frozen=True)
-class OstObservation:
-    observed: float
-    expected: float
-    upper_tx_limit: float | None
-    time: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.observed) and math.isfinite(self.expected)):
-            raise ValueError("scores must be finite")
-        if self.upper_tx_limit is not None and self.upper_tx_limit < 0:
-            raise ValueError("upper_tx_limit must be >= 0")
-
-
-@dataclass(frozen=True)
-class ChDecision:
-    action: str
-    new_ch: int | None
-    offload_slot: float
-    rule_used: str
-
-    def __post_init__(self):
-        if self.action == ACTION_CHANGE and self.new_ch is None:
-            raise ValueError("a change decision must name the new head")
-        if self.offload_slot < 0:
-            raise ValueError("offload_slot must be >= 0")
-
-
-@dataclass(frozen=True)
 class ControllerConfig:
     slot: float
     horizon: float
@@ -164,7 +131,7 @@ class ControllerConfig:
     expected_score: float | None = None
 
     def __post_init__(self):
-        if self.slot <= 0 or self.slot > self.horizon:
+        if not 0 < self.slot <= self.horizon < math.inf:  # NaN fails every comparison
             raise ValueError("slot must satisfy 0 < slot <= horizon")
 
 
@@ -208,12 +175,12 @@ def tx_limit_value(limit: float | None) -> float:
     return math.nan if limit is None else limit
 
 
-def _head_classes(tx_limit: np.ndarray | float, required: float | None) -> np.ndarray:
+def _head_classes(tx_limit: np.ndarray, required: float | None) -> np.ndarray:
     """The class of each head for the keep-or-change test: 0 without
     capacity data (no `required` limit, or a NaN limit), 1 where its limit
     covers `required`, 2 where its limit is below it."""
     if required is None:
-        return np.zeros(np.shape(tx_limit), dtype=np.intp)
+        return np.zeros(tx_limit.shape, dtype=np.intp)
     return np.where(tx_limit >= required, 1, np.where(np.isnan(tx_limit), 0, 2))
 
 
@@ -234,15 +201,12 @@ def _verdict_table(
 
 
 def _qualified(
-    tx_limit: np.ndarray, radio_range: np.ndarray, required: float, connect_range: float | None
+    tx_limit: np.ndarray, radio_range: np.ndarray, required: float, connect_range: float
 ) -> np.ndarray:
     """Vehicles whose limit covers `required` and whose radio range covers
     `connect_range`: those the Lemma2-limit rule may hand the head to. A NaN
     limit (no limit) never qualifies."""
-    ok = tx_limit >= required
-    if connect_range is not None:
-        ok &= connect_range <= radio_range
-    return ok
+    return (tx_limit >= required) & (connect_range <= radio_range)
 
 
 def _select(
@@ -266,43 +230,6 @@ def _select(
     top = np.maximum.reduceat(np.where(eligible, rating, -np.inf), seg.starts)
     hit = eligible & (rating == top[seg.segment])
     return np.minimum.reduceat(np.where(hit, seg.position, rating.size), seg.starts)
-
-
-def decide(
-    obs: OstObservation,
-    cfg: ControllerConfig,
-    candidates: list[Candidate],
-    *,
-    required_tx_limit: float | None = None,
-    connect_range: float | None = None,
-    pre_decay: bool = False,
-) -> ChDecision:
-    """Pure decision for one cluster at one slot (see module cascade)."""
-    rules, changes = _verdict_table(obs.observed, obs.expected, pre_decay)
-    head_class = _head_classes(tx_limit_value(obs.upper_tx_limit), required_tx_limit)
-    rule = RULES[rules[head_class]]
-    pool = sorted(candidates, key=lambda c: c.vehicle_id)
-    if changes[head_class] and pool:
-        limit = rule == RULE_LIMIT
-        qualified = None
-        if limit:
-            qualified = _qualified(
-                np.array([tx_limit_value(c.tx_limit) for c in pool], dtype=float),
-                np.array([c.radio_range for c in pool], dtype=float),
-                required_tx_limit,
-                connect_range,
-            )
-        (pick,) = _select(
-            np.array([c.energy_rating for c in pool], dtype=float),
-            np.array([not c.critical for c in pool], dtype=bool),
-            _Segments.of_lengths([len(pool)]),
-            np.array([limit]),
-            qualified,
-        )
-        if pick < len(pool):
-            return ChDecision(ACTION_CHANGE, pool[pick].vehicle_id,
-                              max(obs.time - cfg.slot, 0.0), rule)
-    return ChDecision(ACTION_KEEP, None, 0.0, rule)
 
 
 @dataclass(frozen=True)
@@ -399,14 +326,18 @@ class _RunConstants:
 class FleetState:
     """Mutable view of the fleet the controller steps over.
 
-    `vehicles` is a `VehicleArrays`; `evaluate_slot` writes head changes to
-    its `head` flags in place, and a run leaves one flag in each cluster it
-    steps. Only `run_controller` also takes a list of
-    objects exposing id/cluster/role/residual_energy/radio_range/tx_limit/
-    critical/active attributes (the simulator's VehicleState satisfies
-    this). Scores come from `score_schedule` (per slot index), then
-    `score_default`, then the stopping score computed from the mobility
-    model and `lam1`.
+    `vehicles` is a `VehicleArrays`. `evaluate_slot` steps one slot of the
+    cascade over it and writes head changes to its `head` flags in place;
+    a run leaves one flag in each cluster it steps. `run_controller` steps
+    every slot of a run, and it alone also takes a list of objects exposing
+    id/cluster/role/residual_energy/radio_range/tx_limit/critical/active
+    attributes (the simulator's VehicleState satisfies this). Scores come
+    from `score_schedule` (per slot index), then `score_default`, then the
+    stopping score computed from the mobility model and `lam1`. The
+    simulator's blocks, which step slots without `evaluate_slot`, read the
+    rest: `ratings` rates residuals as the head selection does,
+    `handed_back` gives the rows of the slot after a swap, `hand_over`
+    moves heads and `deactivate` stops vehicles.
 
     A run counts the active vehicles of each stepped cluster once, on its
     first slot, from the `active` flags. A vehicle never becomes active

@@ -8,14 +8,12 @@ from fleetchain.analytics import DecayParams, GaussianRate, decay_params_at, ene
 from fleetchain.controller import (
     ACTION_CHANGE,
     ACTION_KEEP,
-    Candidate,
-    ChDecision,
+    FIXED_SWAP,
     ControllerConfig,
     FleetState,
-    OstObservation,
+    TraceRow,
     VehicleArrays,
     cumulative_decay_integral,
-    decide,
     evaluate_slot,
     ost_score,
     ost_threshold,
@@ -33,11 +31,11 @@ def mobility(**overrides) -> MobilityModel:
     return MobilityModel(**base)
 
 
-def make_obs(observed, expected, limit=None, time=5.0) -> OstObservation:
-    return OstObservation(observed=observed, expected=expected, upper_tx_limit=limit, time=time)
-
-
-CFG = ControllerConfig(slot=1.0, horizon=10.0, expected_rate=1.0)
+@pytest.mark.parametrize("slot, horizon", [(0.0, 10.0), (2.0, 1.0), (math.nan, 10.0),
+                                           (1.0, math.inf), (1.0, math.nan)])
+def test_a_slot_outside_the_horizon_is_rejected(slot, horizon):
+    with pytest.raises(ValueError, match="slot must satisfy 0 < slot <= horizon"):
+        ControllerConfig(slot=slot, horizon=horizon)
 
 
 # --- scores ---------------------------------------------------------------
@@ -134,105 +132,113 @@ def test_pre_decay_against_quadrature():
     assert pre_decay_check(p, hp, lam1, tau, omega) == (lhs_quad < rhs)
 
 
-# --- decide cascade -------------------------------------------------------
+# --- keep-or-change cascade ---------------------------------------------
 
-def cands(*specs) -> list[Candidate]:
-    return [Candidate(*spec) for spec in specs]
+def cascade(observed, expected, *members, limit=None, slot=5, required=None,
+            connect_range=500.0, pre_decay=False) -> list[TraceRow]:
+    """The rows of `evaluate_slot` at `slot` (slots of 1 s) over one cluster:
+    head 0, healthy, with tx limit `limit`, and active `members` given as
+    (id, residual, radio range, tx limit[, critical]). The observed score is
+    `observed` on every slot and the expected score `expected`. Residuals
+    rate as they are, except under `pre_decay`, whose decay data rates them
+    in slots of decay."""
+    vehicles = [VehicleState(id=0, cluster=0, residual_energy=0.0, stay_time=10.0,
+                             radio_range=300.0, role="ch", tx_limit=limit)]
+    for vid, residual, radio_range, tx_limit, *critical in members:
+        assert vid != 0
+        vehicles.append(VehicleState(id=vid, cluster=0, residual_energy=residual,
+                                     stay_time=10.0, radio_range=radio_range,
+                                     tx_limit=tx_limit, critical=any(critical)))
+    signal = {}
+    if pre_decay:
+        # The pre-decay test's left-hand side is 0 and its right-hand side
+        # positive (`test_pre_decay_positive_rhs_zero_lhs_is_true`).
+        hp = HestonParams(request_rate=0.0, excess_energy_ratio=2.0, energy_stddev=1.0)
+        signal = dict(decay=decay(), heston=hp, lam1=1.0)
+    fleet = FleetState(vehicles=VehicleArrays.of(vehicles),
+                       mobility=mobility(connect_range=connect_range),
+                       connectivity=ConnectivityParams(), score_default=observed,
+                       required_tx_limit=required, **signal)
+    cfg = ControllerConfig(slot=1.0, horizon=10.0, expected_score=expected)
+    return list(evaluate_slot(fleet, cfg, slot))
 
 
 def test_decide_keep_when_all_healthy():
-    d = decide(make_obs(5.0, 1.0, limit=100.0), CFG, cands((1, 2.0, 300.0, 200.0)),
-               required_tx_limit=50.0)
-    assert d.action == ACTION_KEEP
-    assert d.new_ch is None
+    (row,) = cascade(5.0, 1.0, (1, 2.0, 300.0, 200.0), limit=100.0, required=50.0)
+    assert row.action == ACTION_KEEP
+    assert row.new_ch is None
 
 
 def test_decide_change_on_score_dip():
-    d = decide(make_obs(0.5, 1.0), CFG, cands((7, 2.0, 300.0, None)))
-    assert d == ChDecision(ACTION_CHANGE, 7, 4.0, "OST")
+    rows = cascade(0.5, 1.0, (7, 2.0, 300.0, None))
+    assert rows == [TraceRow(5, 0, "OST", ACTION_CHANGE, 0, 7, 4.0)]
 
 
 def test_decide_equality_keeps_head():
-    d = decide(make_obs(1.0, 1.0, limit=100.0), CFG, cands((1, 2.0, 300.0, 200.0)),
-               required_tx_limit=50.0)
-    assert d.action == ACTION_KEEP
+    (row,) = cascade(1.0, 1.0, (1, 2.0, 300.0, 200.0), limit=100.0, required=50.0)
+    assert row.action == ACTION_KEEP
     # tie with no capacity data and no pre-decay signal also keeps
-    d = decide(make_obs(1.0, 1.0), CFG, cands((1, 2.0, 300.0, None)))
-    assert d.action == ACTION_KEEP
-    assert d.rule_used == "pre-decay"
+    (row,) = cascade(1.0, 1.0, (1, 2.0, 300.0, None))
+    assert row.action == ACTION_KEEP
+    assert row.rule_used == "pre-decay"
 
 
 def test_decide_tie_with_pre_decay_changes():
-    d = decide(make_obs(1.0, 1.0), CFG, cands((3, 2.0, 300.0, None)), pre_decay=True)
-    assert d.action == ACTION_CHANGE
-    assert d.rule_used == "pre-decay"
+    (row,) = cascade(1.0, 1.0, (3, 2.0, 300.0, None), pre_decay=True)
+    assert row.action == ACTION_CHANGE
+    assert row.rule_used == "pre-decay"
 
 
 def test_decide_limit_rule_changes_head():
-    # head limit 10 below the required 50; candidate 4 qualifies
-    d = decide(
-        make_obs(5.0, 1.0, limit=10.0),
-        CFG,
-        cands((4, 2.0, 600.0, 80.0), (5, 3.0, 300.0, 20.0)),
-        required_tx_limit=50.0,
-        connect_range=500.0,
-    )
-    assert d.action == ACTION_CHANGE
-    assert d.new_ch == 4
-    assert d.rule_used == "Lemma2-limit"
+    # head limit 10 below the required 50; member 4 qualifies
+    (row,) = cascade(5.0, 1.0, (4, 2.0, 600.0, 80.0), (5, 3.0, 300.0, 20.0),
+                     limit=10.0, required=50.0, connect_range=500.0)
+    assert row.action == ACTION_CHANGE
+    assert row.new_ch == 4
+    assert row.rule_used == "Lemma2-limit"
 
 
 def test_decide_limit_rule_keeps_head_without_qualified_member():
     # Limits 20 are under the required 50, and 80 covers it but 300 m does
     # not reach the 500 m connect range: no member qualifies, the head stays.
-    d = decide(
-        make_obs(5.0, 1.0, limit=10.0),
-        CFG,
-        cands((1, 2.0, 310.0, 20.0), (2, 3.0, 600.0, 20.0), (3, 9.0, 300.0, 80.0)),
-        required_tx_limit=50.0,
-        connect_range=500.0,
-    )
-    assert d == ChDecision(ACTION_KEEP, None, 0.0, "Lemma2-limit")
+    rows = cascade(5.0, 1.0, (1, 2.0, 310.0, 20.0), (2, 3.0, 600.0, 20.0),
+                   (3, 9.0, 300.0, 80.0), limit=10.0, required=50.0, connect_range=500.0)
+    assert rows == [TraceRow(5, 0, "Lemma2-limit", ACTION_KEEP, 0, None, 0.0)]
 
 
 def test_decide_never_selects_critical():
-    d = decide(
-        make_obs(0.5, 1.0),
-        CFG,
-        cands((1, 9.0, 300.0, None, True), (2, 1.0, 300.0, None, False)),
-    )
-    assert d.new_ch == 2
+    (row,) = cascade(0.5, 1.0, (1, 9.0, 300.0, None, True), (2, 1.0, 300.0, None, False))
+    assert row.new_ch == 2
 
 
 def test_decide_tie_break_rating_then_id():
-    d = decide(make_obs(0.5, 1.0), CFG,
-               cands((9, 2.0, 300.0, None), (3, 2.0, 300.0, None), (5, 7.0, 300.0, None)))
-    assert d.new_ch == 5
-    d = decide(make_obs(0.5, 1.0), CFG,
-               cands((9, 2.0, 300.0, None), (3, 2.0, 300.0, None)))
-    assert d.new_ch == 3
+    (row,) = cascade(0.5, 1.0, (9, 2.0, 300.0, None), (3, 2.0, 300.0, None),
+                     (5, 7.0, 300.0, None))
+    assert row.new_ch == 5
+    (row,) = cascade(0.5, 1.0, (9, 2.0, 300.0, None), (3, 2.0, 300.0, None))
+    assert row.new_ch == 3
 
 
 def test_decide_is_pure_and_total():
-    obs = make_obs(0.5, 1.0)
-    c = cands((1, 2.0, 300.0, None))
-    assert decide(obs, CFG, c) == decide(obs, CFG, c)
+    member = (1, 2.0, 300.0, None)
+    assert cascade(0.5, 1.0, member) == cascade(0.5, 1.0, member)
     actions = {ACTION_KEEP, ACTION_CHANGE}
     for observed, expected in ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0)):
-        d = decide(make_obs(observed, expected), CFG, c)
-        assert d.action in actions
+        (row,) = cascade(observed, expected, member)
+        assert row.action in actions
 
 
 def test_decide_empty_candidates_keeps_head():
-    assert decide(make_obs(0.5, 1.0), CFG, []) == ChDecision(ACTION_KEEP, None, 0.0, "OST")
+    # No member at all: the slot writes no row for the cluster.
+    assert cascade(0.5, 1.0) == []
     # Every candidate critical: no one is eligible, so the head stays too.
-    d = decide(make_obs(0.5, 1.0), CFG, cands((1, 9.0, 300.0, None, True)))
-    assert d == ChDecision(ACTION_KEEP, None, 0.0, "OST")
+    rows = cascade(0.5, 1.0, (1, 9.0, 300.0, None, True))
+    assert rows == [TraceRow(5, 0, "OST", ACTION_KEEP, 0, None, 0.0)]
 
 
 def test_offload_stamp_never_negative():
-    d = decide(make_obs(0.5, 1.0, time=1.0), CFG, cands((1, 2.0, 300.0, None)))
-    assert d.offload_slot == 0.0
+    (row,) = cascade(0.5, 1.0, (1, 2.0, 300.0, None), slot=1)
+    assert row.offload_slot == 0.0
 
 
 # --- slotted loop ---------------------------------------------------------
@@ -406,3 +412,22 @@ def test_deactivated_vehicles_leave_the_active_counts():
     f.deactivate(np.array([4]))
     assert list(evaluate_slot(f, cfg, 3)) == []
     assert arrays.active.tolist() == [True, False, False, True, False]
+
+
+def test_handed_back_rows_take_the_new_heads_rule():
+    # Head 0 is critical, so slot 1 hands it to vehicle 1, the richest
+    # healthy member, under the pre-decay rule. At score 0.5 against 1.0,
+    # vehicle 1's own verdict is an OST change, and vehicle 0 is richer than
+    # vehicle 2: the next slot hands the head back under the OST rule.
+    vehicles = [VehicleState(id=i, cluster=0, residual_energy=residual, stay_time=10.0,
+                             radio_range=300.0, role="ch" if i == 0 else "member",
+                             critical=i == 0)
+                for i, residual in enumerate((900.0, 500.0, 100.0))]
+    f = FleetState(vehicles=VehicleArrays.of(vehicles), mobility=mobility(),
+                   connectivity=ConnectivityParams(), score_default=0.5)
+    trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=1.0), 1)
+    assert (trace.rule, trace.change, trace.old, trace.new) == ([2], [True], [0], [1])
+    assert f.fixed == FIXED_SWAP
+    back = f.handed_back(trace)
+    assert (back.slot, back.offload, back.cluster) == (2, 1.0, [0])
+    assert (back.rule, back.change, back.old, back.new) == ([0], [True], [1], [0])

@@ -1,6 +1,7 @@
 """Names that other code looks up by string must keep resolving, and the
 benchmark's inputs must stay valid configs and command lines."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,29 @@ from fleetchain.scenario import expand, load_scenario
 from fleetchain.sim import SimConfig
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SPEC = Path(__file__).resolve().parent / "test_slot_loop_spec.py"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in fleetchain.__all__ if not hasattr(fleetchain, name)]
     assert missing == []
+
+
+def test_the_specification_takes_no_cascade_code_from_the_controller():
+    # The slot-loop specification writes the keep-or-change cascade out
+    # itself; from the controller it takes only names and closed forms.
+    allowed = {"ACTION_CHANGE", "ACTION_KEEP", "RULE_LIMIT", "RULE_OST", "RULE_PRE_DECAY",
+               "TraceRow", "ost_score", "ost_threshold", "pre_decay_check"}
+    taken = set()
+    for node in ast.walk(ast.parse(SPEC.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "fleetchain.controller":
+            taken |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "fleetchain":
+            assert "controller" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("fleetchain.controller")
+                           for alias in node.names)
+    assert taken <= allowed, taken - allowed
 
 
 def test_tracer_installs_and_restores_every_patched_attribute(monkeypatch):

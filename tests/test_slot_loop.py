@@ -74,49 +74,39 @@ def test_slot_loop_invariants(cfg):
             prev_energy = row.energy_cum
 
 
-def test_steady_run_builds_no_candidates(monkeypatch):
-    counts = {"candidates": 0, "pre_decay": 0}
-    candidate = fleetchain.controller.Candidate
+def test_steady_run_checks_pre_decay_once(monkeypatch):
+    calls = 0
     pre_decay_check = fleetchain.controller.pre_decay_check
 
-    def counting_candidate(*args, **kwargs):
-        counts["candidates"] += 1
-        return candidate(*args, **kwargs)
-
     def counting_pre_decay(*args, **kwargs):
-        counts["pre_decay"] += 1
+        nonlocal calls
+        calls += 1
         return pre_decay_check(*args, **kwargs)
 
-    monkeypatch.setattr(fleetchain.controller, "Candidate", counting_candidate)
     monkeypatch.setattr(fleetchain.controller, "pre_decay_check", counting_pre_decay)
     # 5 clusters x 10 vehicles x 100 slots at the lam 2 tie: every head stays.
     comp = paired_comparison(SimConfig(lam=2.0, horizon=100.0))
     assert len(comp.clustered.trace) == 5 * 100
     assert comp.clustered.ch_changes_total == 0
-    assert counts == {"candidates": 0, "pre_decay": 1}
+    assert calls == 1
 
 
-def test_churn_run_selects_heads_without_candidates(monkeypatch):
-    counts = {"candidates": 0, "decide": 0, "apply_change": 0}
-    originals = {name: getattr(fleetchain.controller, attr)
-                 for name, attr in (("candidates", "Candidate"), ("decide", "decide"),
-                                    ("apply_change", "_apply_change"))}
+def test_churn_run_moves_heads_in_blocks_after_slot_one(monkeypatch):
+    calls = 0
+    apply_change = fleetchain.controller._apply_change
 
-    def counting(name):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return originals[name](*args, **kwargs)
-        return wrapper
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return apply_change(*args, **kwargs)
 
-    monkeypatch.setattr(fleetchain.controller, "Candidate", counting("candidates"))
-    monkeypatch.setattr(fleetchain.controller, "decide", counting("decide"))
-    monkeypatch.setattr(fleetchain.controller, "_apply_change", counting("apply_change"))
+    monkeypatch.setattr(fleetchain.controller, "_apply_change", counting)
     # 5 clusters x 10 vehicles x 100 slots at lam 1.5: every head changes on
     # every slot. `evaluate_slot` moves each head on slot 1, the one slot
     # stepped alone; the swap block after it moves them without it.
     comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
     assert comp.clustered.ch_changes_total == 5 * 100
-    assert counts == {"candidates": 0, "decide": 0, "apply_change": 5}
+    assert calls == 5
 
 
 def test_churn_run_builds_rows_only_when_read(monkeypatch):

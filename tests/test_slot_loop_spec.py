@@ -3,8 +3,10 @@
 `spec_run` steps a run one slot and one vehicle at a time in plain Python:
 every active vehicle pays its slot charge or stops, the slot's items are
 added left to right, heads first and then by id, and with the controller
-each cluster's head goes through the energy handover (written out here) or
-the cascade of `decide`, whose verdict table it reads. The event-blocked
+each cluster's head goes through the energy handover or the keep-or-change
+cascade (`reference`), both written out here. The specification takes only
+the closed forms of its constants (the stopping score and threshold and
+the pre-decay verdict) from `fleetchain.controller`. The event-blocked
 array loop of `run_baseline` and `run_clustered` must give the same
 `SlotColumns`, trace rows and final vehicles, bit for bit, over random small
 configs: drains, critical fractions, exchange periods, the load model, tx
@@ -21,12 +23,11 @@ from test_golden import CONFIGS
 from fleetchain.analytics import decay_params_at, energy_decay
 from fleetchain.controller import (
     ACTION_CHANGE,
+    ACTION_KEEP,
+    RULE_LIMIT,
+    RULE_OST,
     RULE_PRE_DECAY,
-    Candidate,
-    ControllerConfig,
-    OstObservation,
     TraceRow,
-    decide,
     ost_score,
     ost_threshold,
     pre_decay_check,
@@ -69,14 +70,48 @@ def best(vehicles, rate):
     return min(vehicles, key=lambda v: (-rate(v), v.id))
 
 
+@dataclass(frozen=True)
+class Candidate:
+    """A member that may take over its cluster's head; a tx limit of None
+    is no limit."""
+
+    id: int
+    rating: float
+    radio_range: float
+    tx_limit: float | None = None
+    critical: bool = False
+
+
+def reference(observed, expected, head_limit, candidates, required, connect_range, pre_decay):
+    """(action, new head, rule) of the keep-or-change cascade for a healthy
+    head whose tx limit is `head_limit`, by brute force."""
+    if observed < expected:
+        rule = RULE_OST
+    elif required is None or head_limit is None:
+        if observed == expected and pre_decay:
+            rule = RULE_PRE_DECAY
+        else:
+            return ACTION_KEEP, None, RULE_PRE_DECAY if observed == expected else RULE_OST
+    elif head_limit >= required:
+        return ACTION_KEEP, None, RULE_OST
+    else:
+        rule = RULE_LIMIT
+    eligible = [c for c in candidates if not c.critical]
+    if rule == RULE_LIMIT:
+        eligible = [
+            c for c in eligible
+            if c.tx_limit is not None and c.tx_limit >= required and connect_range <= c.radio_range
+        ]
+    if not eligible:
+        return ACTION_KEEP, None, rule
+    return ACTION_CHANGE, best(eligible, lambda c: c.rating).id, rule
+
+
 class Controller:
     """The cascade over one cluster at a time."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.ctrl = ControllerConfig(slot=cfg.slot, horizon=cfg.horizon,
-                                     expected_rate=cfg.expected_rate_value,
-                                     expected_score=cfg.expected_score)
         mobility, connectivity = cfg.mobility(), cfg.connectivity()
         self.threshold = cfg.expected_score
         if self.threshold is None:
@@ -91,8 +126,8 @@ class Controller:
 
     def step(self, s: int, clusters: list[list[Vehicle]]) -> list[TraceRow]:
         """One slot's rows, in cluster order; moves the head flags."""
-        cfg, t = self.cfg, s * self.cfg.slot
-        offload = max(t - cfg.slot, 0.0)
+        cfg = self.cfg
+        offload = max(s * cfg.slot - cfg.slot, 0.0)
         rows = []
         for members in clusters:
             head = next(v for v in members if v.head)
@@ -108,17 +143,13 @@ class Controller:
                 row = TraceRow(s, head.cluster, RULE_PRE_DECAY, ACTION_CHANGE, head.id, new.id,
                                offload)
             else:
-                decision = decide(
-                    OstObservation(self.score, self.threshold, cfg.vehicle_tx_limit, t),
-                    self.ctrl,
+                action, new_id, rule = reference(
+                    self.score, self.threshold, cfg.vehicle_tx_limit,
                     [Candidate(v.id, self.rating(v), cfg.radio_range, cfg.vehicle_tx_limit,
                                v.critical) for v in others],
-                    required_tx_limit=cfg.required_tx_limit,
-                    connect_range=cfg.connect_range,
-                    pre_decay=self.pre_decay,
-                )
-                row = TraceRow(s, head.cluster, decision.rule_used, decision.action, head.id,
-                               decision.new_ch, decision.offload_slot)
+                    cfg.required_tx_limit, cfg.connect_range, self.pre_decay)
+                row = TraceRow(s, head.cluster, rule, action, head.id, new_id,
+                               offload if action == ACTION_CHANGE else 0.0)
             if row.action == ACTION_CHANGE:
                 head.head = False
                 next(v for v in others if v.id == row.new_ch).head = True
