@@ -1,11 +1,13 @@
 """The slotted loop's keep-or-change cascade (`evaluate_slot`) against the
-specification's brute-force `reference`, over random vehicle fleets: ratings
-with ties, negative ratings included, equal radio ranges, None limits,
-critical and stopped vehicles, ids in no order, clusters without a head and
+specification's brute-force `reference`: over one healthy head and random
+candidate sets with equal ratings, equal ranges, None limits and candidates
+passed out of id order; and over random vehicle fleets with negative
+ratings, critical and stopped vehicles, clusters without a head and
 clusters with two head flags."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_controller import cascade
 from test_slot_loop_spec import Candidate, best, reference
 
 from fleetchain.analytics import DecayParams, GaussianRate, decay_params_at, energy_decay
@@ -45,6 +47,52 @@ REGIMES = [
 
 
 @st.composite
+def candidate_sets(draw):
+    ids = draw(st.lists(st.integers(1, 40), min_size=0, max_size=8, unique=True))
+    candidates = [
+        Candidate(
+            vid,
+            draw(st.one_of(st.sampled_from([0.0, 1.5, 2.0, 2.0, -3.0]),
+                           st.floats(-1e6, 1e6, allow_nan=False))),
+            draw(st.sampled_from([250.0, 300.0, 500.0, 600.0])),
+            draw(st.sampled_from([None, 10.0, 50.0, 100.0])),
+            draw(st.booleans()),
+        )
+        for vid in ids
+    ]
+    return draw(st.permutations(candidates))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    candidates=candidate_sets(),
+    observed=st.sampled_from([0.5, 1.0, 2.0]),
+    head_limit=st.sampled_from([None, 10.0, 60.0]),
+    required=st.sampled_from([None, 50.0]),
+    connect_range=st.sampled_from([250.0, 500.0]),
+    pre_decay=st.booleans(),
+    slot_index=st.integers(1, 10),
+)
+def test_decide_matches_reference(candidates, observed, head_limit, required, connect_range,
+                                  pre_decay, slot_index):
+    members = [(c.id, c.rating, c.radio_range, c.tx_limit, c.critical) for c in candidates]
+    rows = cascade(observed, 1.0, *members, limit=head_limit, slot=slot_index,
+                   required=required, connect_range=connect_range, pre_decay=pre_decay)
+    if not candidates:
+        assert rows == []
+        return
+    if pre_decay:
+        # `cascade`'s decay data rates the residuals in slots of decay.
+        candidates = [Candidate(c.id, c.rating / ESTIMATE, c.radio_range, c.tx_limit, c.critical)
+                      for c in candidates]
+    (row,) = rows
+    assert (row.slot, row.old_ch) == (slot_index, 0)
+    assert (row.action, row.new_ch, row.rule_used) == reference(
+        observed, 1.0, head_limit, candidates, required, connect_range, pre_decay)
+    assert row.offload_slot == (0.0 if row.action == ACTION_KEEP else slot_index - 1.0)
+
+
+@st.composite
 def fleets(draw):
     ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=16, unique=True))
     vehicles = [
@@ -74,8 +122,8 @@ def fleets(draw):
     regime=st.sampled_from(REGIMES),
     slot_index=st.integers(1, 10),
 )
-def test_decide_matches_reference(vehicles, observed, required, connect_range, regime,
-                                  slot_index):
+def test_decide_agrees_with_evaluate_slot(vehicles, observed, required, connect_range, regime,
+                                          slot_index):
     fields, pre_decay, estimate = regime
     fleet = FleetState(
         vehicles=VehicleArrays.of(vehicles),
