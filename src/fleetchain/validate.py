@@ -7,7 +7,13 @@ seeded random parameter grids. The suite backs the `validate` CLI command.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
@@ -68,13 +74,84 @@ class ValidationReport:
         return out
 
 
-def _quad(f, lo: float, hi: float, **options) -> float:
-    """The value of `scipy.integrate.quad(f, lo, hi, **options)`. scipy is
-    imported on the first call: `simulate` never needs it, and its import
-    costs more than a small simulation."""
-    from scipy import integrate
+QUADPACK = "scipy.integrate._quadpack"
+# The `limit` that `scipy.integrate.quad` passes by default: at most 50 subintervals.
+QUAD_LIMIT = 50
+# QUADPACK's `ier` codes on which `quad` warns and still returns its value;
+# on any other non-zero code (6: invalid input) it raises ValueError.
+QUAD_WARN_CODES = (1, 2, 3, 4, 5, 7)
 
-    return integrate.quad(f, lo, hi, **options)[0]
+
+@functools.cache
+def _quadpack():
+    """scipy's QUADPACK extension module, or None when its file is not found.
+
+    The file is found next to the `scipy` package and loaded alone. Loading
+    it imports the bare `scipy` package, but `scipy/integrate/__init__.py`,
+    with the `scipy.special`, `scipy.optimize` and `scipy.linalg` it
+    imports, never runs: that import was most of the wall time and peak
+    memory of a `validate` run. If `scipy.integrate` is already imported,
+    its module is used. A freshly loaded extension enters itself in
+    `sys.modules`; it is taken out again, so a later
+    `import scipy.integrate` runs as it would without this.
+    """
+    if QUADPACK in sys.modules:
+        return sys.modules[QUADPACK]
+    spec = importlib.util.find_spec("scipy")  # locates scipy; imports nothing
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "integrate", "_quadpack" + suffix)
+            if os.path.isfile(path):
+                ext = importlib.util.spec_from_file_location(QUADPACK, path)
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                if sys.modules.get(QUADPACK) is module:
+                    del sys.modules[QUADPACK]
+                return module
+    return None
+
+
+def _quad(f, lo: float, hi: float, points=None, epsabs: float = 1.49e-8,
+          epsrel: float = 1.49e-8) -> float:
+    """The value of `scipy.integrate.quad(f, lo, hi, points=points,
+    epsabs=epsabs, epsrel=epsrel)`, bit for bit, without importing
+    `scipy.integrate` (`simulate` never needs scipy at all).
+
+    On finite bounds it calls QUADPACK's `_qagse`, or `_qagpe` with
+    `points`, as `quad` does (scipy 1.17.1, `_quadpack_py.py`): an empty
+    interval is 0.0, reversed bounds are swapped and the value negated, and
+    the points are made unique, kept only strictly inside the bounds and
+    padded with two zeros. A non-zero `ier` warns with `IntegrationWarning`,
+    or raises ValueError, on the codes where `quad` does.
+
+    The cost: this reaches into a private module of scipy. A scipy whose
+    extension moves falls back to `quad` itself, as do infinite bounds; one
+    whose `_qagse`/`_qagpe` change their arguments or results breaks this
+    helper, and `tests/test_validate.py` holds it equal to `quad` bit for bit.
+    """
+    quadpack = _quadpack()
+    if quadpack is None or not (math.isfinite(lo) and math.isfinite(hi)):
+        from scipy import integrate
+
+        return integrate.quad(f, lo, hi, points=points, epsabs=epsabs, epsrel=epsrel)[0]
+    if lo == hi:
+        return 0.0
+    flip, a, b = hi < lo, min(lo, hi), max(lo, hi)
+    if points is None:
+        value, _, ier = quadpack._qagse(f, a, b, (), 0, epsabs, epsrel, QUAD_LIMIT)
+    else:
+        inner = np.unique(points)
+        inner = inner[(a < inner) & (inner < b)]
+        breaks = np.concatenate((inner, (0.0, 0.0)))
+        value, _, ier = quadpack._qagpe(f, a, b, breaks, (), 0, epsabs, epsrel, QUAD_LIMIT)
+    if ier != 0:
+        if ier not in QUAD_WARN_CODES:
+            raise ValueError(f"QUADPACK rejected the integral over [{lo}, {hi}] (ier {ier})")
+        from scipy.integrate import IntegrationWarning
+
+        warnings.warn(f"QUADPACK ier {ier}: the integral over [{lo}, {hi}] may miss its "
+                      "tolerance", IntegrationWarning, stacklevel=2)
+    return -value if flip else value
 
 
 def _result(name: str, errors: list, tolerance: float, note: str = "") -> CheckResult:
@@ -245,39 +322,48 @@ MIDPOINTS = 1_000_000
 # exp(-0.5 * z * z) is exactly 0.0 beyond this many deviations: the exponent,
 # below -748.8, is under the -745.14 at which the smallest subnormal rounds to 0.
 MIDPOINT_WINDOW = 38.7
+# The midpoint rule's ufunc chain runs on this many nodes at a time (256 KB).
+MIDPOINT_BLOCK = 32_768
 
 
-def midpoint_range_mass(m: MobilityModel, nodes: np.ndarray, out: np.ndarray) -> float:
-    """Midpoint rule for the Gaussian range mass on [0, connect_range].
+def midpoint_range_mass(m: MobilityModel, out: np.ndarray) -> float:
+    """Midpoint rule for the Gaussian range mass on [0, connect_range], on
+    one node per element of `out`, a float buffer that is overwritten.
 
-    `nodes` holds `np.arange(n) + 0.5` and `out` is a float buffer of the
-    same length that is overwritten. The density is evaluated only at the
+    Node i sits at `(i + 0.5) * step`. The density is evaluated only at the
     nodes within `MIDPOINT_WINDOW` deviations of the mean, found by
     bisection on the same float steps, and every other node is written as
-    the 0.0 its density would underflow to. Every ufunc writes into `out`,
-    so a call allocates no array, and the sum runs over the whole buffer:
-    the value is bit-identical to evaluating
-    `exp(-0.5 * z * z) / (sd * sqrt(2 pi))` at every midpoint and summing.
+    the 0.0 its density would underflow to. The window is evaluated
+    `MIDPOINT_BLOCK` nodes at a time: a block's node values are
+    `arange(MIDPOINT_BLOCK) + 0.5` plus the index of its first node, exact
+    small floats equal to those of `arange(n) + 0.5`, so no node array is
+    allocated. Every ufunc writes into `out`, and the sum runs once over the
+    whole buffer, in numpy's pairwise order: the value is bit-identical to
+    evaluating `exp(-0.5 * z * z) / (sd * sqrt(2 pi))` at every midpoint
+    and summing.
     """
-    n = len(nodes)
+    n = len(out)
     step, mean, sd = m.connect_range / n, m.mean_range, m.range_stddev
 
     def z(i: int) -> float:  # the chain's value at node i, before the square
-        return (float(nodes[i]) * step - mean) / sd
+        return ((i + 0.5) * step - mean) / sd
 
     # z never decreases along the nodes, so the window is one slice.
     lo = bisect_left(range(n), -MIDPOINT_WINDOW, key=z)
     hi = bisect_right(range(lo, n), MIDPOINT_WINDOW, key=z) + lo
     out[:lo] = 0.0
     out[hi:] = 0.0
-    w = out[lo:hi]
-    np.multiply(nodes[lo:hi], step, out=w)
-    np.subtract(w, mean, out=w)
-    np.divide(w, sd, out=w)
-    np.square(w, out=w)
-    w *= -0.5
-    np.exp(w, out=w)
-    np.divide(w, sd * math.sqrt(2.0 * math.pi), out=w)
+    base = np.arange(min(MIDPOINT_BLOCK, hi - lo)) + 0.5
+    for start in range(lo, hi, MIDPOINT_BLOCK):
+        w = out[start:min(start + MIDPOINT_BLOCK, hi)]
+        np.add(base[:len(w)], start, out=w)
+        np.multiply(w, step, out=w)
+        np.subtract(w, mean, out=w)
+        np.divide(w, sd, out=w)
+        np.square(w, out=w)
+        w *= -0.5
+        np.exp(w, out=w)
+        np.divide(w, sd * math.sqrt(2.0 * math.pi), out=w)
     return float(out.sum() * m.connect_range / n)
 
 
@@ -295,7 +381,6 @@ def check_in_range_probability(grid: int, rng: np.random.Generator) -> CheckResu
     narrow densities (sd 0.1 to 100) over ranges up to 1e23 that no midpoint
     rule resolves, vs breakpoint quadrature."""
     errors = []
-    nodes = np.arange(MIDPOINTS) + 0.5
     buf = np.empty(MIDPOINTS)
     for u in _uniform_draws(rng, max(1, grid // 20), 5):
         m = MobilityModel(
@@ -305,7 +390,7 @@ def check_in_range_probability(grid: int, rng: np.random.Generator) -> CheckResu
             range_stddev=_uniform(1.0, 200.0, u[3]),
         )
         c = ConnectivityParams(presence_prob=_uniform(0.0, 1.0, u[4]))
-        mid = 1.0 - c.presence_prob * midpoint_range_mass(m, nodes, buf)
+        mid = 1.0 - c.presence_prob * midpoint_range_mass(m, buf)
         errors.append(abs(in_range_probability(m, c) - mid))
     for i, u in enumerate(_uniform_draws(rng, max(1, grid // 2), 4)):
         sd = 10.0 ** _uniform(-1.0, 2.0, u[0])

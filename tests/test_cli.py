@@ -193,6 +193,25 @@ def test_simulate_imports_no_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 []", result.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "analytics"])
+def test_oracle_commands_import_no_scipy_subpackage(tmp_path, command):
+    # The oracles' quadrature loads QUADPACK's extension alone, so neither
+    # command runs scipy.integrate's __init__, with the scipy.special,
+    # scipy.optimize and scipy.linalg it imports.
+    argv = (["validate", "--grid", "1"] if command == "validate"
+            else ["analytics", "--config", str(SMALL), "--out", str(tmp_path)])
+    script = (
+        "import sys\n"
+        "from fleetchain.cli import main\n"
+        f"code = main({argv!r})\n"
+        "heavy = ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
+        "print(code, sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=REPO)
+    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
+
+
 def test_subprocess_validate_tolerance_zero(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "fleetchain", "validate", "--grid", "5",

@@ -1,8 +1,8 @@
 """The validation oracles: the single-quadrature load-model oracle against the
-double integral it replaces, the allocation-free and windowed midpoint rule
-against the plain expression, the chunked uniform draws against scalar
-`rng.uniform` calls, and golden digests of whole `fleetchain validate`
-reports.
+double integral it replaces, the quadrature helper against `scipy.integrate.quad`,
+the allocation-free, windowed and blocked midpoint rule against the plain
+expression, the chunked uniform draws against scalar `rng.uniform` calls, and
+golden digests of whole `fleetchain validate` reports.
 
 The report digests were retaken when the in-range check gained its
 narrow-density quadrature draws and a positive load got a ceiling of at
@@ -11,8 +11,13 @@ digest that no longer matches means the report changed; it is never to be
 regenerated to make this test pass.
 """
 
+import functools
 import hashlib
+import importlib.machinery
 import math
+import sys
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.integrate import IntegrationWarning
 
 import fleetchain.validate as validate
 from fleetchain.analytics import GaussianRate, TxCountParams, invert_rate, transaction_count
@@ -213,7 +219,6 @@ def test_a_nan_error_fails_its_check(monkeypatch):
 
 def test_midpoint_rule_in_place_is_bit_identical():
     rng = np.random.default_rng(9)
-    nodes = np.arange(MIDPOINTS) + 0.5
     buf = np.empty(MIDPOINTS)
     for _ in range(50):
         m = MobilityModel(
@@ -226,7 +231,7 @@ def test_midpoint_rule_in_place_is_bit_identical():
         z = (xs - m.mean_range) / m.range_stddev
         pdf = np.exp(-0.5 * z * z) / (m.range_stddev * math.sqrt(2.0 * math.pi))
         plain = float(pdf.sum() * m.connect_range / MIDPOINTS)
-        assert midpoint_range_mass(m, nodes, buf) == plain, m
+        assert midpoint_range_mass(m, buf) == plain, m
 
 
 def plain_midpoint(m: MobilityModel, n: int) -> tuple[np.ndarray, float]:
@@ -240,9 +245,8 @@ def plain_midpoint(m: MobilityModel, n: int) -> tuple[np.ndarray, float]:
 
 
 def assert_windowed_midpoint_is_plain(m: MobilityModel, n: int = MIDPOINTS):
-    nodes = np.arange(n) + 0.5
     buf = np.full(n, np.nan)
-    value = midpoint_range_mass(m, nodes, buf)
+    value = midpoint_range_mass(m, buf)
     pdf, plain = plain_midpoint(m, n)
     assert np.array_equal(buf, pdf), m
     assert value == plain, m
@@ -294,6 +298,49 @@ def test_windowed_midpoint_over_the_float_range(mean, sd, r):
     assert_windowed_midpoint_is_plain(
         MobilityModel(connect_range=r, radio_range=r, mean_range=mean, range_stddev=sd), 1000
     )
+
+
+def window_size(m: MobilityModel, n: int) -> int:
+    """How many of the n midpoints lie within `MIDPOINT_WINDOW` deviations
+    of the mean, where the rule evaluates the density."""
+    z = ((np.arange(n) + 0.5) * (m.connect_range / n) - m.mean_range) / m.range_stddev
+    return int(np.count_nonzero(np.abs(z) <= validate.MIDPOINT_WINDOW))
+
+
+@pytest.mark.parametrize("sd, blocks", [
+    (1.0, None),      # the window is empty: every node is far below the mean
+    (0.01, "one"),    # 7 740 nodes, all in one block
+    (1.0, "ragged"),  # 774 000 nodes: 23 whole blocks and a ragged last one
+    (1e4, "ragged"),  # every node: 30 whole blocks and a ragged last one
+])
+def test_windowed_midpoint_block_by_block(sd, blocks):
+    mean = 1e6 if blocks is None else 50.0
+    m = MobilityModel(connect_range=100.0, radio_range=100.0, mean_range=mean, range_stddev=sd)
+    size, block = window_size(m, MIDPOINTS), validate.MIDPOINT_BLOCK
+    if blocks is None:
+        assert size == 0
+    elif blocks == "one":
+        assert 0 < size < block
+    else:
+        assert size > block and size % block != 0
+    assert_windowed_midpoint_is_plain(m)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1000])
+def test_windowed_midpoint_in_small_blocks(block, monkeypatch):
+    # Blocks of 1 to 1000 nodes over windows of 0 to 7 nodes, and over
+    # windows of 4 778 and 12 345 nodes: most end in a ragged last block.
+    monkeypatch.setattr(validate, "MIDPOINT_BLOCK", block)
+    for n in (1, 2, 7):
+        for mean in (1e-9, 0.3, 0.5, 0.7, 1.0, 1e9):
+            for sd in (1e-12, 1e-3, 0.05, 1.0):
+                m = MobilityModel(connect_range=1.0, radio_range=1.0, mean_range=mean,
+                                  range_stddev=sd)
+                assert_windowed_midpoint_is_plain(m, n)
+    for sd in (0.5, 2.0):
+        m = MobilityModel(connect_range=100.0, radio_range=100.0, mean_range=40.0,
+                          range_stddev=sd)
+        assert_windowed_midpoint_is_plain(m, 12_345)
 
 
 def scalar_rate_roundtrip(tolerance: float, grid: int, rng: np.random.Generator):
@@ -377,6 +424,134 @@ def test_validation_runs_without_double_quadrature(monkeypatch):
     monkeypatch.setattr(integrate, "dblquad", refuse)
     report = run_validation(grid=20)
     assert [c.total for c in report.checks] == [20, 20, 200, 40, 11]
+
+
+def same_bits(x: float, y: float) -> bool:
+    return x.hex() == y.hex()
+
+
+@pytest.fixture
+def quadpack_not_found(monkeypatch):
+    """`validate._quadpack` with a fresh cache, searching no file suffix,
+    so it finds no extension and `_quad` falls back to `integrate.quad`."""
+    monkeypatch.delitem(sys.modules, validate.QUADPACK, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    monkeypatch.setattr(validate, "_quadpack", functools.cache(validate._quadpack.__wrapped__))
+    assert validate._quadpack() is None
+
+
+def quad_calls_on_validate_integrands(monkeypatch) -> Counter:
+    """Run validate at several seeds, holding every `_quad` call equal to
+    `integrate.quad` bit for bit; the calls by caller and by whether they
+    passed break points."""
+    helper, calls = validate._quad, Counter()
+
+    def both(f, lo, hi, **options):
+        value = helper(f, lo, hi, **options)
+        assert same_bits(value, integrate.quad(f, lo, hi, **options)[0]), (lo, hi, options)
+        calls[sys._getframe(1).f_code.co_name, options.get("points") is not None] += 1
+        return value
+
+    monkeypatch.setattr(validate, "_quad", both)
+    for seed in (20240, 1, 2, 3, 77):
+        run_validation(grid=30, seed=seed)
+    return calls
+
+
+def test_quad_is_scipy_quad_on_validate_integrands(monkeypatch):
+    calls = quad_calls_on_validate_integrands(monkeypatch)
+    assert calls[("decay_oracle", False)] == 5 * 30
+    assert calls[("tx_oracle", True)] > 0 and calls[("tx_oracle", False)] > 0
+    assert calls[("quad_range_mass", True)] > 0 and calls[("quad_range_mass", False)] > 0
+    assert sum(calls.values()) == 5 * (30 + 60 + 15)
+
+
+def test_quad_fallback_is_scipy_quad_on_validate_integrands(monkeypatch, quadpack_not_found):
+    assert sum(quad_calls_on_validate_integrands(monkeypatch).values()) == 5 * (30 + 60 + 15)
+
+
+def bell(x):
+    return math.exp(-x * x) * (1.0 + 0.5 * math.sin(7.0 * x))
+
+
+QUAD_CASES = [
+    (-1.0, 2.0, None),
+    (-1.0, 2.0, [0.5, 0.5, 0.0, 0.5]),   # duplicate points
+    (0.0, 1.0, [0.0, 1.0, 0.5]),         # points at the bounds
+    (0.0, 1.0, [-1.0, 2.0, 0.3]),        # points outside the bounds
+    (0.0, 1.0, [-1.0, 1.0]),             # no point inside
+    (0.0, 1.0, []),
+    (0.0, 1.0, np.array([0.25, 0.75])),
+    (1.5, 1.5, None),                    # lo == hi
+    (1.5, 1.5, [1.5]),
+    (2.0, -1.0, None),                   # reversed bounds
+    (2.0, -1.0, [0.5, 0.5, 3.0, -1.0]),
+    (-0.0, 0.0, None),
+    (0.0, 1e-300, None),
+]
+
+
+@pytest.mark.parametrize("lo, hi, points", QUAD_CASES)
+@pytest.mark.parametrize("found", [True, False])
+def test_quad_is_scipy_quad_on_points_and_bounds(lo, hi, points, found, request):
+    if not found:
+        request.getfixturevalue("quadpack_not_found")
+    for eps in ({}, {"epsabs": 0.0, "epsrel": 1e-12}, {"epsabs": 1e-14, "epsrel": 1e-13}):
+        value = validate._quad(bell, lo, hi, points=points, **eps)
+        assert same_bits(value, integrate.quad(bell, lo, hi, points=points, **eps)[0])
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, math.inf), (math.inf, -1.0)])
+def test_quad_on_infinite_bounds_is_scipy_quad(lo, hi):
+    def gauss(x):
+        return math.exp(-x * x)
+
+    assert same_bits(validate._quad(gauss, lo, hi), integrate.quad(gauss, lo, hi)[0])
+
+
+@pytest.mark.parametrize("points", [None, [1.5], [0.0, 3.0]])
+def test_quad_of_an_empty_interval_calls_nothing(points):
+    def refuse(x):
+        raise AssertionError("integrand called")
+
+    assert same_bits(validate._quad(refuse, 1.5, 1.5, points=points), 0.0)
+    assert same_bits(integrate.quad(refuse, 1.5, 1.5, points=points)[0], 0.0)
+
+
+@pytest.mark.parametrize("found", [True, False])
+def test_quad_warns_and_raises_as_scipy_quad_does(found, request):
+    if not found:
+        request.getfixturevalue("quadpack_not_found")
+
+    def wave(x):
+        return math.sin(1e4 * x)
+
+    options = {"epsabs": 0.0, "epsrel": 1e-12}
+    with pytest.raises(IntegrationWarning):
+        validate._quad(wave, 0.0, 1.0, **options)
+    with pytest.raises(IntegrationWarning):
+        integrate.quad(wave, 0.0, 1.0, **options)
+    # At the subdivision limit, a point at a bound or a duplicate point, each
+    # a subinterval of width 0, would change the value if it were passed on.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for points in (None, [0.5], [0.0, 0.5, 0.5, 1.0]):
+            value = validate._quad(wave, 0.0, 1.0, points=points, **options)
+            assert same_bits(value, integrate.quad(wave, 0.0, 1.0, points=points, **options)[0])
+    # A tolerance QUADPACK rejects (ier 6) raises.
+    with pytest.raises(ValueError):
+        validate._quad(wave, 0.0, 1.0, epsabs=0.0, epsrel=1e-20)
+    with pytest.raises(ValueError):
+        integrate.quad(wave, 0.0, 1.0, epsabs=0.0, epsrel=1e-20)
+
+
+def test_quadpack_loads_without_entering_sys_modules(monkeypatch):
+    monkeypatch.delitem(sys.modules, validate.QUADPACK, raising=False)
+    quadpack = validate._quadpack.__wrapped__()
+    assert validate.QUADPACK not in sys.modules
+    assert quadpack.__file__ == integrate._quadpack_py._quadpack.__file__
+    value = quadpack._qagse(bell, -1.0, 2.0, (), 0, 1.49e-8, 1.49e-8, validate.QUAD_LIMIT)[0]
+    assert same_bits(value, integrate.quad(bell, -1.0, 2.0)[0])
 
 
 VALIDATE_GOLDEN = {
