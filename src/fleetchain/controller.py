@@ -336,8 +336,9 @@ class FleetState:
     stopping score computed from the mobility model and `lam1`. The
     simulator's blocks, which step slots without `evaluate_slot`, read the
     rest: `ratings` rates residuals as the head selection does,
-    `handed_back` gives the rows of the slot after a swap, `hand_over`
-    moves heads and `deactivate` stops vehicles.
+    `handed_back` gives the rows of the slot after a swap, `handed_on` those
+    of a slot that breaks the pairs, `hand_over` moves heads and
+    `deactivate` stops vehicles.
 
     A run counts the active vehicles of each stepped cluster once, on its
     first slot, from the `active` flags. A vehicle never becomes active
@@ -503,6 +504,32 @@ class FleetState:
         return not back.size or bool(_qualified(a.tx_limit[back], a.radio_range[back],
                                                 self.required_tx_limit,
                                                 self.mobility.connect_range).all())
+
+    def handed_on(self, expected: SlotTrace, slot: int) -> SlotTrace | None:
+        """The rows `evaluate_slot` would give `slot` of a swap block whose
+        `expected` rows hand each head (`old`, positions in the arrays) back
+        to its returning vehicle (`new`): each head goes to the member the
+        cascade picks (`_select`), the returning vehicle or another. They
+        are returned only where that slot would set `FIXED_SWAP`: every
+        head's verdict is a change, and the picks hand back on the next slot
+        (`_hands_back`). Otherwise None. The residuals and critical flags
+        are read after the slot's charge, and `heads` must hold the slot's
+        heads. It moves no head; `hand_over` does."""
+        a, heads = self.vehicles, np.array(expected.old)
+        ok = a.active > a.critical
+        if np.count_nonzero(ok[heads] & self._change_of[heads]) < heads.size:
+            return None
+        fired = self._rule_of[self.heads] == _LIMIT_CODE if self._limit_fires else None
+        picks = self._select_heads(ok, fired)[self._cluster_of[heads]]
+        if np.count_nonzero(picks == self._flat.size):
+            return None
+        new = self._flat[picks]
+        if not self._hands_back(heads, new, ok):
+            return None
+        length = self._run.cfg.slot
+        return SlotTrace(slot, max(slot * length - length, 0.0), expected.cluster,
+                         self._rule_of[heads].tolist(), expected.change, expected.old,
+                         new.tolist())
 
     def hand_over(self, old: np.ndarray, new: np.ndarray) -> None:
         """Give the head of each stepped cluster headed by a vehicle at

@@ -34,10 +34,14 @@ its charge and no watched head falls below the critical level: the heads
 not yet critical and both vehicles of each pair. With pairs it also needs
 each new head to pay its security charge and the returning vehicle to be
 rated strictly above every other member of its cluster after the charge.
-Exchange slots stay inside every block; a head that paid the exchange is
-mostly not rated above the others on the next slot, which then ends a
-swap block. The first slot that breaks a condition ends the block and
-runs alone; so does slot 1, which carries the join charge. Each slot's
+Exchange slots stay inside every block. A head that paid the exchange is
+mostly not rated above the others on the next slot, which breaks its pair:
+where that rating check alone fails, the block asks the controller for the
+member it would pick there (`FleetState.handed_on`), and where each pick
+can pay its security charge and hands back on the next slot, the block
+goes on with the new pairs. The first slot that breaks any other condition
+ends the block and runs alone; so does slot 1, which carries the join
+charge, and a break the picks do not carry on. Each slot's
 itemised sums add the vehicles' shares left to right, heads before members,
 in id order, so they round as one addition per vehicle would. A head adds no
 transactions: the running transaction count adds each member's pushes to
@@ -60,12 +64,13 @@ heads' security charge; a column per distinct member residual, per paying
 head and per vehicle of a pair, and with pairs one per pair cluster's
 richest other member, read for the rating. Members pay alike, so members
 whose residuals have the same bits keep the same bits, and a column per
-member would only repeat those subtractions. On the transaction grid a
-block charges up to `BLOCK_CELLS // (rows a slot x (columns + 1))` slots
-(1 489 for a keep of 20 heads and one member residual), so it mostly runs
-from a slot stepped alone to the next event; a block that reaches its cap
-is followed by another. Off that grid it charges at most `BLOCK_CELLS //
-vehicles` slots, adding the members' increments in order in a buffer
+member would only repeat those subtractions; across a break only the
+returning vehicle joins them and its pick leaves them. On the transaction
+grid a block charges up to `BLOCK_CELLS // (rows a slot x (columns + 1))`
+slots (1 489 for a keep of 20 heads and one member residual), so it mostly
+runs from a slot stepped alone to the next event; a block that reaches its
+cap is followed by another. Off that grid it charges at most `BLOCK_CELLS
+// vehicles` slots, adding the members' increments in order in a buffer
 reused from block to block.
 
 A slot stepped alone works in vehicle-sized buffers reused from slot to
@@ -697,20 +702,34 @@ class _SlotLoop:
         goes from cur to new and back, one change a slot. Exchange slots
         stay inside: on them the heads pay the exchange charge, and each
         slot's sums are those of its kind. The rating, floor, security and
-        charge checks run on every slot, the first too. The columns are
-        the distinct member residuals (by bit pattern, so 0.0 and -0.0 stay
-        apart), the other paying heads, cur, new, and with pairs each pair
-        cluster's richest other member (-inf where there is none). Residuals
-        only fall, so the critical flags set from the residuals at its end
-        are those its last slot would have marked."""
+        charge checks run on every slot, the first too. The columns are the
+        other paying heads, the pairs' vehicles by the slots they head (A
+        on even block slots, B on odd ones), each pair cluster's richest
+        other member (-inf where there is none) and the distinct member
+        residuals (by bit pattern, so 0.0 and -0.0 stay apart).
+
+        A slot on which the rating check alone fails, after a charge every
+        vehicle pays with every floor held, is the break of the pairs: the
+        controller hands each pair cluster's head to the member it picks
+        (`FleetState.handed_on`). Where every pick can pay its security
+        charge and the picks hand back on the next slot, the block charges
+        that slot's security, takes the picks into the pairs and the
+        returning vehicles into the members, and charges the slots after it
+        from the residuals there, with the same member columns and the same
+        charges a slot; otherwise the slot runs alone. The critical flags
+        are left as its last slot marked them, after its charge."""
         v, (cur, new), cost = self.v, self.pairs, self.cfg.security_cost
         p = cur.size
         self.size = k
+        # The trace run the block's slots extend: slot s + i repeats trace
+        # (s + i - first) % its length of `cycle`.
+        cycle, first = self.cycle, s
         if self.cfg.lam <= 0:  # no vehicle pays: the residuals stay as the last slot left them
             sums, txs = [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
         else:
             heads = fixed = self.heads[v.active[self.heads]]
             if p:
+                fleet = self.controller[0]
                 paired = np.zeros(self.cfg.cluster_count, dtype=bool)
                 paired[v.cluster[cur]] = True
                 fixed = heads[~paired[v.cluster[heads]]]
@@ -719,70 +738,182 @@ class _SlotLoop:
             members[paying] = False
             residual = v.residual[members]
             bits, inverse = np.unique(residual.view(np.int64), return_inverse=True)
-            # Column offsets: members, other heads, cur, new, richest members.
-            m = bits.size
-            a = m + fixed.size
-            b, c = a + p, a + 2 * p
+            # Column offsets: other heads, A, B, richest members, members.
+            f = fixed.size
+            a, b, c = f + p, f + 2 * p, f + 3 * p
             rows = 2 if p else 1
-            cap = BLOCK_CELLS // (rows * (c + p + 1))
+            cap = BLOCK_CELLS // (rows * (c + bits.size + 1))
             if not self.exact_tx:
                 cap = min(cap, BLOCK_CELLS // v.id.size)
             k = self.size = max(1, min(k, cap))
             exchange, transfers = self._exchanges(s, k, heads.size)
             member, head = self.costs[False]
-            work = np.empty((rows * k + 1, c + p))
-            work[0, :m] = bits.view(float)
-            work[0, m:c] = v.residual[paying]
-            work[1::rows, :m] = member[1]
-            work[1::rows, m:c] = np.array([head[ex][1] for ex in exchange[:k]])[:, None]
+            head_charges = np.array([head[ex][1] for ex in exchange[:k]])[:, None]
+            # The least residual each slot may leave a paying head with.
+            low = np.full((k if p else 1, b), self.critical_level)
+            low[:, :f][:, v.critical[fixed]] = 0.0
+            rich = np.empty(0)
             if p:
+                # A vehicle taking the head must also pay its security charge.
+                low[1::2, f:a] = low[0::2, a:b] = max(self.critical_level, cost)
                 rich = np.full(self.cfg.cluster_count, -np.inf)
                 np.maximum.at(rich, v.cluster[members], residual)
-                work[0, c:] = rich[v.cluster[cur]]
-                work[1::2, c:] = member[1]
-                work[3::4, a:b] = member[1]
-                work[1::4, b:c] = member[1]
-                work[2::2] = 0.0
-                work[2::4, b:c] = cost
-                work[4::4, a:b] = cost
-            np.subtract.accumulate(work, axis=0, out=work)
-            # The least residual each column may be left with after a charge.
-            floor = np.full(c, self.critical_level)
-            floor[:m] = 0.0
-            floor[m:a][v.critical[fixed]] = 0.0
-            charged = work[1::rows, :c]
-            # With no pairs, residuals only fall: no event by the last slot
-            # means none at all.
-            if p or not (charged[-1] >= floor).all():
-                events = (charged < floor).any(axis=1)
+                rich = rich[v.cluster[cur]]
+                # Which of A and B `fleet.heads` holds, and once members join,
+                # each member's column.
+                A, B, held, column = cur, new, 0, None
+            start = np.concatenate((v.residual[paying], rich, bits.view(float)))
+            seg = 0
+            while True:
+                # Charge the slots from block slot `seg` on, starting from
+                # `start`, and find the first event j among them (none: the
+                # k - seg slots left).
+                e = seg % 2  # 1 where the segment starts on an odd block slot
+                work = np.empty((rows * (k - seg) + 1, start.size))
+                work[0] = start
+                work[1::rows, :b] = head_charges[seg:k]
+                work[1::rows, b:] = member[1]
                 if p:
-                    fleet = self.controller[0]
-                    # Slot j's new heads: `new` on even j, `cur` on odd j.
-                    taking = np.where((np.arange(k) % 2 == 0)[:, None], charged[:, b:c],
-                                      charged[:, a:b])
-                    events |= (taking < cost).any(axis=1)
-                    events |= ~(fleet.ratings(taking) > fleet.ratings(work[1::2, c:])).all(axis=1)
-                if events.any():
-                    k = int(events.argmax())
-                    if k == 0:
-                        return 0
-            end = work[rows * k]
-            v.residual[members] = end[inverse]
-            v.residual[paying] = end[m:c]
+                    # A heads the even block slots and takes the head on odd
+                    # ones; B the other way round. Row 1 is slot seg's.
+                    work[2::2] = 0.0
+                    work[3 - 2 * e :: 4, f:a] = member[1]
+                    work[1 + 2 * e :: 4, a:b] = member[1]
+                    work[2 + 2 * e :: 4, a:b] = cost
+                    work[4 - 2 * e :: 4, f:a] = cost
+                np.subtract.accumulate(work, axis=0, out=work)
+                charged = work[1::rows]
+                j = k - seg
+                # With no pairs, residuals only fall: no event by the last
+                # slot means none at all.
+                if not p and (charged[-1, :b] >= low[0]).all() and (charged[-1, c:] >= 0.0).all():
+                    break
+                # Each row's failed checks: the new heads' rating (ratings
+                # of slots that a pair's B takes on even block slots and A
+                # on odd ones), the paying heads' floors and security, and
+                # the members' charge.
+                bad = np.empty((k - seg, p + b + start.size - c), dtype=bool)
+                if p:
+                    rated = fleet.ratings(charged[:, f:c])
+                    o = 1 - e  # rows e, e + 2, ... are even block slots; o, o + 2, ... odd
+                    np.less_equal(rated[e::2, p : 2 * p], rated[e::2, 2 * p :], out=bad[e::2, :p])
+                    np.less_equal(rated[o::2, :p], rated[o::2, 2 * p :], out=bad[o::2, :p])
+                np.less(charged[:, :b], low[seg:k], out=bad[:, p : p + b])
+                np.less(charged[:, c:], 0.0, out=bad[:, p + b :])
+                i = int(bad.argmax())
+                if not bad.item(i):
+                    break
+                j = i // bad.shape[1]
+                if bad[j, p:].any():
+                    break
+                # The break at block slot t: bring the residuals and heads to
+                # that slot, after its charge.
+                t, after = seg + j, work[2 * j + 1]
+                v.residual[paying] = after[:b]
+                v.residual[members] = after[c:][inverse]
+                np.less(v.residual, self.critical_level, out=v.critical)
+                h, r = (B, A) if t % 2 else (A, B)
+                if held != t % 2:
+                    fleet.hand_over(r, h)
+                    held = t % 2
+                trace = fleet.handed_on(cycle[(s + t - first) % 2], s + t)
+                picks = None if trace is None else np.array(trace.new)
+                if picks is None or np.count_nonzero(v.residual[picks] < cost):
+                    break  # slot t runs alone
+                v.residual[picks] -= cost
+                fleet.hand_over(h, picks)
+                self._extend_run(cycle, first, s + t - 1)
+                cycle, first = (trace, fleet.handed_back(trace)), s + t
+                # A returning vehicle not picked becomes a member, and a pick
+                # that was a member leaves the members.
+                moved = picks != r
+                classes = after[c:]
+                if np.count_nonzero(moved):
+                    if column is None:
+                        column = np.zeros(v.id.size, dtype=np.intp)
+                        column[members] = inverse
+                    members[picks[moved]] = False
+                    members[r[moved]] = True
+                    classes = self._join(column, classes, r[moved], v.residual[r[moved]], members)
+                    inverse = column[members]
+                if t % 2:
+                    A, held = picks, 0
+                else:
+                    B, held = picks, 1
+                paying = np.concatenate((fixed, A, B))
+                rich = np.full(self.cfg.cluster_count, -np.inf)
+                np.maximum.at(rich, v.cluster[members], v.residual[members])
+                start = np.concatenate((v.residual[paying], rich[v.cluster[A]], classes))
+                seg = t + 1
+                k = self.size = seg + min(k - seg, BLOCK_CELLS // (2 * (start.size + 1)))
+                if seg == k:
+                    j, work = 0, start[None]
+                    break
+            k = seg + j
+            end = work[rows * j]
+            v.residual[paying] = end[:b]
+            v.residual[members] = end[c:][inverse]
+            if k == 0:  # slot s runs alone and marks the critical vehicles again
+                return 0
             sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers, p)
+            if p:
+                # A slot marks the critical vehicles after its charge, before
+                # its new heads pay their security charge: the last slot's
+                # new heads are marked from its charge row, or were marked
+                # at a break on it. (After a break that runs alone, that slot
+                # marks them again.)
+                taken, cols = (A, slice(f, a)) if k % 2 == 0 else (B, slice(a, b))
+                marked = work[2 * j - 1, cols] < self.critical_level if j else v.critical[taken]
+                # The heads of slot s + k, and the pairs from there.
+                if held != k % 2:
+                    fleet.hand_over(*((B, A) if held else (A, B)))
+                cur, new = (B, A) if k % 2 else (A, B)
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
-            cycle = self.cycle
-            traces, first, _ = self.trace_runs[-1]
-            if traces is cycle:
-                self.trace_runs[-1] = (cycle, first, s + k - 1)
-            else:
-                self.trace_runs.append((cycle, s, s + k - 1))
-            if k % len(cycle):
-                self.controller[0].hand_over(cur, new)
-                self.cycle, self.pairs = cycle[1:] + cycle[:1], (new, cur)
+            if p:
+                v.critical[taken] = marked
+            self._extend_run(cycle, first, s + k - 1)
+            turn = (s + k - first) % len(cycle)
+            self.cycle = cycle[turn:] + cycle[:turn] if turn else cycle
+            self.pairs = cur, new
         self._record(sums, txs, [p] * k)
         return k
+
+    def _extend_run(self, cycle: tuple[SlotTrace, ...], first: int, last: int) -> None:
+        """Record that slots first .. last repeat `cycle` from its first
+        trace on, extending the last trace run where it repeats the same
+        cycle."""
+        if last < first:
+            return
+        traces, start, _ = self.trace_runs[-1]
+        if traces is cycle:
+            self.trace_runs[-1] = (cycle, start, last)
+        else:
+            self.trace_runs.append((cycle, first, last))
+
+    @staticmethod
+    def _join(column: np.ndarray, classes: np.ndarray, joining: np.ndarray,
+              residual: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """The member columns' residuals once the vehicles at `joining`,
+        whose residuals are `residual`, are members: each joins the column
+        whose residual in `classes` has its residual's bits, or a new one,
+        and columns left with no member in `members` are dropped. `column`
+        gets each member's column."""
+        known = dict(zip(classes.view(np.int64).tolist(), range(classes.size)))
+        added, index = [], []
+        for bits in residual.view(np.int64).tolist():
+            i = known.get(bits)
+            if i is None:
+                i = known[bits] = classes.size + len(added)
+                added.append(bits)
+            index.append(i)
+        column[joining] = index
+        values = np.concatenate((classes, np.array(added, dtype=np.int64).view(float)))
+        used = np.bincount(column[members], minlength=values.size) > 0
+        if np.count_nonzero(used) < values.size:
+            column[members] = (np.cumsum(used) - 1)[column[members]]
+            values = values[used]
+        return values
 
     # `_charge_one` stays beside `_block`: on a slot where no vehicle stops
     # a one-slot block gives the same bits, but on a 10 x 50 fleet it costs

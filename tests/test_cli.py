@@ -197,14 +197,15 @@ def test_simulate_imports_no_scipy(tmp_path):
 def test_oracle_commands_import_no_scipy_subpackage(tmp_path, command):
     # The oracles' quadrature loads QUADPACK's extension alone, so neither
     # command runs scipy.integrate's __init__, with the scipy.special,
-    # scipy.optimize and scipy.linalg it imports.
+    # scipy.optimize and scipy.linalg it imports. Nor does it call
+    # np.unique, whose first call on floats imports numpy.ma.
     argv = (["validate", "--grid", "1"] if command == "validate"
             else ["analytics", "--config", str(SMALL), "--out", str(tmp_path)])
     script = (
         "import sys\n"
         "from fleetchain.cli import main\n"
         f"code = main({argv!r})\n"
-        "heavy = ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
+        "heavy = ('scipy.integrate', 'scipy.special', 'scipy.optimize', 'numpy.ma')\n"
         "print(code, sorted(m for m in heavy if m in sys.modules))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -431,3 +431,54 @@ def test_handed_back_rows_take_the_new_heads_rule():
     back = f.handed_back(trace)
     assert (back.slot, back.offload, back.cluster) == (2, 1.0, [0])
     assert (back.rule, back.change, back.old, back.new) == ([0], [True], [1], [0])
+
+
+
+@pytest.mark.parametrize("residuals, new", [
+    # Vehicle 2 is now richer than vehicle 0, so vehicle 1 hands the head to
+    # it, and would get it back on the next slot: it is richer than vehicle 0.
+    ((300.0, 500.0, 400.0), [2]),
+    # The same pick, but vehicle 1 is not richer than vehicle 0, so the
+    # next slot would not hand the head back: no rows.
+    ((360.0, 350.0, 400.0), None),
+    # Vehicle 0 is still the richest: the head goes back to it.
+    ((450.0, 500.0, 400.0), [0]),
+])
+def test_handed_on_gives_the_picks_that_hand_back(residuals, new):
+    # Every verdict is an OST change. Slot 1 hands head 0 to vehicle 1, the
+    # richest member; a swap block expects slot 2 to hand it back to 0.
+    vehicles = [VehicleState(id=i, cluster=0, residual_energy=residual, stay_time=10.0,
+                             radio_range=300.0, role="ch" if i == 0 else "member")
+                for i, residual in enumerate((900.0, 500.0, 100.0))]
+    f = FleetState(vehicles=VehicleArrays.of(vehicles), mobility=mobility(),
+                   connectivity=ConnectivityParams(), score_default=0.5)
+    trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=1.0), 1)
+    assert f.fixed == FIXED_SWAP
+    f.vehicles.residual[:] = residuals
+    rows = f.handed_on(f.handed_back(trace), 2)
+    if new is None:
+        assert rows is None
+    else:
+        assert (rows.slot, rows.offload, rows.cluster) == (2, 1.0, [0])
+        assert (rows.rule, rows.change, rows.old, rows.new) == ([0], [True], [1], new)
+    assert f.heads.tolist() == [1]  # it moves no head
+
+
+def test_handed_on_needs_every_head_to_change():
+    # Vehicle 0's limit covers the required 50 and the others' do not, and
+    # the observed score is above the expected: as a head, vehicle 0's
+    # verdict is a keep, the others' a Lemma2-limit change. Slot 1 hands
+    # head 1 to vehicle 0, the only qualified member. Vehicle 1 would be
+    # the pick on slot 2 and would hand the head back, but vehicle 0 keeps
+    # the head.
+    vehicles = [VehicleState(id=i, cluster=0, residual_energy=1.0, stay_time=10.0,
+                             radio_range=600.0, role="ch" if i == 1 else "member",
+                             tx_limit=limit)
+                for i, limit in enumerate((60.0, 10.0, 10.0))]
+    f = FleetState(vehicles=VehicleArrays.of(vehicles), mobility=mobility(),
+                   connectivity=ConnectivityParams(), score_default=1.0,
+                   required_tx_limit=50.0)
+    trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=0.0), 1)
+    assert trace.new == [0]
+    f.vehicles.residual[:] = (8.0, 9.0, 7.0)
+    assert f.handed_on(f.handed_back(trace), 2) is None

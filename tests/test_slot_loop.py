@@ -14,7 +14,7 @@ import fleetchain.controller
 import fleetchain.sim
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import CONFIGS, OBJECT_FLEET_SEEDS, object_fleet
 from test_slot_loop_spec import spec_run, vehicle_cells
@@ -147,18 +147,27 @@ def test_slot_trace_length_is_its_row_count(seed):
         assert list(trace) == rows
 
 
-def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int | tuple[int, int]]:
+def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int | tuple[int, int | str]]:
     """The slots on which a paired run of `cfg` called `evaluate_slot`, in
-    order, and as (s, 0) each `_SlotLoop._block` call of the clustered run
-    that stepped no slot: a block attempt that failed at its first slot s,
-    which then runs alone."""
+    order; as (s, "break") each slot s on which a swap block handed its
+    pairs' heads on (`FleetState.handed_on` gave its rows); and as (s, 0)
+    each `_SlotLoop._block` call of the clustered run that stepped no slot:
+    a block attempt that failed at its first slot s, which then runs
+    alone."""
     slots = []
     evaluate_slot = fleetchain.sim.evaluate_slot
     block = fleetchain.sim._SlotLoop._block
+    handed_on = FleetState.handed_on
 
     def counting(fleet, ctrl, slot_index):
         slots.append(slot_index)
         return evaluate_slot(fleet, ctrl, slot_index)
+
+    def breaking(fleet, expected, slot):
+        trace = handed_on(fleet, expected, slot)
+        if trace is not None:
+            slots.append((slot, "break"))
+        return trace
 
     def attempting(loop, s, k):
         ran = block(loop, s, k)
@@ -167,6 +176,7 @@ def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int | tuple[int, int]]:
         return ran
 
     monkeypatch.setattr(fleetchain.sim, "evaluate_slot", counting)
+    monkeypatch.setattr(FleetState, "handed_on", breaking)
     monkeypatch.setattr(fleetchain.sim._SlotLoop, "_block", attempting)
     paired_comparison(cfg)
     return slots
@@ -192,11 +202,12 @@ SWAP_CAP_CONFIG = dict(cluster_count=41, vehicles_per_cluster=3, lam=1.5, horizo
 
 @pytest.mark.parametrize("config, slots", [
     # The exchanges at slots 10, 20 and 30 fall inside swap blocks. The head
-    # of slot 10 pays the full-hop charge, so the third vehicle takes the
-    # head at slot 11, which runs alone, and the new pair's swaps are a
-    # block from slot 12 on.
+    # of slot 10 pays the full-hop charge and is not rated above the third
+    # vehicle at slot 11, which breaks each pair: the block hands the head
+    # to the third vehicle there, and the new pair swaps on in the same
+    # block. Slot 21 breaks the pairs again.
     (dict(cluster_count=2, vehicles_per_cluster=3, lam=1.5, horizon=30.0,
-          global_exchange_period=10), [1, 11, 21]),
+          global_exchange_period=10), [1, (11, "break"), (21, "break")]),
     # The two members cannot pay slot 18. The pair swaps on, as a block from
     # slot 19, until neither can pay slot 30.
     (dict(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0, initial_energy=2.5e6,
@@ -210,10 +221,12 @@ SWAP_CAP_CONFIG = dict(cluster_count=41, vehicles_per_cluster=3, lam=1.5, horizo
     (dict(cluster_count=1, vehicles_per_cluster=4, lam=1.5, horizon=30.0, initial_energy=2.5e6,
           critical_fraction=0.5), [1, 15, 17, (18, 0), 18, 24, 30]),
     # A security cost equal to the local transmission charge leaves the
-    # returning vehicle tied with the third on every other slot. The tie ends
-    # the block, though the lowest id (the returning vehicle) wins it.
+    # returning vehicle tied with the third on every other slot. The tie
+    # breaks the pair, and the block hands the head to the lowest id, the
+    # returning vehicle itself, and goes on with the same pair.
     (dict(cluster_count=1, vehicles_per_cluster=3, app_count=1, lam=1.5, security_cost=11610.0,
-          horizon=12.0), [1, 3, 5, 7, 9, 11]),
+          horizon=12.0), [1, (3, "break"), (5, "break"), (7, "break"), (9, "break"),
+                          (11, "break")]),
     # The vehicle taking the head cannot pay its security charge at slot 7;
     # both vehicles run dry at slot 8, the first slot of the swap block
     # tried after slot 7.
@@ -236,9 +249,19 @@ SWAP_CAP_CONFIG = dict(cluster_count=41, vehicles_per_cluster=3, lam=1.5, horizo
           use_load_model_exchange=True, presence=0.01), [1]),
     # The head of each exchange slot (7, 14, 21, 28) pays the full-hop
     # charge and is no longer rated above the cluster's richest other
-    # member: each pair breaks the slot after an exchange, which runs alone.
+    # member: each pair breaks the slot after an exchange, where the block
+    # hands each head to that member and goes on with the new pairs.
     (dict(cluster_count=3, vehicles_per_cluster=4, lam=1.75, horizon=30.0,
-          global_exchange_period=7), [1, 8, 15, 22, 29]),
+          global_exchange_period=7), [1, (8, "break"), (15, "break"), (22, "break"),
+                                      (29, "break")]),
+    # A new head's 11 610 J security charge costs more than a head saves on
+    # transmission (3 483 J a 0.3 slot), so at slot 3 the returning vehicle
+    # 1 is not rated above the members. The break's pick, vehicle 2, would
+    # not hand the head back to vehicle 0, which paid its security charge at
+    # slot 2: slot 3 runs alone, and from there the heads go round in turn.
+    (dict(cluster_count=1, vehicles_per_cluster=6, app_count=1, lam=1.5, hops=0,
+          security_cost=11610.0, slot=0.3, horizon=5.1, initial_energy=1e6,
+          critical_fraction=0.0), [1, *range(3, 18)]),
 ])
 def test_swap_blocks_end_before_events(monkeypatch, config, slots):
     assert_slots_and_spec(monkeypatch, SimConfig(**config), slots)
@@ -272,6 +295,11 @@ def assert_slots_and_spec(monkeypatch, cfg: SimConfig, slots) -> None:
     """A paired run of `cfg` steps `slots` alone (`evaluated_slots`), and its
     clustered report equals `spec_run`'s, bit for bit."""
     assert evaluated_slots(monkeypatch, cfg) == slots
+    assert_clustered_run_is_spec(cfg)
+
+
+def assert_clustered_run_is_spec(cfg: SimConfig) -> None:
+    """The clustered report of `cfg` equals `spec_run`'s, bit for bit."""
     report = run_clustered(cfg)
     columns, trace, vehicles = spec_run(cfg, clustered=True)
     for name, want in columns.items():
@@ -279,6 +307,49 @@ def assert_slots_and_spec(monkeypatch, cfg: SimConfig, slots) -> None:
     assert report.trace == trace
     assert repr([vehicle_cells(v) for v in report.vehicles]) == repr(
         [vehicle_cells(v) for v in vehicles])
+
+
+def test_churn_sweep_point_evaluates_only_slot_one(monkeypatch):
+    # The sweep-many churn point: 5 clusters x 10 vehicles x 100 slots at
+    # lam 1.5, an exchange every 10 slots. The slot after each exchange
+    # breaks every pair, and the swap block hands each head to the richest
+    # member there: slots 2 to 100 are one block in each regime.
+    blocks = block_calls(monkeypatch)
+    cfg = SimConfig(lam=1.5, horizon=100.0, global_exchange_period=10)
+    assert evaluated_slots(monkeypatch, cfg) == [1] + [(s, "break") for s in range(11, 100, 10)]
+    assert blocks == [(2, 99, 99), (2, 99, 99)]
+    assert_clustered_run_is_spec(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cluster_count=st.integers(1, 4),
+    vehicles_per_cluster=st.integers(2, 6),
+    lam=st.floats(0.5, 1.9),
+    horizon=st.integers(1, 60).map(float),
+    period=st.integers(1, 10),
+    load_model=st.booleans(),
+    tie=st.booleans(),
+    initial_energy=st.sampled_from([3e5, 2.5e6, 1e9]),
+    critical_fraction=st.sampled_from([0.0, 0.1, 0.5]),
+)
+# The head taken at the last slot pays its security charge after the slot
+# marks the critical vehicles, and falls below the critical level with it:
+# its final flag stays clear.
+@example(cluster_count=1, vehicles_per_cluster=6, lam=1.75, horizon=39.0, period=4,
+         load_model=False, tie=True, initial_energy=2.5e6, critical_fraction=0.5)
+def test_break_prone_runs_match_the_specification(cluster_count, vehicles_per_cluster, lam,
+                                                  horizon, period, load_model, tie,
+                                                  initial_energy, critical_fraction):
+    # Heads swap between two vehicles at lam < 2, and exchanges, load-model
+    # emissions and ties break the pairs: app_count 1 with a security cost
+    # of 11 610 J ties the returning vehicle with a member as rich.
+    cfg = SimConfig(cluster_count=cluster_count, vehicles_per_cluster=vehicles_per_cluster,
+                    lam=lam, horizon=horizon, global_exchange_period=period,
+                    use_load_model_exchange=load_model, presence=0.01 if load_model else 1.0,
+                    initial_energy=initial_energy, critical_fraction=critical_fraction,
+                    **(dict(app_count=1, security_cost=11610.0) if tie else {}))
+    assert_clustered_run_is_spec(cfg)
 
 
 @pytest.mark.parametrize("name, slots", [
@@ -381,6 +452,22 @@ def test_blocks_cut_by_their_size_cap_are_followed_by_blocks(monkeypatch):
     assert blocks == [(2, 299, 131), (133, 168, 131), (264, 37, 37)]
     assert [(first, last) for _, first, last in report.trace_runs] == [
         (1, 1), (2, 132), (133, 263), (264, 300)]
+
+
+def test_swap_blocks_that_gain_member_columns_keep_their_cap(monkeypatch):
+    # 20 clusters x 4 vehicles at lam 1.5 with an exchange every 2 slots:
+    # every odd slot from 3 on breaks the pairs. A swap block of 20 pairs and
+    # one member residual is capped at 264 slots. The break at slot 3 gives
+    # the members a second residual, which caps the block's later slots at
+    # 260: it stops after slot 263, and another block follows.
+    blocks = block_calls(monkeypatch)
+    cfg = SimConfig(cluster_count=20, vehicles_per_cluster=4, lam=1.5, horizon=300.0,
+                    global_exchange_period=2)
+    assert fleetchain.sim.BLOCK_CELLS // (2 * (3 * 20 + 1 + 1)) == 264
+    assert fleetchain.sim.BLOCK_CELLS // (2 * (3 * 20 + 2 + 1)) == 260
+    assert evaluated_slots(monkeypatch, cfg) == [1] + [(s, "break") for s in range(3, 301, 2)]
+    assert blocks[-2:] == [(2, 299, 262), (264, 37, 37)]
+    assert_clustered_run_is_spec(cfg)
 
 
 @pytest.mark.parametrize(

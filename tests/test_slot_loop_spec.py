@@ -318,6 +318,19 @@ def configs(draw) -> SimConfig:
                    vehicle_tx_limit=10.0, required_tx_limit=50.0))
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=1.5, horizon=12.0,
                    global_exchange_period=1))
+# Swap blocks hand each head on where an exchange or a tie breaks the pairs;
+# the head taken at the last slot falls below the critical level with its
+# security charge, after the slot marked the vehicles; a break whose pick
+# would not hand back runs alone.
+@example(SimConfig(lam=1.5, horizon=100.0, global_exchange_period=10))
+@example(SimConfig(cluster_count=4, vehicles_per_cluster=6, lam=1.75, horizon=60.0,
+                   global_exchange_period=3, app_count=1, security_cost=11610.0))
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=6, app_count=1, lam=1.75,
+                   horizon=39.0, global_exchange_period=4, security_cost=11610.0,
+                   initial_energy=2.5e6, critical_fraction=0.5))
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=6, app_count=1, lam=1.5, hops=0,
+                   security_cost=11610.0, slot=0.3, horizon=5.1, initial_energy=1e6,
+                   critical_fraction=0.0))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)

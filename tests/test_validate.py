@@ -14,6 +14,7 @@ regenerated to make this test pass.
 import functools
 import hashlib
 import importlib.machinery
+import itertools
 import math
 import sys
 import warnings
@@ -499,6 +500,33 @@ def test_quad_is_scipy_quad_on_points_and_bounds(lo, hi, points, found, request)
     for eps in ({}, {"epsabs": 0.0, "epsrel": 1e-12}, {"epsabs": 1e-14, "epsrel": 1e-13}):
         value = validate._quad(bell, lo, hi, points=points, **eps)
         assert same_bits(value, integrate.quad(bell, lo, hi, points=points, **eps)[0])
+
+
+POINT_VALUES = [-0.0, 0.0, 0.5, math.nan, 1.0, 0.25, -1.0, 2.0, 0.5000000000000001, 3]
+
+
+def test_inner_points_are_np_unique_inside_the_bounds():
+    # Every list of up to 3 of these values, signed zeros, NaN, an int and
+    # values at and outside the bounds among them: the same floats, with
+    # the same zero signs, as np.unique followed by quad's bounds filter.
+    cases = 0
+    for n in range(4):
+        for points in itertools.product(POINT_VALUES, repeat=n):
+            for a, b in [(-0.5, 1.5), (0.0, 1.0), (-1.0, 0.5), (-2.0, 3.0)]:
+                inner = np.unique(list(points))
+                want = inner[(a < inner) & (inner < b)].astype(float).tolist()
+                got = validate._inner_points(list(points), a, b)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (points, a, b)
+                cases += 1
+    assert cases == 4 * (1 + 10 + 100 + 1000)
+
+
+@pytest.mark.parametrize("points", [[-0.0, 0.0, -1.0, -1.0], [0.0, -0.0, -1.0, -1.0, 0.0]])
+def test_quad_ignores_the_sign_of_a_zero_point(points):
+    # On these lists np.unique's unstable sort keeps the other zero than
+    # the first given; QUADPACK's value is the same.
+    assert same_bits(validate._quad(bell, -0.5, 1.5, points=points),
+                     integrate.quad(bell, -0.5, 1.5, points=points)[0])
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, math.inf), (math.inf, -1.0)])
