@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .mobility import gaussian_mass, gaussian_pdf, half_erf_diff
+from .mobility import SQRT_2PI, gaussian_mass, gaussian_pdf, half_erf_diff
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Tolerance for radicands that should be zero but carry float roundoff.
 _RADICAND_EPS = 1e-12
 
@@ -36,7 +35,7 @@ class InfeasibleRateError(ValueError):
 
 def peak_frequency(stddev: float) -> float:
     """Largest density value a Gaussian rate with this deviation can attain."""
-    return 1.0 / (stddev * _SQRT_2PI)
+    return 1.0 / (stddev * SQRT_2PI)
 
 
 def rate_frequency(mean: float, stddev: float, rate: float) -> float:
@@ -115,7 +114,7 @@ class TxCountParams:
 
 def invert_rate(g: GaussianRate) -> float:
     """Recover the rate from its observed frequency (upper branch)."""
-    radicand = -2.0 * math.log(_SQRT_2PI * g.stddev * g.frequency)
+    radicand = -2.0 * math.log(SQRT_2PI * g.stddev * g.frequency)
     if radicand < 0:
         if radicand < -_RADICAND_EPS:
             raise InfeasibleRateError(

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 # `quadrature.adaptive_simpson` span.
 adaptive_simpson = None
 
+# The Gaussian density's normalising factor over its deviation.
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
 
 def gaussian_pdf(x: float, mean: float, stddev: float) -> float:
     z = (x - mean) / stddev
-    return math.exp(-0.5 * z * z) / (stddev * math.sqrt(2.0 * math.pi))
+    return math.exp(-0.5 * z * z) / (stddev * SQRT_2PI)
 
 
 def half_erf_diff(a: float, b: float) -> float:

@@ -32,7 +32,7 @@ from .analytics import (
     rate_frequency,
     transaction_count,
 )
-from .mobility import ConnectivityParams, MobilityModel, in_range_probability
+from .mobility import SQRT_2PI, ConnectivityParams, MobilityModel, in_range_probability
 
 
 @dataclass(frozen=True)
@@ -187,31 +187,37 @@ def _uniform_draws(rng: np.random.Generator, rows: int, width: int):
 
 
 def _uniform(low: float, high: float, u: float) -> float:
-    """The value `rng.uniform(low, high)` returns when it draws the double `u`."""
+    """The value `rng.uniform(low, high)` returns when it draws the double `u`:
+    `Generator.uniform`'s own `low + (high - low) * u`. So
+    `_uniform(low, high, rng.random())` is that scalar call: it draws the
+    same double from the stream, without `uniform`'s argument handling.
+    Neither call touches the spare 32-bit half that a small `rng.integers`
+    draw leaves, so both interleave with such draws alike."""
     return low + (high - low) * u
 
 
 def _random_decay_params(rng: np.random.Generator) -> DecayParams:
     def rate() -> GaussianRate:
-        mean = rng.uniform(0.0, 5.0)
-        stddev = rng.uniform(0.1, 3.0)
-        f = rng.uniform(1e-6, 1.0) * peak_frequency(stddev)
+        mean = _uniform(0.0, 5.0, rng.random())
+        stddev = _uniform(0.1, 3.0, rng.random())
+        f = _uniform(1e-6, 1.0, rng.random()) * peak_frequency(stddev)
         return GaussianRate(mean, stddev, f)
 
     return DecayParams(
         rate1=rate(),
         rate2=rate(),
-        initial_energy=rng.uniform(1.0, 1e6),
+        initial_energy=_uniform(1.0, 1e6, rng.random()),
         app_count=int(rng.integers(1, 21)),
-        horizon=rng.uniform(0.01, 50.0),
+        horizon=_uniform(0.01, 50.0, rng.random()),
     )
 
 
 def decay_oracle(p: DecayParams) -> float:
     """Energy decay by adaptive quadrature of its defining integral,
     (E0 / apps) * integral of exp(-(lam1 + lam2) t) over [0, horizon]."""
-    lam = invert_rate(p.rate1) + invert_rate(p.rate2)
-    value = _quad(lambda t: math.exp(-lam * t), 0.0, p.horizon, epsabs=1e-14, epsrel=1e-13)
+    neg = -(invert_rate(p.rate1) + invert_rate(p.rate2))  # -lam * t is (-lam) * t
+    exp = math.exp
+    value = _quad(lambda t: exp(neg * t), 0.0, p.horizon, epsabs=1e-14, epsrel=1e-13)
     return value * (p.initial_energy / p.app_count)
 
 
@@ -233,18 +239,18 @@ def check_synchronized_consistency(
     """Synchronized decay vs the general closed form at the estimated rate."""
     errors = []
     for _ in range(grid):
-        s1 = rng.uniform(0.2, 3.0)
-        s2 = rng.uniform(0.2, 3.0)
-        mean1 = rng.uniform(0.0, 3.0)
-        lam1 = mean1 + rng.uniform(0.0, 2.0 * s1)
+        s1 = _uniform(0.2, 3.0, rng.random())
+        s2 = _uniform(0.2, 3.0, rng.random())
+        mean1 = _uniform(0.0, 3.0, rng.random())
+        lam1 = mean1 + _uniform(0.0, 2.0 * s1, rng.random())
         bound = math.exp(-0.5 * ((lam1 - mean1) / s1) ** 2) / (2.0 * math.pi * s1 * s2)
-        f1 = rng.uniform(1e-6, 1.0) * bound
+        f1 = _uniform(1e-6, 1.0, rng.random()) * bound
         p = DecayParams(
             rate1=GaussianRate(mean1, s1, rate_frequency(mean1, s1, lam1)),
             rate2=GaussianRate(mean1, s2, peak_frequency(s2)),
-            initial_energy=rng.uniform(1.0, 1e6),
+            initial_energy=_uniform(1.0, 1e6, rng.random()),
             app_count=int(rng.integers(1, 21)),
-            horizon=rng.uniform(0.01, 20.0),
+            horizon=_uniform(0.01, 20.0, rng.random()),
         )
         lam2 = estimate_synchronized_rate(p, lam1, f1)
         closed = energy_decay_synchronized(p, lam1, f1)
@@ -294,13 +300,14 @@ def tx_oracle(p: TxCountParams) -> float:
         return math.ulp(0.0) if scale > 0.0 else 0.0
     half = 40.0 if z_peak == 0.0 else min(40.0, -800.0 / z_peak)
     lo, hi = max(-peak / sd, -half), min((p.radio_range - peak) / sd, half)
+    exp = math.exp
 
     def integrand(u):  # exp(-(z_peak + u)**2 / 2 - log_peak) without the cancellation
-        return math.exp(-u * (0.5 * u + z_peak))
+        return exp(-u * (0.5 * u + z_peak))
 
     points = [0.0] if lo < 0.0 < hi else None
     value = _quad(integrand, lo, hi, points=points, epsabs=0.0, epsrel=1e-12)
-    value = value / math.sqrt(2.0 * math.pi) * scale  # a half or whole mass stays exact
+    value = value / SQRT_2PI * scale  # a half or whole mass stays exact
     if value <= 0.0:
         return value
     return max(value * math.exp(log_peak), math.ulp(0.0))
@@ -314,13 +321,13 @@ def check_tx_ceiling(grid: int, rng: np.random.Generator) -> CheckResult:
         p = TxCountParams(
             cluster_count=int(rng.integers(1, 7)),
             links_per_ledger=int(rng.integers(1, 5)),
-            request_rate=rng.uniform(0.1, 5.0),
-            presence=rng.uniform(0.1, 1.0),
-            horizon=rng.uniform(1.0, 100.0),
+            request_rate=_uniform(0.1, 5.0, rng.random()),
+            presence=_uniform(0.1, 1.0, rng.random()),
+            horizon=_uniform(1.0, 100.0, rng.random()),
             parallel_links=int(rng.integers(1, 5)),
-            mean_range=rng.uniform(10.0, 500.0),
-            radio_range=rng.uniform(10.0, 500.0),
-            range_stddev=rng.uniform(1.0, 200.0),
+            mean_range=_uniform(10.0, 500.0, rng.random()),
+            radio_range=_uniform(10.0, 500.0, rng.random()),
+            range_stddev=_uniform(1.0, 200.0, rng.random()),
         )
         derived = transaction_count(p)
         errors.append(float(abs(derived - math.ceil(tx_oracle(p)))))
@@ -335,49 +342,103 @@ MIDPOINTS = 1_000_000
 # exp(-0.5 * z * z) is exactly 0.0 beyond this many deviations: the exponent,
 # below -748.8, is under the -745.14 at which the smallest subnormal rounds to 0.
 MIDPOINT_WINDOW = 38.7
-# The midpoint rule's ufunc chain runs on this many nodes at a time (256 KB).
+# The midpoint rule evaluates the leaves of numpy's summation tree, runs of at
+# most this many nodes, one at a time in one reused buffer of this size (256 KB).
 MIDPOINT_BLOCK = 32_768
+# numpy's pairwise sum adds a run of at most this many elements without
+# splitting it (its PW_BLOCKSIZE), so no leaf is cut shorter.
+PAIRWISE_BLOCK = 128
 
 
-def midpoint_range_mass(m: MobilityModel, out: np.ndarray) -> float:
-    """Midpoint rule for the Gaussian range mass on [0, connect_range], on
-    one node per element of `out`, a float buffer that is overwritten.
+def _pairwise_sum(leaf_sum, start: int, size: int, leaf: int) -> float:
+    """The sum that `np.add.reduce` takes over `size` elements from `start`
+    of a float array, without the array: numpy's pairwise tree, down to
+    leaves of at most `leaf` elements, each summed by `leaf_sum(start, size)`.
 
-    Node i sits at `(i + 0.5) * step`. The density is evaluated only at the
-    nodes within `MIDPOINT_WINDOW` deviations of the mean, found by
-    bisection on the same float steps, and every other node is written as
-    the 0.0 its density would underflow to. The window is evaluated
-    `MIDPOINT_BLOCK` nodes at a time: a block's node values are
-    `arange(MIDPOINT_BLOCK) + 0.5` plus the index of its first node, exact
-    small floats equal to those of `arange(n) + 0.5`, so no node array is
-    allocated. Every ufunc writes into `out`, and the sum runs once over the
-    whole buffer, in numpy's pairwise order: the value is bit-identical to
-    evaluating `exp(-0.5 * z * z) / (sd * sqrt(2 pi))` at every midpoint
-    and summing.
+    numpy splits a run of more than `PAIRWISE_BLOCK` elements at half its
+    length, rounded down to a multiple of 8, and adds the sums of the two
+    halves. Each run the tree reaches is split the same way inside it, so
+    with `leaf` at least `PAIRWISE_BLOCK` and each leaf summed by numpy, the
+    value is the whole array's sum bit for bit. (numpy adds that sum to 0.0,
+    which changes only a sum of -0.0.)
     """
-    n = len(out)
-    step, mean, sd = m.connect_range / n, m.mean_range, m.range_stddev
+    if size <= leaf:
+        return leaf_sum(start, size)
+    half = size // 2
+    half -= half % 8
+    return (_pairwise_sum(leaf_sum, start, half, leaf)
+            + _pairwise_sum(leaf_sum, start + half, size - half, leaf))
 
-    def z(i: int) -> float:  # the chain's value at node i, before the square
-        return ((i + 0.5) * step - mean) / sd
 
-    # z never decreases along the nodes, so the window is one slice.
-    lo = bisect_left(range(n), -MIDPOINT_WINDOW, key=z)
-    hi = bisect_right(range(lo, n), MIDPOINT_WINDOW, key=z) + lo
-    out[:lo] = 0.0
-    out[hi:] = 0.0
-    base = np.arange(min(MIDPOINT_BLOCK, hi - lo)) + 0.5
-    for start in range(lo, hi, MIDPOINT_BLOCK):
-        w = out[start:min(start + MIDPOINT_BLOCK, hi)]
-        np.add(base[:len(w)], start, out=w)
-        np.multiply(w, step, out=w)
-        np.subtract(w, mean, out=w)
-        np.divide(w, sd, out=w)
+class _MidpointNodes:
+    """The densities at the `n` nodes of the midpoint rule for the range
+    mass of `m` on [0, connect_range]: node i sits at `(i + 0.5) * step`.
+
+    Only the nodes `lo` to `hi - 1`, within `MIDPOINT_WINDOW` deviations of
+    the mean, are evaluated; every other node is the 0.0 its density would
+    underflow to. The window is found by bisection on the same float steps.
+    """
+
+    def __init__(self, m: MobilityModel, n: int):
+        step, mean, sd = m.connect_range / n, m.mean_range, m.range_stddev
+        self.step, self.mean, self.sd = step, mean, sd
+
+        def z(i: int) -> float:  # the chain's value at node i, before the square
+            return ((i + 0.5) * step - mean) / sd
+
+        # z never decreases along the nodes, so the window is one slice.
+        lo = bisect_left(range(n), -MIDPOINT_WINDOW, key=z)
+        self.lo, self.hi = lo, bisect_right(range(lo, n), MIDPOINT_WINDOW, key=z) + lo
+        self.leaf = max(MIDPOINT_BLOCK, PAIRWISE_BLOCK)
+        self.base = np.arange(min(self.leaf, self.hi - lo)) + 0.5
+        self.buf = np.empty(min(self.leaf, n))
+
+    def fill(self, start: int, out: np.ndarray) -> None:
+        """Write the densities at nodes `start` to `start + len(out) - 1`, a
+        run of at most `self.leaf` nodes, into `out`.
+
+        The window's nodes are `base` plus the index of the first of them:
+        exact small floats equal to those of `arange(n) + 0.5`, so no node
+        array is allocated. Every ufunc writes into `out`.
+        """
+        size = len(out)
+        a = min(max(self.lo - start, 0), size)
+        b = max(min(self.hi - start, size), a)
+        out[:a] = 0.0
+        out[b:] = 0.0
+        w = out[a:b]
+        np.add(self.base[:b - a], start + a, out=w)
+        np.multiply(w, self.step, out=w)
+        np.subtract(w, self.mean, out=w)
+        np.divide(w, self.sd, out=w)
         np.square(w, out=w)
         w *= -0.5
         np.exp(w, out=w)
-        np.divide(w, sd * math.sqrt(2.0 * math.pi), out=w)
-    return float(out.sum() * m.connect_range / n)
+        np.divide(w, self.sd * SQRT_2PI, out=w)
+
+    def leaf_sum(self, start: int, size: int) -> float:
+        """numpy's sum of the densities at `size` nodes from `start`: 0.0,
+        without evaluating any, when the run lies wholly outside the window."""
+        if self.hi <= start or start + size <= self.lo:
+            return 0.0
+        out = self.buf[:size]
+        self.fill(start, out)
+        return float(out.sum())
+
+
+def midpoint_range_mass(m: MobilityModel, n: int = MIDPOINTS) -> float:
+    """Midpoint rule for the Gaussian range mass on [0, connect_range], on
+    `n` nodes, with no n-node buffer.
+
+    The node values are summed in numpy's pairwise order (`_pairwise_sum`),
+    one leaf of its tree of at most `MIDPOINT_BLOCK` nodes at a time, each
+    evaluated into one reused buffer (`_MidpointNodes`); a leaf wholly
+    outside the window is 0.0 and not evaluated. The value is bit-identical
+    to evaluating `exp(-0.5 * z * z) / (sd * sqrt(2 pi))` at every midpoint
+    and summing the n-element array.
+    """
+    nodes = _MidpointNodes(m, n)
+    return _pairwise_sum(nodes.leaf_sum, 0, n, nodes.leaf) * m.connect_range / n
 
 
 def quad_range_mass(m: MobilityModel) -> float:
@@ -394,7 +455,6 @@ def check_in_range_probability(grid: int, rng: np.random.Generator) -> CheckResu
     narrow densities (sd 0.1 to 100) over ranges up to 1e23 that no midpoint
     rule resolves, vs breakpoint quadrature."""
     errors = []
-    buf = np.empty(MIDPOINTS)
     for u in _uniform_draws(rng, max(1, grid // 20), 5):
         m = MobilityModel(
             connect_range=_uniform(10.0, 500.0, u[0]),
@@ -403,7 +463,7 @@ def check_in_range_probability(grid: int, rng: np.random.Generator) -> CheckResu
             range_stddev=_uniform(1.0, 200.0, u[3]),
         )
         c = ConnectivityParams(presence_prob=_uniform(0.0, 1.0, u[4]))
-        mid = 1.0 - c.presence_prob * midpoint_range_mass(m, buf)
+        mid = 1.0 - c.presence_prob * midpoint_range_mass(m)
         errors.append(abs(in_range_probability(m, c) - mid))
     for i, u in enumerate(_uniform_draws(rng, max(1, grid // 2), 4)):
         sd = 10.0 ** _uniform(-1.0, 2.0, u[0])

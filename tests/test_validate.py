@@ -1,8 +1,8 @@
 """The validation oracles: the single-quadrature load-model oracle against the
 double integral it replaces, the quadrature helper against `scipy.integrate.quad`,
-the allocation-free, windowed and blocked midpoint rule against the plain
-expression, the chunked uniform draws against scalar `rng.uniform` calls, and
-golden digests of whole `fleetchain validate` reports.
+the windowed midpoint rule, summed leaf by leaf along numpy's pairwise tree,
+against the plain expression, the chunked and scalar uniform draws against
+`rng.uniform` calls, and golden digests of whole `fleetchain validate` reports.
 
 The report digests were retaken when the in-range check gained its
 narrow-density quadrature draws and a positive load got a ceiling of at
@@ -17,6 +17,7 @@ import importlib.machinery
 import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -29,7 +30,19 @@ from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
 import fleetchain.validate as validate
-from fleetchain.analytics import GaussianRate, TxCountParams, invert_rate, transaction_count
+from fleetchain.analytics import (
+    DecayParams,
+    GaussianRate,
+    TxCountParams,
+    energy_decay,
+    energy_decay_at_rates,
+    energy_decay_synchronized,
+    estimate_synchronized_rate,
+    invert_rate,
+    peak_frequency,
+    rate_frequency,
+    transaction_count,
+)
 from fleetchain.cli import main
 from fleetchain.mobility import (
     ConnectivityParams,
@@ -220,7 +233,6 @@ def test_a_nan_error_fails_its_check(monkeypatch):
 
 def test_midpoint_rule_in_place_is_bit_identical():
     rng = np.random.default_rng(9)
-    buf = np.empty(MIDPOINTS)
     for _ in range(50):
         m = MobilityModel(
             connect_range=rng.uniform(10.0, 500.0),
@@ -232,7 +244,7 @@ def test_midpoint_rule_in_place_is_bit_identical():
         z = (xs - m.mean_range) / m.range_stddev
         pdf = np.exp(-0.5 * z * z) / (m.range_stddev * math.sqrt(2.0 * math.pi))
         plain = float(pdf.sum() * m.connect_range / MIDPOINTS)
-        assert midpoint_range_mass(m, buf) == plain, m
+        assert midpoint_range_mass(m, MIDPOINTS) == plain, m
 
 
 def plain_midpoint(m: MobilityModel, n: int) -> tuple[np.ndarray, float]:
@@ -245,12 +257,27 @@ def plain_midpoint(m: MobilityModel, n: int) -> tuple[np.ndarray, float]:
     return pdf, float(pdf.sum() * m.connect_range / n)
 
 
+def tree_leaves(n: int, leaf: int) -> list[tuple[int, int]]:
+    """(start, size) of each leaf of the pairwise tree over n elements, in order."""
+    leaves = []
+
+    def record(start, size):
+        leaves.append((start, size))
+        return 0.0
+
+    validate._pairwise_sum(record, 0, n, leaf)
+    return leaves
+
+
 def assert_windowed_midpoint_is_plain(m: MobilityModel, n: int = MIDPOINTS):
-    buf = np.full(n, np.nan)
-    value = midpoint_range_mass(m, buf)
+    nodes = validate._MidpointNodes(m, n)
+    buf = np.full(n, np.nan)  # a node no leaf fills stays NaN and fails the comparison
+    for start, size in tree_leaves(n, nodes.leaf):
+        assert size <= nodes.leaf
+        nodes.fill(start, buf[start:start + size])
     pdf, plain = plain_midpoint(m, n)
     assert np.array_equal(buf, pdf), m
-    assert value == plain, m
+    assert midpoint_range_mass(m, n) == plain, m
 
 
 @pytest.mark.parametrize("log_sd", np.linspace(-3.0, 1.0, 9))
@@ -310,9 +337,9 @@ def window_size(m: MobilityModel, n: int) -> int:
 
 @pytest.mark.parametrize("sd, blocks", [
     (1.0, None),      # the window is empty: every node is far below the mean
-    (0.01, "one"),    # 7 740 nodes, all in one block
-    (1.0, "ragged"),  # 774 000 nodes: 23 whole blocks and a ragged last one
-    (1e4, "ragged"),  # every node: 30 whole blocks and a ragged last one
+    (0.01, "one"),    # 7 740 nodes, fewer than a leaf, across the tree's first split
+    (1.0, "ragged"),  # 774 000 nodes, which cut their first and last leaves
+    (1e4, "ragged"),  # every node
 ])
 def test_windowed_midpoint_block_by_block(sd, blocks):
     mean = 1e6 if blocks is None else 50.0
@@ -327,10 +354,69 @@ def test_windowed_midpoint_block_by_block(sd, blocks):
     assert_windowed_midpoint_is_plain(m)
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 1000])
+@pytest.mark.parametrize("mean, sd, evaluated", [
+    (1e6, 1.0, 0),    # no node in the window
+    (50.0, 0.01, 2),  # the two leaves on either side of the first split
+    (45.0, 0.01, 1),  # within the leaf of nodes 437 472 to 468 719
+    (50.0, 1.0, 26),  # nodes 113 000 to 886 999
+    (50.0, 1e4, 32),  # every leaf
+])
+def test_midpoint_evaluates_only_the_leaves_in_its_window(mean, sd, evaluated, monkeypatch):
+    # 10**6 nodes make 32 leaves of 31 248 nodes, the last of 31 256.
+    assert len(tree_leaves(MIDPOINTS, validate.MIDPOINT_BLOCK)) == 32
+    fill, runs = validate._MidpointNodes.fill, []
+
+    def counted(nodes, start, out):
+        runs.append((start, len(out)))
+        fill(nodes, start, out)
+
+    monkeypatch.setattr(validate._MidpointNodes, "fill", counted)
+    m = MobilityModel(connect_range=100.0, radio_range=100.0, mean_range=mean, range_stddev=sd)
+    assert midpoint_range_mass(m) == plain_midpoint(m, MIDPOINTS)[1]
+    assert len(runs) == evaluated
+    assert set(runs) <= set(tree_leaves(MIDPOINTS, validate.MIDPOINT_BLOCK))
+
+
+# Lengths from 1 to 2 * 10**6: numpy's unsplit 128 and its neighbours, 10**6,
+# lengths that are not multiples of 8, and 12 drawn at random.
+PAIRWISE_LENGTHS = [1, 7, 8, 9, 127, 128, 129, 136, 1_000, 1_001, 32_768, 32_769, 65_543,
+                    262_147, 999_999, MIDPOINTS, MIDPOINTS + 5, 2 * MIDPOINTS,
+                    *np.random.default_rng(29).integers(1, 2 * MIDPOINTS, 12).tolist()]
+
+
+@pytest.mark.parametrize("n", PAIRWISE_LENGTHS)
+def test_pairwise_sum_is_numpy_sum(n):
+    # Signs and magnitudes over 60 decades, so that each bit of the result
+    # depends on the order of the additions: if numpy changes its summation
+    # tree, this fails before the midpoint rule's digests do.
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-30.0, 30.0, n)
+
+    def leaf_sum(start, size):
+        return float(a[start:start + size].sum())
+
+    want = float(np.add.reduce(a))
+    for leaf in (validate.PAIRWISE_BLOCK, 1_000, validate.MIDPOINT_BLOCK):
+        assert same_bits(validate._pairwise_sum(leaf_sum, 0, n, leaf), want), (n, leaf)
+
+
+def test_in_range_check_keeps_no_node_array():
+    # The 10**6-node rule held an 8 MB buffer for the whole check.
+    validate.check_in_range_probability(1, np.random.default_rng(0))  # QUADPACK loaded
+    tracemalloc.start()
+    try:
+        validate.check_in_range_probability(40, np.random.default_rng(40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("block", [1, 128, 136, 1000])
 def test_windowed_midpoint_in_small_blocks(block, monkeypatch):
-    # Blocks of 1 to 1000 nodes over windows of 0 to 7 nodes, and over
-    # windows of 4 778 and 12 345 nodes: most end in a ragged last block.
+    # Leaves of 128 to 1000 nodes, at most 128 for a block of 1, since numpy
+    # never splits fewer; over windows of 0 to 7 nodes, and over windows of
+    # 4 778 and 12 345 nodes, which most leaves cut.
     monkeypatch.setattr(validate, "MIDPOINT_BLOCK", block)
     for n in (1, 2, 7):
         for mean in (1e-9, 0.3, 0.5, 0.7, 1.0, 1e9):
@@ -406,6 +492,88 @@ def test_in_range_draws_the_scalar_stream(grid, chunk, monkeypatch):
         monkeypatch.setattr(validate, "DRAW_CHUNK", chunk)
     rng, ref = primed_pair(grid + 11)
     assert validate.check_in_range_probability(grid, rng) == scalar_in_range(grid, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def scalar_decay(tolerance: float, grid: int, rng: np.random.Generator):
+    """`check_decay_against_quadrature` with one `rng.uniform` call per value,
+    and its oracle's integrand written as `math.exp(-lam * t)`."""
+    def rate() -> GaussianRate:
+        mean = rng.uniform(0.0, 5.0)
+        stddev = rng.uniform(0.1, 3.0)
+        f = rng.uniform(1e-6, 1.0) * peak_frequency(stddev)
+        return GaussianRate(mean, stddev, f)
+
+    errors = []
+    for _ in range(grid):
+        p = DecayParams(
+            rate1=rate(),
+            rate2=rate(),
+            initial_energy=rng.uniform(1.0, 1e6),
+            app_count=int(rng.integers(1, 21)),
+            horizon=rng.uniform(0.01, 50.0),
+        )
+        lam = invert_rate(p.rate1) + invert_rate(p.rate2)
+        value = validate._quad(lambda t: math.exp(-lam * t), 0.0, p.horizon, epsabs=1e-14,
+                               epsrel=1e-13)
+        oracle = value * (p.initial_energy / p.app_count)
+        errors.append(abs(energy_decay(p) - oracle) / max(abs(oracle), 1e-300))
+    return validate._result("energy decay vs quadrature", errors, tolerance)
+
+
+def scalar_synchronized(tolerance: float, grid: int, rng: np.random.Generator):
+    """`check_synchronized_consistency` with one `rng.uniform` call per value."""
+    errors = []
+    for _ in range(grid):
+        s1 = rng.uniform(0.2, 3.0)
+        s2 = rng.uniform(0.2, 3.0)
+        mean1 = rng.uniform(0.0, 3.0)
+        lam1 = mean1 + rng.uniform(0.0, 2.0 * s1)
+        bound = math.exp(-0.5 * ((lam1 - mean1) / s1) ** 2) / (2.0 * math.pi * s1 * s2)
+        f1 = rng.uniform(1e-6, 1.0) * bound
+        p = DecayParams(
+            rate1=GaussianRate(mean1, s1, rate_frequency(mean1, s1, lam1)),
+            rate2=GaussianRate(mean1, s2, peak_frequency(s2)),
+            initial_energy=rng.uniform(1.0, 1e6),
+            app_count=int(rng.integers(1, 21)),
+            horizon=rng.uniform(0.01, 20.0),
+        )
+        lam2 = estimate_synchronized_rate(p, lam1, f1)
+        closed = energy_decay_synchronized(p, lam1, f1)
+        substituted = energy_decay_at_rates(p, lam2, lam2)
+        errors.append(abs(closed - substituted) / max(abs(substituted), 1e-300))
+    return validate._result("synchronized decay vs substituted rate", errors, tolerance)
+
+
+def scalar_tx_ceiling(grid: int, rng: np.random.Generator):
+    """`check_tx_ceiling` with one `rng.uniform` call per value."""
+    errors, diverged = [], 0
+    for _ in range(grid):
+        p = random_tx_params(rng)
+        derived = transaction_count(p)
+        errors.append(float(abs(derived - math.ceil(tx_oracle(p)))))
+        diverged += transaction_count(replace(p, variant="as-printed")) != derived
+    note = f"as-printed variant diverges on {diverged}/{grid} points (expected)"
+    return validate._result("transaction ceiling vs double integral", errors, 0.0, note)
+
+
+SCALAR_CHECKS = {
+    "decay": (functools.partial(validate.check_decay_against_quadrature, 1e-9),
+              functools.partial(scalar_decay, 1e-9)),
+    "synchronized": (functools.partial(validate.check_synchronized_consistency, 1e-9),
+                     functools.partial(scalar_synchronized, 1e-9)),
+    "tx_ceiling": (validate.check_tx_ceiling, scalar_tx_ceiling),
+}
+
+
+@pytest.mark.parametrize("grid", [0, 1, 7, 41])
+@pytest.mark.parametrize("name", sorted(SCALAR_CHECKS))
+def test_integer_checks_draw_the_scalar_stream(name, grid):
+    # These checks interleave their doubles with `rng.integers` draws, which
+    # take 32-bit halves of the stream's 64-bit words.
+    check, scalar = SCALAR_CHECKS[name]
+    rng, ref = primed_pair(grid + 17)
+    assert check(grid=grid, rng=rng) == scalar(grid=grid, rng=ref)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -1,5 +1,5 @@
-"""Hash the outputs of a fixed set of paired runs, to show that a change to
-the slot loop keeps every bit.
+"""Hash the outputs of a fixed set of paired runs and `validate` reports, to
+show that a change to the slot loop or to the oracles keeps every bit.
 
     python tools/bit_identity.py write OUT.json [--bench-seeds 1,2,3]
                                                 [--random N] [--random-seed S]
@@ -8,10 +8,11 @@ the slot loop keeps every bit.
 Run it from a checkout; fleetchain is imported from its `src/`. `write` runs
 every config of the set and records, per config, one sha256 for each
 `SlotColumns` list of both regimes, for the clustered trace rows, for the
-final vehicles of both regimes and for the comparison CSV. `check` runs the
-set that OUT.json names again and prints each config whose hashes differ;
-it exits 1 if any does. So write the file at the parent commit and check it
-at the change.
+final vehicles of both regimes and for the comparison CSV; per `validate`
+run, one sha256 for each check's error list, as `float.hex` strings, and one
+for the report text. `check` runs the set that OUT.json names again and
+prints each config or run whose hashes differ; it exits 1 if any does. So
+write the file at the parent commit and check it at the change.
 
 The set:
 - the golden configs of `tests/test_golden.py`;
@@ -23,7 +24,9 @@ The set:
 - N random configs drawn from the random seed, all at lam < 2, where heads
   swap between two vehicles: exchange periods 1 to 10, the load model,
   drains, critical fractions, tx limits, and security costs that tie the
-  returning head with a member as rich.
+  returning head with a member as rich;
+- `validate` at grid 300 on the validate seeds of the oracle-validate inputs
+  for each benchmark seed, and at grids 1 to 30 on seeds 0 to 40.
 
 Each group also records its zero-length block attempts: clustered
 `_SlotLoop._block` calls that stepped no slot, after which the slot runs
@@ -49,6 +52,7 @@ import workloads  # noqa: E402
 from test_golden import CONFIGS  # noqa: E402
 
 import fleetchain.sim as sim  # noqa: E402
+import fleetchain.validate as validate  # noqa: E402
 from fleetchain.scenario import expand, load_scenario, make_config  # noqa: E402
 
 # (clusters, vehicles per cluster, exchange period, horizon) of the wide
@@ -111,6 +115,19 @@ def config_set(bench_seeds: list[int], n_random: int, random_seed: int):
         yield "random", str(i), random_config(rng)
 
 
+def validate_set(bench_seeds: list[int]):
+    """(name, grid, seed) of every `validate` run of the set, in a fixed order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for bench_seed in bench_seeds:
+            for item in workloads.generate("oracle-validate", bench_seed, Path(tmp))["inputs"]:
+                argv = item["argv"]
+                grid, seed = (int(argv[argv.index(flag) + 1]) for flag in ("--grid", "--seed"))
+                yield f"{bench_seed}:{item['key']}", grid, seed
+    for seed in range(41):
+        for grid in range(1, 31):
+            yield f"grid={grid}:seed={seed}", grid, seed
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -128,9 +145,28 @@ def hashes(cfg: sim.SimConfig) -> dict[str, str]:
     return out
 
 
+def validate_hashes(grid: int, seed: int) -> dict[str, str]:
+    """A sha256 per check's error list, and one of the report text, of
+    `validate` at `grid` and `seed`; the errors are read as the checks pass
+    them to `validate._result`."""
+    result, out = validate._result, {}
+
+    def recording(name, errors, *args):
+        out[name] = _digest(repr([float(err).hex() for err in errors]))
+        return result(name, errors, *args)
+
+    validate._result = recording
+    try:
+        report = validate.run_validation(grid=grid, seed=seed)
+    finally:
+        validate._result = result
+    out["report"] = _digest("\n".join(report.lines()))
+    return out
+
+
 def run_set(options: dict) -> tuple[dict, Counter]:
-    """The hashes of every config of the set, and each group's zero-length
-    block attempts."""
+    """The hashes of every config and `validate` run of the set, and each
+    group's zero-length block attempts."""
     attempts, group = Counter(), None
     block = sim._SlotLoop._block
 
@@ -148,6 +184,8 @@ def run_set(options: dict) -> tuple[dict, Counter]:
             result[f"{group}:{name}"] = hashes(cfg)
     finally:
         sim._SlotLoop._block = block
+    for name, grid, seed in validate_set(options["bench_seeds"]):
+        result[f"validate:{name}"] = validate_hashes(grid, seed)
     return result, attempts
 
 
@@ -167,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         result, attempts = run_set(options)
         args.file.write_text(json.dumps({"options": options, "zero_length_blocks": attempts,
                                          "hashes": result}, indent=1, sort_keys=True))
-        print(f"wrote {len(result)} configs to {args.file}")
+        print(f"wrote {len(result)} configs and runs to {args.file}")
         return 0
     recorded = json.loads(args.file.read_text())
     result, attempts = run_set(recorded["options"])
@@ -179,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     for group, count in sorted(attempts.items()):
         print(f"zero-length block attempts, {group}: {count} (recorded "
               f"{recorded['zero_length_blocks'].get(group, 0)})")
-    print(f"{len(recorded['hashes']) - len(differ)} of {len(recorded['hashes'])} configs match")
+    print(f"{len(recorded['hashes']) - len(differ)} of {len(recorded['hashes'])} configs and "
+          "runs match")
     return 1 if differ else 0
 
 
