@@ -198,19 +198,24 @@ def transaction_count(p: TxCountParams) -> int:
     needs at least one transaction, also where its value underflows; a
     ceiling past the float range raises `ValueError`.
     """
+    return _transaction_count(p, p.variant)
+
+
+def _transaction_count(p: TxCountParams, variant: str) -> int:
+    """`transaction_count` of `p` in `variant`, whatever `p.variant` is."""
     if p.mean_range <= 0 or p.radio_range <= 0 or p.horizon <= 0:
         raise ValueError(
             "validity region violated: mean_range, radio_range and horizon must be > 0"
         )
     load = p.total_rate() * p.presence
-    if p.variant == "as-derived":
+    if variant == "as-derived":
         mass = gaussian_mass(0.0, p.radio_range, p.mean_range, p.range_stddev)
         value = load * p.horizon**2 * mass / (2.0 * p.parallel_links)
     else:
         mass = half_erf_diff(p.mean_range - p.radio_range, p.mean_range)
         value = load * p.horizon**2 * mass / (2.0**1.5 * p.parallel_links * p.range_stddev)
     if not math.isfinite(value):
-        raise ValueError(f"the {p.variant} transaction ceiling {value!r} is not finite")
+        raise ValueError(f"the {variant} transaction ceiling {value!r} is not finite")
     return max(1 if load > 0 else 0, math.ceil(value))
 
 

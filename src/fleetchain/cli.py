@@ -10,11 +10,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
-from itertools import repeat
 from pathlib import Path
 
-from .analytics import energy_decay, transaction_count
+from .analytics import _transaction_count, energy_decay, transaction_count
 from .scenario import ConfigError, Scenario, expand, load_scenario
 from .sim import Comparison, _cells, comparison_csv, csv_text, paired_comparison
 from .validate import decay_oracle, run_validation, tx_oracle
@@ -79,7 +77,7 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
         try:
             tx_cells = [
                 transaction_count(txp),
-                transaction_count(replace(txp, variant="as-printed")),
+                _transaction_count(txp, "as-printed"),
                 math.ceil(tx_oracle(txp)),
             ]
         except (ValueError, OverflowError) as exc:  # a ceiling past the float range
@@ -126,6 +124,23 @@ def _summary_lines(name: str, results: list[tuple[str, Comparison]]) -> list[str
     return lines
 
 
+def _transactions_csv(points: list[tuple[str, dict]]) -> str:
+    """Transactions-vs-time across both regimes, stacked over sweep points:
+    each point's label and the `t` and transaction cells of its comparison
+    CSV (`comparison_csv`'s `cells`), as `csv_text` writes them. Those cells
+    are numbers, so only a label can hold a character that `csv_text`
+    quotes: a comma, a quote or a line break, as the label of a list value
+    (`per_kind_cost=[1.0, 2.0]`) does. Then `csv_text` writes the text;
+    otherwise it is joined from f-strings."""
+    header = ("point", "t", "baseline_transactions", "clustered_transactions")
+    rows = [(point, zip(cells["t"], cells["baseline"], cells["clustered"]))
+            for point, cells in points]
+    if any(mark in point for point, _ in points for mark in ',"\r\n'):
+        return csv_text(header, [(point, *row) for point, cells in rows for row in cells])
+    return ",".join(header) + "\r\n" + "".join([
+        f"{point},{t},{b},{c}\r\n" for point, cells in rows for t, b, c in cells])
+
+
 def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     """Paired baseline/clustered runs per sweep point; CSV + summary output."""
     points = expand(scenario)
@@ -148,19 +163,14 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
                 f"point {label or 'single'}: lam x slot x vehicles**2 x slots must be finite"
             )
     results: list[tuple[str, Comparison]] = []
-    # Transactions-vs-time across both regimes, stacked over sweep points,
-    # in the comparison CSV's cells.
-    tx_rows = []
+    tx_cells = []
     for (label, cfg), path in zip(points, comparisons):
         comp = paired_comparison(cfg)
         results.append((label, comp))
         cells = {}
         _write(path, comparison_csv(comp, cells))
-        tx_rows += zip(repeat(label or "-"), cells["t"], cells["baseline"], cells["clustered"])
-    _write(
-        tx_path,
-        csv_text(["point", "t", "baseline_transactions", "clustered_transactions"], tx_rows),
-    )
+        tx_cells.append((label or "-", cells))
+    _write(tx_path, _transactions_csv(tx_cells))
 
     # Conservation-vs-sweep-point.
     cons_rows = [

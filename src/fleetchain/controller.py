@@ -200,15 +200,6 @@ def _verdict_table(
     return np.array(rule), np.array(change)
 
 
-def _qualified(
-    tx_limit: np.ndarray, radio_range: np.ndarray, required: float, connect_range: float
-) -> np.ndarray:
-    """Vehicles whose limit covers `required` and whose radio range covers
-    `connect_range`: those the Lemma2-limit rule may hand the head to. A NaN
-    limit (no limit) never qualifies."""
-    return (tx_limit >= required) & (connect_range <= radio_range)
-
-
 def _select(
     rating: np.ndarray,
     eligible: np.ndarray,
@@ -414,8 +405,7 @@ class FleetState:
         self._segments = _Segments.of_lengths([m.size for m in members])
         self._flat_qualified = None
         if self.required_tx_limit is not None:
-            self._flat_qualified = _qualified(a.tx_limit[self._flat], a.radio_range[self._flat],
-                                              self.required_tx_limit, self.mobility.connect_range)
+            self._flat_qualified = self._qualifies(self._flat)
         # Vehicle -> position of its stepped cluster; the rest share one
         # extra position.
         self._cluster_of = np.full(order.size, len(stepped), dtype=np.intp)
@@ -432,6 +422,8 @@ class FleetState:
         rule, change = _verdict_table(observed, run.threshold, run.pre_decay)
         self._rule_of, self._change_of = rule[self._class_of], change[self._class_of]
         self._limit_fires = np.count_nonzero(self._rule_of == _LIMIT_CODE) > 0
+        # Where every verdict is a change, no head's verdict needs a look.
+        self._all_change = np.count_nonzero(self._change_of) == self._change_of.size
         self._verdict_score = observed
 
     def deactivate(self, vehicles: np.ndarray) -> None:
@@ -473,6 +465,15 @@ class FleetState:
         estimate = self._run.slot_decay_estimate
         return residual / estimate if estimate > 0 else residual
 
+    def _qualifies(self, vehicles: np.ndarray) -> np.ndarray:
+        """Whether each vehicle at `vehicles` has a limit that covers the
+        required one and a radio range that covers the connect range: those
+        the Lemma2-limit rule may hand the head to. A NaN limit (no limit)
+        never qualifies."""
+        a = self.vehicles
+        return ((a.tx_limit[vehicles] >= self.required_tx_limit)
+                & (self.mobility.connect_range <= a.radio_range[vehicles]))
+
     def handed_back(self, trace: SlotTrace) -> SlotTrace:
         """The rows of the slot after `trace` when `fixed` is `FIXED_SWAP`:
         each row's new head, under its own rule, hands the head back to the
@@ -481,55 +482,71 @@ class FleetState:
         return SlotTrace(slot, max(slot * length - length, 0.0), trace.cluster,
                          self._rule_of[trace.new].tolist(), trace.change, trace.new, trace.old)
 
-    def _hands_back(self, returning: np.ndarray, taken: np.ndarray, ok: np.ndarray) -> bool:
+    def _hands_back(self, returning: np.ndarray, back: np.ndarray, taken: np.ndarray,
+                    picks: np.ndarray, residual: np.ndarray, ok: np.ndarray,
+                    seg: _Segments) -> bool:
         """Whether the next slot, as far as this one tells, gives each head
-        taken by the vehicle at `taken` back to the one at `returning`: the
-        new head's verdict is a change, the returning vehicle's residual is
-        above that of every other member flagged in `ok` (active, not
-        critical and not an old head; `ok` is overwritten), and where the
-        new head's rule is the Lemma2-limit rule, the returning vehicle
-        qualifies. Those members pay a member's charge on the next slot as
-        the returning vehicle does, so one it is not above now stays rated
-        at least as high; where it is above, the next slot's charge can
-        still tie them."""
-        if np.count_nonzero(~self._change_of[taken]):
+        taken by the vehicle at `taken` back to the one at `returning`,
+        whose residual is `back`. The candidates have their `residual`s
+        flat, one segment of `seg` per cluster in cluster order, and
+        `picks` holds each new head's position among them. The new head's
+        verdict must be a change, the returning vehicle's residual above
+        that of every other candidate of its cluster flagged in `ok`
+        (active, not critical and not an old head; `ok` is overwritten),
+        and where the new head's rule is the Lemma2-limit rule, the
+        returning vehicle must qualify. Those members pay a member's charge
+        on the next slot as the returning vehicle does, so one it is not
+        above now stays rated at least as high; where it is above, the next
+        slot's charge can still tie them."""
+        if not self._all_change and np.count_nonzero(self._change_of[taken]) < taken.size:
             return False
-        a = self.vehicles
-        ok[taken] = False
-        top = np.maximum.reduceat(np.where(ok[self._gather], a.residual[self._gather], -np.inf),
-                                  self._segments.starts)
-        if np.count_nonzero(a.residual[returning] > top[self._cluster_of[taken]]) < taken.size:
+        ok[picks] = False
+        top = np.maximum.reduceat(np.where(ok, residual, -np.inf), seg.starts)
+        if picks.size < top.size:  # otherwise pick k is in segment k
+            top = top[seg.segment[picks]]
+        if np.count_nonzero(back > top) < picks.size:
             return False
+        if not self._limit_fires:  # no vehicle's rule is the Lemma2-limit rule
+            return True
         back = returning[self._rule_of[taken] == _LIMIT_CODE]
-        return not back.size or bool(_qualified(a.tx_limit[back], a.radio_range[back],
-                                                self.required_tx_limit,
-                                                self.mobility.connect_range).all())
+        return not back.size or bool(self._qualifies(back).all())
 
-    def handed_on(self, expected: SlotTrace, slot: int) -> SlotTrace | None:
+    def handed_on(self, expected: SlotTrace, slot: int, ids: np.ndarray, at: np.ndarray,
+                  residual: np.ndarray, ok: np.ndarray,
+                  seg: _Segments) -> tuple[SlotTrace, np.ndarray] | None:
         """The rows `evaluate_slot` would give `slot` of a swap block whose
-        `expected` rows hand each head (`old`, positions in the arrays) back
-        to its returning vehicle (`new`): each head goes to the member the
-        cascade picks (`_select`), the returning vehicle or another. They
-        are returned only where that slot would set `FIXED_SWAP`: every
-        head's verdict is a change, and the picks hand back on the next slot
-        (`_hands_back`). Otherwise None. The residuals and critical flags
-        are read after the slot's charge, and `heads` must hold the slot's
-        heads. It moves no head; `hand_over` does."""
-        a, heads = self.vehicles, np.array(expected.old)
-        ok = a.active > a.critical
-        if np.count_nonzero(ok[heads] & self._change_of[heads]) < heads.size:
+        `expected` rows hand each head (`old`) back to its returning vehicle
+        (`new`), and the picks: each head goes to the candidate the cascade
+        picks (`_select`), the returning vehicle or another. The candidates
+        are the vehicles at `ids` (positions in the arrays): every active
+        vehicle of those clusters, in (cluster, id) order, one segment of
+        `seg` per row, with the row's head at its position in `at`.
+        `residual` is their residual after the slot's charge and `ok`
+        whether each is not critical (overwritten). The rows, and each
+        pick's position in `ids`, are returned only where the slot would
+        set `FIXED_SWAP`: every head's verdict is a change, and the picks
+        hand back on the next slot (`_hands_back`). Otherwise None. It
+        moves no head; `hand_over` does."""
+        heads, healthy = ids[at], ok[at]
+        if not self._all_change:
+            healthy &= self._change_of[heads]
+        if np.count_nonzero(healthy) < heads.size:
             return None
-        fired = self._rule_of[self.heads] == _LIMIT_CODE if self._limit_fires else None
-        picks = self._select_heads(ok, fired)[self._cluster_of[heads]]
-        if np.count_nonzero(picks == self._flat.size):
+        ok[at] = False  # a head is not its own candidate
+        fired = qualified = None
+        if self._limit_fires:
+            fired, qualified = self._rule_of[heads] == _LIMIT_CODE, self._qualifies(ids)
+        picks = _select(self.ratings(residual), ok, seg, fired, qualified)
+        if np.count_nonzero(picks == ids.size):
             return None
-        new = self._flat[picks]
-        if not self._hands_back(heads, new, ok):
+        taken = ids[picks]
+        if not self._hands_back(heads, residual[at], taken, picks, residual, ok, seg):
             return None
         length = self._run.cfg.slot
-        return SlotTrace(slot, max(slot * length - length, 0.0), expected.cluster,
+        rows = SlotTrace(slot, max(slot * length - length, 0.0), expected.cluster,
                          self._rule_of[heads].tolist(), expected.change, expected.old,
-                         new.tolist())
+                         taken.tolist())
+        return rows, picks
 
     def hand_over(self, old: np.ndarray, new: np.ndarray) -> None:
         """Give the head of each stepped cluster headed by a vehicle at
@@ -598,7 +615,9 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
             _apply_change(fleet, k, vehicle)
         new = a.id[heads].tolist()
         if (not fleet.score_schedule and 0 < np.count_nonzero(picked) == np.count_nonzero(rows)
-                and fleet._hands_back(returning, heads[picked], ok)):
+                and fleet._hands_back(returning, a.residual[returning], heads[picked],
+                                      picks[picked], a.residual[fleet._gather], ok[fleet._gather],
+                                      fleet._segments)):
             fleet.fixed = FIXED_SWAP
     if not fleet.score_schedule and True not in change:
         fleet.fixed = FIXED_KEEP

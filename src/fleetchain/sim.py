@@ -37,15 +37,20 @@ rated strictly above every other member of its cluster after the charge.
 Exchange slots stay inside every block. A head that paid the exchange is
 mostly not rated above the others on the next slot, which breaks its pair:
 where that rating check alone fails, the block asks the controller for the
-member it would pick there (`FleetState.handed_on`), and where each pick
-can pay its security charge and hands back on the next slot, the block
-goes on with the new pairs. The first slot that breaks any other condition
-ends the block and runs alone; so does slot 1, which carries the join
-charge, and a break the picks do not carry on. Each slot's
-itemised sums add the vehicles' shares left to right, heads before members,
-in id order, so they round as one addition per vehicle would. A head adds no
-transactions: the running transaction count adds each member's pushes to
-its head, in id order, and then the slot's global transfers.
+member it would pick there (`FleetState.handed_on`), from the block's own
+columns: the pair clusters' active vehicles, with their residuals after
+that slot's charge. Where each pick can pay its security charge and hands
+back on the next slot, the block goes on with the new pairs, and charges
+the slots after the break up to the slot after the next exchange first,
+where the next break mostly falls. The vehicles' residuals, critical flags
+and heads are written back once, when the block ends. The first slot that
+breaks any other condition ends the block and runs alone; so does slot 1,
+which carries the join charge, and a break the picks do not carry on.
+Each slot's itemised sums add the vehicles' shares left to right, heads
+before members, in id order, so they round as one addition per vehicle
+would. A head adds no transactions: the running transaction count adds each
+member's pushes to its head, in id order, and then the slot's global
+transfers.
 
 Where that order cannot matter, the loop does not keep it. Each run tests
 once, from the amounts it adds, whether its transaction counts stay on an
@@ -117,6 +122,7 @@ from .controller import (
     SlotTrace,
     TraceRow,
     VehicleArrays,
+    _Segments,
     evaluate_slot,
     slot_count,
     tx_limit_value,
@@ -153,6 +159,8 @@ BLOCK_CELLS = 2**15
 
 # The (cur, new) pairs of a block that keeps every head.
 _NO_PAIRS = (np.empty(0, dtype=np.intp),) * 2
+# The member columns a break adds where no member joins.
+_NO_COLUMNS = np.empty(0)
 
 RUN_CSV_COLUMNS = ("t", "regime", "transactions_cum", "energy_cum_J", "ch_changes", "offloads")
 COMPARISON_EXTRA_COLUMNS = ("tx_reduction_pct", "energy_conservation_pct")
@@ -711,13 +719,19 @@ class _SlotLoop:
         A slot on which the rating check alone fails, after a charge every
         vehicle pays with every floor held, is the break of the pairs: the
         controller hands each pair cluster's head to the member it picks
-        (`FleetState.handed_on`). Where every pick can pay its security
-        charge and the picks hand back on the next slot, the block charges
-        that slot's security, takes the picks into the pairs and the
-        returning vehicles into the members, and charges the slots after it
-        from the residuals there, with the same member columns and the same
-        charges a slot; otherwise the slot runs alone. The critical flags
-        are left as its last slot marked them, after its charge."""
+        (`FleetState.handed_on`), read from the slot's row: at the first
+        break, the block gives each vehicle its column and lists the pair
+        clusters' active vehicles as the candidates. Where every pick can
+        pay its security charge and the picks hand back on the next slot,
+        the block charges that slot's security; each pick takes the
+        returning vehicle's column, and the returning vehicle joins the
+        member column with its residual's bits, or a new one, while a member
+        column left with no member is dropped. It charges the slots after
+        the break from there, with the same charges a slot, up to the slot
+        after the next exchange first. Otherwise the slot runs alone. The
+        residuals, the heads and the critical flags are written when the
+        block ends; the flags are left as its last slot marked them, after
+        its charge."""
         v, (cur, new), cost = self.v, self.pairs, self.cfg.security_cost
         p = cur.size
         self.size = k
@@ -747,43 +761,37 @@ class _SlotLoop:
                 cap = min(cap, BLOCK_CELLS // v.id.size)
             k = self.size = max(1, min(k, cap))
             exchange, transfers = self._exchanges(s, k, heads.size)
-            member, head = self.costs[False]
+            head = self.costs[False][1]
             head_charges = np.array([head[ex][1] for ex in exchange[:k]])[:, None]
             # The least residual each slot may leave a paying head with.
             low = np.full((k if p else 1, b), self.critical_level)
             low[:, :f][:, v.critical[fixed]] = 0.0
-            rich = np.empty(0)
+            rich, column = np.empty(0), None
             if p:
                 # A vehicle taking the head must also pay its security charge.
                 low[1::2, f:a] = low[0::2, a:b] = max(self.critical_level, cost)
                 rich = np.full(self.cfg.cluster_count, -np.inf)
                 np.maximum.at(rich, v.cluster[members], residual)
                 rich = rich[v.cluster[cur]]
-                # Which of A and B `fleet.heads` holds, and once members join,
-                # each member's column.
-                A, B, held, column = cur, new, 0, None
+                A, B = cur, new
             start = np.concatenate((v.residual[paying], rich, bits.view(float)))
-            seg = 0
+            seg, w, charges = 0, k, None
             while True:
-                # Charge the slots from block slot `seg` on, starting from
-                # `start`, and find the first event j among them (none: the
-                # k - seg slots left).
+                # Charge block slots seg .. w - 1, starting from `start`, and
+                # find the first event j among them (none: the w - seg
+                # slots).
                 e = seg % 2  # 1 where the segment starts on an odd block slot
-                work = np.empty((rows * (k - seg) + 1, start.size))
+                work = np.empty((rows * (w - seg) + 1, start.size))
                 work[0] = start
-                work[1::rows, :b] = head_charges[seg:k]
-                work[1::rows, b:] = member[1]
-                if p:
-                    # A heads the even block slots and takes the head on odd
-                    # ones; B the other way round. Row 1 is slot seg's.
-                    work[2::2] = 0.0
-                    work[3 - 2 * e :: 4, f:a] = member[1]
-                    work[1 + 2 * e :: 4, a:b] = member[1]
-                    work[2 + 2 * e :: 4, a:b] = cost
-                    work[4 - 2 * e :: 4, f:a] = cost
+                if charges is None:
+                    self._charges(work[1:], head_charges, f, p)
+                else:
+                    # Every column from b on pays a member's charge.
+                    work[1:, :b] = charges[rows * seg : rows * w, :b]
+                    work[1:, b:] = charges[rows * seg : rows * w, b:]
                 np.subtract.accumulate(work, axis=0, out=work)
                 charged = work[1::rows]
-                j = k - seg
+                j = w - seg
                 # With no pairs, residuals only fall: no event by the last
                 # slot means none at all.
                 if not p and (charged[-1, :b] >= low[0]).all() and (charged[-1, c:] >= 0.0).all():
@@ -792,82 +800,99 @@ class _SlotLoop:
                 # of slots that a pair's B takes on even block slots and A
                 # on odd ones), the paying heads' floors and security, and
                 # the members' charge.
-                bad = np.empty((k - seg, p + b + start.size - c), dtype=bool)
+                bad = np.empty((w - seg, p + b + start.size - c), dtype=bool)
                 if p:
                     rated = fleet.ratings(charged[:, f:c])
                     o = 1 - e  # rows e, e + 2, ... are even block slots; o, o + 2, ... odd
                     np.less_equal(rated[e::2, p : 2 * p], rated[e::2, 2 * p :], out=bad[e::2, :p])
                     np.less_equal(rated[o::2, :p], rated[o::2, 2 * p :], out=bad[o::2, :p])
-                np.less(charged[:, :b], low[seg:k], out=bad[:, p : p + b])
+                np.less(charged[:, :b], low[seg:w], out=bad[:, p : p + b])
                 np.less(charged[:, c:], 0.0, out=bad[:, p + b :])
                 i = int(bad.argmax())
                 if not bad.item(i):
-                    break
+                    if w == k:
+                        break
+                    w = k  # no break by the slot after the exchange: charge them all
+                    continue
                 j = i // bad.shape[1]
-                if bad[j, p:].any():
+                if np.count_nonzero(bad[j, p:]):
                     break
-                # The break at block slot t: bring the residuals and heads to
-                # that slot, after its charge.
+                # The break at block slot t, where h heads and r was to take
+                # the head: the candidates' residuals after its charge.
                 t, after = seg + j, work[2 * j + 1]
-                v.residual[paying] = after[:b]
-                v.residual[members] = after[c:][inverse]
-                np.less(v.residual, self.critical_level, out=v.critical)
-                h, r = (B, A) if t % 2 else (A, B)
-                if held != t % 2:
-                    fleet.hand_over(r, h)
-                    held = t % 2
-                trace = fleet.handed_on(cycle[(s + t - first) % 2], s + t)
-                picks = None if trace is None else np.array(trace.new)
-                if picks is None or np.count_nonzero(v.residual[picks] < cost):
+                if column is None:
+                    column, cand, segs, at_a, at_b, live = self._candidates(
+                        paying, members, inverse + c, paired, A, B)
+                    counts = np.bincount(inverse).tolist()  # each member column's members
+                    charges = np.empty((rows * k, b + 1))
+                    self._charges(charges, head_charges, f, p)
+                at_h, at_r, r_cols = (at_b, at_a, slice(f, a)) if t % 2 else (
+                    at_a, at_b, slice(a, b))
+                res = after[column[cand]]
+                handed = fleet.handed_on(cycle[(s + t - first) % 2], s + t, cand, at_h, res,
+                                         res >= self.critical_level, segs)
+                if handed is None:
                     break  # slot t runs alone
-                v.residual[picks] -= cost
-                fleet.hand_over(h, picks)
+                trace, picks = handed
+                picked = res[picks]
+                if np.count_nonzero(picked < cost):
+                    break
+                taken, taken_res = cand[picks], picked
                 self._extend_run(cycle, first, s + t - 1)
                 cycle, first = (trace, fleet.handed_back(trace)), s + t
-                # A returning vehicle not picked becomes a member, and a pick
-                # that was a member leaves the members.
-                moved = picks != r
-                classes = after[c:]
-                if np.count_nonzero(moved):
-                    if column is None:
-                        column = np.zeros(v.id.size, dtype=np.intp)
-                        column[members] = inverse
-                    members[picks[moved]] = False
-                    members[r[moved]] = True
-                    classes = self._join(column, classes, r[moved], v.residual[r[moved]], members)
-                    inverse = column[members]
+                # Each pick that was a member takes r's column, and r joins
+                # the members.
+                added, kept = _NO_COLUMNS, None
+                moved = (picks != at_r).nonzero()[0]
+                if moved.size:
+                    returning, leaving = at_r[moved], taken[moved]
+                    joining, left = cand[returning], column[leaving].tolist()
+                    column[leaving] = column[joining]
+                    added, kept = self._join(column, counts, live, joining, res[returning], left,
+                                             after, c)
                 if t % 2:
-                    A, held = picks, 0
+                    A, at_a = taken, picks
                 else:
-                    B, held = picks, 1
-                paying = np.concatenate((fixed, A, B))
-                rich = np.full(self.cfg.cluster_count, -np.inf)
-                np.maximum.at(rich, v.cluster[members], v.residual[members])
-                start = np.concatenate((v.residual[paying], rich[v.cluster[A]], classes))
+                    B, at_b = taken, picks
+                # The next slots start from slot t's residuals, the picks' after
+                # their security charge, and each pair cluster's richest member.
+                res[at_h] = res[picks] = -np.inf
+                start = np.concatenate((after[:b], np.maximum.reduceat(res, segs.starts),
+                                        after[c:], added))
+                if kept is not None:
+                    start = start[kept]
+                start[r_cols] = taken_res - cost
                 seg = t + 1
                 k = self.size = seg + min(k - seg, BLOCK_CELLS // (2 * (start.size + 1)))
                 if seg == k:
                     j, work = 0, start[None]
                     break
+                # A head that pays the exchange mostly breaks its pair on the
+                # next slot: the next segment ends there.
+                w = min(k, next((i + 2 for i in range(seg, k) if exchange[i]), k))
             k = seg + j
             end = work[rows * j]
-            v.residual[paying] = end[:b]
-            v.residual[members] = end[c:][inverse]
+            if column is None:
+                v.residual[paying] = end[:b]
+                v.residual[members] = end[c:][inverse]
+            else:
+                v.residual[live] = end[column[live]]
             if k == 0:  # slot s runs alone and marks the critical vehicles again
                 return 0
             sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers, p)
             if p:
                 # A slot marks the critical vehicles after its charge, before
                 # its new heads pay their security charge: the last slot's
-                # new heads are marked from its charge row, or were marked
-                # at a break on it. (After a break that runs alone, that slot
-                # marks them again.)
+                # new heads are marked from its charge row, or from a break
+                # on it. (After a break that runs alone, that slot marks them
+                # again.)
                 taken, cols = (A, slice(f, a)) if k % 2 == 0 else (B, slice(a, b))
-                marked = work[2 * j - 1, cols] < self.critical_level if j else v.critical[taken]
+                marked = work[2 * j - 1, cols] < self.critical_level if j else (
+                    taken_res < self.critical_level)
                 # The heads of slot s + k, and the pairs from there.
-                if held != k % 2:
-                    fleet.hand_over(*((B, A) if held else (A, B)))
                 cur, new = (B, A) if k % 2 else (A, B)
+                if column is not None or k % 2:
+                    fleet.hand_over(self.pairs[0], cur)
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
             if p:
@@ -891,29 +916,70 @@ class _SlotLoop:
         else:
             self.trace_runs.append((cycle, first, last))
 
+    def _candidates(self, paying, members, classes, paired, A, B):
+        """At a block's first break: each vehicle's column (the paying
+        vehicles' in order, each member's its class's in `classes`); the
+        candidates, the active vehicles of the `paired` clusters in
+        (cluster, id) order, one segment per pair; A's and B's positions
+        among them; and the active vehicles."""
+        v = self.v
+        column = np.empty(v.id.size, dtype=np.intp)
+        column[paying] = np.arange(paying.size)
+        column[members] = classes
+        # Vehicle ids follow the clusters, so id order is (cluster, id) order.
+        cand = (v.active & paired[v.cluster]).nonzero()[0]
+        segs = _Segments.of_lengths(np.bincount(v.cluster[cand])[v.cluster[A]])
+        return (column, cand, segs, cand.searchsorted(A), cand.searchsorted(B),
+                v.active.nonzero()[0])
+
+    def _charges(self, out, head_charges, f, p):
+        """Fill `out` with a block's charges by row from its first slot: a
+        row a slot, and with p pairs a second for the security charges. The
+        columns are the f other paying heads, which pay `head_charges`, the
+        pairs' A and B, and then columns that pay a member's charge."""
+        member, cost = self.costs[False][0][1], self.cfg.security_cost
+        a, b = f + p, f + 2 * p
+        rows = 2 if p else 1
+        out[::rows, :b] = head_charges
+        out[::rows, b:] = member
+        if p:
+            # A heads the even block slots and takes the head on odd ones;
+            # B the other way round. Row 0 is the first slot's charge.
+            out[1::2] = 0.0
+            out[2::4, f:a] = out[::4, a:b] = member
+            out[3::4, f:a] = out[1::4, a:b] = cost
+
     @staticmethod
-    def _join(column: np.ndarray, classes: np.ndarray, joining: np.ndarray,
-              residual: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """The member columns' residuals once the vehicles at `joining`,
-        whose residuals are `residual`, are members: each joins the column
-        whose residual in `classes` has its residual's bits, or a new one,
-        and columns left with no member in `members` are dropped. `column`
-        gets each member's column."""
-        known = dict(zip(classes.view(np.int64).tolist(), range(classes.size)))
+    def _join(column: np.ndarray, counts: list[int], live: np.ndarray, joining: np.ndarray,
+              residual: np.ndarray, left: list[int], after: np.ndarray,
+              c: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The member columns once a member has left each column in `left`
+        and the vehicles at `joining`, whose residuals are `residual`, are
+        members: each joins the column, from c on in `after`, whose residual
+        has its residual's bits, or a new one. Return the new columns'
+        residuals and, where a column is left with no member, which columns
+        stay, new ones included. `counts` holds each member column's
+        members, and `column` each `live` vehicle's column, renumbered to
+        the columns that stay."""
+        for i in left:
+            counts[i - c] -= 1
+        known = dict(zip(after[c:].view(np.int64).tolist(), range(c, after.size)))
         added, index = [], []
         for bits in residual.view(np.int64).tolist():
             i = known.get(bits)
             if i is None:
-                i = known[bits] = classes.size + len(added)
+                i = known[bits] = after.size + len(added)
                 added.append(bits)
+                counts.append(0)
+            counts[i - c] += 1
             index.append(i)
         column[joining] = index
-        values = np.concatenate((classes, np.array(added, dtype=np.int64).view(float)))
-        used = np.bincount(column[members], minlength=values.size) > 0
-        if np.count_nonzero(used) < values.size:
-            column[members] = (np.cumsum(used) - 1)[column[members]]
-            values = values[used]
-        return values
+        kept = None
+        if 0 in counts:
+            kept = np.concatenate((np.ones(c, dtype=bool), np.array(counts) > 0))
+            column[live] = (np.cumsum(kept) - 1)[column[live]]
+            counts[:] = [n for n in counts if n]
+        return np.array(added, dtype=np.int64).view(float), kept
 
     # `_charge_one` stays beside `_block`: on a slot where no vehicle stops
     # a one-slot block gives the same bits, but on a 10 x 50 fleet it costs

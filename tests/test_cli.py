@@ -10,6 +10,7 @@ import pytest
 
 from fleetchain.cli import main
 from fleetchain.scenario import ConfigError, expand, load_scenario, make_config
+from fleetchain.sim import csv_text
 
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE = REPO / "scenarios" / "reference.json"
@@ -239,6 +240,37 @@ def test_fig_transactions_cells_are_the_comparison_cells(tmp_path):
     assert [(r["t"], r["baseline_transactions"], r["clustered_transactions"]) for r in figure] == [
         (b["t"], b["transactions_cum"], c["transactions_cum"]) for b, c in zip(base, clus)]
     assert figure[98]["baseline_transactions"] == "424462.5"
+
+
+SWEEP = {"name": "sweep", "params": {"lam": 2.0, "global_exchange_period": 10, "horizon": 30},
+         "sweeps": [{"param": "lam", "values": [1.5, 2.5]},
+                    {"param": "range_stddev", "values": [1.0, 60.0]},
+                    {"param": "seed", "values": [7, 8]}]}
+# A list value's label holds commas, which `csv_text` quotes.
+LIST_SWEEP = {"name": "kinds", "params": {"horizon": 5},
+              "sweeps": [{"param": "per_kind_cost", "values": [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0]]}]}
+
+
+@pytest.mark.parametrize("scenario", [REFERENCE, SMALL, SWEEP, LIST_SWEEP],
+                         ids=["reference", "small", "sweep", "list-sweep"])
+def test_fig_transactions_csv_is_what_csv_writer_writes(tmp_path, scenario):
+    path = scenario if isinstance(scenario, Path) else write_scenario(tmp_path, scenario)
+    loaded = load_scenario(path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    rows = []
+    for label, _ in expand(loaded):
+        name = f"comparison_{loaded.name}{'_' + label if label else ''}.csv"
+        with open(out / name, newline="") as f:
+            comparison = list(csv.DictReader(f))
+        base = [r for r in comparison if r["regime"] == "baseline"]
+        clus = [r for r in comparison if r["regime"] == "clustered"]
+        rows += [(label or "-", b["t"], b["transactions_cum"], c["transactions_cum"])
+                 for b, c in zip(base, clus)]
+    header = ["point", "t", "baseline_transactions", "clustered_transactions"]
+    text = (out / f"fig_transactions_{loaded.name}.csv").read_bytes().decode()
+    assert text == csv_text(header, rows)
+    assert ('"per_kind_cost=[1.0, 2.0, 3.0]"' in text) == (scenario is LIST_SWEEP)
 
 
 def test_integer_sweep_values_are_labelled_in_full(tmp_path):

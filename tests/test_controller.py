@@ -11,8 +11,10 @@ from fleetchain.controller import (
     FIXED_SWAP,
     ControllerConfig,
     FleetState,
+    SlotTrace,
     TraceRow,
     VehicleArrays,
+    _Segments,
     cumulative_decay_integral,
     evaluate_slot,
     ost_score,
@@ -434,6 +436,16 @@ def test_handed_back_rows_take_the_new_heads_rule():
 
 
 
+def handed_on(f: FleetState, expected, slot: int):
+    """`f.handed_on` on a fleet of one cluster: every active vehicle is a
+    candidate, with its residual and critical flag from the arrays."""
+    a = f.vehicles
+    ids = a.active.nonzero()[0]
+    at = ids.searchsorted(expected.old)
+    return f.handed_on(expected, slot, ids, at, a.residual[ids], ~a.critical[ids],
+                       _Segments.of_lengths([ids.size]))
+
+
 @pytest.mark.parametrize("residuals, new", [
     # Vehicle 2 is now richer than vehicle 0, so vehicle 1 hands the head to
     # it, and would get it back on the next slot: it is richer than vehicle 0.
@@ -455,12 +467,14 @@ def test_handed_on_gives_the_picks_that_hand_back(residuals, new):
     trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=1.0), 1)
     assert f.fixed == FIXED_SWAP
     f.vehicles.residual[:] = residuals
-    rows = f.handed_on(f.handed_back(trace), 2)
+    handed = handed_on(f, f.handed_back(trace), 2)
     if new is None:
-        assert rows is None
+        assert handed is None
     else:
+        rows, picks = handed
         assert (rows.slot, rows.offload, rows.cluster) == (2, 1.0, [0])
         assert (rows.rule, rows.change, rows.old, rows.new) == ([0], [True], [1], new)
+        assert picks.tolist() == new  # the candidates are vehicles 0, 1 and 2
     assert f.heads.tolist() == [1]  # it moves no head
 
 
@@ -481,4 +495,27 @@ def test_handed_on_needs_every_head_to_change():
     trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=0.0), 1)
     assert trace.new == [0]
     f.vehicles.residual[:] = (8.0, 9.0, 7.0)
-    assert f.handed_on(f.handed_back(trace), 2) is None
+    assert handed_on(f, f.handed_back(trace), 2) is None
+
+
+def test_handed_on_gives_a_limit_head_only_to_a_qualified_member():
+    # At the score tie with the pre-decay test set, vehicle 0's limit of 10
+    # is under the required 50, so its verdict is a Lemma2-limit change;
+    # vehicle 1 has no limit, so its own is a pre-decay change; vehicle 2's
+    # limit of 60 qualifies and its verdict is a keep. A break where vehicle
+    # 0 heads may hand the head only to vehicle 2, the one qualified member,
+    # which would not hand it back: no rows. Vehicle 1, the richest, would
+    # hand it back.
+    vehicles = [VehicleState(id=i, cluster=0, residual_energy=residual, stay_time=10.0,
+                             radio_range=600.0, role="ch" if i == 0 else "member",
+                             tx_limit=limit)
+                for i, (residual, limit) in enumerate(((900.0, 10.0), (800.0, None),
+                                                       (100.0, 60.0)))]
+    hp = HestonParams(request_rate=0.0, excess_energy_ratio=2.0, energy_stddev=1.0)
+    f = FleetState(vehicles=VehicleArrays.of(vehicles), mobility=mobility(),
+                   connectivity=ConnectivityParams(), score_default=1.0, required_tx_limit=50.0,
+                   decay=decay(), heston=hp, lam1=1.0)
+    trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=1.0), 1)
+    assert (trace.rule, trace.old, trace.new) == ([1], [0], [2])
+    expected = SlotTrace(2, 1.0, [0], [0], [True], [0], [2])
+    assert handed_on(f, expected, 2) is None

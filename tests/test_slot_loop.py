@@ -163,11 +163,11 @@ def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int | tuple[int, int | 
         slots.append(slot_index)
         return evaluate_slot(fleet, ctrl, slot_index)
 
-    def breaking(fleet, expected, slot):
-        trace = handed_on(fleet, expected, slot)
-        if trace is not None:
+    def breaking(fleet, expected, slot, *candidates):
+        handed = handed_on(fleet, expected, slot, *candidates)
+        if handed is not None:
             slots.append((slot, "break"))
-        return trace
+        return handed
 
     def attempting(loop, s, k):
         ran = block(loop, s, k)

@@ -331,6 +331,15 @@ def configs(draw) -> SimConfig:
 @example(SimConfig(cluster_count=1, vehicles_per_cluster=6, app_count=1, lam=1.5, hops=0,
                    security_cost=11610.0, slot=0.3, horizon=5.1, initial_energy=1e6,
                    critical_fraction=0.0))
+# A break where two members' residuals differ by one ulp and their ratings
+# tie: the head goes to the lower id. A break on whose charge a member falls
+# below the critical level.
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=4, app_count=3, lam=1.75, hops=2,
+                   security_cost=0.1, slot=0.3, horizon=34.8, radio_range=600.0,
+                   initial_energy=3e6, global_exchange_period=2, expected_score=5.0))
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=8, app_count=2, lam=1.0,
+                   security_cost=0.0, slot=0.3, horizon=16.5, initial_energy=330000.1,
+                   global_exchange_period=3, expected_score=5.0, vehicle_tx_limit=10.0))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)

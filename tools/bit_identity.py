@@ -28,10 +28,13 @@ The set:
 - `validate` at grid 300 on the validate seeds of the oracle-validate inputs
   for each benchmark seed, and at grids 1 to 30 on seeds 0 to 40.
 
-Each group also records its zero-length block attempts: clustered
-`_SlotLoop._block` calls that stepped no slot, after which the slot runs
-alone. `check` prints both counts; more attempts than recorded is a cost,
-not a difference in the outputs.
+Each group also records three counts of its clustered runs: the
+zero-length block attempts (`_SlotLoop._block` calls that stepped no slot,
+after which the slot runs alone), and the breaks of swap blocks carried on
+and declined. A break is a `FleetState.handed_on` call; one carried on
+starts a trace run of a new cycle inside the block, and a declined one
+ends the block. `check` prints each count with the recorded one; a
+different count is a cost, not a difference in the outputs.
 """
 
 from __future__ import annotations
@@ -164,29 +167,44 @@ def validate_hashes(grid: int, seed: int) -> dict[str, str]:
     return out
 
 
-def run_set(options: dict) -> tuple[dict, Counter]:
+COUNTS = ("zero_length_blocks", "breaks_carried", "breaks_declined")
+
+
+def run_set(options: dict) -> tuple[dict, dict[str, Counter]]:
     """The hashes of every config and `validate` run of the set, and each
-    group's zero-length block attempts."""
-    attempts, group = Counter(), None
-    block = sim._SlotLoop._block
+    group's `COUNTS`."""
+    counts, group = {name: Counter() for name in COUNTS}, None
+    attempts, carried, declined = (counts[name] for name in COUNTS)
+    block, handed_on = sim._SlotLoop._block, sim.FleetState.handed_on
 
     def counting(loop, s, k):
+        runs, cycle = len(loop.trace_runs), loop.cycle
         ran = block(loop, s, k)
-        if ran == 0 and loop.controller is not None:
-            attempts[group] += 1
+        if loop.controller is not None:
+            attempts[group] += ran == 0
+            # A break carried on starts a run of its own cycle; the block's
+            # other runs repeat the cycle it started with.
+            breaks = sum(traces is not cycle for traces, _, _ in loop.trace_runs[runs:])
+            carried[group] += breaks
+            declined[group] -= breaks
         return ran
 
-    sim._SlotLoop._block = counting
+    def breaking(fleet, *args):
+        declined[group] += 1
+        return handed_on(fleet, *args)
+
+    sim._SlotLoop._block, sim.FleetState.handed_on = counting, breaking
     try:
         result = {}
         for group, name, cfg in config_set(**options):
-            attempts[group] += 0
+            for counter in counts.values():
+                counter[group] += 0
             result[f"{group}:{name}"] = hashes(cfg)
     finally:
-        sim._SlotLoop._block = block
+        sim._SlotLoop._block, sim.FleetState.handed_on = block, handed_on
     for name, grid, seed in validate_set(options["bench_seeds"]):
         result[f"validate:{name}"] = validate_hashes(grid, seed)
-    return result, attempts
+    return result, counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -202,21 +220,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "write":
         options = {"bench_seeds": [int(s) for s in args.bench_seeds.split(",")],
                    "n_random": args.random, "random_seed": args.random_seed}
-        result, attempts = run_set(options)
-        args.file.write_text(json.dumps({"options": options, "zero_length_blocks": attempts,
-                                         "hashes": result}, indent=1, sort_keys=True))
+        result, counts = run_set(options)
+        args.file.write_text(json.dumps({"options": options, **counts, "hashes": result},
+                                        indent=1, sort_keys=True))
         print(f"wrote {len(result)} configs and runs to {args.file}")
         return 0
     recorded = json.loads(args.file.read_text())
-    result, attempts = run_set(recorded["options"])
+    result, counts = run_set(recorded["options"])
     differ = [name for name, want in recorded["hashes"].items() if result.get(name) != want]
     for name in differ:
         got = result.get(name, {})
         outputs = [k for k, v in recorded["hashes"][name].items() if got.get(k) != v]
         print(f"differs: {name}: {', '.join(outputs)}")
-    for group, count in sorted(attempts.items()):
-        print(f"zero-length block attempts, {group}: {count} (recorded "
-              f"{recorded['zero_length_blocks'].get(group, 0)})")
+    for name in COUNTS:
+        for group, count in sorted(counts[name].items()):
+            print(f"{name.replace('_', ' ')}, {group}: {count} (recorded "
+                  f"{recorded.get(name, {}).get(group, 0)})")
     print(f"{len(recorded['hashes']) - len(differ)} of {len(recorded['hashes'])} configs and "
           "runs match")
     return 1 if differ else 0
