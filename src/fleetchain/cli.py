@@ -128,17 +128,17 @@ def _transactions_csv(points: list[tuple[str, dict]]) -> str:
     """Transactions-vs-time across both regimes, stacked over sweep points:
     each point's label and the `t` and transaction cells of its comparison
     CSV (`comparison_csv`'s `cells`), as `csv_text` writes them. Those cells
-    are numbers, so only a label can hold a character that `csv_text`
-    quotes: a comma, a quote or a line break, as the label of a list value
-    (`per_kind_cost=[1.0, 2.0]`) does. Then `csv_text` writes the text;
-    otherwise it is joined from f-strings."""
-    header = ("point", "t", "baseline_transactions", "clustered_transactions")
-    rows = [(point, zip(cells["t"], cells["baseline"], cells["clustered"]))
-            for point, cells in points]
-    if any(mark in point for point, _ in points for mark in ',"\r\n'):
-        return csv_text(header, [(point, *row) for point, cells in rows for row in cells])
-    return ",".join(header) + "\r\n" + "".join([
-        f"{point},{t},{b},{c}\r\n" for point, cells in rows for t, b, c in cells])
+    are numbers, so only a label can need quoting: one holding a comma, a
+    quote or a line break, as the label of a list value
+    (`per_kind_cost=[1.0, 2.0]`) does, is quoted as `csv.writer` quotes it."""
+    header = "point,t,baseline_transactions,clustered_transactions\r\n"
+    rows = []
+    for point, cells in points:
+        if any(mark in point for mark in ',"\r\n'):
+            point = '"' + point.replace('"', '""') + '"'
+        rows += [f"{point},{t},{b},{c}\r\n"
+                 for t, b, c in zip(cells["t"], cells["baseline"], cells["clustered"])]
+    return header + "".join(rows)
 
 
 def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:

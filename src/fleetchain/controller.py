@@ -422,8 +422,6 @@ class FleetState:
         rule, change = _verdict_table(observed, run.threshold, run.pre_decay)
         self._rule_of, self._change_of = rule[self._class_of], change[self._class_of]
         self._limit_fires = np.count_nonzero(self._rule_of == _LIMIT_CODE) > 0
-        # Where every verdict is a change, no head's verdict needs a look.
-        self._all_change = np.count_nonzero(self._change_of) == self._change_of.size
         self._verdict_score = observed
 
     def deactivate(self, vehicles: np.ndarray) -> None:
@@ -498,7 +496,7 @@ class FleetState:
         on the next slot as the returning vehicle does, so one it is not
         above now stays rated at least as high; where it is above, the next
         slot's charge can still tie them."""
-        if not self._all_change and np.count_nonzero(self._change_of[taken]) < taken.size:
+        if np.count_nonzero(~self._change_of[taken]):
             return False
         ok[picks] = False
         top = np.maximum.reduceat(np.where(ok, residual, -np.inf), seg.starts)
@@ -527,10 +525,8 @@ class FleetState:
         set `FIXED_SWAP`: every head's verdict is a change, and the picks
         hand back on the next slot (`_hands_back`). Otherwise None. It
         moves no head; `hand_over` does."""
-        heads, healthy = ids[at], ok[at]
-        if not self._all_change:
-            healthy &= self._change_of[heads]
-        if np.count_nonzero(healthy) < heads.size:
+        heads = ids[at]
+        if np.count_nonzero(ok[at] & self._change_of[heads]) < heads.size:
             return None
         ok[at] = False  # a head is not its own candidate
         fired = qualified = None

@@ -775,7 +775,7 @@ class _SlotLoop:
                 rich = rich[v.cluster[cur]]
                 A, B = cur, new
             start = np.concatenate((v.residual[paying], rich, bits.view(float)))
-            seg, w, charges = 0, k, None
+            seg, w = 0, k
             while True:
                 # Charge block slots seg .. w - 1, starting from `start`, and
                 # find the first event j among them (none: the w - seg
@@ -783,12 +783,7 @@ class _SlotLoop:
                 e = seg % 2  # 1 where the segment starts on an odd block slot
                 work = np.empty((rows * (w - seg) + 1, start.size))
                 work[0] = start
-                if charges is None:
-                    self._charges(work[1:], head_charges, f, p)
-                else:
-                    # Every column from b on pays a member's charge.
-                    work[1:, :b] = charges[rows * seg : rows * w, :b]
-                    work[1:, b:] = charges[rows * seg : rows * w, b:]
+                self._charges(work[1:], head_charges[seg:w], f, p, e)
                 np.subtract.accumulate(work, axis=0, out=work)
                 charged = work[1::rows]
                 j = w - seg
@@ -824,8 +819,6 @@ class _SlotLoop:
                     column, cand, segs, at_a, at_b, live = self._candidates(
                         paying, members, inverse + c, paired, A, B)
                     counts = np.bincount(inverse).tolist()  # each member column's members
-                    charges = np.empty((rows * k, b + 1))
-                    self._charges(charges, head_charges, f, p)
                 at_h, at_r, r_cols = (at_b, at_a, slice(f, a)) if t % 2 else (
                     at_a, at_b, slice(a, b))
                 res = after[column[cand]]
@@ -932,11 +925,12 @@ class _SlotLoop:
         return (column, cand, segs, cand.searchsorted(A), cand.searchsorted(B),
                 v.active.nonzero()[0])
 
-    def _charges(self, out, head_charges, f, p):
-        """Fill `out` with a block's charges by row from its first slot: a
-        row a slot, and with p pairs a second for the security charges. The
-        columns are the f other paying heads, which pay `head_charges`, the
-        pairs' A and B, and then columns that pay a member's charge."""
+    def _charges(self, out, head_charges, f, p, e):
+        """Fill `out` with a block's charges by row from a block slot whose
+        parity is e: a row a slot, and with p pairs a second for the
+        security charges. The columns are the f other paying heads, which
+        pay `head_charges`, the pairs' A and B, and then columns that pay a
+        member's charge."""
         member, cost = self.costs[False][0][1], self.cfg.security_cost
         a, b = f + p, f + 2 * p
         rows = 2 if p else 1
@@ -945,9 +939,10 @@ class _SlotLoop:
         if p:
             # A heads the even block slots and takes the head on odd ones;
             # B the other way round. Row 0 is the first slot's charge.
+            heading, taking = (slice(a, b), slice(f, a)) if e else (slice(f, a), slice(a, b))
             out[1::2] = 0.0
-            out[2::4, f:a] = out[::4, a:b] = member
-            out[3::4, f:a] = out[1::4, a:b] = cost
+            out[2::4, heading] = out[::4, taking] = member
+            out[3::4, heading] = out[1::4, taking] = cost
 
     @staticmethod
     def _join(column: np.ndarray, counts: list[int], live: np.ndarray, joining: np.ndarray,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fleetchain.cli import main
+from fleetchain.cli import _transactions_csv, main
 from fleetchain.scenario import ConfigError, expand, load_scenario, make_config
 from fleetchain.sim import csv_text
 
@@ -271,6 +271,17 @@ def test_fig_transactions_csv_is_what_csv_writer_writes(tmp_path, scenario):
     text = (out / f"fig_transactions_{loaded.name}.csv").read_bytes().decode()
     assert text == csv_text(header, rows)
     assert ('"per_kind_cost=[1.0, 2.0, 3.0]"' in text) == (scenario is LIST_SWEEP)
+
+
+@pytest.mark.parametrize("label", ["-", "lam=1.5", "kinds=[1.0, 2.0]", 'name="a"', "a\nb",
+                                   "a\rb", '",\r\n'])
+def test_fig_transactions_labels_are_quoted_as_csv_writer_quotes_them(label):
+    cells = {"t": ["1.0", "2.0"], "baseline": ["5", "10.5"], "clustered": ["4", "8"]}
+    points = [(label, cells), ("-", cells)]
+    rows = [(point, *row) for point, c in points
+            for row in zip(c["t"], c["baseline"], c["clustered"])]
+    header = ["point", "t", "baseline_transactions", "clustered_transactions"]
+    assert _transactions_csv(points) == csv_text(header, rows)
 
 
 def test_integer_sweep_values_are_labelled_in_full(tmp_path):

@@ -340,6 +340,16 @@ def configs(draw) -> SimConfig:
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=8, app_count=2, lam=1.0,
                    security_cost=0.0, slot=0.3, horizon=16.5, initial_energy=330000.1,
                    global_exchange_period=3, expected_score=5.0, vehicle_tx_limit=10.0))
+# After a carried break, no event comes by the slot after the next exchange
+# (a load-model emission in the first, three times; an exchange every 4
+# slots in the second): the block charges on from the break to its end.
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=4, app_count=2, lam=1.5, hops=9,
+                   energy_per_record=2580.3, horizon=93.0, radio_range=600.0, presence=0.01,
+                   initial_energy=1e7, critical_fraction=0.5, use_load_model_exchange=True,
+                   vehicle_tx_limit=10.0))
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=3, app_count=2, lam=1.0, hops=4,
+                   energy_per_record=2580.3, security_cost=3e3, slot=0.3, horizon=26.4,
+                   initial_energy=3.3e5 + 0.1, global_exchange_period=4, required_tx_limit=50.0))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)
