@@ -14,7 +14,14 @@ from pathlib import Path
 
 from .analytics import _transaction_count, energy_decay, transaction_count
 from .scenario import ConfigError, Scenario, expand, load_scenario
-from .sim import Comparison, _cells, comparison_csv, csv_text, paired_comparison
+from .sim import (
+    Comparison,
+    _cells,
+    comparison_csv,
+    csv_text,
+    paired_comparison,
+    shared_baselines,
+)
 from .validate import decay_oracle, run_validation, tx_oracle
 
 EXIT_OK = 0
@@ -162,14 +169,17 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
             raise ConfigError(
                 f"point {label or 'single'}: lam x slot x vehicles**2 x slots must be finite"
             )
+    # The points of one run share each distinct baseline: its run and the
+    # baseline half of its comparison CSVs.
     results: list[tuple[str, Comparison]] = []
     tx_cells = []
-    for (label, cfg), path in zip(points, comparisons):
-        comp = paired_comparison(cfg)
-        results.append((label, comp))
-        cells = {}
-        _write(path, comparison_csv(comp, cells))
-        tx_cells.append((label or "-", cells))
+    with shared_baselines():
+        for (label, cfg), path in zip(points, comparisons):
+            comp = paired_comparison(cfg)
+            results.append((label, comp))
+            cells = {}
+            _write(path, comparison_csv(comp, cells))
+            tx_cells.append((label or "-", cells))
     _write(tx_path, _transactions_csv(tx_cells))
 
     # Conservation-vs-sweep-point.

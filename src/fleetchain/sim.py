@@ -101,8 +101,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable, Sequence
+import operator
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import accumulate, compress
 
 import numpy as np
@@ -250,6 +254,8 @@ class SimConfig:
             low = 0 if name in ("hops", "records_per_tx", "seed") else 1
             if value is not None and (type(value) is not int or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.per_kind_cost is not None:  # a scenario's JSON list: a frozen config hashes
+            object.__setattr__(self, "per_kind_cost", tuple(self.per_kind_cost))
         if type(self.use_load_model_exchange) is not bool:
             raise ValueError(
                 f"use_load_model_exchange must be true or false, got {self.use_load_model_exchange!r}"
@@ -383,7 +389,6 @@ class SimConfig:
         )
 
     def energy_params(self, hops: int) -> EnergyParams:
-        per_kind = tuple(self.per_kind_cost) if self.per_kind_cost is not None else None
         return EnergyParams(
             per_record_energy=self.energy_per_record,
             per_request_energy=self.energy_per_request,
@@ -391,7 +396,7 @@ class SimConfig:
             message_kinds=self.message_kinds,
             request_rate=self.gamma_value,
             records_per_tx=self.records_per_tx,
-            per_kind_cost=per_kind,
+            per_kind_cost=self.per_kind_cost,
         )
 
 
@@ -399,6 +404,25 @@ class SimConfig:
 _NUMBER_FIELDS = [(f.name, f.type.endswith("None")) for f in fields(SimConfig)
                   if f.type.startswith(("int", "float"))]
 _INT_FIELDS = [f.name for f in fields(SimConfig) if f.type.startswith("int")]
+
+# The fields `run_baseline` reads, and those its report reads from its
+# config (`RunReport.vehicles` and `.trace`): `stay_time`, `radio_range`,
+# `vehicle_tx_limit`, `initial_energy`, `horizon` and `slot`. Configs that
+# agree on these run the same baseline.
+BASELINE_FIELDS = (
+    "cluster_count", "vehicles_per_cluster", "app_count", "lam", "gamma", "message_kinds",
+    "hops", "energy_per_record", "energy_per_request", "security_cost", "horizon", "slot",
+    "radio_range", "stay_time", "records_per_tx", "initial_energy", "vehicle_tx_limit",
+    "per_kind_cost",
+)
+_baseline_values = operator.attrgetter(*BASELINE_FIELDS)
+
+
+def baseline_key(cfg: SimConfig) -> str:
+    """The `repr` of `cfg`'s `BASELINE_FIELDS` values. Equal keys hold the
+    same values bit for bit; values equal only as numbers (0.0 and -0.0, or
+    1 and 1.0 in `per_kind_cost`) give different keys."""
+    return repr(_baseline_values(cfg))
 
 
 @dataclass(frozen=True)
@@ -471,6 +495,19 @@ class RunReport:
                                   0.0 if new is None else offload)
                          for cluster, rule, action, old, new, _ in cycle[(s - first) % len(cycle)]]
         return rows
+
+    @cached_property
+    def csv_half(self) -> tuple[list[str], list[str], str]:
+        """The `t` and `transactions_cum` cells, as `_cells` writes them,
+        and the report's rows of a comparison CSV, whose reduction cells it
+        leaves empty: the baseline half of every comparison it is part of.
+        Formatted when first read and kept, as one baseline report can serve
+        several sweep points (`shared_baselines`)."""
+        c, regime = self.slots, self.regime
+        t, tx = _cells(c.t), _cells(c.transactions_cum)
+        rows = "".join([f"{a},{regime},{x},{e},{n},{n},,\r\n" for a, x, e, n in zip(
+            t, tx, _cells(c.energy_cum), c.ch_changes)])
+        return t, tx, rows
 
     @property
     def transactions_total(self) -> float:
@@ -1167,6 +1204,12 @@ def _reduction_pct(base: float, other: float) -> float:
 
 @dataclass
 class Comparison:
+    """A paired run of `config`. Inside `shared_baselines`, `baseline` may
+    be the one report of several comparisons whose configs share a
+    `baseline_key`; its `final` then holds the first such config. Nothing
+    changes a report once its run has returned it; `csv_half` only keeps
+    the cells it formats."""
+
     config: SimConfig
     baseline: RunReport
     clustered: RunReport
@@ -1226,9 +1269,36 @@ def baseline_assumptions(cfg: SimConfig) -> tuple[str, ...]:
     ) + capacity
 
 
+# While a `shared_baselines` block is open: its baseline reports by key. A
+# context variable, not an argument, so that `paired_comparison(cfg)` keeps
+# its one argument, through which `benchmarks/operations.py` wraps it.
+_shared: ContextVar[dict[str, RunReport] | None] = ContextVar("shared_baselines", default=None)
+
+
+@contextmanager
+def shared_baselines() -> Iterator[None]:
+    """Within the block, `paired_comparison` runs the baseline once per
+    `baseline_key` and gives that one report to every config with the key.
+    The reports are dropped when the block ends, so two blocks, or a call
+    outside any, share none."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def paired_comparison(cfg: SimConfig) -> Comparison:
-    """Run both regimes with identical parameters and compare."""
-    base = run_baseline(cfg)
+    """Run both regimes with identical parameters and compare. Inside
+    `shared_baselines`, the baseline runs once per `baseline_key`."""
+    shared = _shared.get()
+    if shared is None:
+        base = run_baseline(cfg)
+    else:
+        key = baseline_key(cfg)
+        base = shared.get(key)
+        if base is None:
+            base = shared[key] = run_baseline(cfg)
     clus = run_clustered(cfg)
     tx_red, energy_red = compare_reports(base, clus)
     r1, r2 = cfg.gaussian_rates()
@@ -1263,12 +1333,13 @@ def comparison_csv(comp: Comparison, cells: dict | None = None) -> str:
     """The paired run as CSV text: a header, each baseline slot, then each
     clustered slot with the percentage reductions at it. The bytes are
     those `csv_text` writes; no cell needs quoting. Both runs share the
-    slot times, so the `t` cells are formatted once. A `cells` dict gets
-    the `t` cells and each regime's `transactions_cum` cells, by the keys
-    "t", "baseline" and "clustered"."""
+    slot times, so the `t` cells are formatted once, with the baseline half
+    (`RunReport.csv_half`). A `cells` dict gets the `t` cells and each
+    regime's `transactions_cum` cells, by the keys "t", "baseline" and
+    "clustered"."""
     base, clus = comp.baseline.slots, comp.clustered.slots
-    t = _cells(base.t)
-    base_tx, clus_tx = _cells(base.transactions_cum), _cells(clus.transactions_cum)
+    t, base_tx, base_rows = comp.baseline.csv_half
+    clus_tx = _cells(clus.transactions_cum)
     if cells is not None:
         cells.update(t=t, baseline=base_tx, clustered=clus_tx)
     tx_red, energy_red = (
@@ -1276,10 +1347,7 @@ def comparison_csv(comp: Comparison, cells: dict | None = None) -> str:
         for base_col, clus_col in ((base.transactions_cum, clus.transactions_cum),
                                    (base.energy_cum, clus.energy_cum))
     )
-    rows = [",".join(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS) + "\r\n"]
-    regime = comp.baseline.regime
-    rows += [f"{a},{regime},{tx},{e},{c},{c},,\r\n" for a, tx, e, c in zip(
-        t, base_tx, _cells(base.energy_cum), base.ch_changes)]
+    rows = [",".join(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS) + "\r\n", base_rows]
     regime = comp.clustered.regime
     rows += [f"{a},{regime},{tx},{e},{c},{c},{r},{q}\r\n" for a, tx, e, c, r, q in zip(
         t, clus_tx, _cells(clus.energy_cum), clus.ch_changes, tx_red,

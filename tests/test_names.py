@@ -73,3 +73,35 @@ def test_benchmark_inputs_are_accepted(workload, monkeypatch, tmp_path):
         args = build_parser().parse_args(inp["argv"])
         if args.command == "simulate":
             assert expand(load_scenario(args.config))
+
+
+def test_simulate_shares_baselines_under_the_benchmarks_operation(monkeypatch, tmp_path):
+    # `benchmarks/operations.py:CliOps` replaces `cli.paired_comparison` with
+    # a one-argument wrapper and expects one comparison per comparison CSV;
+    # the run stays within one `simulate` call.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import operations
+    import workloads
+
+    import fleetchain.cli
+    import fleetchain.sim
+
+    monkeypatch.setattr(fleetchain.cli, "paired_comparison", fleetchain.cli.paired_comparison)
+    run_baseline, calls = fleetchain.sim.run_baseline, []
+    monkeypatch.setattr(fleetchain.sim, "run_baseline",
+                        lambda cfg: calls.append(cfg) or run_baseline(cfg))
+    inputs = workloads.generate("sweep-many", 1, tmp_path)["inputs"][:1]
+    ops = operations.CliOps(inputs)
+    (key, item), = ops.items
+    for run in (1, 2):  # nothing is shared from one `simulate` call to the next
+        ops.prepare(item)
+        output = ops.run(item)
+        outcome = operations.Outcome(key, 0.0, 0.0)
+        ops.check(item, output, outcome)
+        assert outcome.failure is None
+        assert (len(ops.captured), len(calls)) == (20, 5 * run)
+    # Outside `simulate`, every paired run runs its own baseline.
+    cfg = ops.captured[0].config
+    first, second = (fleetchain.sim.paired_comparison(cfg) for _ in range(2))
+    assert first.baseline is not second.baseline
+    assert len(calls) == 12

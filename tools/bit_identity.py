@@ -26,21 +26,30 @@ The set:
   drains, critical fractions, tx limits, and security costs that tie the
   returning head with a member as rich;
 - `validate` at grid 300 on the validate seeds of the oracle-validate inputs
-  for each benchmark seed, and at grids 1 to 30 on seeds 0 to 40.
+  for each benchmark seed, and at grids 1 to 30 on seeds 0 to 40;
+- `simulate` through `cli.main`, one sha256 for its exit code and stdout
+  and one for each file it writes, on both shipped scenarios, on every
+  sweep-many scenario file of each benchmark seed and on the sweeps of
+  `SWEEPS`: the `per_kind_cost` list sweep of `tests/test_cli.py`, and
+  sweeps whose points share a baseline, or hold values equal as numbers but
+  not in bits, which must not share one.
 
-Each group also records three counts of its clustered runs: the
-zero-length block attempts (`_SlotLoop._block` calls that stepped no slot,
-after which the slot runs alone), and the breaks of swap blocks carried on
-and declined. A break is a `FleetState.handed_on` call; one carried on
-starts a trace run of a new cycle inside the block, and a declined one
-ends the block. `check` prints each count with the recorded one; a
-different count is a cost, not a difference in the outputs.
+Each group also records four counts: its baseline runs (`run_baseline`
+calls), and of its clustered runs the zero-length block attempts
+(`_SlotLoop._block` calls that stepped no slot, after which the slot runs
+alone), and the breaks of swap blocks carried on and declined. A break is a
+`FleetState.handed_on` call; one carried on starts a trace run of a new
+cycle inside the block, and a declined one ends the block. `check` prints
+each count with the recorded one; a different count is a cost, not a
+difference in the outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -52,8 +61,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")]
 
 import workloads  # noqa: E402
+from test_cli import LIST_SWEEP  # noqa: E402
 from test_golden import CONFIGS  # noqa: E402
 
+import fleetchain.cli as cli  # noqa: E402
 import fleetchain.sim as sim  # noqa: E402
 import fleetchain.validate as validate  # noqa: E402
 from fleetchain.scenario import expand, load_scenario, make_config  # noqa: E402
@@ -62,6 +73,23 @@ from fleetchain.scenario import expand, load_scenario, make_config  # noqa: E402
 # swap fleets, all at lam 1.5.
 WIDE = [(20, 4, 2, 300.0), (23, 4, 2, 300.0), (20, 5, 3, 300.0), (41, 3, 11, 300.0),
         (100, 100, 10, 100.0)]
+
+# `simulate` scenarios beyond the shipped and the benchmark's: points that
+# share a baseline across clustered-regime knobs, and points whose baseline
+# fields differ only in the sign of a zero or in int against float.
+SWEEPS = {
+    "kinds": LIST_SWEEP,
+    "int-kinds": {"name": "intkinds", "params": {"horizon": 5},
+                  "sweeps": [{"param": "per_kind_cost", "values": [[1, 2, 3], [1.0, 2.0, 3.0]]}]},
+    "signed-zeros": {"name": "zeros", "params": {"horizon": 20, "lam": 1.5},
+                     "sweeps": [{"param": "security_cost", "values": [0.0, -0.0]},
+                                {"param": "initial_energy", "values": [0.0, -0.0, 3e6]}]},
+    "clustered-knobs": {"name": "knobs", "params": {"horizon": 40, "lam": 1.5},
+                        "sweeps": [{"param": "critical_fraction", "values": [0.0, 0.5]},
+                                   {"param": "global_exchange_period", "values": [1, 7]},
+                                   {"param": "range_stddev", "values": [1.0, 60.0]},
+                                   {"param": "hops", "values": [2, 10]}]},
+}
 
 COLUMNS = ("t", "transactions_cum", "energy_cum", "ch_changes", "security_j", "transmission_j",
            "update_j")
@@ -131,6 +159,20 @@ def validate_set(bench_seeds: list[int]):
             yield f"grid={grid}:seed={seed}", grid, seed
 
 
+def simulate_set(bench_seeds: list[int], work_dir: Path):
+    """(name, scenario path) of every `simulate` run of the set, in a fixed
+    order; generated scenario files are written under `work_dir`."""
+    for name in ("reference", "small"):
+        yield name, ROOT / "scenarios" / f"{name}.json"
+    for seed in bench_seeds:
+        for item in workloads.generate("sweep-many", seed, work_dir / str(seed))["inputs"]:
+            yield f"{seed}:{item['key']}", Path(item["argv"][item["argv"].index("--config") + 1])
+    for name, scenario in SWEEPS.items():
+        path = work_dir / f"{name}.json"
+        path.write_text(json.dumps(scenario))
+        yield name, path
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -146,6 +188,18 @@ def hashes(cfg: sim.SimConfig) -> dict[str, str]:
         out[f"{regime}.vehicles"] = _digest(repr(report.vehicles))
     out["clustered.trace"] = _digest(repr(comp.clustered.trace))
     return out
+
+
+def simulate_hashes(path: Path, out: Path) -> dict[str, str]:
+    """A sha256 of the exit code and stdout of `fleetchain simulate` on the
+    scenario at `path`, and one of each file it writes into `out`."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+    result = {"stdout": _digest(f"{code}\n{buf.getvalue()}")}
+    for file in sorted(out.iterdir()):
+        result[file.name] = hashlib.sha256(file.read_bytes()).hexdigest()
+    return result
 
 
 def validate_hashes(grid: int, seed: int) -> dict[str, str]:
@@ -167,15 +221,19 @@ def validate_hashes(grid: int, seed: int) -> dict[str, str]:
     return out
 
 
-COUNTS = ("zero_length_blocks", "breaks_carried", "breaks_declined")
+COUNTS = ("baseline_runs", "zero_length_blocks", "breaks_carried", "breaks_declined")
 
 
 def run_set(options: dict) -> tuple[dict, dict[str, Counter]]:
-    """The hashes of every config and `validate` run of the set, and each
-    group's `COUNTS`."""
+    """The hashes of every config, `simulate` and `validate` run of the set,
+    and each group's `COUNTS`."""
     counts, group = {name: Counter() for name in COUNTS}, None
-    attempts, carried, declined = (counts[name] for name in COUNTS)
-    block, handed_on = sim._SlotLoop._block, sim.FleetState.handed_on
+    baselines, attempts, carried, declined = (counts[name] for name in COUNTS)
+    run_baseline, block, handed_on = sim.run_baseline, sim._SlotLoop._block, sim.FleetState.handed_on
+
+    def baseline(cfg):
+        baselines[group] += 1
+        return run_baseline(cfg)
 
     def counting(loop, s, k):
         runs, cycle = len(loop.trace_runs), loop.cycle
@@ -193,15 +251,22 @@ def run_set(options: dict) -> tuple[dict, dict[str, Counter]]:
         declined[group] += 1
         return handed_on(fleet, *args)
 
-    sim._SlotLoop._block, sim.FleetState.handed_on = counting, breaking
+    sim.run_baseline, sim._SlotLoop._block, sim.FleetState.handed_on = baseline, counting, breaking
     try:
         result = {}
         for group, name, cfg in config_set(**options):
             for counter in counts.values():
                 counter[group] += 0
             result[f"{group}:{name}"] = hashes(cfg)
+        group = "simulate"
+        for counter in counts.values():
+            counter[group] += 0
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, path in simulate_set(options["bench_seeds"], Path(tmp)):
+                result[f"simulate:{name}"] = simulate_hashes(path, Path(tmp) / "out" / name)
     finally:
-        sim._SlotLoop._block, sim.FleetState.handed_on = block, handed_on
+        sim.run_baseline, sim._SlotLoop._block, sim.FleetState.handed_on = (
+            run_baseline, block, handed_on)
     for name, grid, seed in validate_set(options["bench_seeds"]):
         result[f"validate:{name}"] = validate_hashes(grid, seed)
     return result, counts
