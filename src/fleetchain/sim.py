@@ -70,13 +70,16 @@ head and per vehicle of a pair, and with pairs one per pair cluster's
 richest other member, read for the rating. Members pay alike, so members
 whose residuals have the same bits keep the same bits, and a column per
 member would only repeat those subtractions; across a break only the
-returning vehicle joins them and its pick leaves them. On the transaction
-grid a block charges up to `BLOCK_CELLS // (rows a slot x (columns + 1))`
-slots (1 489 for a keep of 20 heads and one member residual), so it mostly
-runs from a slot stepped alone to the next event; a block that reaches its
-cap is followed by another. Off that grid it charges at most `BLOCK_CELLS
-// vehicles` slots, adding the members' increments in order in a buffer
-reused from block to block.
+returning vehicle joins them and its pick leaves them. Member columns are
+kept until the block ends, with or without a member: each break adds at
+most one a pair, and the block's cap is recomputed from its columns, so
+they stay bounded. On the transaction grid a block charges up to
+`BLOCK_CELLS // (rows a slot x (columns + 1))` slots (1 489 for a keep of
+20 heads and one member residual), so it mostly runs from a slot stepped
+alone to the next event; a block that reaches its cap is followed by
+another. Off that grid it charges at most `BLOCK_CELLS // vehicles` slots,
+adding the members' increments in order in a buffer reused from block to
+block.
 
 A slot stepped alone works in vehicle-sized buffers reused from slot to
 slot: each residual minus its charge, written as one subtraction with the
@@ -163,8 +166,6 @@ BLOCK_CELLS = 2**15
 
 # The (cur, new) pairs of a block that keeps every head.
 _NO_PAIRS = (np.empty(0, dtype=np.intp),) * 2
-# The member columns a break adds where no member joins.
-_NO_COLUMNS = np.empty(0)
 
 RUN_CSV_COLUMNS = ("t", "regime", "transactions_cum", "energy_cum_J", "ch_changes", "offloads")
 COMPARISON_EXTRA_COLUMNS = ("tx_reduction_pct", "energy_conservation_pct")
@@ -737,202 +738,43 @@ class _SlotLoop:
         return follow
 
     def _block(self, s: int, k: int) -> int:
-        """Step up to k slots from s as one block, ending at its size cap
-        or before its first event (see the module docstring); return how
-        many slots it stepped. `size` gets the slots it could step: k, or
-        fewer by its cap.
+        """Step up to k slots from s as one block (`_Block`), ending at its
+        size cap or before its first event (see the module docstring);
+        return how many slots it stepped. `size` gets the slots it could
+        step: k, or fewer by its cap.
 
         Slot s repeats the first trace of `cycle`, the next slot the next
         one, and so on; with `pairs` (cur, new), each pair cluster's head
         goes from cur to new and back, one change a slot. Exchange slots
         stay inside: on them the heads pay the exchange charge, and each
         slot's sums are those of its kind. The rating, floor, security and
-        charge checks run on every slot, the first too. The columns are the
-        other paying heads, the pairs' vehicles by the slots they head (A
-        on even block slots, B on odd ones), each pair cluster's richest
-        other member (-inf where there is none) and the distinct member
-        residuals (by bit pattern, so 0.0 and -0.0 stay apart).
-
-        A slot on which the rating check alone fails, after a charge every
-        vehicle pays with every floor held, is the break of the pairs: the
-        controller hands each pair cluster's head to the member it picks
-        (`FleetState.handed_on`), read from the slot's row: at the first
-        break, the block gives each vehicle its column and lists the pair
-        clusters' active vehicles as the candidates. Where every pick can
-        pay its security charge and the picks hand back on the next slot,
-        the block charges that slot's security; each pick takes the
-        returning vehicle's column, and the returning vehicle joins the
-        member column with its residual's bits, or a new one, while a member
-        column left with no member is dropped. It charges the slots after
-        the break from there, with the same charges a slot, up to the slot
-        after the next exchange first. Otherwise the slot runs alone. The
-        residuals, the heads and the critical flags are written when the
-        block ends; the flags are left as its last slot marked them, after
-        its charge."""
-        v, (cur, new), cost = self.v, self.pairs, self.cfg.security_cost
-        p = cur.size
+        charge checks run on every slot, the first too. A slot on which the
+        rating check alone fails is a break of the pairs; where the block
+        carries it (`_Block.carry`), it charges the slots up to the one
+        after the next exchange first, and the rest only if no event comes."""
         self.size = k
-        # The trace run the block's slots extend: slot s + i repeats trace
-        # (s + i - first) % its length of `cycle`.
-        cycle, first = self.cycle, s
-        if self.cfg.lam <= 0:  # no vehicle pays: the residuals stay as the last slot left them
-            sums, txs = [(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k
-        else:
-            heads = fixed = self.heads[v.active[self.heads]]
-            if p:
-                fleet = self.controller[0]
-                paired = np.zeros(self.cfg.cluster_count, dtype=bool)
-                paired[v.cluster[cur]] = True
-                fixed = heads[~paired[v.cluster[heads]]]
-            paying = np.concatenate((fixed, cur, new))
-            members = v.active.copy()
-            members[paying] = False
-            residual = v.residual[members]
-            bits, inverse = np.unique(residual.view(np.int64), return_inverse=True)
-            # Column offsets: other heads, A, B, richest members, members.
-            f = fixed.size
-            a, b, c = f + p, f + 2 * p, f + 3 * p
-            rows = 2 if p else 1
-            cap = BLOCK_CELLS // (rows * (c + bits.size + 1))
-            if not self.exact_tx:
-                cap = min(cap, BLOCK_CELLS // v.id.size)
-            k = self.size = max(1, min(k, cap))
-            exchange, transfers = self._exchanges(s, k, heads.size)
-            head = self.costs[False][1]
-            head_charges = np.array([head[ex][1] for ex in exchange[:k]])[:, None]
-            # The least residual each slot may leave a paying head with.
-            low = np.full((k if p else 1, b), self.critical_level)
-            low[:, :f][:, v.critical[fixed]] = 0.0
-            rich, column = np.empty(0), None
-            if p:
-                # A vehicle taking the head must also pay its security charge.
-                low[1::2, f:a] = low[0::2, a:b] = max(self.critical_level, cost)
-                rich = np.full(self.cfg.cluster_count, -np.inf)
-                np.maximum.at(rich, v.cluster[members], residual)
-                rich = rich[v.cluster[cur]]
-                A, B = cur, new
-            start = np.concatenate((v.residual[paying], rich, bits.view(float)))
-            seg, w = 0, k
-            while True:
-                # Charge block slots seg .. w - 1, starting from `start`, and
-                # find the first event j among them (none: the w - seg
-                # slots).
-                e = seg % 2  # 1 where the segment starts on an odd block slot
-                work = np.empty((rows * (w - seg) + 1, start.size))
-                work[0] = start
-                self._charges(work[1:], head_charges[seg:w], f, p, e)
-                np.subtract.accumulate(work, axis=0, out=work)
-                charged = work[1::rows]
-                j = w - seg
-                # With no pairs, residuals only fall: no event by the last
-                # slot means none at all.
-                if not p and (charged[-1, :b] >= low[0]).all() and (charged[-1, c:] >= 0.0).all():
-                    break
-                # Each row's failed checks: the new heads' rating (ratings
-                # of slots that a pair's B takes on even block slots and A
-                # on odd ones), the paying heads' floors and security, and
-                # the members' charge.
-                bad = np.empty((w - seg, p + b + start.size - c), dtype=bool)
-                if p:
-                    rated = fleet.ratings(charged[:, f:c])
-                    o = 1 - e  # rows e, e + 2, ... are even block slots; o, o + 2, ... odd
-                    np.less_equal(rated[e::2, p : 2 * p], rated[e::2, 2 * p :], out=bad[e::2, :p])
-                    np.less_equal(rated[o::2, :p], rated[o::2, 2 * p :], out=bad[o::2, :p])
-                np.less(charged[:, :b], low[seg:w], out=bad[:, p : p + b])
-                np.less(charged[:, c:], 0.0, out=bad[:, p + b :])
-                i = int(bad.argmax())
-                if not bad.item(i):
-                    if w == k:
-                        break
-                    w = k  # no break by the slot after the exchange: charge them all
-                    continue
-                j = i // bad.shape[1]
-                if np.count_nonzero(bad[j, p:]):
-                    break
-                # The break at block slot t, where h heads and r was to take
-                # the head: the candidates' residuals after its charge.
-                t, after = seg + j, work[2 * j + 1]
-                if column is None:
-                    column, cand, segs, at_a, at_b, live = self._candidates(
-                        paying, members, inverse + c, paired, A, B)
-                    counts = np.bincount(inverse).tolist()  # each member column's members
-                at_h, at_r, r_cols = (at_b, at_a, slice(f, a)) if t % 2 else (
-                    at_a, at_b, slice(a, b))
-                res = after[column[cand]]
-                handed = fleet.handed_on(cycle[(s + t - first) % 2], s + t, cand, at_h, res,
-                                         res >= self.critical_level, segs)
-                if handed is None:
-                    break  # slot t runs alone
-                trace, picks = handed
-                picked = res[picks]
-                if np.count_nonzero(picked < cost):
-                    break
-                taken, taken_res = cand[picks], picked
-                self._extend_run(cycle, first, s + t - 1)
-                cycle, first = (trace, fleet.handed_back(trace)), s + t
-                # Each pick that was a member takes r's column, and r joins
-                # the members.
-                added, kept = _NO_COLUMNS, None
-                moved = (picks != at_r).nonzero()[0]
-                if moved.size:
-                    returning, leaving = at_r[moved], taken[moved]
-                    joining, left = cand[returning], column[leaving].tolist()
-                    column[leaving] = column[joining]
-                    added, kept = self._join(column, counts, live, joining, res[returning], left,
-                                             after, c)
-                if t % 2:
-                    A, at_a = taken, picks
-                else:
-                    B, at_b = taken, picks
-                # The next slots start from slot t's residuals, the picks' after
-                # their security charge, and each pair cluster's richest member.
-                res[at_h] = res[picks] = -np.inf
-                start = np.concatenate((after[:b], np.maximum.reduceat(res, segs.starts),
-                                        after[c:], added))
-                if kept is not None:
-                    start = start[kept]
-                start[r_cols] = taken_res - cost
-                seg = t + 1
-                k = self.size = seg + min(k - seg, BLOCK_CELLS // (2 * (start.size + 1)))
-                if seg == k:
-                    j, work = 0, start[None]
-                    break
-                # A head that pays the exchange mostly breaks its pair on the
-                # next slot: the next segment ends there.
-                w = min(k, next((i + 2 for i in range(seg, k) if exchange[i]), k))
-            k = seg + j
-            end = work[rows * j]
-            if column is None:
-                v.residual[paying] = end[:b]
-                v.residual[members] = end[c:][inverse]
-            else:
-                v.residual[live] = end[column[live]]
-            if k == 0:  # slot s runs alone and marks the critical vehicles again
-                return 0
-            sums, txs = self._tally(s, k, self.n_active, heads.size, exchange, transfers, p)
-            if p:
-                # A slot marks the critical vehicles after its charge, before
-                # its new heads pay their security charge: the last slot's
-                # new heads are marked from its charge row, or from a break
-                # on it. (After a break that runs alone, that slot marks them
-                # again.)
-                taken, cols = (A, slice(f, a)) if k % 2 == 0 else (B, slice(a, b))
-                marked = work[2 * j - 1, cols] < self.critical_level if j else (
-                    taken_res < self.critical_level)
-                # The heads of slot s + k, and the pairs from there.
-                cur, new = (B, A) if k % 2 else (A, B)
-                if column is not None or k % 2:
-                    fleet.hand_over(self.pairs[0], cur)
-        if self.controller is not None:
-            np.less(v.residual, self.critical_level, out=v.critical)
-            if p:
-                v.critical[taken] = marked
-            self._extend_run(cycle, first, s + k - 1)
-            turn = (s + k - first) % len(cycle)
-            self.cycle = cycle[turn:] + cycle[:turn] if turn else cycle
-            self.pairs = cur, new
-        self._record(sums, txs, [p] * k)
-        return k
+        if self.cfg.lam <= 0:  # no vehicle pays, and only keeps form blocks
+            if self.controller is not None:
+                np.less(self.v.residual, self.critical_level, out=self.v.critical)
+                self._extend_run(self.cycle, s, s + k - 1)
+            self._record([(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k, [0] * k)
+            return k
+        block = _Block(self, s, k)
+        seg, w = 0, block.k
+        while True:
+            j, broke = block.charge(seg, w)
+            if j == w - seg and w < block.k:
+                w = block.k  # no break by the slot after the exchange: charge them all
+                continue
+            if not broke or not block.carry(seg, j):
+                return block.write_back(seg, j)
+            seg += j + 1
+            if seg == block.k:
+                return block.write_back(seg, 0)
+            # A head that pays the exchange mostly breaks its pair on the
+            # next slot: the next segment ends there.
+            w = min(block.k, next((i + 2 for i in range(seg, block.k) if block.exchange[i]),
+                                  block.k))
 
     def _extend_run(self, cycle: tuple[SlotTrace, ...], first: int, last: int) -> None:
         """Record that slots first .. last repeat `cycle` from its first
@@ -945,73 +787,6 @@ class _SlotLoop:
             self.trace_runs[-1] = (cycle, start, last)
         else:
             self.trace_runs.append((cycle, first, last))
-
-    def _candidates(self, paying, members, classes, paired, A, B):
-        """At a block's first break: each vehicle's column (the paying
-        vehicles' in order, each member's its class's in `classes`); the
-        candidates, the active vehicles of the `paired` clusters in
-        (cluster, id) order, one segment per pair; A's and B's positions
-        among them; and the active vehicles."""
-        v = self.v
-        column = np.empty(v.id.size, dtype=np.intp)
-        column[paying] = np.arange(paying.size)
-        column[members] = classes
-        # Vehicle ids follow the clusters, so id order is (cluster, id) order.
-        cand = (v.active & paired[v.cluster]).nonzero()[0]
-        segs = _Segments.of_lengths(np.bincount(v.cluster[cand])[v.cluster[A]])
-        return (column, cand, segs, cand.searchsorted(A), cand.searchsorted(B),
-                v.active.nonzero()[0])
-
-    def _charges(self, out, head_charges, f, p, e):
-        """Fill `out` with a block's charges by row from a block slot whose
-        parity is e: a row a slot, and with p pairs a second for the
-        security charges. The columns are the f other paying heads, which
-        pay `head_charges`, the pairs' A and B, and then columns that pay a
-        member's charge."""
-        member, cost = self.costs[False][0][1], self.cfg.security_cost
-        a, b = f + p, f + 2 * p
-        rows = 2 if p else 1
-        out[::rows, :b] = head_charges
-        out[::rows, b:] = member
-        if p:
-            # A heads the even block slots and takes the head on odd ones;
-            # B the other way round. Row 0 is the first slot's charge.
-            heading, taking = (slice(a, b), slice(f, a)) if e else (slice(f, a), slice(a, b))
-            out[1::2] = 0.0
-            out[2::4, heading] = out[::4, taking] = member
-            out[3::4, heading] = out[1::4, taking] = cost
-
-    @staticmethod
-    def _join(column: np.ndarray, counts: list[int], live: np.ndarray, joining: np.ndarray,
-              residual: np.ndarray, left: list[int], after: np.ndarray,
-              c: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The member columns once a member has left each column in `left`
-        and the vehicles at `joining`, whose residuals are `residual`, are
-        members: each joins the column, from c on in `after`, whose residual
-        has its residual's bits, or a new one. Return the new columns'
-        residuals and, where a column is left with no member, which columns
-        stay, new ones included. `counts` holds each member column's
-        members, and `column` each `live` vehicle's column, renumbered to
-        the columns that stay."""
-        for i in left:
-            counts[i - c] -= 1
-        known = dict(zip(after[c:].view(np.int64).tolist(), range(c, after.size)))
-        added, index = [], []
-        for bits in residual.view(np.int64).tolist():
-            i = known.get(bits)
-            if i is None:
-                i = known[bits] = after.size + len(added)
-                added.append(bits)
-                counts.append(0)
-            counts[i - c] += 1
-            index.append(i)
-        column[joining] = index
-        kept = None
-        if 0 in counts:
-            kept = np.concatenate((np.ones(c, dtype=bool), np.array(counts) > 0))
-            column[live] = (np.cumsum(kept) - 1)[column[live]]
-            counts[:] = [n for n in counts if n]
-        return np.array(added, dtype=np.int64).view(float), kept
 
     # `_charge_one` stays beside `_block`: on a slot where no vehicle stops
     # a one-slot block gives the same bits, but on a 10 x 50 fleet it costs
@@ -1143,6 +918,226 @@ class _SlotLoop:
             column += values
         c.transactions_cum += txs
         c.ch_changes += changes
+
+
+class _Block:
+    """The state of one block of `_SlotLoop._block` at lam > 0.
+
+    Its array's columns are the f other paying heads, the pairs' vehicles
+    by the slots they head (A on even block slots, up to a; B on odd ones,
+    up to b), each pair cluster's richest other member (up to c; -inf
+    where there is none) and the member columns, one per distinct member
+    residual by bit pattern (0.0 and -0.0 stay apart). Each segment of
+    slots is charged from the row `start`; `low` holds the least residual
+    each slot may leave a paying head with. From the first break on,
+    `column` gives each active vehicle its column and `cand` lists the
+    candidates (`_index`). Member columns are kept until the block ends,
+    with or without a member: each break adds at most p of them, and the
+    size cap is recomputed from `start.size`, so they stay bounded.
+
+    Where the window after a carried break holds no event, `_block`
+    charges again from the break; going on from the window's last row is
+    equivalent. The residuals are the same sequential subtractions, and only
+    the last new heads' flags differ, where the next event falls on the
+    first slot after the window: that slot runs alone, and `_single` marks
+    every vehicle again before a flag is read.
+    """
+
+    __slots__ = ("loop", "s", "p", "member", "cost", "fleet", "paired", "paying", "members",
+                 "inverse", "f", "a", "b", "c", "rows", "k", "n_heads", "exchange", "transfers",
+                 "head_charges", "low", "start", "work", "A", "B", "column", "cand", "segs",
+                 "at_a", "at_b", "cycle", "first")
+
+    def __init__(self, loop: _SlotLoop, s: int, k: int):
+        v, (cur, new), level = loop.v, loop.pairs, loop.critical_level
+        self.loop, self.s, self.p = loop, s, cur.size
+        self.member, self.cost = loop.costs[False][0][1], loop.cfg.security_cost
+        heads = fixed = loop.heads[v.active[loop.heads]]
+        if self.p:
+            self.fleet = loop.controller[0]
+            self.paired = np.zeros(loop.cfg.cluster_count, dtype=bool)
+            self.paired[v.cluster[cur]] = True
+            fixed = heads[~self.paired[v.cluster[heads]]]
+        self.paying = np.concatenate((fixed, cur, new))
+        self.members = v.active.copy()
+        self.members[self.paying] = False
+        residual = v.residual[self.members]
+        bits, self.inverse = np.unique(residual.view(np.int64), return_inverse=True)
+        f = self.f = fixed.size
+        a, b, c = self.a, self.b, self.c = f + self.p, f + 2 * self.p, f + 3 * self.p
+        self.rows = 2 if self.p else 1
+        cap = BLOCK_CELLS // (self.rows * (c + bits.size + 1))
+        if not loop.exact_tx:
+            cap = min(cap, BLOCK_CELLS // v.id.size)
+        k = self.k = loop.size = max(1, min(k, cap))
+        self.n_heads = heads.size
+        self.exchange, self.transfers = loop._exchanges(s, k, heads.size)
+        head = loop.costs[False][1]
+        self.head_charges = np.where(self.exchange, head[True][1], head[False][1])[:, None]
+        low = self.low = np.full((k if self.p else 1, b), level)
+        low[:, :f][:, v.critical[fixed]] = 0.0
+        rich = np.empty(0)
+        if self.p:
+            # A vehicle taking the head must also pay its security charge.
+            low[1::2, f:a] = low[0::2, a:b] = max(level, self.cost)
+            rich = np.full(loop.cfg.cluster_count, -np.inf)
+            np.maximum.at(rich, v.cluster[self.members], residual)
+            rich = rich[v.cluster[cur]]
+        self.start = np.concatenate((v.residual[self.paying], rich, bits.view(float)))
+        self.A, self.B, self.column = cur, new, None
+        # The trace run the block's slots extend: slot s + i repeats trace
+        # (s + i - first) % its length of `cycle`.
+        self.cycle, self.first = loop.cycle, s
+
+    def charge(self, seg: int, w: int) -> tuple[int, bool]:
+        """Charge block slots seg .. w - 1 into `work`, from `start`: a row
+        a slot for its charge by role and, with pairs, a second for the
+        security charge of the vehicles taking the head. Return the first
+        event among them, as its offset j from seg (w - seg where there is
+        none), and whether the rating check alone fails there: a break."""
+        f, a, b, c, p, rows, start = self.f, self.a, self.b, self.c, self.p, self.rows, self.start
+        work = self.work = np.empty((rows * (w - seg) + 1, start.size))
+        work[0] = start
+        out = work[1:]
+        out[::rows, :b] = self.head_charges[seg:w]
+        out[::rows, b:] = self.member
+        e = seg % 2  # 1 where the segment starts on an odd block slot
+        if p:
+            # A heads the even block slots and takes the head on odd ones;
+            # B the other way round.
+            heading, taking = (slice(a, b), slice(f, a)) if e else (slice(f, a), slice(a, b))
+            out[1::2] = 0.0
+            out[2::4, heading] = out[::4, taking] = self.member
+            out[3::4, heading] = out[1::4, taking] = self.cost
+        np.subtract.accumulate(work, axis=0, out=work)
+        charged = work[1::rows]
+        # With no pairs, residuals only fall: no event by the last slot
+        # means none at all.
+        if not p and (charged[-1, :b] >= self.low[0]).all() and (charged[-1, c:] >= 0.0).all():
+            return w - seg, False
+        # Each row's failed checks: the new heads' rating (ratings of slots
+        # that a pair's B takes on even block slots and A on odd ones), the
+        # paying heads' floors and security, and the members' charge.
+        bad = np.empty((w - seg, p + b + start.size - c), dtype=bool)
+        if p:
+            rated = self.fleet.ratings(charged[:, f:c])
+            o = 1 - e  # rows e, e + 2, ... are even block slots; o, o + 2, ... odd
+            np.less_equal(rated[e::2, p : 2 * p], rated[e::2, 2 * p :], out=bad[e::2, :p])
+            np.less_equal(rated[o::2, :p], rated[o::2, 2 * p :], out=bad[o::2, :p])
+        np.less(charged[:, :b], self.low[seg:w], out=bad[:, p : p + b])
+        np.less(charged[:, c:], 0.0, out=bad[:, p + b :])
+        i = int(bad.argmax())
+        if not bad.item(i):
+            return w - seg, False
+        j = i // bad.shape[1]
+        return j, not np.count_nonzero(bad[j, p:])
+
+    def carry(self, seg: int, j: int) -> bool:
+        """Carry the break on block slot t = seg + j, where h heads and r
+        was to take the head, if the controller hands each pair cluster's
+        head to a member (`FleetState.handed_on`, from the slot's charge
+        row) that can pay its security charge; return whether it did. Each
+        pick takes r's column, r joins the members, and `start` becomes the
+        row slot t leaves, the picks' security charge paid."""
+        loop, fleet, t, after = self.loop, self.fleet, seg + j, self.work[2 * j + 1]
+        if self.column is None:
+            self._index()
+        f, a, b, c, cand = self.f, self.a, self.b, self.c, self.cand
+        at_h, at_r, r_cols = (self.at_b, self.at_a, slice(f, a)) if t % 2 else (
+            self.at_a, self.at_b, slice(a, b))
+        res = after[self.column[cand]]
+        handed = fleet.handed_on(self.cycle[(self.s + t - self.first) % 2], self.s + t, cand,
+                                 at_h, res, res >= loop.critical_level, self.segs)
+        if handed is None:
+            return False
+        trace, picks = handed
+        picked = res[picks]
+        # A pick is rated at least as high as r, which can pay: it falls
+        # short only on a rating tie. Both paid a member's charge (at least
+        # this one) on slot t from a binade up, so near the charge their
+        # residuals differ by an even number of its ulps, which normal
+        # ratings tell apart; where all ratings are 0 or inf, r is the
+        # lowest eligible id. Only subnormal ratings are left: they need a
+        # decay estimate 2**1021 times a member's charge.
+        if np.count_nonzero(picked < self.cost):
+            return False
+        taken = cand[picks]
+        loop._extend_run(self.cycle, self.first, self.s + t - 1)
+        self.cycle, self.first = (trace, fleet.handed_back(trace)), self.s + t
+        # Each pick that was a member takes r's column; r joins the members.
+        moved = picks != at_r
+        returning = at_r[moved]
+        self.column[taken[moved]] = self.column[cand[returning]]
+        added = self._join(cand[returning], res[returning], after)
+        if t % 2:
+            self.A, self.at_a = taken, picks
+        else:
+            self.B, self.at_b = taken, picks
+        # The next slots start from slot t's residuals, the picks' after
+        # their security charge, and each pair cluster's richest member.
+        res[at_h] = res[picks] = -np.inf
+        start = self.start = np.concatenate(
+            (after[:b], np.maximum.reduceat(res, self.segs.starts), after[c:], added))
+        start[r_cols] = picked - self.cost
+        self.k = loop.size = t + 1 + min(self.k - t - 1, BLOCK_CELLS // (2 * (start.size + 1)))
+        return True
+
+    def _index(self) -> None:
+        """At the first break: each active vehicle's column, and the
+        candidates in (cluster, id) order, one segment per pair, with A's
+        and B's positions among them."""
+        v = self.loop.v
+        self.column = np.empty(v.id.size, dtype=np.intp)
+        self.column[self.paying] = np.arange(self.paying.size)
+        self.column[self.members] = self.inverse + self.c
+        # Vehicle ids follow the clusters, so id order is (cluster, id) order.
+        cand = self.cand = (v.active & self.paired[v.cluster]).nonzero()[0]
+        self.segs = _Segments.of_lengths(np.bincount(v.cluster[cand])[v.cluster[self.A]])
+        self.at_a, self.at_b = cand.searchsorted(self.A), cand.searchsorted(self.B)
+
+    def _join(self, joining: np.ndarray, residual: np.ndarray, after: np.ndarray) -> np.ndarray:
+        """Give each vehicle at `joining`, whose residual is `residual`, the
+        member column of `after` whose residual has its residual's bits, or
+        a new one; return the new columns' residuals."""
+        joined = residual.view(np.int64).tolist()
+        known = dict(zip(after[self.c :].view(np.int64).tolist(), range(self.c, after.size)))
+        added = [bits for bits in dict.fromkeys(joined) if bits not in known]
+        known.update(zip(added, range(after.size, after.size + len(added))))
+        self.column[joining] = [known[bits] for bits in joined]
+        return np.array(added, dtype=np.int64).view(float)
+
+    def write_back(self, seg: int, j: int) -> int:
+        """End the block j slots into the segment from block slot seg:
+        write back the residuals, the heads and the critical flags, record
+        the slots, and return how many the block stepped."""
+        loop, v, p, k = self.loop, self.loop.v, self.p, seg + j
+        if k == 0:  # slot s runs alone and marks the critical vehicles again
+            return 0
+        end = self.work[self.rows * j] if j else self.start
+        if self.column is None:
+            v.residual[self.paying] = end[: self.b]
+            v.residual[self.members] = end[self.c :][self.inverse]
+        else:
+            v.residual[v.active] = end[self.column[v.active]]
+        sums, txs = loop._tally(self.s, k, loop.n_active, self.n_heads, self.exchange,
+                                self.transfers, p)
+        if loop.controller is not None:
+            np.less(v.residual, loop.critical_level, out=v.critical)
+            if p:
+                # The heads of slot s + k, and the pairs from there. The last
+                # slot's new heads are marked from its charge row, before
+                # their security charge; a break's picks are never critical.
+                cur, new, cols = (self.B, self.A, slice(self.a, self.b)) if k % 2 else (
+                    self.A, self.B, slice(self.f, self.a))
+                v.critical[cur] = self.work[2 * j - 1, cols] < loop.critical_level if j else False
+                if self.column is not None or k % 2:
+                    self.fleet.hand_over(loop.pairs[0], cur)
+                loop.pairs = cur, new
+            loop._extend_run(self.cycle, self.first, self.s + k - 1)
+            turn = (self.s + k - self.first) % len(self.cycle)
+            loop.cycle = self.cycle[turn:] + self.cycle[:turn] if turn else self.cycle
+        loop._record(sums, txs, [p] * k)
+        return k
 
 
 def run_baseline(cfg: SimConfig) -> RunReport:

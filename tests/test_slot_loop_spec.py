@@ -350,6 +350,19 @@ def configs(draw) -> SimConfig:
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=3, app_count=2, lam=1.0, hops=4,
                    energy_per_record=2580.3, security_cost=3e3, slot=0.3, horizon=26.4,
                    initial_energy=3.3e5 + 0.1, global_exchange_period=4, required_tx_limit=50.0))
+# At the break on slot 9, member 1 is one ulp under the critical level and
+# its rating ties those of members 2 to 4, which are on it: the head goes to
+# member 2, the lowest id among the members that are not critical.
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=5, app_count=1, lam=1.5, hops=1,
+                   energy_per_record=2581.7, security_cost=5805.0, slot=0.5, horizon=4.5,
+                   initial_energy=562776.6664069507, critical_fraction=0.7524145752353476,
+                   global_exchange_period=2))
+# The run ends on a carried break at slot 3, whose pick, member 2, pays a
+# security charge that takes it under the critical level: it stays marked
+# as the slot's charge left it, not critical.
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=3, app_count=1, lam=1.75, hops=0,
+                   energy_per_record=2580.3, security_cost=11610.0, slot=0.5, horizon=1.5,
+                   initial_energy=1e9, critical_fraction=0.99992))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)
