@@ -383,34 +383,42 @@ class FleetState:
         a = self.vehicles
         if np.count_nonzero(a.tx_limit < 0):
             raise ValueError("tx_limit must be >= 0")
+        # The vehicles in (cluster, id) order, one segment per cluster.
+        n = a.id.size
         order = np.lexsort((a.id, a.cluster))
-        keys, starts = np.unique(a.cluster[order], return_index=True)
-        members = np.split(order, starts[1:]) if order.size else []
+        cluster = a.cluster[order]
+        first = np.empty(n, dtype=bool)
+        first[:1] = True
+        np.not_equal(cluster[1:], cluster[:-1], out=first[1:])
+        starts = first.nonzero()[0]
         # A cluster without a head never gains one, so only clusters with
-        # a head are stepped; each one's head is its lowest-id flagged member.
-        stepped = [k for k, m in enumerate(members) if a.head[m].any()]
-        self._stepped = keys[stepped].tolist()
-        members = [members[k] for k in stepped]
-        self.heads = np.array([m[a.head[m]][0] for m in members], dtype=np.intp)
+        # a head are stepped; each one's head is its lowest-id flagged
+        # member, the first flagged position of its segment (n for none).
+        positions = np.arange(n)
+        head_at = np.minimum.reduceat(np.where(a.head[order], positions, n), starts)
+        stepped = head_at < n
+        self._stepped = cluster[starts[stepped]].tolist()
+        self.heads = order[head_at[stepped]]
         # The stepped clusters' members as one flat array in (cluster, id)
         # order, one segment per cluster, for the head selection. Where it
         # holds every vehicle in array order, a slice gathers it as a view.
-        self._flat = np.concatenate(members) if stepped else np.empty(0, np.intp)
+        self._flat = order[stepped[np.cumsum(first) - 1]]
         self._gather = self._flat
-        if np.array_equal(self._flat, np.arange(order.size)):
+        if np.array_equal(self._flat, positions):
             self._gather = slice(None)
         # Only the head keeps its flag, so `_apply_change` moves one flag.
         a.head[self._flat] = False
         a.head[self.heads] = True
-        self._segments = _Segments.of_lengths([m.size for m in members])
+        self._segments = _Segments.of_lengths(np.diff(starts, append=n)[stepped])
         self._flat_qualified = None
         if self.required_tx_limit is not None:
             self._flat_qualified = self._qualifies(self._flat)
         # Vehicle -> position of its stepped cluster; the rest share one
         # extra position.
-        self._cluster_of = np.full(order.size, len(stepped), dtype=np.intp)
+        count = self.heads.size
+        self._cluster_of = np.full(n, count, dtype=np.intp)
         self._cluster_of[self._flat] = self._segments.segment
-        self._active_count = np.bincount(self._cluster_of[a.active], minlength=len(stepped) + 1)
+        self._active_count = np.bincount(self._cluster_of[a.active], minlength=count + 1)
         self._class_of = _head_classes(a.tx_limit, self.required_tx_limit)
         # Each vehicle's verdict as a head, kept while the observed score
         # stays the same.

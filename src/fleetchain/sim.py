@@ -97,6 +97,17 @@ traces, so `RunReport` keeps the cycle and the slot range. The totals,
 `comparison_csv` and the new-head security charge read the columns;
 `RunReport.rows`, `trace` and `vehicles` build their dataclasses only when
 read.
+
+A block records its slots with array operations: its exchange flags and
+transfers are arrays (`_exchanges`), each slot's item sums are one of at
+most two rows picked by its exchange flag (`_tally`), and the running
+transaction and energy counts are each one `np.add.accumulate`, which adds
+strictly in order and so gives the bits of one addition a slot. The columns
+take the arrays as lists. A slot stepped alone keeps scalars (`_charge_one`,
+`_record_one`): below a few dozen slots the fixed cost of the array calls
+outweighs the per-slot Python they save. On a 1 000-vehicle block the list
+bookkeeping took about 6 us for one slot and 81 us for 199, the arrays 15
+and 37 us (2-vCPU Xeon, CPython 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -110,7 +121,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import compress
 
 import numpy as np
 
@@ -630,19 +641,22 @@ class _SlotLoop:
         # its `heads`, which head changes update in place.
         self.heads = vehicles.head.nonzero()[0]
         self.n_active = int(np.count_nonzero(vehicles.active))
-        self.period = cfg.period_value
+        # No slot of the run divides a period past its last slot; capped,
+        # the period stays in numpy's int64 for `_exchanges`.
+        self.period = min(cfg.period_value, cfg.n_slots + 1)
         self.critical_level = cfg.critical_fraction * cfg.initial_energy
         self.tx_cum = self.e_cum = 0.0
-        self.emitted_prev = 0
+        # The load model's whole transfers emitted so far.
+        self.emitted_prev = 0.0
         self.slots = SlotColumns()
         self.trace_runs: list[tuple[tuple[SlotTrace, ...], int, int]] = []
         # The next block's cycle of slot traces, the next slot's first, and
         # its (cur, new) pairs: one trace and none for a keep, two for a swap.
         self.cycle: tuple[SlotTrace, ...] = ()
         self.pairs = _NO_PAIRS
-        # A slot's item sums, by its payers, whether it is slot 1 (the join
-        # charge) and whether it is an exchange slot.
-        self.slot_sums: dict[tuple, list[float]] = {}
+        # A slot's item sums (`_sums`), by its payers, whether it is slot 1
+        # (the join charge), whether it is an exchange slot and its changes.
+        self.slot_sums: dict[tuple, tuple[float, float, float]] = {}
         # The cost table, by whether the slot is slot 1: a member's cost,
         # and a head's by whether the slot is an exchange slot. A cost is
         # one payer's (security, transmission, update) items and its charge,
@@ -757,7 +771,7 @@ class _SlotLoop:
             if self.controller is not None:
                 np.less(self.v.residual, self.critical_level, out=self.v.critical)
                 self._extend_run(self.cycle, s, s + k - 1)
-            self._record([(0.0, 0.0, 0.0)] * k, [self.tx_cum] * k, [0] * k)
+            self._record([[0.0] * k] * 3, np.zeros(k), np.full(k, self.tx_cum), 0)
             return k
         block = _Block(self, s, k)
         seg, w = 0, block.k
@@ -773,8 +787,9 @@ class _SlotLoop:
                 return block.write_back(seg, 0)
             # A head that pays the exchange mostly breaks its pair on the
             # next slot: the next segment ends there.
-            w = min(block.k, next((i + 2 for i in range(seg, block.k) if block.exchange[i]),
-                                  block.k))
+            ahead = block.exchange[seg : block.k]
+            i = int(ahead.argmax())
+            w = min(block.k, seg + i + 2) if ahead[i] else block.k
 
     def _extend_run(self, cycle: tuple[SlotTrace, ...], first: int, last: int) -> None:
         """Record that slots first .. last repeat `cycle` from its first
@@ -794,7 +809,7 @@ class _SlotLoop:
     # series). The 24 fleet-churn paired runs of seed 1 step 179 slots
     # alone, 131 of them clustered, so it would add about 10 ms to their
     # 0.08 s (2-vCPU Xeon, CPython 3.11, numpy 2.4).
-    def _charge_one(self, s: int) -> tuple[list[float], float]:
+    def _charge_one(self, s: int) -> tuple[tuple[float, float, float], float]:
         """Charge slot s alone: every active vehicle that can pay does and
         the rest stop. Return its (security, transmission, update) sums and
         its `transactions_cum`.
@@ -803,14 +818,20 @@ class _SlotLoop:
         a head's charge in place of a member's; an inactive vehicle's entry
         is masked out by `paid`. Only on a slot where some vehicle stops are
         the `active` flags written, through the controller when there is
-        one, which keeps each cluster's active count."""
+        one, which keeps each cluster's active count. The slot's exchange,
+        transfers and counts are scalars, as `_exchanges` and `_tally` find
+        them for a block (see the module docstring)."""
         v, heads = self.v, self.heads
         if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
-            return [0.0, 0.0, 0.0], self.tx_cum
-        exchange, transfers = self._exchanges(s, 1, heads.size)
+            return (0.0, 0.0, 0.0), self.tx_cum
+        if self.load_rate is None:
+            exchange = s % self.period == 0
+        else:
+            due = self._due(s).item()
+            exchange = due > self.emitted_prev
         member, head = self.costs[s == 1]
         after = np.subtract(v.residual, member[1], out=self.after)
-        after[heads] = v.residual[heads] - head[exchange[0]][1]
+        after[heads] = v.residual[heads] - head[exchange][1]
         # A residual minus a charge is >= 0 exactly when it covers the charge.
         paid = np.greater_equal(after, 0.0, out=self.paid)
         paid &= v.active
@@ -826,73 +847,110 @@ class _SlotLoop:
         if s == 1:  # every vehicle that pays slot 1 joins, and only those pay later
             v.joined |= paid
         n_heads = int(np.count_nonzero(paid[heads]))
-        if n_heads < heads.size:
-            _, transfers = self._exchanges(s, 1, n_heads)
-        sums, txs = self._tally(s, 1, payers, n_heads, exchange, transfers)
-        return sums[0], txs[0]
-
-    def _tally(self, s, k, payers, n_heads, exchange, transfers, changes=0):
-        """The sums and `transactions_cum` of k slots from s that `payers`
-        vehicles paid, `n_heads` heads first, and on which `changes` new
-        heads paid their security charge. Each slot's sums add the payers'
-        items left to right, heads before members, in id order, and then one
-        security charge per new head. Off the exact grid the running
-        transaction count adds each member's increment in order, then the
-        transfers; heads add none. A slot's sums are computed once per
-        (payer counts, slot 1, exchange, changes) and kept in `slot_sums`;
-        the k slots look up at most two keys, exchange or not."""
-        if self.load_rate is not None:
-            self.emitted_prev += sum(transfers[:k])
+        transfers = 0.0
+        if exchange and n_heads:
+            if self.load_rate is None:
+                transfers = float(n_heads * (n_heads - 1))
+            else:
+                transfers, self.emitted_prev = due - self.emitted_prev, due
         members = payers - n_heads
         if self.exact_tx:
-            # Exact sums: each slot adds its members' and transfers' total.
-            txs = list(accumulate([members * self.member_tx + t for t in transfers[:k]],
-                                  initial=self.tx_cum))[1:]
+            self.tx_cum += members * self.member_tx + transfers
         else:
-            txs = self._tx_chain(k, members, transfers)
-        self.tx_cum = txs[-1]
-        exchange, first, by_exchange = exchange[:k], s == 1, {}
-        for ex in {*exchange}:
-            key = (n_heads, payers, first, ex, changes)
-            sums = self.slot_sums.get(key)
-            if sums is None:
-                member, head = self.costs[first]
-                security, transmission, update = _payer_sums(n_heads, members, head[ex][0],
-                                                             member[0])
-                for _ in range(changes):
-                    security += self.cfg.security_cost
-                sums = self.slot_sums[key] = security, transmission, update
-            by_exchange[ex] = sums
-        return list(map(by_exchange.__getitem__, exchange)), txs
+            self.tx_cum = self._tx_chain(1, members, transfers)[0].item()
+        return self._sums(n_heads, payers, s == 1, exchange, 0), self.tx_cum
+
+    def _sums(self, n_heads, payers, first, exchange, changes) -> tuple[float, float, float]:
+        """A slot's (security, transmission, update) sums, that `payers`
+        vehicles paid, `n_heads` heads first, on slot 1 (`first`) or not
+        and on an exchange slot or not, and on which `changes` new heads
+        paid their security charge: the payers' items added left to right,
+        heads before members, in id order, and then one security charge per
+        new head. Computed once per key and kept in `slot_sums`."""
+        # Only a head's cost depends on the exchange: with no head paying,
+        # both kinds of slot add the same items.
+        exchange = exchange and n_heads > 0
+        key = (n_heads, payers, first, exchange, changes)
+        sums = self.slot_sums.get(key)
+        if sums is None:
+            member, head = self.costs[first]
+            security, transmission, update = _payer_sums(n_heads, payers - n_heads,
+                                                         head[exchange][0], member[0])
+            for _ in range(changes):
+                security += self.cfg.security_cost
+            sums = self.slot_sums[key] = security, transmission, update
+        return sums
+
+    def _tally(self, s, k, payers, n_heads, exchange, transfers, changes):
+        """The k block slots from s, with `exchange` and `transfers` from
+        `_exchanges`: their (security, transmission, update) columns as
+        lists, and each slot's total of the three and `transactions_cum` as
+        arrays. A block's slots share their payers, so each slot's sums
+        (`_sums`) are one of at most two, by exchange, and slots with the
+        same sums share their float objects. The running transaction count
+        is one `np.add.accumulate`, which adds in order: on the exact grid
+        each slot's members' increments and transfers, off it each member's
+        increment and then the transfers (`_tx_chain`); heads add none. A
+        slot stepped alone takes the same sums and counts as scalars in
+        `_charge_one`: on one slot these array calls cost more than the
+        Python they replace."""
+        members = payers - n_heads
+        if self.load_rate is not None and n_heads:
+            # The load model's count never falls: by the last slot it has
+            # emitted that slot's count.
+            self.emitted_prev = max(self.emitted_prev, self._due(s + k - 1).item())
+        if self.exact_tx:
+            txs = np.empty(k + 1)
+            txs[0] = self.tx_cum
+            np.add(members * self.member_tx, transfers[:k], out=txs[1:])
+            txs = np.add.accumulate(txs, out=txs)[1:]
+        else:
+            txs = self._tx_chain(k, members, transfers[:k])
+        self.tx_cum = txs[-1].item()
+        picks = exchange[:k].astype(np.intp)
+        n_on = int(np.count_nonzero(picks))
+        # The sums by exchange flag; a flag no slot has takes the other's.
+        off = self._sums(n_heads, payers, s == 1, False, changes) if n_on < k else None
+        on = self._sums(n_heads, payers, s == 1, True, changes) if n_on else off
+        rows = off or on, on
+        totals = np.array([(security + transmission) + update
+                           for security, transmission, update in rows])[picks]
+        return np.array(rows, dtype=object).T[:, picks].tolist(), totals, txs
 
     def _tx_chain(self, k, members, transfers):
         """The `transactions_cum` of k slots as one sequential chain, a row
         per slot in the reused `increments` buffer: each member's increment,
-        then the slot's global transfers."""
+        then the slot's global `transfers` (k of them, or one for all). The
+        result is a view of the buffer."""
         width = members + 1
         flat = self.increments[: k * width + 1]
         flat[0] = self.tx_cum
         grid = flat[1:].reshape(k, width)
         grid[:, :-1] = self.member_tx
-        grid[:, -1] = transfers[:k]
-        return np.add.accumulate(flat, out=flat)[width::width].tolist()
+        grid[:, -1] = transfers
+        return np.add.accumulate(flat, out=flat)[width::width]
 
-    def _exchanges(self, s: int, k: int, heads: int) -> tuple[list[bool], list[int]]:
+    def _due(self, slots):
+        """The load model's whole transfers by the end of `slots`, an int
+        or an int array: its cumulative count, rounded up."""
+        t = slots * self.cfg.slot
+        return np.ceil(self.load_rate * t * t / 2.0)
+
+    def _exchanges(self, s: int, k: int, heads: int) -> tuple[np.ndarray, np.ndarray]:
         """For each of slots s .. s + k - 1, with `heads` heads paying each:
-        whether it is an exchange slot, and the global transfers it counts."""
+        whether it is an exchange slot, and the global transfers it counts,
+        as a bool and a float array. Under the load model a slot is an
+        exchange slot where its count (`_due`) passes the most emitted
+        before it, and with heads it emits the difference."""
+        slots = np.arange(s, s + k)
         if self.load_rate is None:
-            exchange = [(s + i) % self.period == 0 for i in range(k)]
-            return exchange, [heads * (heads - 1) if ex else 0 for ex in exchange]
-        exchange, transfers = [], []
-        emitted_prev = self.emitted_prev
-        for slot in range(s, s + k):
-            t = slot * self.cfg.slot
-            emitted = max(0, math.ceil(self.load_rate * t * t / 2.0) - emitted_prev)
-            counted = emitted if heads else 0
-            emitted_prev += counted
-            exchange.append(emitted > 0)
-            transfers.append(counted)
-        return exchange, transfers
+            exchange = slots % self.period == 0
+            return exchange, exchange * float(heads * (heads - 1))
+        due = self._due(slots)
+        if not heads:
+            return due > self.emitted_prev, np.zeros(k)
+        emitted = np.maximum.accumulate(np.concatenate(([self.emitted_prev], due)))
+        return due > emitted[:-1], np.diff(emitted)
 
     # `_record_one` stays beside `_record`: a one-row `_record` costs 3.1 us
     # a call against 0.7 us here (2-vCPU Xeon, CPython 3.11).
@@ -907,17 +965,25 @@ class _SlotLoop:
         c.transactions_cum.append(tx)
         c.ch_changes.append(changes)
 
-    def _record(self, sums, txs, changes) -> None:
-        """Append the next slots' columns: each one's (security,
-        transmission, update) sums, `transactions_cum` and head changes."""
+    def _record(self, items: list[list[float]], totals: np.ndarray, txs: np.ndarray,
+                changes: int) -> None:
+        """Append the next slots' columns: the (security, transmission,
+        update) lists `items`, `transactions_cum` from `txs` and `changes`
+        head changes each. The running energy adds each slot's `totals`,
+        its `(security + transmission) + update`, in order."""
         c = self.slots
-        energy = list(accumulate([a + b + d for a, b, d in sums], initial=self.e_cum))
-        self.e_cum = energy[-1]
-        c.energy_cum += energy[1:]
-        for column, values in zip((c.security_j, c.transmission_j, c.update_j), zip(*sums)):
-            column += values
-        c.transactions_cum += txs
-        c.ch_changes += changes
+        energy = np.empty(txs.size + 1)
+        energy[0] = self.e_cum
+        energy[1:] = totals
+        np.add.accumulate(energy, out=energy)
+        self.e_cum = energy[-1].item()
+        c.energy_cum += energy[1:].tolist()
+        security, transmission, update = items
+        c.security_j += security
+        c.transmission_j += transmission
+        c.update_j += update
+        c.transactions_cum += txs.tolist()
+        c.ch_changes += [changes] * txs.size
 
 
 class _Block:
@@ -941,6 +1007,15 @@ class _Block:
     the last new heads' flags differ, where the next event falls on the
     first slot after the window: that slot runs alone, and `_single` marks
     every vehicle again before a flag is read.
+
+    Members mostly hold one residual bit pattern, often none; then the
+    members take one column with no `np.unique`. The block records its
+    slots as arrays: `exchange` and `transfers` come from
+    `_SlotLoop._exchanges`, and `write_back` hands them to
+    `_SlotLoop._tally` and `_SlotLoop._record`, which take each slot's sums
+    and the running counts with array operations. A slot stepped alone keeps
+    scalars, since the fixed cost of those calls outweighs what they save
+    on a few slots (see the module docstring).
     """
 
     __slots__ = ("loop", "s", "p", "member", "cost", "fleet", "paired", "paying", "members",
@@ -962,7 +1037,12 @@ class _Block:
         self.members = v.active.copy()
         self.members[self.paying] = False
         residual = v.residual[self.members]
-        bits, self.inverse = np.unique(residual.view(np.int64), return_inverse=True)
+        bits = residual.view(np.int64)
+        # Members mostly hold one residual, and then it is the one column.
+        if np.count_nonzero(bits != bits[:1]):
+            bits, self.inverse = np.unique(bits, return_inverse=True)
+        else:
+            bits, self.inverse = bits[:1], np.zeros(bits.size, dtype=np.intp)
         f = self.f = fixed.size
         a, b, c = self.a, self.b, self.c = f + self.p, f + 2 * self.p, f + 3 * self.p
         self.rows = 2 if self.p else 1
@@ -1119,8 +1199,8 @@ class _Block:
             v.residual[self.members] = end[self.c :][self.inverse]
         else:
             v.residual[v.active] = end[self.column[v.active]]
-        sums, txs = loop._tally(self.s, k, loop.n_active, self.n_heads, self.exchange,
-                                self.transfers, p)
+        items, totals, txs = loop._tally(self.s, k, loop.n_active, self.n_heads, self.exchange,
+                                         self.transfers, p)
         if loop.controller is not None:
             np.less(v.residual, loop.critical_level, out=v.critical)
             if p:
@@ -1136,7 +1216,7 @@ class _Block:
             loop._extend_run(self.cycle, self.first, self.s + k - 1)
             turn = (self.s + k - self.first) % len(self.cycle)
             loop.cycle = self.cycle[turn:] + self.cycle[:turn] if turn else self.cycle
-        loop._record(sums, txs, [p] * k)
+        loop._record(items, totals, txs, p)
         return k
 
 
@@ -1195,6 +1275,14 @@ def _reduction_pct(base: float, other: float) -> float:
     if base == 0.0:
         return 0.0
     return 100.0 * (1.0 - other / base)
+
+
+def _reduction_pcts(base: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """`_reduction_pct` of each pair of `base` and `other`, bit for bit, as
+    one array expression. As with Python floats, a quotient or product past
+    the float range is inf and inf / inf is NaN, with no warning."""
+    with np.errstate(all="ignore"):
+        return 100.0 * (1.0 - np.divide(other, base, out=np.ones(base.shape), where=base != 0.0))
 
 
 @dataclass
@@ -1337,11 +1425,9 @@ def comparison_csv(comp: Comparison, cells: dict | None = None) -> str:
     clus_tx = _cells(clus.transactions_cum)
     if cells is not None:
         cells.update(t=t, baseline=base_tx, clustered=clus_tx)
-    tx_red, energy_red = (
-        _cells([_reduction_pct(b, c) for b, c in zip(base_col, clus_col)])
-        for base_col, clus_col in ((base.transactions_cum, clus.transactions_cum),
-                                   (base.energy_cum, clus.energy_cum))
-    )
+    tx_red, energy_red = map(_cells, _reduction_pcts(
+        np.array((base.transactions_cum, base.energy_cum), dtype=float),
+        np.array((clus.transactions_cum, clus.energy_cum), dtype=float)).tolist())
     rows = [",".join(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS) + "\r\n", base_rows]
     regime = comp.clustered.regime
     rows += [f"{a},{regime},{tx},{e},{c},{c},{r},{q}\r\n" for a, tx, e, c, r, q in zip(

@@ -1,8 +1,12 @@
 import math
+import struct
 from dataclasses import replace
 from itertools import repeat
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from test_golden import CONFIGS
 
 from fleetchain.analytics import transaction_count
@@ -12,6 +16,7 @@ from fleetchain.sim import (
     SimConfig,
     _cells,
     _reduction_pct,
+    _reduction_pcts,
     baseline_assumptions,
     compare_reports,
     comparison_csv,
@@ -261,6 +266,29 @@ def test_comparison_csv_is_what_csv_writer_writes(name):
     if name == "set-cells":
         assert "inf" in text and "nan" in text and "e-324" in text
 
+
+
+# Bases and others at the edges: zeros of both signs, infinities, NaN,
+# subnormals, the float range's ends, and others above their base.
+EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+         2.2250738585072014e-308, 1e-300, 1.0, 3.0, 7.5, 1e16, 1e300, 1.7976931348623157e308,
+         -1.0, -1e308)
+
+
+def assert_pcts_match(bases, others):
+    got = _reduction_pcts(np.array(bases), np.array(others)).tolist()
+    want = [_reduction_pct(b, o) for b, o in zip(bases, others)]
+    assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in want]
+    assert all(type(x) is float for x in want)
+
+
+def test_array_percentages_are_the_scalar_formula_bit_for_bit():
+    assert_pcts_match([b for b in EDGES for _ in EDGES], [o for _ in EDGES for o in EDGES])
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=20))
+def test_array_percentages_are_the_scalar_formula_on_any_floats(pairs):
+    assert_pcts_match([b for b, _ in pairs], [o for _, o in pairs])
 
 def test_conservation_factor_series():
     factors = []

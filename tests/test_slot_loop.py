@@ -470,6 +470,20 @@ def test_swap_blocks_that_gain_member_columns_keep_their_cap(monkeypatch):
     assert_clustered_run_is_spec(cfg)
 
 
+def test_block_keeps_member_residuals_apart_by_the_sign_of_zero():
+    # 0.0 and -0.0 are equal as numbers but not in bits: a block gives each
+    # its own member column, and a charge of 0.0 keeps each sign.
+    cfg = SimConfig(cluster_count=1, vehicles_per_cluster=4, lam=2.0, horizon=10.0,
+                    security_cost=0.0)
+    vehicles = fleetchain.sim._init_vehicles(cfg, clustered=False)
+    vehicles.residual[:] = [0.0, -0.0, -0.0, 0.0]
+    free = (0.0, 0.0)
+    loop = fleetchain.sim._SlotLoop(cfg, vehicles, free, free, free, 0.0)
+    assert loop._block(2, 3) == 3
+    assert [math.copysign(1.0, r) for r in vehicles.residual.tolist()] == [1.0, -1.0, -1.0, 1.0]
+    assert loop.slots.energy_cum == [0.0] * 3
+
+
 @pytest.mark.parametrize(
     "horizon, slot, n", [(14.0, 4.0, 3), (10.0, 4.0, 2), (0.3, 0.1, 3), (100.0, 1.0, 100)]
 )

@@ -363,6 +363,26 @@ def configs(draw) -> SimConfig:
 @example(SimConfig(cluster_count=1, vehicles_per_cluster=3, app_count=1, lam=1.75, hops=0,
                    energy_per_record=2580.3, security_cost=11610.0, slot=0.5, horizon=1.5,
                    initial_energy=1e9, critical_fraction=0.99992))
+# A block records its slots as arrays. Its first slot is an exchange slot
+# (slot 2, with an exchange every 2 slots); a block of one slot (slot 2 of
+# 2); blocks cut by their size cap across an exchange: 128 vehicles off the
+# transaction grid take at most BLOCK_CELLS // 128 = 256 slots, so the first
+# block ends on the exchange at slot 257 and the next starts on the slot
+# after it; a load-model block off the transaction grid, which emits about
+# 1e17 transfers a slot; and a run at lam 0, whose blocks pay nothing.
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=2.0, horizon=12.0,
+                   global_exchange_period=2))
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=2.0, horizon=2.0))
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=64, lam=0.1, horizon=300.0,
+                   global_exchange_period=257))
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=2.0, horizon=30.0,
+                   use_load_model_exchange=True, links_per_ledger=10**15))
+@example(SimConfig(cluster_count=3, vehicles_per_cluster=2, lam=0.0, horizon=20.0,
+                   global_exchange_period=3, critical_fraction=0.5))
+# An exchange period past the int64 range (stay_time 1e308): no slot is an
+# exchange slot.
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=2.0, horizon=10.0,
+                   stay_time=1e308))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)

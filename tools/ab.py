@@ -1,8 +1,9 @@
-"""Time two fleetchain trees on one workload's inputs, alternated, each run in
-a process of its own, and print the in-process minima and medians.
+"""Time two fleetchain trees on the inputs of one or more workloads,
+alternated, each run in a process of its own, and print the in-process
+minima and medians.
 
-    python tools/ab.py PARENT CHANGE --workload NAME [--seed N] [--rounds R]
-                                                    [--passes P]
+    python tools/ab.py PARENT CHANGE --workload NAME[,NAME...] [--seed N]
+                                     [--rounds R] [--passes P]
 
 PARENT and CHANGE are checkouts, each with `src/` and `benchmarks/`. The
 inputs are those CHANGE's `benchmarks/workloads.py` builds from the seed
@@ -13,11 +14,14 @@ benchmark's operations from its own tree, with BLAS and OpenMP pinned to one
 thread, runs one untimed pass over the inputs, then P timed passes (default
 5), and checks every timed operation's output as the benchmark does.
 
-The report gives, per side and round, the minimum and the median of the
-operation times in ms, and over the rounds the median of each. It counts the
-rounds in which the change's median was lower. No calibration is applied:
-the two sides run interleaved on one host, so a drift of the host's speed
-reaches both alike. A difference of a few per cent that calibrated
+Each workload named is timed in turn. The report gives, per side and round,
+the minimum and the median of the operation times in ms, and over the
+rounds the median of each. It gives the change / parent ratio of the
+medians over rounds of the per-round medians and of the per-round minima,
+and for each the number of rounds in which the change's was lower. On a
+shared host the minima are mostly the steadier figure. No calibration is
+applied: the two sides run interleaved on one host, so a drift of the
+host's speed reaches both alike. A difference of a few per cent that calibrated
 benchmark medians cannot resolve shows here, or is not there.
 """
 
@@ -70,37 +74,24 @@ def run_side(tree: Path, inputs_path: Path, passes: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv[:1] == ["--child"]:
-        child(Path(argv[1]), Path(argv[2]), int(argv[3]))
-        return 0
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--passes", type=int, default=5)
-    args = parser.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    sys.path.insert(0, str(sides["change"] / "benchmarks"))
+def compare(sides: dict, workload: str, seed: int, rounds: int, passes: int) -> bool:
+    """Time both sides on one workload and print the report; return whether
+    any check failed."""
     import workloads
 
     stats = {name: {"min_ms": [], "median_ms": []} for name in sides}
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = workloads.generate(args.workload, args.seed, Path(tmp))["inputs"]
+        inputs = workloads.generate(workload, seed, Path(tmp))["inputs"]
         inputs_path = Path(tmp) / "inputs.json"
         inputs_path.write_text(json.dumps(inputs))
-        print(f"{args.workload}, seed {args.seed}: {len(inputs)} inputs, {args.rounds} rounds "
-              f"of {args.passes} timed passes a side")
-        for r in range(args.rounds):
+        print(f"{workload}, seed {seed}: {len(inputs)} inputs, {rounds} rounds "
+              f"of {passes} timed passes a side")
+        for r in range(rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             line = [f"round {r + 1:2d}:"]
             for name in order:
-                result = run_side(sides[name], inputs_path, args.passes)
+                result = run_side(sides[name], inputs_path, passes)
                 times = [1e3 * t for t in result["op_s"]]
                 stats[name]["min_ms"].append(min(times))
                 stats[name]["median_ms"].append(statistics.median(times))
@@ -112,11 +103,35 @@ def main(argv: list[str] | None = None) -> int:
     for name in sides:
         print(f"{name}: median over rounds of the min {statistics.median(stats[name]['min_ms']):.3f}"
               f" ms, of the median {statistics.median(stats[name]['median_ms']):.3f} ms")
-    lower = sum(c < p for c, p in zip(stats["change"]["median_ms"], stats["parent"]["median_ms"]))
-    ratio = (statistics.median(stats["change"]["median_ms"])
-             / statistics.median(stats["parent"]["median_ms"]))
-    print(f"change / parent, medians: {ratio:.4f}; change lower in {lower}/{args.rounds} rounds")
+    for figure in ("median", "min"):
+        change, parent = stats["change"][f"{figure}_ms"], stats["parent"][f"{figure}_ms"]
+        lower = sum(c < p for c, p in zip(change, parent))
+        ratio = statistics.median(change) / statistics.median(parent)
+        print(f"{workload}: change / parent, {figure}s: {ratio:.4f}; "
+              f"change lower in {lower}/{rounds} rounds")
     print(json.dumps(stats))
+    return failed
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["--child"]:
+        child(Path(argv[1]), Path(argv[2]), int(argv[3]))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True, help="comma-separated workload names")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--passes", type=int, default=5)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sys.path.insert(0, str(sides["change"] / "benchmarks"))
+    failed = False
+    for workload in args.workload.split(","):
+        failed |= compare(sides, workload, args.seed, args.rounds, args.passes)
     return 1 if failed else 0
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_slot_loop_spec.py", "tests/test_slot_loop.py", "tests/test_golden.py",
-         "tests/test_controller.py", "tests/test_sim.py")
+         "tests/test_controller.py", "tests/test_fleet_index.py", "tests/test_sim.py")
 SIM, CONTROLLER = "fleetchain/sim.py", "fleetchain/controller.py"
 
 
@@ -126,6 +126,24 @@ MUTANTS = (
     Mutant("last-break-marked-from-a-stale-row", SIM,
            "v.critical[cur] = self.work[2 * j - 1, cols] < loop.critical_level if j else False",
            "v.critical[cur] = self.work[2 * j - 1, cols] < loop.critical_level"),
+    # A block's slots recorded as arrays.
+    Mutant("exchanges-one-slot-late", SIM,
+           "slots = np.arange(s, s + k)",
+           "slots = np.arange(s + 1, s + k + 1)"),
+    Mutant("energy-chain-summed-pairwise", SIM,
+           "np.add.accumulate(energy, out=energy)",
+           "energy[1:] = [energy[: i + 2].sum() for i in range(txs.size)]"),
+    Mutant("one-member-column-by-value", SIM,
+           "if np.count_nonzero(bits != bits[:1]):",
+           "if np.count_nonzero(residual != residual[:1]):"),
+    # The cluster index.
+    Mutant("highest-id-flag-heads", CONTROLLER,
+           "head_at = np.minimum.reduceat(np.where(a.head[order], positions, n), starts)",
+           "head_at = np.maximum.reduceat(np.where(a.head[order], positions, -1), starts)"
+           " % (n + 1)"),
+    Mutant("headless-cluster-stepped", CONTROLLER,
+           "stepped = head_at < n",
+           "stepped = head_at <= n"),
 )
 
 
