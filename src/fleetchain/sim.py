@@ -61,7 +61,9 @@ increment, the only one per payer (`lam * slot * (N - 1)` in the baseline,
 whole transfers. The reach is slots x vehicles x that increment plus the
 transfers (vehicles**2 a slot, or the load model's count at the last slot).
 On the grid every sum is exact, so every order gives the same bits, and the
-count adds each slot's total.
+count adds each slot's total. Off it the count adds each member's increment
+and then the slot's transfers, as one chain built in chunks of `BLOCK_CELLS`
+cells.
 
 A block's residuals are one 2-D array of sequential subtractions: a row
 per slot for its charge by role and, with pairs, a second for the new
@@ -73,13 +75,10 @@ member would only repeat those subtractions; across a break only the
 returning vehicle joins them and its pick leaves them. Member columns are
 kept until the block ends, with or without a member: each break adds at
 most one a pair, and the block's cap is recomputed from its columns, so
-they stay bounded. On the transaction grid a block charges up to
-`BLOCK_CELLS // (rows a slot x (columns + 1))` slots (1 489 for a keep of
-20 heads and one member residual), so it mostly runs from a slot stepped
-alone to the next event; a block that reaches its cap is followed by
-another. Off that grid it charges at most `BLOCK_CELLS // vehicles` slots,
-adding the members' increments in order in a buffer reused from block to
-block.
+they stay bounded. A block charges up to `BLOCK_CELLS // (rows a slot x
+(columns + 1))` slots (1 489 for a keep of 20 heads and one member
+residual), so it mostly runs from a slot stepped alone to the next event; a
+block that reaches its cap is followed by another.
 
 A slot stepped alone works in vehicle-sized buffers reused from slot to
 slot: each residual minus its charge, written as one subtraction with the
@@ -90,6 +89,18 @@ loop hands it the vehicles that stop, so no slot counts the fleet again;
 the join flags are set on slot 1 only. The new heads pay their security
 charge with one fancy-index subtraction.
 
+While it runs, the loop records two things: one bool array of the slots'
+exchange flags, and a list of spans, one per slot stepped alone and one per
+block. A span is (first slot, slots, paying heads, payers, head changes,
+new heads that paid their security charge); its slots share all of these.
+Nothing reads a run's columns before it ends, so `_columns` builds them
+once, from the spans and flags: each slot's item sums are one of at most
+two rows of its span, picked by its exchange flag, the global transfers are
+array expressions, and the running transaction and energy counts are each
+one `np.add.accumulate`, which adds strictly in order and so gives the bits
+of one addition a slot. So a slot stepped alone and a block take one
+bookkeeping path, at the run's end.
+
 A run is recorded as columns: one list per `SlotRow` field
 (`SlotColumns`), and for each slot stepped alone the columnar `SlotTrace`
 that `evaluate_slot` returns. A block's slots repeat its cycle of those
@@ -97,17 +108,6 @@ traces, so `RunReport` keeps the cycle and the slot range. The totals,
 `comparison_csv` and the new-head security charge read the columns;
 `RunReport.rows`, `trace` and `vehicles` build their dataclasses only when
 read.
-
-A block records its slots with array operations: its exchange flags and
-transfers are arrays (`_exchanges`), each slot's item sums are one of at
-most two rows picked by its exchange flag (`_tally`), and the running
-transaction and energy counts are each one `np.add.accumulate`, which adds
-strictly in order and so gives the bits of one addition a slot. The columns
-take the arrays as lists. A slot stepped alone keeps scalars (`_charge_one`,
-`_record_one`): below a few dozen slots the fixed cost of the array calls
-outweighs the per-slot Python they save. On a 1 000-vehicle block the list
-bookkeeping took about 6 us for one slot and 81 us for 199, the arrays 15
-and 37 us (2-vCPU Xeon, CPython 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -167,12 +167,12 @@ MAX_SLOTS = 100_000
 MAX_VEHICLE_SLOTS = 10_000_000
 
 # Cells of a block's widest array: a stretch of slots between events is
-# charged in blocks of BLOCK_CELLS // (rows x (columns + 1)) slots, and off
-# the exact transaction grid of at most BLOCK_CELLS // vehicles. A keep takes
-# one row a slot and a swap two; the columns are the distinct member
+# charged in blocks of BLOCK_CELLS // (rows x (columns + 1)) slots. A keep
+# takes one row a slot and a swap two; the columns are the distinct member
 # residuals, the paying heads and the pairs' vehicles, and for a swap each
 # pair cluster's richest other member. A block's float arrays then take
-# about 256 KiB at most, which stays in cache.
+# about 256 KiB at most, which stays in cache. Off the exact transaction
+# grid, a run's transaction chain is added in chunks of BLOCK_CELLS cells.
 BLOCK_CELLS = 2**15
 
 # The (cur, new) pairs of a block that keeps every head.
@@ -268,6 +268,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.per_kind_cost is not None:  # a scenario's JSON list: a frozen config hashes
             object.__setattr__(self, "per_kind_cost", tuple(self.per_kind_cost))
+            if any(type(cost) is bool for cost in self.per_kind_cost):
+                raise ValueError(
+                    f"per_kind_cost entries must be numbers, got {self.per_kind_cost!r}")
         if type(self.use_load_model_exchange) is not bool:
             raise ValueError(
                 f"use_load_model_exchange must be true or false, got {self.use_load_model_exchange!r}"
@@ -454,13 +457,13 @@ class SlotColumns:
     """A run's per-slot values, one list per `SlotRow` field in slot order.
     A slot's `offloads` equal its `ch_changes`; every other value is a float."""
 
-    t: list[float] = field(default_factory=list)
-    transactions_cum: list[float] = field(default_factory=list)
-    energy_cum: list[float] = field(default_factory=list)
-    ch_changes: list[int] = field(default_factory=list)
-    security_j: list[float] = field(default_factory=list)
-    transmission_j: list[float] = field(default_factory=list)
-    update_j: list[float] = field(default_factory=list)
+    t: list[float]
+    transactions_cum: list[float]
+    energy_cum: list[float]
+    ch_changes: list[int]
+    security_j: list[float]
+    transmission_j: list[float]
+    update_j: list[float]
 
 
 @dataclass
@@ -630,8 +633,8 @@ class _SlotLoop:
         load_rate: float | None = None,
         controller: tuple[FleetState, ControllerConfig] | None = None,
     ):
-        n = vehicles.id.size
-        self.cfg, self.v, self.member_tx = cfg, vehicles, member_tx
+        n, n_slots = vehicles.id.size, cfg.n_slots
+        self.cfg, self.v, self.member_tx, self.n_slots = cfg, vehicles, member_tx, n_slots
         self.load_rate, self.controller = load_rate, controller
         # Reused by every slot stepped alone: each vehicle's residual minus
         # its charge, and whether it paid.
@@ -643,20 +646,25 @@ class _SlotLoop:
         self.n_active = int(np.count_nonzero(vehicles.active))
         # No slot of the run divides a period past its last slot; capped,
         # the period stays in numpy's int64 for `_exchanges`.
-        self.period = min(cfg.period_value, cfg.n_slots + 1)
+        self.period = min(cfg.period_value, n_slots + 1)
         self.critical_level = cfg.critical_fraction * cfg.initial_energy
-        self.tx_cum = self.e_cum = 0.0
         # The load model's whole transfers emitted so far.
         self.emitted_prev = 0.0
-        self.slots = SlotColumns()
+        # What the run records, read once at its end (`_columns`): its spans
+        # of slots that share their payers (`_span`), and each slot's
+        # exchange flag, by slot.
+        self.spans: list[tuple[int, int, int, int, int, int]] = []
+        self.exchange = np.zeros(n_slots + 1, dtype=bool)
         self.trace_runs: list[tuple[tuple[SlotTrace, ...], int, int]] = []
         # The next block's cycle of slot traces, the next slot's first, and
         # its (cur, new) pairs: one trace and none for a keep, two for a swap.
         self.cycle: tuple[SlotTrace, ...] = ()
         self.pairs = _NO_PAIRS
-        # A slot's item sums (`_sums`), by its payers, whether it is slot 1
-        # (the join charge), whether it is an exchange slot and its changes.
-        self.slot_sums: dict[tuple, tuple[float, float, float]] = {}
+        # The distinct item sums of the run's slots (`_sums`), and each one's
+        # position by its payers, whether it is slot 1 (the join charge),
+        # whether it is an exchange slot and its new heads' security charges.
+        self.sum_rows: list[tuple[float, float, float]] = []
+        self.slot_sums: dict[tuple, int] = {}
         # The cost table, by whether the slot is slot 1: a member's cost,
         # and a head's by whether the slot is an exchange slot. A cost is
         # one payer's (security, transmission, update) items and its charge,
@@ -675,38 +683,23 @@ class _SlotLoop:
         # below 2**53 * g and at least that above it. The transfers are
         # whole numbers: at most vehicles**2 a slot, or the load model's
         # cumulative count at the last slot.
-        n_slots = cfg.n_slots
-        if load_rate is None:
-            transfers = n_slots * n * n
-        else:
-            last = n_slots * cfg.slot
-            transfers = load_rate * last * last / 2.0
-            transfers = math.ceil(transfers) if math.isfinite(transfers) else math.inf
+        transfers = n_slots * n * n if load_rate is None else self._due(n_slots).item()
         self.exact_tx = _on_grid([1.0, member_tx], n_slots * n * member_tx + transfers)
-        # Off the transaction grid a block adds its members' increments in
-        # order in a buffer a fleet wide per slot, reused from block to block.
-        if not self.exact_tx:
-            self.increments = np.empty(max(1, min(n_slots, BLOCK_CELLS // n)) * (n + 1) + 1)
-        # The slots the last block could step: those left, or fewer by its
-        # size cap.
-        self.size = 0
 
     def run(self, regime: str) -> RunReport:
-        n_slots = self.cfg.n_slots
+        n_slots = self.n_slots
         s, block = 1, False
         while s <= n_slots:
             if not block:
                 block = self._single(s)
                 s += 1
             else:
-                ran = self._block(s, n_slots - s + 1)
-                # A block cut short of its size stops before an event; that
-                # slot runs alone. One that reached its size cap is followed
+                # A block cut short of its size cap stops before an event;
+                # that slot runs alone. One that reached its cap is followed
                 # by another block.
-                block = ran == self.size
+                ran, block = self._block(s, n_slots - s + 1)
                 s += ran
-        self.slots.t = [s * self.cfg.slot for s in range(1, n_slots + 1)]
-        return RunReport(regime, self.slots, self.trace_runs, (self.v, self.cfg))
+        return RunReport(regime, self._columns(), self.trace_runs, (self.v, self.cfg))
 
     def _single(self, s: int) -> bool:
         """Step slot s alone; return whether a block may follow it, and if
@@ -717,8 +710,9 @@ class _SlotLoop:
         are (new head, old head); it does not start where a vehicle to take
         a head back stopped."""
         v = self.v
-        (security, transmission, update), tx = self._charge_one(s)
-        changes, follow = 0, True
+        n_heads, payers = self._charge_one(s)
+        changes = paid = 0
+        follow = True
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
             fleet, ctrl = self.controller
@@ -729,14 +723,12 @@ class _SlotLoop:
             new = list(compress(trace.new, trace.change))
             changes = len(new)
             if new:
-                # A new head pays one security charge when it can fund it;
-                # the slot's sum adds one charge per payer.
+                # A new head pays one security charge when it can fund it.
                 cost = self.cfg.security_cost
                 new = np.array(new)
                 new = new[v.residual[new] >= cost]
                 v.residual[new] -= cost
-                for _ in range(new.size):
-                    security += cost
+                paid = new.size
             follow = fleet.fixed == FIXED_KEEP
             if follow:
                 self.cycle, self.pairs = cycle, _NO_PAIRS
@@ -748,14 +740,13 @@ class _SlotLoop:
                 self.pairs = np.array(trace.new), np.array(trace.old)
                 # A vehicle that stopped takes over no head.
                 follow = bool(v.active[self.pairs[1]].all())
-        self._record_one(security, transmission, update, tx, changes)
+        self._span(s, 1, n_heads, payers, changes, paid)
         return follow
 
-    def _block(self, s: int, k: int) -> int:
+    def _block(self, s: int, k: int) -> tuple[int, bool]:
         """Step up to k slots from s as one block (`_Block`), ending at its
         size cap or before its first event (see the module docstring);
-        return how many slots it stepped. `size` gets the slots it could
-        step: k, or fewer by its cap.
+        return how many slots it stepped and whether it reached its cap.
 
         Slot s repeats the first trace of `cycle`, the next slot the next
         one, and so on; with `pairs` (cur, new), each pair cluster's head
@@ -766,13 +757,12 @@ class _SlotLoop:
         rating check alone fails is a break of the pairs; where the block
         carries it (`_Block.carry`), it charges the slots up to the one
         after the next exchange first, and the rest only if no event comes."""
-        self.size = k
         if self.cfg.lam <= 0:  # no vehicle pays, and only keeps form blocks
             if self.controller is not None:
                 np.less(self.v.residual, self.critical_level, out=self.v.critical)
                 self._extend_run(self.cycle, s, s + k - 1)
-            self._record([[0.0] * k] * 3, np.zeros(k), np.full(k, self.tx_cum), 0)
-            return k
+            self._span(s, k, 0, 0, 0, 0)
+            return k, True
         block = _Block(self, s, k)
         seg, w = 0, block.k
         while True:
@@ -781,15 +771,17 @@ class _SlotLoop:
                 w = block.k  # no break by the slot after the exchange: charge them all
                 continue
             if not broke or not block.carry(seg, j):
-                return block.write_back(seg, j)
-            seg += j + 1
+                break
+            seg, j = seg + j + 1, 0
             if seg == block.k:
-                return block.write_back(seg, 0)
+                break
             # A head that pays the exchange mostly breaks its pair on the
             # next slot: the next segment ends there.
             ahead = block.exchange[seg : block.k]
             i = int(ahead.argmax())
             w = min(block.k, seg + i + 2) if ahead[i] else block.k
+        ran = block.write_back(seg, j)
+        return ran, ran == block.k
 
     def _extend_run(self, cycle: tuple[SlotTrace, ...], first: int, last: int) -> None:
         """Record that slots first .. last repeat `cycle` from its first
@@ -804,31 +796,29 @@ class _SlotLoop:
             self.trace_runs.append((cycle, first, last))
 
     # `_charge_one` stays beside `_block`: on a slot where no vehicle stops
-    # a one-slot block gives the same bits, but on a 10 x 50 fleet it costs
-    # about four times as much a call (71-74 us against 17-18 us over four
-    # series). The 24 fleet-churn paired runs of seed 1 step 179 slots
-    # alone, 131 of them clustered, so it would add about 10 ms to their
-    # 0.08 s (2-vCPU Xeon, CPython 3.11, numpy 2.4).
-    def _charge_one(self, s: int) -> tuple[tuple[float, float, float], float]:
+    # a one-slot block gives the same bits, but on a 10 x 50 baseline fleet
+    # it costs about five times as much a call (25-29 us against 5-9 us over
+    # four series). The 24 fleet-churn paired runs of seed 1 step 117 slots
+    # alone, 69 of them clustered, so it would add about 2 ms to their
+    # 0.04 s (2-vCPU Xeon, CPython 3.11, numpy 2.4).
+    def _charge_one(self, s: int) -> tuple[int, int]:
         """Charge slot s alone: every active vehicle that can pay does and
-        the rest stop. Return its (security, transmission, update) sums and
-        its `transactions_cum`.
+        the rest stop. Record its exchange flag and return how many heads
+        and how many vehicles paid.
 
         The `after` buffer gets every vehicle's residual minus its charge,
         a head's charge in place of a member's; an inactive vehicle's entry
         is masked out by `paid`. Only on a slot where some vehicle stops are
         the `active` flags written, through the controller when there is
-        one, which keeps each cluster's active count. The slot's exchange,
-        transfers and counts are scalars, as `_exchanges` and `_tally` find
-        them for a block (see the module docstring)."""
+        one, which keeps each cluster's active count."""
         v, heads = self.v, self.heads
         if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
-            return (0.0, 0.0, 0.0), self.tx_cum
+            return 0, 0
         if self.load_rate is None:
             exchange = s % self.period == 0
         else:
-            due = self._due(s).item()
-            exchange = due > self.emitted_prev
+            exchange = self._due(s).item() > self.emitted_prev
+        self.exchange[s] = exchange
         member, head = self.costs[s == 1]
         after = np.subtract(v.residual, member[1], out=self.after)
         after[heads] = v.residual[heads] - head[exchange][1]
@@ -846,89 +836,110 @@ class _SlotLoop:
         np.copyto(v.residual, after, where=paid)
         if s == 1:  # every vehicle that pays slot 1 joins, and only those pay later
             v.joined |= paid
-        n_heads = int(np.count_nonzero(paid[heads]))
-        transfers = 0.0
-        if exchange and n_heads:
-            if self.load_rate is None:
-                transfers = float(n_heads * (n_heads - 1))
-            else:
-                transfers, self.emitted_prev = due - self.emitted_prev, due
-        members = payers - n_heads
-        if self.exact_tx:
-            self.tx_cum += members * self.member_tx + transfers
-        else:
-            self.tx_cum = self._tx_chain(1, members, transfers)[0].item()
-        return self._sums(n_heads, payers, s == 1, exchange, 0), self.tx_cum
+        return int(np.count_nonzero(paid[heads])), payers
 
-    def _sums(self, n_heads, payers, first, exchange, changes) -> tuple[float, float, float]:
-        """A slot's (security, transmission, update) sums, that `payers`
-        vehicles paid, `n_heads` heads first, on slot 1 (`first`) or not
-        and on an exchange slot or not, and on which `changes` new heads
-        paid their security charge: the payers' items added left to right,
-        heads before members, in id order, and then one security charge per
-        new head. Computed once per key and kept in `slot_sums`."""
+    def _span(self, s: int, k: int, n_heads: int, payers: int, changes: int, paid: int) -> None:
+        """Record slots s .. s + k - 1, on each of which `payers` vehicles
+        paid, `n_heads` heads among them, and `changes` heads changed, of
+        which `paid` new heads paid their security charge."""
+        self.spans.append((s, k, n_heads, payers, changes, paid))
+        if self.load_rate is not None and n_heads:
+            # The load model's count never falls: by the last slot its heads
+            # have emitted that slot's count.
+            self.emitted_prev = max(self.emitted_prev, self._due(s + k - 1).item())
+
+    def _sums(self, n_heads, payers, first, exchange, paid) -> int:
+        """The position in `sum_rows` of a slot's (security, transmission,
+        update) sums, that `payers` vehicles paid, `n_heads` heads first, on
+        slot 1 (`first`) or not and on an exchange slot or not, and on which
+        `paid` new heads paid their security charge: the payers' items added
+        left to right, heads before members, in id order, and then one
+        security charge per new head. Computed once per key."""
         # Only a head's cost depends on the exchange: with no head paying,
         # both kinds of slot add the same items.
         exchange = exchange and n_heads > 0
-        key = (n_heads, payers, first, exchange, changes)
-        sums = self.slot_sums.get(key)
-        if sums is None:
+        key = (n_heads, payers, first, exchange, paid)
+        row = self.slot_sums.get(key)
+        if row is None:
             member, head = self.costs[first]
             security, transmission, update = _payer_sums(n_heads, payers - n_heads,
                                                          head[exchange][0], member[0])
-            for _ in range(changes):
+            for _ in range(paid):
                 security += self.cfg.security_cost
-            sums = self.slot_sums[key] = security, transmission, update
-        return sums
+            row = self.slot_sums[key] = len(self.sum_rows)
+            self.sum_rows.append((security, transmission, update))
+        return row
 
-    def _tally(self, s, k, payers, n_heads, exchange, transfers, changes):
-        """The k block slots from s, with `exchange` and `transfers` from
-        `_exchanges`: their (security, transmission, update) columns as
-        lists, and each slot's total of the three and `transactions_cum` as
-        arrays. A block's slots share their payers, so each slot's sums
-        (`_sums`) are one of at most two, by exchange, and slots with the
-        same sums share their float objects. The running transaction count
-        is one `np.add.accumulate`, which adds in order: on the exact grid
-        each slot's members' increments and transfers, off it each member's
-        increment and then the transfers (`_tx_chain`); heads add none. A
-        slot stepped alone takes the same sums and counts as scalars in
-        `_charge_one`: on one slot these array calls cost more than the
-        Python they replace."""
-        members = payers - n_heads
-        if self.load_rate is not None and n_heads:
-            # The load model's count never falls: by the last slot it has
-            # emitted that slot's count.
-            self.emitted_prev = max(self.emitted_prev, self._due(s + k - 1).item())
-        if self.exact_tx:
-            txs = np.empty(k + 1)
-            txs[0] = self.tx_cum
-            np.add(members * self.member_tx, transfers[:k], out=txs[1:])
-            txs = np.add.accumulate(txs, out=txs)[1:]
+    def _columns(self) -> SlotColumns:
+        """The run's columns, from its spans and exchange flags. Each slot's
+        sums are one of at most two rows of its span, picked by its exchange
+        flag, and slots with the same sums share their float objects. The
+        running energy and transaction counts each add in order, one
+        addition a slot (`np.add.accumulate`); off the exact transaction
+        grid, the transactions add each member's increment and then the
+        slot's global transfers, as one chain in chunks of `BLOCK_CELLS`
+        cells. Heads add no transactions."""
+        n_slots, spans = self.n_slots, self.spans
+        exchange = self.exchange[1:]
+        n_on = np.add.reduceat(exchange, [span[0] - 1 for span in spans]).tolist()
+        # Per span: its sums' rows off and on an exchange slot, its members,
+        # its heads and their C(C - 1) pairs; a flag no slot of the span has
+        # takes the other's.
+        table, lengths, changes = [], [], []
+        for (s, k, n_heads, payers, n_changes, paid), on in zip(spans, n_on):
+            off = self._sums(n_heads, payers, s == 1, False, paid) if on < k else None
+            on = self._sums(n_heads, payers, s == 1, True, paid) if on else off
+            table.append((off if off is not None else on, on, payers - n_heads, n_heads,
+                          n_heads * (n_heads - 1)))
+            lengths.append(k)
+            changes += [n_changes] * k
+        off, on, members, heads, pairs = np.array(table, dtype=np.int64).repeat(lengths, axis=0).T
+        picks = np.where(exchange, on, off)
+        rows = self.sum_rows
+        security, transmission, update = np.array(rows, dtype=object).T.take(picks, axis=1).tolist()
+        # The global transfers: the pairs on an exchange slot, or what the
+        # load model emits by each slot on which heads paid.
+        if self.load_rate is None:
+            transfers = np.where(exchange, pairs, 0.0)
         else:
-            txs = self._tx_chain(k, members, transfers[:k])
-        self.tx_cum = txs[-1].item()
-        picks = exchange[:k].astype(np.intp)
-        n_on = int(np.count_nonzero(picks))
-        # The sums by exchange flag; a flag no slot has takes the other's.
-        off = self._sums(n_heads, payers, s == 1, False, changes) if n_on < k else None
-        on = self._sums(n_heads, payers, s == 1, True, changes) if n_on else off
-        rows = off or on, on
-        totals = np.array([(security + transmission) + update
-                           for security, transmission, update in rows])[picks]
-        return np.array(rows, dtype=object).T[:, picks].tolist(), totals, txs
-
-    def _tx_chain(self, k, members, transfers):
-        """The `transactions_cum` of k slots as one sequential chain, a row
-        per slot in the reused `increments` buffer: each member's increment,
-        then the slot's global `transfers` (k of them, or one for all). The
-        result is a view of the buffer."""
-        width = members + 1
-        flat = self.increments[: k * width + 1]
-        flat[0] = self.tx_cum
-        grid = flat[1:].reshape(k, width)
-        grid[:, :-1] = self.member_tx
-        grid[:, -1] = transfers
-        return np.add.accumulate(flat, out=flat)[width::width]
+            transfers = np.zeros(n_slots)
+            paying = heads.nonzero()[0]
+            emitted = np.zeros(paying.size + 1)
+            emitted[1:] = self._due(paying + 1)
+            transfers[paying] = np.diff(np.maximum.accumulate(emitted))
+        # The running energy and transaction counts, from 0.
+        cum = np.zeros((2, n_slots + 1))
+        cum[0, 1:] = np.array([(a + b) + c for a, b, c in rows]).take(picks)
+        if self.exact_tx:
+            cum[1, 1:] = members * self.member_tx + transfers
+            np.add.accumulate(cum, axis=1, out=cum)
+        else:
+            np.add.accumulate(cum[0], out=cum[0])
+            # Cell ends[i] - 1 of the chain holds slot i's transfers, after
+            # its members' increments.
+            ends = np.cumsum(members + 1)
+            total = 0.0
+            for lo in range(0, ends[-1], BLOCK_CELLS):
+                hi = min(lo + BLOCK_CELLS, ends[-1])
+                a, b = ends.searchsorted((lo, hi), side="right")
+                flat = np.full(hi - lo + 1, self.member_tx)
+                flat[0] = total
+                at = ends[a:b] - lo
+                flat[at] = transfers[a:b]
+                np.add.accumulate(flat, out=flat)
+                cum[1, a + 1 : b + 1] = flat[at]
+                total = flat[-1]
+        energy, txs = cum[:, 1:].tolist()
+        slot = self.cfg.slot
+        return SlotColumns(
+            t=[s * slot for s in range(1, n_slots + 1)],
+            transactions_cum=txs,
+            energy_cum=energy,
+            ch_changes=changes,
+            security_j=security,
+            transmission_j=transmission,
+            update_j=update,
+        )
 
     def _due(self, slots):
         """The load model's whole transfers by the end of `slots`, an int
@@ -936,54 +947,22 @@ class _SlotLoop:
         t = slots * self.cfg.slot
         return np.ceil(self.load_rate * t * t / 2.0)
 
-    def _exchanges(self, s: int, k: int, heads: int) -> tuple[np.ndarray, np.ndarray]:
-        """For each of slots s .. s + k - 1, with `heads` heads paying each:
-        whether it is an exchange slot, and the global transfers it counts,
-        as a bool and a float array. Under the load model a slot is an
+    def _exchanges(self, s: int, k: int, heads: int) -> np.ndarray:
+        """For each of slots s .. s + k - 1, with `heads` heads paying each,
+        whether it is an exchange slot, written into the run's flags and
+        returned as a view of them. Under the load model a slot is an
         exchange slot where its count (`_due`) passes the most emitted
-        before it, and with heads it emits the difference."""
+        before it, and with heads it emits its count."""
         slots = np.arange(s, s + k)
+        flags = self.exchange[s : s + k]
         if self.load_rate is None:
-            exchange = slots % self.period == 0
-            return exchange, exchange * float(heads * (heads - 1))
+            np.equal(slots % self.period, 0, out=flags)
+            return flags
         due = self._due(slots)
-        if not heads:
-            return due > self.emitted_prev, np.zeros(k)
-        emitted = np.maximum.accumulate(np.concatenate(([self.emitted_prev], due)))
-        return due > emitted[:-1], np.diff(emitted)
-
-    # `_record_one` stays beside `_record`: a one-row `_record` costs 3.1 us
-    # a call against 0.7 us here (2-vCPU Xeon, CPython 3.11).
-    def _record_one(self, security, transmission, update, tx, changes) -> None:
-        """Append one slot's columns."""
-        c = self.slots
-        self.e_cum += security + transmission + update
-        c.energy_cum.append(self.e_cum)
-        c.security_j.append(security)
-        c.transmission_j.append(transmission)
-        c.update_j.append(update)
-        c.transactions_cum.append(tx)
-        c.ch_changes.append(changes)
-
-    def _record(self, items: list[list[float]], totals: np.ndarray, txs: np.ndarray,
-                changes: int) -> None:
-        """Append the next slots' columns: the (security, transmission,
-        update) lists `items`, `transactions_cum` from `txs` and `changes`
-        head changes each. The running energy adds each slot's `totals`,
-        its `(security + transmission) + update`, in order."""
-        c = self.slots
-        energy = np.empty(txs.size + 1)
-        energy[0] = self.e_cum
-        energy[1:] = totals
-        np.add.accumulate(energy, out=energy)
-        self.e_cum = energy[-1].item()
-        c.energy_cum += energy[1:].tolist()
-        security, transmission, update = items
-        c.security_j += security
-        c.transmission_j += transmission
-        c.update_j += update
-        c.transactions_cum += txs.tolist()
-        c.ch_changes += [changes] * txs.size
+        before = self.emitted_prev
+        if heads:
+            before = np.maximum.accumulate(np.concatenate(([before], due[:-1])))
+        return np.greater(due, before, out=flags)
 
 
 class _Block:
@@ -1009,19 +988,15 @@ class _Block:
     every vehicle again before a flag is read.
 
     Members mostly hold one residual bit pattern, often none; then the
-    members take one column with no `np.unique`. The block records its
-    slots as arrays: `exchange` and `transfers` come from
-    `_SlotLoop._exchanges`, and `write_back` hands them to
-    `_SlotLoop._tally` and `_SlotLoop._record`, which take each slot's sums
-    and the running counts with array operations. A slot stepped alone keeps
-    scalars, since the fixed cost of those calls outweighs what they save
-    on a few slots (see the module docstring).
+    members take one column with no `np.unique`. `exchange` holds the
+    block's exchange flags (`_SlotLoop._exchanges`); `write_back` records
+    the slots it stepped as one span (`_SlotLoop._span`).
     """
 
     __slots__ = ("loop", "s", "p", "member", "cost", "fleet", "paired", "paying", "members",
-                 "inverse", "f", "a", "b", "c", "rows", "k", "n_heads", "exchange", "transfers",
-                 "head_charges", "low", "start", "work", "A", "B", "column", "cand", "segs",
-                 "at_a", "at_b", "cycle", "first")
+                 "inverse", "f", "a", "b", "c", "rows", "k", "n_heads", "exchange", "head_charges",
+                 "low", "start", "work", "A", "B", "column", "cand", "segs", "at_a", "at_b",
+                 "cycle", "first")
 
     def __init__(self, loop: _SlotLoop, s: int, k: int):
         v, (cur, new), level = loop.v, loop.pairs, loop.critical_level
@@ -1046,12 +1021,9 @@ class _Block:
         f = self.f = fixed.size
         a, b, c = self.a, self.b, self.c = f + self.p, f + 2 * self.p, f + 3 * self.p
         self.rows = 2 if self.p else 1
-        cap = BLOCK_CELLS // (self.rows * (c + bits.size + 1))
-        if not loop.exact_tx:
-            cap = min(cap, BLOCK_CELLS // v.id.size)
-        k = self.k = loop.size = max(1, min(k, cap))
+        k = self.k = max(1, min(k, BLOCK_CELLS // (self.rows * (c + bits.size + 1))))
         self.n_heads = heads.size
-        self.exchange, self.transfers = loop._exchanges(s, k, heads.size)
+        self.exchange = loop._exchanges(s, k, heads.size)
         head = loop.costs[False][1]
         self.head_charges = np.where(self.exchange, head[True][1], head[False][1])[:, None]
         low = self.low = np.full((k if self.p else 1, b), level)
@@ -1159,7 +1131,7 @@ class _Block:
         start = self.start = np.concatenate(
             (after[:b], np.maximum.reduceat(res, self.segs.starts), after[c:], added))
         start[r_cols] = picked - self.cost
-        self.k = loop.size = t + 1 + min(self.k - t - 1, BLOCK_CELLS // (2 * (start.size + 1)))
+        self.k = t + 1 + min(self.k - t - 1, BLOCK_CELLS // (2 * (start.size + 1)))
         return True
 
     def _index(self) -> None:
@@ -1199,8 +1171,6 @@ class _Block:
             v.residual[self.members] = end[self.c :][self.inverse]
         else:
             v.residual[v.active] = end[self.column[v.active]]
-        items, totals, txs = loop._tally(self.s, k, loop.n_active, self.n_heads, self.exchange,
-                                         self.transfers, p)
         if loop.controller is not None:
             np.less(v.residual, loop.critical_level, out=v.critical)
             if p:
@@ -1216,7 +1186,7 @@ class _Block:
             loop._extend_run(self.cycle, self.first, self.s + k - 1)
             turn = (self.s + k - self.first) % len(self.cycle)
             loop.cycle = self.cycle[turn:] + self.cycle[:turn] if turn else self.cycle
-        loop._record(items, totals, txs, p)
+        loop._span(self.s, k, self.n_heads, loop.n_active, p, p)
         return k
 
 

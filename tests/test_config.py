@@ -46,6 +46,7 @@ BAD_PARAMS = [
     '"mean_range": -1',
     '"stay_time": -1',
     '"per_kind_cost": [1, 2]',
+    '"per_kind_cost": [true, false, true]',
     '"vehicle_tx_limit": -1',
     '"energy_per_record": -1',
     '"stay_time": 1e308, "slot": 0.001',

@@ -170,10 +170,10 @@ def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int | tuple[int, int | 
         return handed
 
     def attempting(loop, s, k):
-        ran = block(loop, s, k)
+        ran, capped = block(loop, s, k)
         if ran == 0 and loop.controller is not None:
             slots.append((s, 0))
-        return ran
+        return ran, capped
 
     monkeypatch.setattr(fleetchain.sim, "evaluate_slot", counting)
     monkeypatch.setattr(FleetState, "handed_on", breaking)
@@ -379,9 +379,9 @@ def block_calls(monkeypatch) -> list[tuple[int, int, int]]:
     block = fleetchain.sim._SlotLoop._block
 
     def counting(loop, s, k):
-        ran = block(loop, s, k)
+        ran, capped = block(loop, s, k)
         calls.append((s, k, ran))
-        return ran
+        return ran, capped
 
     monkeypatch.setattr(fleetchain.sim._SlotLoop, "_block", counting)
     return calls
@@ -479,9 +479,11 @@ def test_block_keeps_member_residuals_apart_by_the_sign_of_zero():
     vehicles.residual[:] = [0.0, -0.0, -0.0, 0.0]
     free = (0.0, 0.0)
     loop = fleetchain.sim._SlotLoop(cfg, vehicles, free, free, free, 0.0)
-    assert loop._block(2, 3) == 3
+    assert loop._block(2, 3) == (3, True)
     assert [math.copysign(1.0, r) for r in vehicles.residual.tolist()] == [1.0, -1.0, -1.0, 1.0]
-    assert loop.slots.energy_cum == [0.0] * 3
+    # The block records one span of 3 slots that 4 members pay, at no cost.
+    assert loop.spans == [(2, 3, 0, 4, 0, 0)]
+    assert loop.sum_rows[loop._sums(0, 4, False, False, 0)] == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(

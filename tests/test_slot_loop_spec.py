@@ -363,13 +363,12 @@ def configs(draw) -> SimConfig:
 @example(SimConfig(cluster_count=1, vehicles_per_cluster=3, app_count=1, lam=1.75, hops=0,
                    energy_per_record=2580.3, security_cost=11610.0, slot=0.5, horizon=1.5,
                    initial_energy=1e9, critical_fraction=0.99992))
-# A block records its slots as arrays. Its first slot is an exchange slot
-# (slot 2, with an exchange every 2 slots); a block of one slot (slot 2 of
-# 2); blocks cut by their size cap across an exchange: 128 vehicles off the
-# transaction grid take at most BLOCK_CELLS // 128 = 256 slots, so the first
-# block ends on the exchange at slot 257 and the next starts on the slot
-# after it; a load-model block off the transaction grid, which emits about
-# 1e17 transfers a slot; and a run at lam 0, whose blocks pay nothing.
+# A block whose first slot is an exchange slot (slot 2, with an exchange
+# every 2 slots); a block of one slot (slot 2 of 2); 128 vehicles off the
+# transaction grid, which run slots 2 to 300 as one block through the
+# exchange at slot 257; a load-model block off the transaction grid, which
+# emits about 1e17 transfers a slot; and a run at lam 0, whose blocks pay
+# nothing.
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=2.0, horizon=12.0,
                    global_exchange_period=2))
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=2.0, horizon=2.0))
@@ -383,6 +382,21 @@ def configs(draw) -> SimConfig:
 # exchange slot.
 @example(SimConfig(cluster_count=2, vehicles_per_cluster=3, lam=2.0, horizon=10.0,
                    stay_time=1e308))
+# A run's columns are built from its spans at its end. Off the transaction
+# grid, the baseline's 128 vehicles run slots 2 to 298 as one block, longer
+# than BLOCK_CELLS // 128 = 256 slots, run dry on slot 299, stepped alone
+# inside the second chunk of BLOCK_CELLS cells of the transaction chain, and
+# pay nothing from slot 300 on. Under the load model, the head of the one
+# cluster cannot pay the emission slot 23 after a block: no transfer is
+# emitted there, and slot 24 emits those of both slots. 150 clusters of one
+# vehicle, all heads, cap a keep block at BLOCK_CELLS // 151 = 217 slots:
+# the first block ends on the exchange at slot 218.
+@example(SimConfig(cluster_count=2, vehicles_per_cluster=64, lam=0.1, horizon=400.0,
+                   initial_energy=1e8, global_exchange_period=257))
+@example(SimConfig(cluster_count=1, vehicles_per_cluster=6, app_count=1, lam=2.5, horizon=28.0,
+                   initial_energy=5e6, critical_fraction=0.0, use_load_model_exchange=True))
+@example(SimConfig(cluster_count=150, vehicles_per_cluster=1, lam=2.0, horizon=240.0,
+                   global_exchange_period=218))
 def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)

@@ -237,7 +237,7 @@ def run_set(options: dict) -> tuple[dict, dict[str, Counter]]:
 
     def counting(loop, s, k):
         runs, cycle = len(loop.trace_runs), loop.cycle
-        ran = block(loop, s, k)
+        ran, capped = block(loop, s, k)
         if loop.controller is not None:
             attempts[group] += ran == 0
             # A break carried on starts a run of its own cycle; the block's
@@ -245,7 +245,7 @@ def run_set(options: dict) -> tuple[dict, dict[str, Counter]]:
             breaks = sum(traces is not cycle for traces, _, _ in loop.trace_runs[runs:])
             carried[group] += breaks
             declined[group] -= breaks
-        return ran
+        return ran, capped
 
     def breaking(fleet, *args):
         declined[group] += 1

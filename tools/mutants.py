@@ -126,13 +126,19 @@ MUTANTS = (
     Mutant("last-break-marked-from-a-stale-row", SIM,
            "v.critical[cur] = self.work[2 * j - 1, cols] < loop.critical_level if j else False",
            "v.critical[cur] = self.work[2 * j - 1, cols] < loop.critical_level"),
-    # A block's slots recorded as arrays.
+    # A run's exchange flags, and its columns built from its spans.
     Mutant("exchanges-one-slot-late", SIM,
            "slots = np.arange(s, s + k)",
            "slots = np.arange(s + 1, s + k + 1)"),
     Mutant("energy-chain-summed-pairwise", SIM,
-           "np.add.accumulate(energy, out=energy)",
-           "energy[1:] = [energy[: i + 2].sum() for i in range(txs.size)]"),
+           "np.add.accumulate(cum, axis=1, out=cum)",
+           "cum[:] = [[row[: i + 1].sum() for i in range(row.size)] for row in cum]"),
+    Mutant("chunk-carry-dropped", SIM,
+           "flat[0] = total",
+           "flat[0] = 0.0"),
+    Mutant("load-model-emits-without-heads", SIM,
+           "paying = heads.nonzero()[0]",
+           "paying = np.arange(n_slots)"),
     Mutant("one-member-column-by-value", SIM,
            "if np.count_nonzero(bits != bits[:1]):",
            "if np.count_nonzero(residual != residual[:1]):"),
