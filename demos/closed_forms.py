@@ -7,7 +7,6 @@ estimate, and the transaction ceiling - each checked against quadrature.
 """
 
 import math
-from dataclasses import replace
 
 from scipy import integrate
 
@@ -62,4 +61,4 @@ txp = TxCountParams(
     range_stddev=40.0,
 )
 print("ceiling (as-derived):", transaction_count(txp))
-print("ceiling (as-printed):", transaction_count(replace(txp, variant="as-printed")))
+print("ceiling (as-printed):", transaction_count(txp, "as-printed"))

@@ -13,8 +13,9 @@ Per-vehicle energy decay over a horizon tau is the closed form of
 and the transaction ceiling is the exact integral of the load model
 ``(1/D) * int_0^tau (int_0^R'' f(p) P_c dp) (sum lambda * t) dt`` under the
 Gaussian movement density, rounded up. Two typographic variants of the
-ceiling are kept: ``as-derived`` (the dimensionally consistent integral
-above) and ``as-printed`` (unscaled erf arguments with a 2^(5/2)*D*sigma
+ceiling are kept, chosen by the `variant` argument of `transaction_count`:
+``as-derived`` (the default: the dimensionally consistent integral above)
+and ``as-printed`` (unscaled erf arguments with a 2^(5/2)*D*sigma
 denominator); they are not algebraically equal in general.
 """
 
@@ -98,15 +99,12 @@ class TxCountParams:
     mean_range: float
     radio_range: float
     range_stddev: float
-    variant: str = "as-derived"
 
     def __post_init__(self):
         if self.cluster_count < 1 or self.links_per_ledger < 1:
             raise ValueError("cluster_count and links_per_ledger must be >= 1")
         if self.parallel_links < 1:
             raise ValueError("parallel_links must be >= 1")
-        if self.variant not in ("as-derived", "as-printed"):
-            raise ValueError(f"unknown variant {self.variant!r}")
 
     def total_rate(self) -> float:
         return self.cluster_count * self.links_per_ledger * self.request_rate
@@ -189,20 +187,18 @@ def conservation_factor(rate1: GaussianRate, rate2: GaussianRate) -> float:
     return lam1 / total if total > 0 else 0.0
 
 
-def transaction_count(p: TxCountParams) -> int:
+def transaction_count(p: TxCountParams, variant: str = "as-derived") -> int:
     """Ceiling on the transactions required to shift the accumulated load.
 
     Valid for positive ranges and horizon. The `as-derived` variant is the
     exact integral of the load model; `as-printed` keeps unscaled erf
-    arguments and compensates through the denominator. A positive load
-    needs at least one transaction, also where its value underflows; a
-    ceiling past the float range raises `ValueError`.
+    arguments and compensates through the denominator; any other `variant`
+    raises `ValueError`. A positive load needs at least one transaction,
+    also where its value underflows; a ceiling past the float range raises
+    `ValueError`.
     """
-    return _transaction_count(p, p.variant)
-
-
-def _transaction_count(p: TxCountParams, variant: str) -> int:
-    """`transaction_count` of `p` in `variant`, whatever `p.variant` is."""
+    if variant not in ("as-derived", "as-printed"):
+        raise ValueError(f"unknown variant {variant!r}")
     if p.mean_range <= 0 or p.radio_range <= 0 or p.horizon <= 0:
         raise ValueError(
             "validity region violated: mean_range, radio_range and horizon must be > 0"

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analytics import _transaction_count, energy_decay, transaction_count
+from .analytics import energy_decay, transaction_count
 from .scenario import ConfigError, Scenario, expand, load_scenario
 from .sim import (
     Comparison,
@@ -84,7 +84,7 @@ def cmd_analytics(scenario: Scenario, out_dir: Path) -> int:
         try:
             tx_cells = [
                 transaction_count(txp),
-                _transaction_count(txp, "as-printed"),
+                transaction_count(txp, "as-printed"),
                 math.ceil(tx_oracle(txp)),
             ]
         except (ValueError, OverflowError) as exc:  # a ceiling past the float range

@@ -21,15 +21,14 @@ The slotted loop steps the fleet as arrays (`VehicleArrays`) only;
 objects, read into arrays once when the run starts. On its first slot a run
 indexes the clusters, gives each vehicle its head class (no capacity data,
 a limit that covers the requirement, a limit below it) and computes the
-threshold, default score, pre-decay verdict and slot decay estimate, and
-counts each cluster's active vehicles. Each slot it applies the
-keep-or-change test of the cascade to every cluster's head in one array
-pass: the verdict depends on the head's class alone, so a table of one
-verdict per class (`_verdict_table`) is spread over the vehicles while the
-observed score stays the same, and gathered per head. When a head is dead
-or critical, or the test indicates a change, one array pass over the
-stepped clusters' members (`_select`) picks the new head of every cluster
-at once. These two passes are the package's only implementation of the
+threshold, default score, pre-decay verdict and slot decay estimate. Each
+slot it applies the keep-or-change test of the cascade to every cluster's
+head in one array pass: the verdict depends on the head's class alone, so
+a table of one verdict per class (`_verdict_table`) is spread over the
+vehicles while the observed score stays the same, and gathered per head.
+When a head is dead or critical, or the test indicates a change, one array
+pass over the stepped clusters' members (`_select`) picks the new head of
+every cluster at once. These two passes are the package's only implementation of the
 cascade; the slot-loop specification in the tests writes it out again,
 one cluster at a time.
 
@@ -327,18 +326,10 @@ class FleetState:
     stopping score computed from the mobility model and `lam1`. The
     simulator's blocks, which step slots without `evaluate_slot`, read the
     rest: `ratings` rates residuals as the head selection does,
-    `handed_back` gives the rows of the slot after a swap, `handed_on` those
-    of a slot that breaks the pairs, `hand_over` moves heads and
-    `deactivate` stops vehicles.
-
-    A run counts the active vehicles of each stepped cluster once, on its
-    first slot, from the `active` flags. A vehicle never becomes active
-    again, and after that first slot only `deactivate` may clear a flag: it
-    clears the flags and updates the counts, so they stay equal to a fresh
-    `np.bincount` of the clusters weighted by `active`. The simulator calls
-    it for the vehicles that cannot pay a slot stepped alone (no vehicle
-    stops inside a block). `run_controller` and other callers that leave
-    `active` alone need nothing more.
+    `handed_back` gives the rows of the slot after a swap and `handed_on`
+    those of a slot that breaks the pairs; `_apply_change` moves heads.
+    Each slot reads the `active` flags afresh, so a caller may clear them
+    between slots.
 
     `heads` holds the head of each stepped cluster in cluster order, from
     the run's first slot on (None before it); head changes update it in
@@ -415,10 +406,8 @@ class FleetState:
             self._flat_qualified = self._qualifies(self._flat)
         # Vehicle -> position of its stepped cluster; the rest share one
         # extra position.
-        count = self.heads.size
-        self._cluster_of = np.full(n, count, dtype=np.intp)
+        self._cluster_of = np.full(n, self.heads.size, dtype=np.intp)
         self._cluster_of[self._flat] = self._segments.segment
-        self._active_count = np.bincount(self._cluster_of[a.active], minlength=count + 1)
         self._class_of = _head_classes(a.tx_limit, self.required_tx_limit)
         # Each vehicle's verdict as a head, kept while the observed score
         # stays the same.
@@ -431,14 +420,6 @@ class FleetState:
         self._rule_of, self._change_of = rule[self._class_of], change[self._class_of]
         self._limit_fires = np.count_nonzero(self._rule_of == _LIMIT_CODE) > 0
         self._verdict_score = observed
-
-    def deactivate(self, vehicles: np.ndarray) -> None:
-        """Clear the `active` flags of the vehicles at `vehicles` (positions
-        in the arrays, each active) and drop them from the active counts."""
-        self.vehicles.active[vehicles] = False
-        if self._run is not None:
-            self._active_count -= np.bincount(self._cluster_of[vehicles],
-                                              minlength=self._active_count.size)
 
     def _run_constants(self, cfg: ControllerConfig) -> _RunConstants:
         """The cluster index and the per-run values of the cascade, computed
@@ -532,7 +513,7 @@ class FleetState:
         pick's position in `ids`, are returned only where the slot would
         set `FIXED_SWAP`: every head's verdict is a change, and the picks
         hand back on the next slot (`_hands_back`). Otherwise None. It
-        moves no head; `hand_over` does."""
+        moves no head; `_apply_change` does."""
         heads = ids[at]
         if np.count_nonzero(ok[at] & self._change_of[heads]) < heads.size:
             return None
@@ -551,14 +532,6 @@ class FleetState:
                          self._rule_of[heads].tolist(), expected.change, expected.old,
                          taken.tolist())
         return rows, picks
-
-    def hand_over(self, old: np.ndarray, new: np.ndarray) -> None:
-        """Give the head of each stepped cluster headed by a vehicle at
-        `old` to the vehicle at the same place in `new` (positions in the
-        arrays, in cluster order)."""
-        self.heads[self._cluster_of[old]] = new
-        self.vehicles.head[old] = False
-        self.vehicles.head[new] = True
 
     def _select_heads(self, ok: np.ndarray, limit: np.ndarray | None) -> np.ndarray:
         """Per stepped cluster: the flat position of its new head among its
@@ -594,7 +567,8 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     heads = fleet.heads
     ok = a.active > a.critical
     steady = ok[heads]  # neither dead nor critical
-    live = fleet._active_count[:-1] > a.active[heads]  # the head has an active candidate
+    # Whether each head has an active candidate: only heads keep a flag.
+    live = np.logical_or.reduceat((a.active > a.head)[fleet._gather], fleet._segments.starts)
     rule = fleet._rule_of[heads]
     # Dead or critical heads need a new head whatever the test says.
     indicated = live > (steady > fleet._change_of[heads])
@@ -615,8 +589,7 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
             rule = np.where(steady, rule, _PRE_DECAY_CODE)
         change = picked.tolist()
         returning = heads[picked]
-        for k, vehicle in zip(picked.nonzero()[0].tolist(), fleet._flat[picks[picked]].tolist()):
-            _apply_change(fleet, k, vehicle)
+        _apply_change(fleet, returning, fleet._flat[picks[picked]])
         new = a.id[heads].tolist()
         if (not fleet.score_schedule and 0 < np.count_nonzero(picked) == np.count_nonzero(rows)
                 and fleet._hands_back(returning, a.residual[returning], heads[picked],
@@ -632,12 +605,12 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     return SlotTrace(slot_index, max(slot_index * cfg.slot - cfg.slot, 0.0), *columns)
 
 
-def _apply_change(fleet: FleetState, k: int, new: int) -> None:
-    """Move stepped cluster `k`'s head flag to vehicle `new`."""
-    head = fleet.vehicles.head
-    head[fleet.heads[k]] = False
-    head[new] = True
-    fleet.heads[k] = new
+def _apply_change(fleet: FleetState, old: np.ndarray, new: np.ndarray) -> None:
+    """Give the head of each stepped cluster headed by a vehicle at `old`
+    to the vehicle at the same place in `new` (positions in the arrays)."""
+    fleet.heads[fleet._cluster_of[old]] = new
+    fleet.vehicles.head[old] = False
+    fleet.vehicles.head[new] = True
 
 
 def run_controller(fleet: FleetState, cfg: ControllerConfig) -> list[TraceRow]:

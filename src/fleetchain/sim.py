@@ -83,10 +83,10 @@ block that reaches its cap is followed by another.
 A slot stepped alone works in vehicle-sized buffers reused from slot to
 slot: each residual minus its charge, written as one subtraction with the
 heads' charge gathered and scattered over it, and the flags of the
-vehicles that paid. The heads are the controller's, which head changes
-update in place. The controller keeps each cluster's active count and the
-loop hands it the vehicles that stop, so no slot counts the fleet again;
-the join flags are set on slot 1 only. The new heads pay their security
+vehicles that paid, which become the `active` flags. The heads are the
+controller's, which head changes update in place; the controller reads the
+`active` flags afresh each slot, so the loop keeps nothing of its in step.
+The join flags are set on slot 1 only. The new heads pay their security
 charge with one fancy-index subtraction.
 
 While it runs, the loop records two things: one bool array of the slots'
@@ -140,6 +140,7 @@ from .controller import (
     SlotTrace,
     TraceRow,
     VehicleArrays,
+    _apply_change,
     _Segments,
     evaluate_slot,
     slot_count,
@@ -643,7 +644,6 @@ class _SlotLoop:
         # The flagged heads; once the controller has indexed the clusters,
         # its `heads`, which head changes update in place.
         self.heads = vehicles.head.nonzero()[0]
-        self.n_active = int(np.count_nonzero(vehicles.active))
         # No slot of the run divides a period past its last slot; capped,
         # the period stays in numpy's int64 for `_exchanges`.
         self.period = min(cfg.period_value, n_slots + 1)
@@ -803,40 +803,28 @@ class _SlotLoop:
     # 0.04 s (2-vCPU Xeon, CPython 3.11, numpy 2.4).
     def _charge_one(self, s: int) -> tuple[int, int]:
         """Charge slot s alone: every active vehicle that can pay does and
-        the rest stop. Record its exchange flag and return how many heads
-        and how many vehicles paid.
+        the rest stop. Record its exchange flag (`_exchanges`) and return
+        how many heads and how many vehicles paid.
 
         The `after` buffer gets every vehicle's residual minus its charge,
         a head's charge in place of a member's; an inactive vehicle's entry
-        is masked out by `paid`. Only on a slot where some vehicle stops are
-        the `active` flags written, through the controller when there is
-        one, which keeps each cluster's active count."""
+        is masked out by `paid`, which then becomes the `active` flags."""
         v, heads = self.v, self.heads
         if self.cfg.lam <= 0:  # no vehicle transacts, so none pays
             return 0, 0
-        if self.load_rate is None:
-            exchange = s % self.period == 0
-        else:
-            exchange = self._due(s).item() > self.emitted_prev
-        self.exchange[s] = exchange
+        # One slot: whether heads pay it does not change its own flag.
+        exchange = self._exchanges(s, 1, 0).item()
         member, head = self.costs[s == 1]
         after = np.subtract(v.residual, member[1], out=self.after)
         after[heads] = v.residual[heads] - head[exchange][1]
         # A residual minus a charge is >= 0 exactly when it covers the charge.
         paid = np.greater_equal(after, 0.0, out=self.paid)
         paid &= v.active
-        payers = int(np.count_nonzero(paid))
-        if payers < self.n_active:
-            stopped = (v.active > paid).nonzero()[0]
-            if self.controller is None:
-                v.active[stopped] = False
-            else:
-                self.controller[0].deactivate(stopped)
-            self.n_active = payers
+        np.copyto(v.active, paid)
         np.copyto(v.residual, after, where=paid)
         if s == 1:  # every vehicle that pays slot 1 joins, and only those pay later
             v.joined |= paid
-        return int(np.count_nonzero(paid[heads])), payers
+        return int(np.count_nonzero(paid[heads])), int(np.count_nonzero(paid))
 
     def _span(self, s: int, k: int, n_heads: int, payers: int, changes: int, paid: int) -> None:
         """Record slots s .. s + k - 1, on each of which `payers` vehicles
@@ -1181,12 +1169,13 @@ class _Block:
                     self.A, self.B, slice(self.f, self.a))
                 v.critical[cur] = self.work[2 * j - 1, cols] < loop.critical_level if j else False
                 if self.column is not None or k % 2:
-                    self.fleet.hand_over(loop.pairs[0], cur)
+                    _apply_change(self.fleet, loop.pairs[0], cur)
                 loop.pairs = cur, new
             loop._extend_run(self.cycle, self.first, self.s + k - 1)
             turn = (self.s + k - self.first) % len(self.cycle)
             loop.cycle = self.cycle[turn:] + self.cycle[:turn] if turn else self.cycle
-        loop._span(self.s, k, self.n_heads, loop.n_active, p, p)
+        # No vehicle stops inside a block: every active one paid each slot.
+        loop._span(self.s, k, self.n_heads, int(np.count_nonzero(v.active)), p, p)
         return k
 
 

@@ -30,7 +30,6 @@ from .analytics import (
     invert_rate,
     peak_frequency,
     rate_frequency,
-    _transaction_count,
     transaction_count,
 )
 from .mobility import SQRT_2PI, ConnectivityParams, MobilityModel, in_range_probability
@@ -332,7 +331,7 @@ def check_tx_ceiling(grid: int, rng: np.random.Generator) -> CheckResult:
         )
         derived = transaction_count(p)
         errors.append(float(abs(derived - math.ceil(tx_oracle(p)))))
-        printed = _transaction_count(p, "as-printed")
+        printed = transaction_count(p, "as-printed")
         if printed != derived:
             printed_diverged += 1
     note = f"as-printed variant diverges on {printed_diverged}/{grid} points (expected)"

@@ -224,9 +224,17 @@ def test_transaction_count_variants_differ():
         cluster_count=5, request_rate=2.0, horizon=10.0, mean_range=300.0,
         radio_range=300.0, range_stddev=40.0,
     )
-    derived = transaction_count(replace(p, variant="as-derived"))
-    printed = transaction_count(replace(p, variant="as-printed"))
+    derived = transaction_count(p, "as-derived")
+    printed = transaction_count(p, "as-printed")
     assert derived != printed
+    assert transaction_count(p) == derived
+
+
+@pytest.mark.parametrize("variant", ["as-Printed", "printed", "", None])
+def test_transaction_count_rejects_an_unknown_variant(variant):
+    # An unknown name was once read as "as-printed".
+    with pytest.raises(ValueError, match="unknown variant"):
+        transaction_count(tx_params(), variant)
 
 
 def test_transaction_count_monotonicity():
@@ -258,7 +266,7 @@ def test_transaction_count_validity_region():
 def test_transaction_count_rejects_an_infinite_ceiling(overrides, variant):
     # Both ended in `math.ceil(inf)`, an OverflowError.
     with pytest.raises(ValueError, match="not finite"):
-        transaction_count(tx_params(variant=variant, **overrides))
+        transaction_count(tx_params(**overrides), variant)
 
 
 def test_transaction_count_matches_ceil_of_double_integral():

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from scipy import integrate
 
@@ -407,11 +406,13 @@ def test_deactivated_vehicles_leave_the_active_counts():
     arrays = VehicleArrays.of(handover_fleet(spec))
     f = FleetState(vehicles=arrays, mobility=mobility(), connectivity=ConnectivityParams(),
                    score_default=5.0)
-    f.deactivate(np.array([2]))  # before the first slot: the counts are taken on it
+    # The flags are cleared directly, before and between slots: each slot
+    # reads them afresh.
+    arrays.active[2] = False
     assert [row.cluster for row in evaluate_slot(f, cfg, 1)] == [0, 1]
-    f.deactivate(np.array([1]))
+    arrays.active[1] = False
     assert [row.cluster for row in evaluate_slot(f, cfg, 2)] == [1]
-    f.deactivate(np.array([4]))
+    arrays.active[4] = False
     assert list(evaluate_slot(f, cfg, 3)) == []
     assert arrays.active.tolist() == [True, False, False, True, False]
 

@@ -36,9 +36,6 @@ def reference_index(a: VehicleArrays, required: float | None) -> dict:
         segment += [k] * len(members)
         for i in members:
             cluster_of[i] = k
-    active_count = [0] * (len(stepped) + 1)
-    for i in range(n):
-        active_count[cluster_of[i]] += bool(a.active[i])
     head = flags.copy()
     for i in flat:
         head[i] = i in heads
@@ -54,7 +51,6 @@ def reference_index(a: VehicleArrays, required: float | None) -> dict:
         "segment": segment,
         "position": list(range(len(flat))),
         "_cluster_of": cluster_of,
-        "_active_count": active_count,
         "head": head,
         "_flat_qualified": qualified,
     }
@@ -83,7 +79,6 @@ def array_index(a: VehicleArrays, required: float | None) -> dict:
         "segment": listed(seg.segment),
         "position": listed(seg.position),
         "_cluster_of": listed(fleet._cluster_of),
-        "_active_count": listed(fleet._active_count),
         "head": listed(a.head),
         "_flat_qualified": listed(fleet._flat_qualified),
     }

@@ -2,8 +2,8 @@
 work the controller does on runs where no head or every head changes, the
 slots the event-blocked loop steps alone, where its swap blocks end, the
 rows a run builds only when read, the slot counts of a run and of an
-exchange period, the active counts the controller keeps while vehicles
-stop, the exact-grid rule that lets the loop take its sums in any order,
+exchange period, the controller's reading of `active` flags cleared between
+slots, the exact-grid rule that lets the loop take its sums in any order,
 and the closed-form transaction and energy totals of runs where no vehicle
 stops."""
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import CONFIGS, OBJECT_FLEET_SEEDS, object_fleet
-from test_slot_loop_spec import spec_run, vehicle_cells
+from test_slot_loop_spec import Controller, Vehicle, spec_run, vehicle_cells
 
 from fleetchain.controller import (
     ControllerConfig,
@@ -26,6 +26,7 @@ from fleetchain.controller import (
     evaluate_slot,
     run_controller,
     slot_count,
+    tx_limit_value,
 )
 from fleetchain.energy import ledger_update_energy, transmission_energy
 from fleetchain.sim import (
@@ -92,21 +93,21 @@ def test_steady_run_checks_pre_decay_once(monkeypatch):
 
 
 def test_churn_run_moves_heads_in_blocks_after_slot_one(monkeypatch):
-    calls = 0
+    moved = []
     apply_change = fleetchain.controller._apply_change
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return apply_change(*args, **kwargs)
+    def recording(fleet, old, new):
+        moved.append(len(old))
+        return apply_change(fleet, old, new)
 
-    monkeypatch.setattr(fleetchain.controller, "_apply_change", counting)
+    monkeypatch.setattr(fleetchain.controller, "_apply_change", recording)
     # 5 clusters x 10 vehicles x 100 slots at lam 1.5: every head changes on
-    # every slot. `evaluate_slot` moves each head on slot 1, the one slot
-    # stepped alone; the swap block after it moves them without it.
+    # every slot. `evaluate_slot` moves all 5 heads with one call on slot 1,
+    # the one slot stepped alone; the swap block after it moves them without
+    # it.
     comp = paired_comparison(SimConfig(lam=1.5, horizon=100.0))
     assert comp.clustered.ch_changes_total == 5 * 100
-    assert calls == 5
+    assert moved == [5]
 
 
 def test_churn_run_builds_rows_only_when_read(monkeypatch):
@@ -514,39 +515,35 @@ def test_exchange_period_in_whole_slots(stay_time, slot, period):
 
 
 
-def run_checking_counts(monkeypatch, cfg: SimConfig):
-    """`run_clustered(cfg)`, checking around every slot stepped alone that
-    the active counts the controller keeps equal a fresh count of the
-    `active` flags."""
-    evaluate_slot = fleetchain.sim.evaluate_slot
-
-    def check(fleet):
-        fresh = np.bincount(fleet._cluster_of, weights=fleet.vehicles.active,
-                            minlength=fleet._active_count.size)
-        assert fleet._active_count.tolist() == fresh.tolist()
-
-    def checking(fleet, ctrl, slot_index):
-        if slot_index > 1:  # the counts are taken on slot 1
-            check(fleet)
-        trace = evaluate_slot(fleet, ctrl, slot_index)
-        check(fleet)
-        return trace
-
-    monkeypatch.setattr(fleetchain.sim, "evaluate_slot", checking)
-    return run_clustered(cfg)
-
-
-@pytest.mark.parametrize("name", ["churn-drain", "full-drain", "head-critical"])
-def test_active_counts_follow_the_vehicles_that_stop(monkeypatch, name):
-    report = run_checking_counts(monkeypatch, SimConfig(**CONFIGS[name]))
-    assert not all(v.active for v in report.vehicles)
-
-
-@settings(max_examples=30, deadline=None)
-@given(configs.filter(lambda cfg: cfg.lam > 0 and cfg.initial_energy <= 1e6))
-def test_active_counts_follow_draining_runs(cfg):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        run_checking_counts(monkeypatch, cfg)
+@settings(max_examples=100, deadline=None)
+@given(configs, st.data())
+def test_slots_read_the_active_flags_cleared_between_them(cfg, data):
+    """Clearing `active` flags between `evaluate_slot` calls, with no call
+    into the controller, gives each slot the rows of the reference cascade
+    of `tests/test_slot_loop_spec.py` and moves the same heads."""
+    n, vpc = cfg.n_vehicles, cfg.vehicles_per_cluster
+    level = cfg.critical_fraction * cfg.initial_energy
+    residuals = [cfg.initial_energy * share for share in data.draw(
+        st.lists(st.sampled_from([0.05, 0.3, 1.0]), min_size=n, max_size=n))]
+    vehicles = [Vehicle(i, i // vpc, r, i % vpc == 0, r < level) for i, r in enumerate(residuals)]
+    clusters = [vehicles[c * vpc:(c + 1) * vpc] for c in range(cfg.cluster_count)]
+    arrays = VehicleArrays(
+        id=np.arange(n), cluster=np.arange(n) // vpc, residual=np.array(residuals),
+        radio_range=np.full(n, cfg.radio_range),
+        tx_limit=np.full(n, tx_limit_value(cfg.vehicle_tx_limit)),
+        head=np.array([v.head for v in vehicles]), critical=np.array([v.critical for v in vehicles]),
+        active=np.ones(n, dtype=bool))
+    fleet = FleetState(vehicles=arrays, mobility=cfg.mobility(), connectivity=cfg.connectivity(),
+                       lam1=cfg.lam1_value, decay=cfg.decay_params(), heston=cfg.heston_params(),
+                       required_tx_limit=cfg.required_tx_limit)
+    ctrl = ControllerConfig(slot=cfg.slot, horizon=cfg.horizon,
+                            expected_rate=cfg.expected_rate_value, expected_score=cfg.expected_score)
+    reference = Controller(cfg)
+    for s in range(1, cfg.n_slots + 1):
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            vehicles[i].active = arrays.active[i] = False
+        assert list(evaluate_slot(fleet, ctrl, s)) == reference.step(s, clusters)
+        assert arrays.head.tolist() == [v.head for v in vehicles]
 
 
 @pytest.mark.parametrize("amounts, reach, on", [

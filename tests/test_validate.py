@@ -155,7 +155,7 @@ DEEP_TAIL_LOADS = [
 @pytest.mark.parametrize("p", DEEP_TAIL_LOADS, ids=["38-sd", "490-sd"])
 def test_deep_tail_load_needs_one_transaction(p):
     assert transaction_count(p) == 1
-    assert transaction_count(replace(p, variant="as-printed")) == 1
+    assert transaction_count(p, "as-printed") == 1
     assert math.ceil(tx_oracle(p)) == 1
     assert math.ceil(dblquad_load(p)) == 1
     assert transaction_count(replace(p, request_rate=0.0)) == 0
@@ -552,7 +552,7 @@ def scalar_tx_ceiling(grid: int, rng: np.random.Generator):
         p = random_tx_params(rng)
         derived = transaction_count(p)
         errors.append(float(abs(derived - math.ceil(tx_oracle(p)))))
-        diverged += transaction_count(replace(p, variant="as-printed")) != derived
+        diverged += transaction_count(p, "as-printed") != derived
     note = f"as-printed variant diverges on {diverged}/{grid} points (expected)"
     return validate._result("transaction ceiling vs double integral", errors, 0.0, note)
 

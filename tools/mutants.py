@@ -114,7 +114,7 @@ MUTANTS = (
            "v.residual[v.active] = end[self.column[v.active]]",
            "pass"),
     Mutant("no-hand-over", SIM,
-           "self.fleet.hand_over(loop.pairs[0], cur)",
+           "_apply_change(self.fleet, loop.pairs[0], cur)",
            "pass"),
     Mutant("flags-after-the-security-charge", SIM,
            "v.critical[cur] = self.work[2 * j - 1, cols] < loop.critical_level if j else False",
@@ -130,6 +130,9 @@ MUTANTS = (
     Mutant("exchanges-one-slot-late", SIM,
            "slots = np.arange(s, s + k)",
            "slots = np.arange(s + 1, s + k + 1)"),
+    Mutant("single-slot-exchange-one-slot-late", SIM,
+           "exchange = self._exchanges(s, 1, 0).item()",
+           "exchange = self._exchanges(s - 1, 1, 0).item()"),
     Mutant("energy-chain-summed-pairwise", SIM,
            "np.add.accumulate(cum, axis=1, out=cum)",
            "cum[:] = [[row[: i + 1].sum() for i in range(row.size)] for row in cum]"),
@@ -150,6 +153,14 @@ MUTANTS = (
     Mutant("headless-cluster-stepped", CONTROLLER,
            "stepped = head_at < n",
            "stepped = head_at <= n"),
+    # The heads: which have an active candidate, and how they move.
+    Mutant("live-counts-the-head", CONTROLLER,
+           "live = np.logical_or.reduceat((a.active > a.head)[fleet._gather], "
+           "fleet._segments.starts)",
+           "live = np.logical_or.reduceat(a.active[fleet._gather], fleet._segments.starts)"),
+    Mutant("old-head-keeps-its-flag", CONTROLLER,
+           "fleet.vehicles.head[old] = False",
+           "pass"),
 )
 
 
