@@ -81,12 +81,20 @@ def ost_threshold(m: MobilityModel, c: ConnectivityParams, lam_expected: float) 
 
 
 def cumulative_decay_integral(p: DecayParams, horizon: float) -> float:
-    """Integral over [0, horizon] of the decay value seen up to each time."""
+    """Integral over [0, horizon] of the decay value seen up to each time.
+
+    That is `scale * (h + expm1(-x) / lam) / lam` with x = lam * h, which
+    cancels as x -> 0; below x = 1 it is taken as `scale * h**2` times the
+    series sum over k >= 0 of (-x)**k / (k + 2)!, whose terms past k = 16
+    fall below 1e-17 of the first. At lam = 0 the series is 1/2."""
     lam = invert_rate(p.rate1) + invert_rate(p.rate2)
-    scale = p.initial_energy / p.app_count
-    if lam == 0.0:
-        return scale * horizon * horizon / 2.0
-    return scale * (horizon + math.expm1(-lam * horizon) / lam) / lam
+    scale, x = p.initial_energy / p.app_count, lam * horizon
+    if x >= 1.0:
+        return scale * (horizon + math.expm1(-x) / lam) / lam
+    series = 0.0
+    for k in range(18, 1, -1):  # Horner's rule, from the last term
+        series = series * -x + 1.0 / math.factorial(k)
+    return scale * horizon * horizon * series
 
 
 def pre_decay_check(

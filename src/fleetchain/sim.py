@@ -90,24 +90,24 @@ The join flags are set on slot 1 only. The new heads pay their security
 charge with one fancy-index subtraction.
 
 While it runs, the loop records two things: one bool array of the slots'
-exchange flags, and a list of spans, one per slot stepped alone and one per
-block. A span is (first slot, slots, paying heads, payers, head changes,
-new heads that paid their security charge); its slots share all of these.
-Nothing reads a run's columns before it ends, so `_columns` builds them
-once, from the spans and flags: each slot's item sums are one of at most
-two rows of its span, picked by its exchange flag, the global transfers are
-array expressions, and the running transaction and energy counts are each
-one `np.add.accumulate`, which adds strictly in order and so gives the bits
-of one addition a slot. So a slot stepped alone and a block take one
-bookkeeping path, at the run's end.
+exchange flags, and a list of spans (`_span`). A span is (first slot,
+slots, paying heads, payers, head changes, new heads that paid their
+security charge, cycle of slot traces); its slots share all of these, and
+its slot s repeats trace (s - first) % cycle length of the cycle. A slot
+stepped alone records a span of its one slot and its trace (the baseline's
+cycles are empty); a block records one span for the slots before each break
+it carries, and one for the rest where it ends. A span of no slot is not
+recorded, so the spans cover the run's slots in order.
 
-A run is recorded as columns: one list per `SlotRow` field
-(`SlotColumns`), and for each slot stepped alone the columnar `SlotTrace`
-that `evaluate_slot` returns. A block's slots repeat its cycle of those
-traces, so `RunReport` keeps the cycle and the slot range. The totals,
-`comparison_csv` and the new-head security charge read the columns;
-`RunReport.rows`, `trace` and `vehicles` build their dataclasses only when
-read.
+The spans are the run's report (`RunReport`). Nothing reads a run's columns
+before it ends, so `_report` builds the three that `comparison_csv` writes
+once, from the spans and flags: the running transaction and energy counts,
+each one `np.add.accumulate`, which adds strictly in order and so gives the
+bits of one addition a slot, and the head changes. Each slot's item sums
+are one of at most two rows of its span, picked by its exchange flag; the
+report keeps that row's position in `sum_rows`. So a slot stepped alone and
+a block take one bookkeeping path, at the run's end. The `t` and item
+columns, `rows`, `trace` and `vehicles` are built only when read.
 """
 
 from __future__ import annotations
@@ -453,44 +453,49 @@ class SlotRow:
     update_j: float
 
 
-@dataclass
-class SlotColumns:
-    """A run's per-slot values, one list per `SlotRow` field in slot order.
-    A slot's `offloads` equal its `ch_changes`; every other value is a float."""
-
-    t: list[float]
-    transactions_cum: list[float]
-    energy_cum: list[float]
-    ch_changes: list[int]
-    security_j: list[float]
-    transmission_j: list[float]
-    update_j: list[float]
-
-
-@dataclass
+@dataclass(eq=False)
 class RunReport:
+    """A run's record: its spans (`_SlotLoop._span`), in slot order, and
+    the columns built from them at its end. A slot's `offloads` equal its
+    `ch_changes`. The `t`, security, transmission and update columns,
+    `rows`, `trace` and `vehicles` are built when read."""
+
     regime: str
-    slots: SlotColumns = field(repr=False)
-    # The controller's trace as (the cycle of slot traces it repeats, first
-    # slot, last slot): slot s takes the rows of trace (s - first) % cycle
-    # length, with their slot set to s. A slot stepped alone starts a run of
-    # its one trace and a swap block one of the two it alternates; a block
-    # that continues the last run's cycle extends that run.
-    trace_runs: list[tuple[tuple[SlotTrace, ...], int, int]] = field(repr=False,
-                                                                     compare=False)
+    # The per-slot columns that `comparison_csv` writes, in slot order.
+    transactions_cum: list[float] = field(repr=False)
+    energy_cum: list[float] = field(repr=False)
+    ch_changes: list[int] = field(repr=False)
+    # Each slot's position in `sum_rows`, the run's distinct (security,
+    # transmission, update) sums.
+    sum_row: np.ndarray = field(repr=False)
+    sum_rows: list[tuple[float, float, float]] = field(repr=False)
+    # (first slot, slots, paying heads, payers, head changes, new heads that
+    # paid, cycle of slot traces): slot s of a span takes the rows of trace
+    # (s - first) % cycle length, with their slot set to s. The baseline's
+    # cycles are empty.
+    spans: list[tuple[int, int, int, int, int, int, tuple[SlotTrace, ...]]] = field(repr=False)
     # The run's final vehicle arrays and its config, read by `vehicles`.
-    final: tuple[_SimVehicles, SimConfig] = field(repr=False, compare=False)
+    final: tuple[_SimVehicles, SimConfig] = field(repr=False)
+
+    @property
+    def t(self) -> list[float]:
+        slot = self.final[1].slot
+        return [s * slot for s in range(1, len(self.ch_changes) + 1)]
+
+    security_j = property(lambda self: self._item(0))
+    transmission_j = property(lambda self: self._item(1))
+    update_j = property(lambda self: self._item(2))
+
+    def _item(self, i: int) -> list[float]:
+        rows = self.sum_rows
+        return [rows[row][i] for row in self.sum_row.tolist()]
 
     @property
     def rows(self) -> list[SlotRow]:
         """The per-slot rows, built when read."""
-        c = self.slots
-        return [
-            SlotRow(t, tx, energy, changes, changes, security, transmission, update)
-            for t, tx, energy, changes, security, transmission, update in zip(
-                c.t, c.transactions_cum, c.energy_cum, c.ch_changes, c.security_j,
-                c.transmission_j, c.update_j)
-        ]
+        sums = map(self.sum_rows.__getitem__, self.sum_row.tolist())
+        return [SlotRow(t, tx, energy, changes, changes, *items) for t, tx, energy, changes, items
+                in zip(self.t, self.transactions_cum, self.energy_cum, self.ch_changes, sums)]
 
     @property
     def vehicles(self) -> list[VehicleState]:
@@ -503,9 +508,9 @@ class RunReport:
         """The controller's trace rows in slot order, built when read. A
         change row's offload is stamped one slot before its slot."""
         rows, slot = [], self.final[1].slot
-        for traces, first, last in self.trace_runs:
+        for first, k, *_, traces in self.spans:
             cycle = [trace.cells() for trace in traces]
-            for s in range(first, last + 1):
+            for s in range(first, first + k) if cycle else ():
                 offload = max(s * slot - slot, 0.0)
                 rows += [TraceRow(s, cluster, rule, action, old, new,
                                   0.0 if new is None else offload)
@@ -519,25 +524,25 @@ class RunReport:
         leaves empty: the baseline half of every comparison it is part of.
         Formatted when first read and kept, as one baseline report can serve
         several sweep points (`shared_baselines`)."""
-        c, regime = self.slots, self.regime
-        t, tx = _cells(c.t), _cells(c.transactions_cum)
+        regime = self.regime
+        t, tx = _cells(self.t), _cells(self.transactions_cum)
         rows = "".join([f"{a},{regime},{x},{e},{n},{n},,\r\n" for a, x, e, n in zip(
-            t, tx, _cells(c.energy_cum), c.ch_changes)])
+            t, tx, _cells(self.energy_cum), self.ch_changes)])
         return t, tx, rows
 
     @property
     def transactions_total(self) -> float:
-        column = self.slots.transactions_cum
+        column = self.transactions_cum
         return column[-1] if column else 0.0
 
     @property
     def energy_total(self) -> float:
-        column = self.slots.energy_cum
+        column = self.energy_cum
         return column[-1] if column else 0.0
 
     @property
     def ch_changes_total(self) -> int:
-        return sum(self.slots.ch_changes)
+        return sum(self.ch_changes)
 
 
 @dataclass(eq=False)
@@ -650,12 +655,11 @@ class _SlotLoop:
         self.critical_level = cfg.critical_fraction * cfg.initial_energy
         # The load model's whole transfers emitted so far.
         self.emitted_prev = 0.0
-        # What the run records, read once at its end (`_columns`): its spans
-        # of slots that share their payers (`_span`), and each slot's
-        # exchange flag, by slot.
-        self.spans: list[tuple[int, int, int, int, int, int]] = []
+        # What the run records, read once at its end (`_report`): its spans
+        # of slots that share their payers and cycle of slot traces
+        # (`_span`), and each slot's exchange flag, by slot.
+        self.spans: list[tuple[int, int, int, int, int, int, tuple[SlotTrace, ...]]] = []
         self.exchange = np.zeros(n_slots + 1, dtype=bool)
-        self.trace_runs: list[tuple[tuple[SlotTrace, ...], int, int]] = []
         # The next block's cycle of slot traces, the next slot's first, and
         # its (cur, new) pairs: one trace and none for a keep, two for a swap.
         self.cycle: tuple[SlotTrace, ...] = ()
@@ -699,7 +703,7 @@ class _SlotLoop:
                 # by another block.
                 ran, block = self._block(s, n_slots - s + 1)
                 s += ran
-        return RunReport(regime, self._columns(), self.trace_runs, (self.v, self.cfg))
+        return self._report(regime)
 
     def _single(self, s: int) -> bool:
         """Step slot s alone; return whether a block may follow it, and if
@@ -712,13 +716,12 @@ class _SlotLoop:
         v = self.v
         n_heads, payers = self._charge_one(s)
         changes = paid = 0
-        follow = True
+        follow, cycle = True, ()
         if self.controller is not None:
             np.less(v.residual, self.critical_level, out=v.critical)
             fleet, ctrl = self.controller
             trace = evaluate_slot(fleet, ctrl, s)
             cycle = (trace,)
-            self.trace_runs.append((cycle, s, s))
             self.heads = fleet.heads
             new = list(compress(trace.new, trace.change))
             changes = len(new)
@@ -740,7 +743,7 @@ class _SlotLoop:
                 self.pairs = np.array(trace.new), np.array(trace.old)
                 # A vehicle that stopped takes over no head.
                 follow = bool(v.active[self.pairs[1]].all())
-        self._span(s, 1, n_heads, payers, changes, paid)
+        self._span(s, 1, n_heads, payers, changes, paid, cycle)
         return follow
 
     def _block(self, s: int, k: int) -> tuple[int, bool]:
@@ -760,8 +763,7 @@ class _SlotLoop:
         if self.cfg.lam <= 0:  # no vehicle pays, and only keeps form blocks
             if self.controller is not None:
                 np.less(self.v.residual, self.critical_level, out=self.v.critical)
-                self._extend_run(self.cycle, s, s + k - 1)
-            self._span(s, k, 0, 0, 0, 0)
+            self._span(s, k, 0, 0, 0, 0, self.cycle)
             return k, True
         block = _Block(self, s, k)
         seg, w = 0, block.k
@@ -782,18 +784,6 @@ class _SlotLoop:
             w = min(block.k, seg + i + 2) if ahead[i] else block.k
         ran = block.write_back(seg, j)
         return ran, ran == block.k
-
-    def _extend_run(self, cycle: tuple[SlotTrace, ...], first: int, last: int) -> None:
-        """Record that slots first .. last repeat `cycle` from its first
-        trace on, extending the last trace run where it repeats the same
-        cycle."""
-        if last < first:
-            return
-        traces, start, _ = self.trace_runs[-1]
-        if traces is cycle:
-            self.trace_runs[-1] = (cycle, start, last)
-        else:
-            self.trace_runs.append((cycle, first, last))
 
     # `_charge_one` stays beside `_block`: on a slot where no vehicle stops
     # a one-slot block gives the same bits, but on a 10 x 50 baseline fleet
@@ -826,11 +816,15 @@ class _SlotLoop:
             v.joined |= paid
         return int(np.count_nonzero(paid[heads])), int(np.count_nonzero(paid))
 
-    def _span(self, s: int, k: int, n_heads: int, payers: int, changes: int, paid: int) -> None:
+    def _span(self, s: int, k: int, n_heads: int, payers: int, changes: int, paid: int,
+              cycle: tuple[SlotTrace, ...]) -> None:
         """Record slots s .. s + k - 1, on each of which `payers` vehicles
         paid, `n_heads` heads among them, and `changes` heads changed, of
-        which `paid` new heads paid their security charge."""
-        self.spans.append((s, k, n_heads, payers, changes, paid))
+        which `paid` new heads paid their security charge, and which repeat
+        `cycle` from its first trace on. A span of no slot is not recorded."""
+        if not k:
+            return
+        self.spans.append((s, k, n_heads, payers, changes, paid, cycle))
         if self.load_rate is not None and n_heads:
             # The load model's count never falls: by the last slot its heads
             # have emitted that slot's count.
@@ -858,15 +852,16 @@ class _SlotLoop:
             self.sum_rows.append((security, transmission, update))
         return row
 
-    def _columns(self) -> SlotColumns:
-        """The run's columns, from its spans and exchange flags. Each slot's
-        sums are one of at most two rows of its span, picked by its exchange
-        flag, and slots with the same sums share their float objects. The
-        running energy and transaction counts each add in order, one
-        addition a slot (`np.add.accumulate`); off the exact transaction
-        grid, the transactions add each member's increment and then the
-        slot's global transfers, as one chain in chunks of `BLOCK_CELLS`
-        cells. Heads add no transactions."""
+    def _report(self, regime: str) -> RunReport:
+        """The run's report: its spans and the columns built from them and
+        the exchange flags. Each slot's sums are one of at most two rows of
+        its span, picked by its exchange flag. The running energy and
+        transaction counts each add in order, one addition a slot
+        (`np.add.accumulate`); off the exact transaction grid, the
+        transactions add each member's increment and then the slot's global
+        transfers, as one chain in chunks of `BLOCK_CELLS` cells. Heads add
+        no transactions. The spans cover slots 1 .. n_slots in order, each
+        with at least one slot, as `np.add.reduceat` needs."""
         n_slots, spans = self.n_slots, self.spans
         exchange = self.exchange[1:]
         n_on = np.add.reduceat(exchange, [span[0] - 1 for span in spans]).tolist()
@@ -874,7 +869,7 @@ class _SlotLoop:
         # its heads and their C(C - 1) pairs; a flag no slot of the span has
         # takes the other's.
         table, lengths, changes = [], [], []
-        for (s, k, n_heads, payers, n_changes, paid), on in zip(spans, n_on):
+        for (s, k, n_heads, payers, n_changes, paid, _), on in zip(spans, n_on):
             off = self._sums(n_heads, payers, s == 1, False, paid) if on < k else None
             on = self._sums(n_heads, payers, s == 1, True, paid) if on else off
             table.append((off if off is not None else on, on, payers - n_heads, n_heads,
@@ -883,8 +878,6 @@ class _SlotLoop:
             changes += [n_changes] * k
         off, on, members, heads, pairs = np.array(table, dtype=np.int64).repeat(lengths, axis=0).T
         picks = np.where(exchange, on, off)
-        rows = self.sum_rows
-        security, transmission, update = np.array(rows, dtype=object).T.take(picks, axis=1).tolist()
         # The global transfers: the pairs on an exchange slot, or what the
         # load model emits by each slot on which heads paid.
         if self.load_rate is None:
@@ -897,7 +890,7 @@ class _SlotLoop:
             transfers[paying] = np.diff(np.maximum.accumulate(emitted))
         # The running energy and transaction counts, from 0.
         cum = np.zeros((2, n_slots + 1))
-        cum[0, 1:] = np.array([(a + b) + c for a, b, c in rows]).take(picks)
+        cum[0, 1:] = np.array([(a + b) + c for a, b, c in self.sum_rows]).take(picks)
         if self.exact_tx:
             cum[1, 1:] = members * self.member_tx + transfers
             np.add.accumulate(cum, axis=1, out=cum)
@@ -918,16 +911,8 @@ class _SlotLoop:
                 cum[1, a + 1 : b + 1] = flat[at]
                 total = flat[-1]
         energy, txs = cum[:, 1:].tolist()
-        slot = self.cfg.slot
-        return SlotColumns(
-            t=[s * slot for s in range(1, n_slots + 1)],
-            transactions_cum=txs,
-            energy_cum=energy,
-            ch_changes=changes,
-            security_j=security,
-            transmission_j=transmission,
-            update_j=update,
-        )
+        return RunReport(regime, txs, energy, changes, picks, self.sum_rows, spans,
+                         (self.v, self.cfg))
 
     def _due(self, slots):
         """The load model's whole transfers by the end of `slots`, an int
@@ -977,12 +962,13 @@ class _Block:
 
     Members mostly hold one residual bit pattern, often none; then the
     members take one column with no `np.unique`. `exchange` holds the
-    block's exchange flags (`_SlotLoop._exchanges`); `write_back` records
-    the slots it stepped as one span (`_SlotLoop._span`).
+    block's exchange flags (`_SlotLoop._exchanges`). `carry` records the
+    slots before each break it carries as one span (`_SlotLoop._span`), and
+    `write_back` the rest.
     """
 
     __slots__ = ("loop", "s", "p", "member", "cost", "fleet", "paired", "paying", "members",
-                 "inverse", "f", "a", "b", "c", "rows", "k", "n_heads", "exchange", "head_charges",
+                 "inverse", "f", "a", "b", "c", "rows", "k", "span", "exchange", "head_charges",
                  "low", "start", "work", "A", "B", "column", "cand", "segs", "at_a", "at_b",
                  "cycle", "first")
 
@@ -1010,7 +996,9 @@ class _Block:
         a, b, c = self.a, self.b, self.c = f + self.p, f + 2 * self.p, f + 3 * self.p
         self.rows = 2 if self.p else 1
         k = self.k = max(1, min(k, BLOCK_CELLS // (self.rows * (c + bits.size + 1))))
-        self.n_heads = heads.size
+        # A span's paying heads, payers, head changes and new heads that paid:
+        # no vehicle stops inside a block, so every active one pays each slot.
+        self.span = heads.size, int(np.count_nonzero(v.active)), self.p, self.p
         self.exchange = loop._exchanges(s, k, heads.size)
         head = loop.costs[False][1]
         self.head_charges = np.where(self.exchange, head[True][1], head[False][1])[:, None]
@@ -1025,7 +1013,8 @@ class _Block:
             rich = rich[v.cluster[cur]]
         self.start = np.concatenate((v.residual[self.paying], rich, bits.view(float)))
         self.A, self.B, self.column = cur, new, None
-        # The trace run the block's slots extend: slot s + i repeats trace
+        # The slots from `first` on, recorded as one span at the next carried
+        # break or the block's end: slot s + i repeats trace
         # (s + i - first) % its length of `cycle`.
         self.cycle, self.first = loop.cycle, s
 
@@ -1102,7 +1091,7 @@ class _Block:
         if np.count_nonzero(picked < self.cost):
             return False
         taken = cand[picks]
-        loop._extend_run(self.cycle, self.first, self.s + t - 1)
+        loop._span(self.first, self.s + t - self.first, *self.span, self.cycle)
         self.cycle, self.first = (trace, fleet.handed_back(trace)), self.s + t
         # Each pick that was a member takes r's column; r joins the members.
         moved = picks != at_r
@@ -1171,11 +1160,9 @@ class _Block:
                 if self.column is not None or k % 2:
                     _apply_change(self.fleet, loop.pairs[0], cur)
                 loop.pairs = cur, new
-            loop._extend_run(self.cycle, self.first, self.s + k - 1)
             turn = (self.s + k - self.first) % len(self.cycle)
             loop.cycle = self.cycle[turn:] + self.cycle[:turn] if turn else self.cycle
-        # No vehicle stops inside a block: every active one paid each slot.
-        loop._span(self.s, k, self.n_heads, int(np.count_nonzero(v.active)), p, p)
+        loop._span(self.first, self.s + k - self.first, *self.span, self.cycle)
         return k
 
 
@@ -1379,8 +1366,8 @@ def comparison_csv(comp: Comparison, cells: dict | None = None) -> str:
     (`RunReport.csv_half`). A `cells` dict gets the `t` cells and each
     regime's `transactions_cum` cells, by the keys "t", "baseline" and
     "clustered"."""
-    base, clus = comp.baseline.slots, comp.clustered.slots
-    t, base_tx, base_rows = comp.baseline.csv_half
+    base, clus = comp.baseline, comp.clustered
+    t, base_tx, base_rows = base.csv_half
     clus_tx = _cells(clus.transactions_cum)
     if cells is not None:
         cells.update(t=t, baseline=base_tx, clustered=clus_tx)
@@ -1388,7 +1375,7 @@ def comparison_csv(comp: Comparison, cells: dict | None = None) -> str:
         np.array((base.transactions_cum, base.energy_cum), dtype=float),
         np.array((clus.transactions_cum, clus.energy_cum), dtype=float)).tolist())
     rows = [",".join(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS) + "\r\n", base_rows]
-    regime = comp.clustered.regime
+    regime = clus.regime
     rows += [f"{a},{regime},{tx},{e},{c},{c},{r},{q}\r\n" for a, tx, e, c, r, q in zip(
         t, clus_tx, _cells(clus.energy_cum), clus.ch_changes, tx_red,
         energy_red)]

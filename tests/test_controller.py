@@ -1,9 +1,18 @@
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import integrate
 
-from fleetchain.analytics import DecayParams, GaussianRate, decay_params_at, energy_decay
+from fleetchain.analytics import (
+    DecayParams,
+    GaussianRate,
+    decay_params_at,
+    energy_decay,
+    invert_rate,
+)
 from fleetchain.controller import (
     ACTION_CHANGE,
     ACTION_KEEP,
@@ -96,6 +105,26 @@ def test_cumulative_decay_integral_zero_rate_limit():
     )
     # decay value grows linearly at zero rate, so its integral is quadratic
     assert cumulative_decay_integral(p, 4.0) == 2.0 * 4.0 * 4.0 / 2.0
+
+
+# lam * h spans 0 to 1e9: the series below 1 (at lam 0 too), the closed form
+# from 1 on. A scenario at lam 1e-7 takes the series (lam about 2e-7, h 99).
+@given(st.floats(0.0, 1e3), st.floats(1e-3, 1e6), st.floats(1e-3, 1e12), st.integers(1, 50))
+@example(1.9992005623875193e-07, 99.0, 1e9, 10)
+@example(5e-324, 1.0, 1e9, 10)
+@example(1.0, 1.0, 1e9, 10)
+@example(1.0, 0.9999999999999999, 1e9, 10)
+@example(3.0, 99.0, 1e9, 10)
+def test_cumulative_decay_integral_matches_mpmath(lam, h, initial_energy, apps):
+    p = DecayParams(rate1=GaussianRate.at_peak(lam, 1.0), rate2=GaussianRate.at_peak(0.0, 1.0),
+                    initial_energy=initial_energy, app_count=apps, horizon=h)
+    assert invert_rate(p.rate1) + invert_rate(p.rate2) == lam  # each rate is its mean
+    got = cumulative_decay_integral(p, h)
+    # 60 digits, plus those that h + expm1(-lam * h) / lam cancels.
+    with mpmath.workdps(60 + max(0, int(-mpmath.log10(mpmath.mpf(lam) * h))) if lam else 60):
+        scale, lam, h = mpmath.mpf(initial_energy) / apps, mpmath.mpf(lam), mpmath.mpf(h)
+        want = scale * h * h / 2 if not lam else scale * (h + mpmath.expm1(-lam * h) / lam) / lam
+        assert abs(got - want) <= 1e-15 * want
 
 
 def test_pre_decay_positive_rhs_zero_lhs_is_true():

@@ -71,7 +71,7 @@ base_configs = st.fixed_dictionaries({
 
 def outputs(report) -> tuple:
     # repr keeps every bit, and tells -0.0 from 0.0.
-    return repr(report.slots), report.trace_runs, repr(report.vehicles)
+    return repr(report.rows), report.spans, repr(report.vehicles)
 
 
 def test_every_field_is_in_the_key_or_perturbed():
@@ -123,7 +123,7 @@ def test_every_key_field_changes_a_baseline_output():
     reference = run_baseline(SimConfig(horizon=10.0))
     for name, (value, shown_in) in KEY_CHANGES.items():
         report = run_baseline(SimConfig(**{"horizon": 10.0, name: value}))
-        slots_differ = repr(report.slots) != repr(reference.slots)
+        slots_differ = repr(report.rows) != repr(reference.rows)
         vehicles_differ = repr(report.vehicles) != repr(reference.vehicles)
         assert (slots_differ, vehicles_differ) == (shown_in == "slots", True), name
 

@@ -246,21 +246,20 @@ def test_comparison_csv_is_what_csv_writer_writes(name):
     if name == "set-cells":
         # Cells that no run writes: inf, nan, -0.0 and large and small floats.
         comp = paired_comparison(small_cfg(horizon=4.0))
-        comp.baseline.slots.transactions_cum[:] = [math.inf, 1e16, 0.0, -0.0]
-        comp.baseline.slots.energy_cum[:] = [math.inf, 5e-324, 2.5, 1e300]
-        comp.clustered.slots.transactions_cum[:] = [math.inf, math.nan, -1e16, 3.0]
+        comp.baseline.transactions_cum[:] = [math.inf, 1e16, 0.0, -0.0]
+        comp.baseline.energy_cum[:] = [math.inf, 5e-324, 2.5, 1e300]
+        comp.clustered.transactions_cum[:] = [math.inf, math.nan, -1e16, 3.0]
     else:
         comp = paired_comparison(SimConfig(**CONFIGS.get(name, NON_FINITE.get(name))))
-    base, clus = comp.baseline.slots, comp.clustered.slots
+    base, clus = comp.baseline, comp.clustered
     reductions = [_cells([_reduction_pct(b, c) for b, c in zip(base_col, clus_col)])
                   for base_col, clus_col in ((base.transactions_cum, clus.transactions_cum),
                                              (base.energy_cum, clus.energy_cum))]
     rows = []
     for report, extra in ((comp.baseline, (repeat(""), repeat(""))),
                           (comp.clustered, reductions)):
-        c = report.slots
-        rows += zip(_cells(c.t), repeat(report.regime), _cells(c.transactions_cum),
-                    _cells(c.energy_cum), c.ch_changes, c.ch_changes, *extra)
+        rows += zip(_cells(report.t), repeat(report.regime), _cells(report.transactions_cum),
+                    _cells(report.energy_cum), report.ch_changes, report.ch_changes, *extra)
     text = comparison_csv(comp)
     assert text == csv_text(RUN_CSV_COLUMNS + COMPARISON_EXTRA_COLUMNS, rows)
     if name == "set-cells":

@@ -304,7 +304,7 @@ def assert_clustered_run_is_spec(cfg: SimConfig) -> None:
     report = run_clustered(cfg)
     columns, trace, vehicles = spec_run(cfg, clustered=True)
     for name, want in columns.items():
-        assert repr(getattr(report.slots, name)) == repr(want), name
+        assert repr(getattr(report, name)) == repr(want), name
     assert report.trace == trace
     assert repr([vehicle_cells(v) for v in report.vehicles]) == repr(
         [vehicle_cells(v) for v in vehicles])
@@ -440,7 +440,13 @@ def test_blocks_cut_by_their_size_cap_are_followed_by_blocks(monkeypatch):
     assert evaluated_slots(monkeypatch, cfg) == [1]
     assert blocks == [(2, 999, 552), (555, 446, 446),
                       (2, 999, 321), (323, 678, 321), (644, 357, 321), (965, 36, 36)]
-    assert [(first, last) for _, first, last in run_clustered(cfg).trace_runs] == [(1, 1000)]
+    # The keep run records 5 spans, not 1 000, and every block repeats the
+    # one trace of slot 1.
+    spans = run_clustered(cfg).spans
+    assert [span[:6] for span in spans] == [
+        (1, 1, 100, 10_000, 0, 0), (2, 321, 100, 10_000, 0, 0), (323, 321, 100, 10_000, 0, 0),
+        (644, 321, 100, 10_000, 0, 0), (965, 36, 100, 10_000, 0, 0)]
+    assert len(spans[0][6]) == 1 and all(span[6] is spans[0][6] for span in spans)
     # A swap block of 41 pairs and one member residual takes two rows a slot
     # and 125 columns with the richest members, so it is capped at 131
     # slots. Each block cut after an odd number of slots starts the next one
@@ -451,8 +457,12 @@ def test_blocks_cut_by_their_size_cap_are_followed_by_blocks(monkeypatch):
     assert fleetchain.sim.BLOCK_CELLS // (2 * (1 + 3 * cfg.cluster_count + 1)) == 131
     report = run_clustered(cfg)
     assert blocks == [(2, 299, 131), (133, 168, 131), (264, 37, 37)]
-    assert [(first, last) for _, first, last in report.trace_runs] == [
-        (1, 1), (2, 132), (133, 263), (264, 300)]
+    # Every slot of a block changes the 41 heads, and the new heads pay.
+    assert [span[:6] for span in report.spans] == [
+        (1, 1, 41, 123, 41, 41), (2, 131, 41, 123, 41, 41), (133, 131, 41, 123, 41, 41),
+        (264, 37, 41, 123, 41, 41)]
+    first, second, third = (span[6] for span in report.spans[1:])
+    assert len(first) == 2 and second == first[::-1] and third == first
 
 
 def test_swap_blocks_that_gain_member_columns_keep_their_cap(monkeypatch):
@@ -482,8 +492,9 @@ def test_block_keeps_member_residuals_apart_by_the_sign_of_zero():
     loop = fleetchain.sim._SlotLoop(cfg, vehicles, free, free, free, 0.0)
     assert loop._block(2, 3) == (3, True)
     assert [math.copysign(1.0, r) for r in vehicles.residual.tolist()] == [1.0, -1.0, -1.0, 1.0]
-    # The block records one span of 3 slots that 4 members pay, at no cost.
-    assert loop.spans == [(2, 3, 0, 4, 0, 0)]
+    # The block records one span of 3 slots that 4 members pay, at no cost,
+    # with no trace.
+    assert loop.spans == [(2, 3, 0, 4, 0, 0, ())]
     assert loop.sum_rows[loop._sums(0, 4, False, False, 0)] == (0.0, 0.0, 0.0)
 
 

@@ -8,7 +8,7 @@ cascade (`reference`), both written out here. The specification takes only
 the closed forms of its constants (the stopping score and threshold and
 the pre-decay verdict) from `fleetchain.controller`. The event-blocked
 array loop of `run_baseline` and `run_clustered` must give the same
-`SlotColumns`, trace rows and final vehicles, bit for bit, over random small
+per-slot columns, trace rows and final vehicles, bit for bit, over random small
 configs: drains, critical fractions, exchange periods, the load model, tx
 and required limits, expected scores and lam 0.
 """
@@ -269,8 +269,16 @@ def configs(draw) -> SimConfig:
     )
 
 
+# A pair breaks on slot 35, the first of a block, and the block carries the
+# break: the span before it holds no slot and is not recorded.
+FIRST_SLOT_BREAK = SimConfig(cluster_count=6, vehicles_per_cluster=5, app_count=4, lam=1.9,
+                             hops=2, energy_per_record=2580.3, security_cost=0.0, horizon=42.5,
+                             slot=0.5, initial_energy=1e7, global_exchange_period=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(configs())
+@example(FIRST_SLOT_BREAK)
 @example(SimConfig(**CONFIGS["churn-drain"]))
 @example(SimConfig(**CONFIGS["head-critical"]))
 @example(SimConfig(**CONFIGS["limit-split"]))
@@ -401,10 +409,24 @@ def test_slot_loop_matches_its_specification(cfg):
     for run, clustered in ((run_baseline, False), (run_clustered, True)):
         report = run(cfg)
         columns, trace, vehicles = spec_run(cfg, clustered)
-        got = report.slots
         for name, want in columns.items():
             # repr tells -0.0 from 0.0: bit for bit.
-            assert repr(getattr(got, name)) == repr(want), name
+            assert repr(getattr(report, name)) == repr(want), name
         assert report.trace == trace
         assert repr([vehicle_cells(v) for v in report.vehicles]) == repr(
             [vehicle_cells(v) for v in vehicles])
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+@example(FIRST_SLOT_BREAK)
+def test_spans_cover_the_run_in_order(cfg):
+    # A report's columns are built span by span, with `np.add.reduceat` over
+    # the spans' first slots: the spans cover slots 1 .. n in order, each
+    # with at least one slot. A clustered span repeats a keep's one trace or
+    # a swap's two, and a baseline span no trace.
+    for run, cycles in ((run_baseline, {0}), (run_clustered, {1, 2})):
+        spans = run(cfg).spans
+        ends = [s + k for s, k, *_ in spans]
+        assert [s for s, *_ in spans] == [1, *ends[:-1]] and ends[-1] == cfg.n_slots + 1
+        assert all(k >= 1 and len(cycle) in cycles for _, k, *_, cycle in spans)

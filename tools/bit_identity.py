@@ -7,12 +7,13 @@ show that a change to the slot loop or to the oracles keeps every bit.
 
 Run it from a checkout; fleetchain is imported from its `src/`. `write` runs
 every config of the set and records, per config, one sha256 for each
-`SlotColumns` list of both regimes, for the clustered trace rows, for the
-final vehicles of both regimes and for the comparison CSV; per `validate`
-run, one sha256 for each check's error list, as `float.hex` strings, and one
-for the report text. `check` runs the set that OUT.json names again and
-prints each config or run whose hashes differ; it exits 1 if any does. So
-write the file at the parent commit and check it at the change.
+per-slot column of both regimes (`COLUMNS`, read from `RunReport`), for the
+clustered trace rows, for the final vehicles of both regimes and for the
+comparison CSV; per `validate` run, one sha256 for each check's error list,
+as `float.hex` strings, and one for the report text. `check` runs the set
+that OUT.json names again and prints each config or run whose hashes
+differ; it exits 1 if any does. So write the file at the parent commit and
+check it at the change.
 
 The set:
 - the golden configs of `tests/test_golden.py`;
@@ -38,8 +39,8 @@ Each group also records four counts: its baseline runs (`run_baseline`
 calls), and of its clustered runs the zero-length block attempts
 (`_SlotLoop._block` calls that stepped no slot, after which the slot runs
 alone), and the breaks of swap blocks carried on and declined. A break is a
-`FleetState.handed_on` call; one carried on starts a trace run of a new
-cycle inside the block, and a declined one ends the block. `check` prints
+`FleetState.handed_on` call; one carried on starts a span of a new cycle
+inside the block, and a declined one ends the block. `check` prints
 each count with the recorded one; a different count is a cost, not a
 difference in the outputs.
 """
@@ -184,7 +185,7 @@ def hashes(cfg: sim.SimConfig) -> dict[str, str]:
     for regime, report in (("baseline", comp.baseline), ("clustered", comp.clustered)):
         for column in COLUMNS:
             # repr keeps every bit, and tells -0.0 from 0.0.
-            out[f"{regime}.{column}"] = _digest(repr(getattr(report.slots, column)))
+            out[f"{regime}.{column}"] = _digest(repr(getattr(report, column)))
         out[f"{regime}.vehicles"] = _digest(repr(report.vehicles))
     out["clustered.trace"] = _digest(repr(comp.clustered.trace))
     return out
@@ -236,13 +237,13 @@ def run_set(options: dict) -> tuple[dict, dict[str, Counter]]:
         return run_baseline(cfg)
 
     def counting(loop, s, k):
-        runs, cycle = len(loop.trace_runs), loop.cycle
+        spans, cycle = len(loop.spans), loop.cycle
         ran, capped = block(loop, s, k)
         if loop.controller is not None:
             attempts[group] += ran == 0
-            # A break carried on starts a run of its own cycle; the block's
-            # other runs repeat the cycle it started with.
-            breaks = sum(traces is not cycle for traces, _, _ in loop.trace_runs[runs:])
+            # A break carried on starts a span of its own cycle; the span
+            # before the block's first break repeats the cycle it started with.
+            breaks = sum(span[6] is not cycle for span in loop.spans[spans:])
             carried[group] += breaks
             declined[group] -= breaks
         return ran, capped

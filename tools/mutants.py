@@ -142,6 +142,12 @@ MUTANTS = (
     Mutant("load-model-emits-without-heads", SIM,
            "paying = heads.nonzero()[0]",
            "paying = np.arange(n_slots)"),
+    Mutant("carry-records-no-span-before-the-break", SIM,
+           "loop._span(self.first, self.s + t - self.first, *self.span, self.cycle)",
+           "pass"),
+    Mutant("empty-span-kept", SIM,
+           "if not k:",
+           "if k < 0:"),
     Mutant("one-member-column-by-value", SIM,
            "if np.count_nonzero(bits != bits[:1]):",
            "if np.count_nonzero(residual != residual[:1]):"),
