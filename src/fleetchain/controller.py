@@ -32,8 +32,9 @@ every cluster at once. These two passes are the package's only implementation of
 cascade; the slot-loop specification in the tests writes it out again,
 one cluster at a time.
 
-`evaluate_slot` returns the slot's rows as a `SlotTrace` of columns;
-iterating it yields `TraceRow`s, the rows `run_controller` returns.
+`evaluate_slot` returns the slot's rows as a `SlotTrace` of columns, which
+holds no slot: `SlotTrace.rows_at` gives them as the `TraceRow`s of a slot,
+the rows `run_controller` returns.
 """
 
 from __future__ import annotations
@@ -207,24 +208,14 @@ def _verdict_table(
     return np.array(rule), np.array(change)
 
 
-def _select(
-    rating: np.ndarray,
-    eligible: np.ndarray,
-    seg: _Segments,
-    limit: np.ndarray | None,
-    qualified: np.ndarray | None,
-) -> np.ndarray:
+def _select(rating: np.ndarray, eligible: np.ndarray, seg: _Segments) -> np.ndarray:
     """The cascade's choice of a new head for every segment at once.
 
     Entries are vehicles in id order within each segment. A segment picks
-    its eligible vehicle of highest `rating`, ties to the lowest id; where
-    `limit` marks that the Lemma2-limit rule fired, only its `qualified`
-    vehicles are eligible (`limit` may be None, and `qualified` None, where
-    the rule fired in no segment). Returns each segment's flat position of
-    the pick, or `rating.size` where no vehicle is eligible.
+    its `eligible` vehicle of highest `rating`, ties to the lowest id.
+    Returns each segment's flat position of the pick, or `rating.size`
+    where no vehicle is eligible.
     """
-    if limit is not None and np.count_nonzero(limit):
-        eligible = eligible & (qualified | ~limit[seg.segment])
     top = np.maximum.reduceat(np.where(eligible, rating, -np.inf), seg.starts)
     hit = eligible & (rating == top[seg.segment])
     return np.minimum.reduceat(np.where(hit, seg.position, rating.size), seg.starts)
@@ -243,17 +234,16 @@ class TraceRow:
 
 @dataclass(eq=False)
 class SlotTrace:
-    """One slot's trace rows as columns, one entry per row in cluster order.
+    """The trace rows of a slot as columns, one entry per row in cluster
+    order. They hold no slot: a run repeats one trace on many slots.
 
     `rule` indexes `RULES`; `change` is the action, a change where set and
     a keep elsewhere. `new` holds the new head's id where `change` is set.
-    A change's offload is `offload`, a keep's 0.0. `len()` is the row count
-    and iterating yields the `TraceRow`s. The columns are lists: a run keeps
-    one trace per slot stepped alone, and small arrays kept that long
-    fragment the heap (peak RSS rose by about 0.5 MB on a churn run)."""
+    `len()` is the row count, and `rows_at` gives the `TraceRow`s. The
+    columns are lists: a run keeps one trace per slot stepped alone, and
+    small arrays kept that long fragment the heap (peak RSS rose by about
+    0.5 MB on a churn run)."""
 
-    slot: int
-    offload: float
     cluster: list[int]
     rule: list[int]
     change: list[bool]
@@ -263,15 +253,14 @@ class SlotTrace:
     def __len__(self) -> int:
         return len(self.cluster)
 
-    def __iter__(self):
-        return (TraceRow(self.slot, *cells) for cells in self.cells())
-
-    def cells(self) -> list[tuple]:
-        """Each row's `TraceRow` fields after `slot`."""
-        offload = self.offload
+    def rows_at(self, slot: int, length: float) -> list[TraceRow]:
+        """The rows as those of slot `slot`, `length` long. A change stamps
+        its offload one slot ahead, at `slot * length - length` and at least
+        0; a keep's is 0.0."""
+        offload = max(slot * length - length, 0.0)
         return [
-            (cluster, RULES[rule], ACTION_CHANGE, old, new, offload) if change
-            else (cluster, RULES[rule], ACTION_KEEP, old, None, 0.0)
+            TraceRow(slot, cluster, RULES[rule], ACTION_CHANGE, old, new, offload) if change
+            else TraceRow(slot, cluster, RULES[rule], ACTION_KEEP, old, None, 0.0)
             for cluster, rule, change, old, new in zip(
                 self.cluster, self.rule, self.change, self.old, self.new)
         ]
@@ -335,9 +324,9 @@ class FleetState:
     simulator's blocks, which step slots without `evaluate_slot`, read the
     rest: `ratings` rates residuals as the head selection does,
     `handed_back` gives the rows of the slot after a swap and `handed_on`
-    those of a slot that breaks the pairs; `_apply_change` moves heads.
-    Each slot reads the `active` flags afresh, so a caller may clear them
-    between slots.
+    those of a slot that breaks the pairs, neither with a slot;
+    `_apply_change` moves heads. Each slot reads the `active` flags
+    afresh, so a caller may clear them between slots.
 
     `heads` holds the head of each stepped cluster in cluster order, from
     the run's first slot on (None before it); head changes update it in
@@ -349,17 +338,17 @@ class FleetState:
     over. A cluster with no eligible member keeps having none while
     residuals only fall, the critical flags only rise and no vehicle stops,
     so until a vehicle stops or a head turns critical, a later slot would
-    return the same rows with its own slot.
+    return the same trace.
     `FIXED_SWAP`: every row changed its head, and as far as this slot
     tells, the next hands each head back (`handed_back` gives its rows):
-    the new head's verdict is a change, the returning vehicle's residual
-    is above every other candidate's in its cluster, and it qualifies where
-    the new head's rule is the Lemma2-limit rule. Each such cluster's head
-    then alternates between the two vehicles while each stays healthy, no
-    vehicle stops and the returning one stays its cluster's best candidate
-    after each slot's charge, which the simulator checks slot by slot; the
-    slots alternate the rows of this slot and of the next. Otherwise
-    `fixed` is None.
+    the new head's verdict is a change and the returning vehicle's
+    residual is above every other candidate's in its cluster. It is never
+    set where the Lemma2-limit rule fires (`_hands_back`). Each such
+    cluster's head then alternates between the two vehicles while each
+    stays healthy, no vehicle stops and the returning one stays its
+    cluster's best candidate after each slot's charge, which the simulator
+    checks slot by slot; the slots alternate the rows of this slot and of
+    the next. Otherwise `fixed` is None.
     """
 
     vehicles: Sequence | VehicleArrays
@@ -409,9 +398,13 @@ class FleetState:
         a.head[self._flat] = False
         a.head[self.heads] = True
         self._segments = _Segments.of_lengths(np.diff(starts, append=n)[stepped])
+        # Whether each member qualifies for a head the Lemma2-limit rule
+        # hands over: a limit that covers the required one (a NaN limit
+        # never does) and a radio range that covers the connect range.
         self._flat_qualified = None
         if self.required_tx_limit is not None:
-            self._flat_qualified = self._qualifies(self._flat)
+            self._flat_qualified = ((a.tx_limit[self._flat] >= self.required_tx_limit)
+                                    & (self.mobility.connect_range <= a.radio_range[self._flat]))
         # Vehicle -> position of its stepped cluster; the rest share one
         # extra position.
         self._cluster_of = np.full(n, self.heads.size, dtype=np.intp)
@@ -460,56 +453,48 @@ class FleetState:
         estimate = self._run.slot_decay_estimate
         return residual / estimate if estimate > 0 else residual
 
-    def _qualifies(self, vehicles: np.ndarray) -> np.ndarray:
-        """Whether each vehicle at `vehicles` has a limit that covers the
-        required one and a radio range that covers the connect range: those
-        the Lemma2-limit rule may hand the head to. A NaN limit (no limit)
-        never qualifies."""
-        a = self.vehicles
-        return ((a.tx_limit[vehicles] >= self.required_tx_limit)
-                & (self.mobility.connect_range <= a.radio_range[vehicles]))
-
     def handed_back(self, trace: SlotTrace) -> SlotTrace:
         """The rows of the slot after `trace` when `fixed` is `FIXED_SWAP`:
         each row's new head, under its own rule, hands the head back to the
         old one. Vehicle ids are positions in the arrays."""
-        slot, length = trace.slot + 1, self._run.cfg.slot
-        return SlotTrace(slot, max(slot * length - length, 0.0), trace.cluster,
-                         self._rule_of[trace.new].tolist(), trace.change, trace.new, trace.old)
+        return SlotTrace(trace.cluster, self._rule_of[trace.new].tolist(), trace.change,
+                         trace.new, trace.old)
 
-    def _hands_back(self, returning: np.ndarray, back: np.ndarray, taken: np.ndarray,
-                    picks: np.ndarray, residual: np.ndarray, ok: np.ndarray,
-                    seg: _Segments) -> bool:
+    def _hands_back(self, back: np.ndarray, taken: np.ndarray, picks: np.ndarray,
+                    residual: np.ndarray, ok: np.ndarray, seg: _Segments) -> bool:
         """Whether the next slot, as far as this one tells, gives each head
-        taken by the vehicle at `taken` back to the one at `returning`,
+        taken by the vehicle at `taken` back to the vehicle it came from,
         whose residual is `back`. The candidates have their `residual`s
         flat, one segment of `seg` per cluster in cluster order, and
         `picks` holds each new head's position among them. The new head's
-        verdict must be a change, the returning vehicle's residual above
+        verdict must be a change, and the returning vehicle's residual above
         that of every other candidate of its cluster flagged in `ok`
-        (active, not critical and not an old head; `ok` is overwritten),
-        and where the new head's rule is the Lemma2-limit rule, the
-        returning vehicle must qualify. Those members pay a member's charge
-        on the next slot as the returning vehicle does, so one it is not
-        above now stays rated at least as high; where it is above, the next
-        slot's charge can still tie them."""
-        if np.count_nonzero(~self._change_of[taken]):
+        (active, not critical and not an old head; `ok` is overwritten).
+        Those members pay a member's charge on the next slot as the
+        returning vehicle does, so one it is not above now stays rated at
+        least as high; where it is above, the next slot's charge can still
+        tie them.
+
+        It is False wherever the Lemma2-limit rule fires, which is always
+        correct: the slots then run alone. It mostly costs no block either.
+        A returning vehicle that qualifies for a head that rule hands over
+        has a limit that covers the requirement, so its own verdict is a
+        keep, and it handed the head over only as a critical or stopped
+        head: a swap block then fails its taker floor on its first slot, or
+        does not start. Where every vehicle has one limit, as in the
+        simulator, the rule fires only where no vehicle qualifies."""
+        if self._limit_fires or np.count_nonzero(~self._change_of[taken]):
             return False
         ok[picks] = False
         top = np.maximum.reduceat(np.where(ok, residual, -np.inf), seg.starts)
         if picks.size < top.size:  # otherwise pick k is in segment k
             top = top[seg.segment[picks]]
-        if np.count_nonzero(back > top) < picks.size:
-            return False
-        if not self._limit_fires:  # no vehicle's rule is the Lemma2-limit rule
-            return True
-        back = returning[self._rule_of[taken] == _LIMIT_CODE]
-        return not back.size or bool(self._qualifies(back).all())
+        return np.count_nonzero(back > top) == picks.size
 
-    def handed_on(self, expected: SlotTrace, slot: int, ids: np.ndarray, at: np.ndarray,
+    def handed_on(self, expected: SlotTrace, ids: np.ndarray, at: np.ndarray,
                   residual: np.ndarray, ok: np.ndarray,
                   seg: _Segments) -> tuple[SlotTrace, np.ndarray] | None:
-        """The rows `evaluate_slot` would give `slot` of a swap block whose
+        """The rows `evaluate_slot` would give the slot of a swap block whose
         `expected` rows hand each head (`old`) back to its returning vehicle
         (`new`), and the picks: each head goes to the candidate the cascade
         picks (`_select`), the returning vehicle or another. The candidates
@@ -520,36 +505,22 @@ class FleetState:
         whether each is not critical (overwritten). The rows, and each
         pick's position in `ids`, are returned only where the slot would
         set `FIXED_SWAP`: every head's verdict is a change, and the picks
-        hand back on the next slot (`_hands_back`). Otherwise None. It
-        moves no head; `_apply_change` does."""
+        hand back on the next slot (`_hands_back`), which is never where the
+        Lemma2-limit rule fires; so no qualification restricts the picks.
+        Otherwise None. It moves no head; `_apply_change` does."""
         heads = ids[at]
         if np.count_nonzero(ok[at] & self._change_of[heads]) < heads.size:
             return None
         ok[at] = False  # a head is not its own candidate
-        fired = qualified = None
-        if self._limit_fires:
-            fired, qualified = self._rule_of[heads] == _LIMIT_CODE, self._qualifies(ids)
-        picks = _select(self.ratings(residual), ok, seg, fired, qualified)
+        picks = _select(self.ratings(residual), ok, seg)
         if np.count_nonzero(picks == ids.size):
             return None
         taken = ids[picks]
-        if not self._hands_back(heads, residual[at], taken, picks, residual, ok, seg):
+        if not self._hands_back(residual[at], taken, picks, residual, ok, seg):
             return None
-        length = self._run.cfg.slot
-        rows = SlotTrace(slot, max(slot * length - length, 0.0), expected.cluster,
-                         self._rule_of[heads].tolist(), expected.change, expected.old,
-                         taken.tolist())
+        rows = SlotTrace(expected.cluster, self._rule_of[heads].tolist(), expected.change,
+                         expected.old, taken.tolist())
         return rows, picks
-
-    def _select_heads(self, ok: np.ndarray, limit: np.ndarray | None) -> np.ndarray:
-        """Per stepped cluster: the flat position of its new head among its
-        members flagged in `ok` (active and not critical) other than the
-        head, by `_select`, or `_flat.size` when there is none. `ok` is
-        overwritten. Members are rated by `ratings`; `limit` marks the
-        clusters where the Lemma2-limit rule fired."""
-        ok[self.heads] = False  # a head is not its own candidate
-        eligible, rating = ok[self._gather], self.ratings(self.vehicles.residual[self._gather])
-        return _select(rating, eligible, self._segments, limit, self._flat_qualified)
 
 
 def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> SlotTrace:
@@ -586,9 +557,16 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     if not some:
         rows, change, new = live, [False] * heads.size, old
     else:
-        # The Lemma2-limit verdict always indicates a change.
-        fired = steady & (rule == _LIMIT_CODE) if fleet._limit_fires else None
-        picks = fleet._select_heads(ok, fired)
+        # Each stepped cluster picks among its members that are active, not
+        # critical and not the head (`ok`, which `_hands_back` reads too).
+        ok[heads] = False
+        eligible = ok[fleet._gather]
+        if fleet._limit_fires:
+            # Where a steady head's Lemma2-limit verdict fired (it always
+            # indicates a change), only qualified members are eligible.
+            fired = steady & (rule == _LIMIT_CODE)
+            eligible = eligible & (fleet._flat_qualified | ~fired[fleet._segments.segment])
+        picks = _select(fleet.ratings(a.residual[fleet._gather]), eligible, fleet._segments)
         picked = indicated & (picks < fleet._flat.size)
         # No eligible (under the Lemma2-limit rule, qualified) member: the
         # head stays. A handover with no one to take over writes no row.
@@ -600,8 +578,8 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
         _apply_change(fleet, returning, fleet._flat[picks[picked]])
         new = a.id[heads].tolist()
         if (not fleet.score_schedule and 0 < np.count_nonzero(picked) == np.count_nonzero(rows)
-                and fleet._hands_back(returning, a.residual[returning], heads[picked],
-                                      picks[picked], a.residual[fleet._gather], ok[fleet._gather],
+                and fleet._hands_back(a.residual[returning], heads[picked], picks[picked],
+                                      a.residual[fleet._gather], ok[fleet._gather],
                                       fleet._segments)):
             fleet.fixed = FIXED_SWAP
     if not fleet.score_schedule and True not in change:
@@ -610,7 +588,7 @@ def evaluate_slot(fleet: FleetState, cfg: ControllerConfig, slot_index: int) -> 
     if np.count_nonzero(rows) < rows.size:
         keep = rows.tolist()
         columns = [list(compress(column, keep)) for column in columns]
-    return SlotTrace(slot_index, max(slot_index * cfg.slot - cfg.slot, 0.0), *columns)
+    return SlotTrace(*columns)
 
 
 def _apply_change(fleet: FleetState, old: np.ndarray, new: np.ndarray) -> None:
@@ -634,7 +612,7 @@ def run_controller(fleet: FleetState, cfg: ControllerConfig) -> list[TraceRow]:
         fleet = replace(fleet, vehicles=VehicleArrays.of(objects))
     rows: list[TraceRow] = []
     for slot_index in range(1, slot_count(cfg.horizon, cfg.slot) + 1):
-        rows.extend(evaluate_slot(fleet, cfg, slot_index))
+        rows += evaluate_slot(fleet, cfg, slot_index).rows_at(slot_index, cfg.slot)
     if objects is not None:
         a = fleet.vehicles
         changed = {row.cluster for row in rows if row.action == ACTION_CHANGE}

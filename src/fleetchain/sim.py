@@ -94,6 +94,7 @@ exchange flags, and a list of spans (`_span`). A span is (first slot,
 slots, paying heads, payers, head changes, new heads that paid their
 security charge, cycle of slot traces); its slots share all of these, and
 its slot s repeats trace (s - first) % cycle length of the cycle. A slot
+trace holds no slot, so one trace serves every slot that repeats it. A slot
 stepped alone records a span of its one slot and its trace (the baseline's
 cycles are empty); a block records one span for the slots before each break
 it carries, and one for the rest where it ends. A span of no slot is not
@@ -458,7 +459,9 @@ class RunReport:
     """A run's record: its spans (`_SlotLoop._span`), in slot order, and
     the columns built from them at its end. A slot's `offloads` equal its
     `ch_changes`. The `t`, security, transmission and update columns,
-    `rows`, `trace` and `vehicles` are built when read."""
+    `rows`, `trace` and `vehicles` are built when read; a span's slot
+    traces hold no slot, and `trace` gives each slot of the span its
+    trace's rows."""
 
     regime: str
     # The per-slot columns that `comparison_csv` writes, in slot order.
@@ -471,8 +474,8 @@ class RunReport:
     sum_rows: list[tuple[float, float, float]] = field(repr=False)
     # (first slot, slots, paying heads, payers, head changes, new heads that
     # paid, cycle of slot traces): slot s of a span takes the rows of trace
-    # (s - first) % cycle length, with their slot set to s. The baseline's
-    # cycles are empty.
+    # (s - first) % cycle length, as those of slot s. The baseline's cycles
+    # are empty.
     spans: list[tuple[int, int, int, int, int, int, tuple[SlotTrace, ...]]] = field(repr=False)
     # The run's final vehicle arrays and its config, read by `vehicles`.
     final: tuple[_SimVehicles, SimConfig] = field(repr=False)
@@ -505,16 +508,12 @@ class RunReport:
 
     @property
     def trace(self) -> list[TraceRow]:
-        """The controller's trace rows in slot order, built when read. A
-        change row's offload is stamped one slot before its slot."""
-        rows, slot = [], self.final[1].slot
-        for first, k, *_, traces in self.spans:
-            cycle = [trace.cells() for trace in traces]
+        """The controller's trace rows in slot order, built when read: each
+        slot's trace gives its rows (`SlotTrace.rows_at`)."""
+        rows, length = [], self.final[1].slot
+        for first, k, *_, cycle in self.spans:
             for s in range(first, first + k) if cycle else ():
-                offload = max(s * slot - slot, 0.0)
-                rows += [TraceRow(s, cluster, rule, action, old, new,
-                                  0.0 if new is None else offload)
-                         for cluster, rule, action, old, new, _ in cycle[(s - first) % len(cycle)]]
+                rows += cycle[(s - first) % len(cycle)].rows_at(s, length)
         return rows
 
     @cached_property
@@ -1075,8 +1074,8 @@ class _Block:
         at_h, at_r, r_cols = (self.at_b, self.at_a, slice(f, a)) if t % 2 else (
             self.at_a, self.at_b, slice(a, b))
         res = after[self.column[cand]]
-        handed = fleet.handed_on(self.cycle[(self.s + t - self.first) % 2], self.s + t, cand,
-                                 at_h, res, res >= loop.critical_level, self.segs)
+        handed = fleet.handed_on(self.cycle[(self.s + t - self.first) % 2], cand, at_h, res,
+                                 res >= loop.critical_level, self.segs)
         if handed is None:
             return False
         trace, picks = handed

@@ -190,7 +190,7 @@ def cascade(observed, expected, *members, limit=None, slot=5, required=None,
                        connectivity=ConnectivityParams(), score_default=observed,
                        required_tx_limit=required, **signal)
     cfg = ControllerConfig(slot=1.0, horizon=10.0, expected_score=expected)
-    return list(evaluate_slot(fleet, cfg, slot))
+    return evaluate_slot(fleet, cfg, slot).rows_at(slot, cfg.slot)
 
 
 def test_decide_keep_when_all_healthy():
@@ -324,6 +324,21 @@ def test_run_controller_scripted_dip():
     assert heads(f.vehicles, 0) == [1]
 
 
+def test_run_controller_stamps_offloads_one_slot_ahead_at_slot_0_3():
+    # Every verdict is an OST change, so every slot changes the head. The
+    # rows are each slot's trace as `rows_at` gives them, on a twin fleet,
+    # with the offload `s * 0.3 - 0.3`: `(s - 1) * 0.3` rounds differently.
+    cfg = ControllerConfig(slot=0.3, horizon=3.0, expected_score=1.0)
+    rows = run_controller(fleet(default=0.5), cfg)
+    twin = fleet(default=0.5)
+    twin.vehicles = VehicleArrays.of(twin.vehicles)
+    assert rows == [row for s in range(1, 11)
+                    for row in evaluate_slot(twin, cfg, s).rows_at(s, 0.3)]
+    assert [r.action for r in rows] == [ACTION_CHANGE] * 10
+    assert [r.offload_slot for r in rows] == [max(s * 0.3 - 0.3, 0.0) for s in range(1, 11)]
+    assert [r.offload_slot for r in rows] != [(s - 1) * 0.3 for s in range(1, 11)]
+
+
 def test_run_controller_deterministic_trace():
     cfg = ControllerConfig(slot=1.0, horizon=10.0, expected_score=1.0)
     a = run_controller(fleet(schedule={3: 0.0, 7: 0.0}), cfg)
@@ -418,7 +433,8 @@ def test_a_cluster_with_two_head_flags_keeps_one_after_a_change():
     slot, changed = 0, False
     while not changed:
         slot += 1
-        changed = any(row.action == ACTION_CHANGE for row in evaluate_slot(f, cfg, slot))
+        changed = any(row.action == ACTION_CHANGE
+                      for row in evaluate_slot(f, cfg, slot).rows_at(slot, cfg.slot))
     assert slot == 3
     assert arrays.head.tolist() == [False, True, False, False]
     vehicles = handover_fleet(spec)
@@ -438,11 +454,11 @@ def test_deactivated_vehicles_leave_the_active_counts():
     # The flags are cleared directly, before and between slots: each slot
     # reads them afresh.
     arrays.active[2] = False
-    assert [row.cluster for row in evaluate_slot(f, cfg, 1)] == [0, 1]
+    assert evaluate_slot(f, cfg, 1).cluster == [0, 1]
     arrays.active[1] = False
-    assert [row.cluster for row in evaluate_slot(f, cfg, 2)] == [1]
+    assert evaluate_slot(f, cfg, 2).cluster == [1]
     arrays.active[4] = False
-    assert list(evaluate_slot(f, cfg, 3)) == []
+    assert len(evaluate_slot(f, cfg, 3)) == 0
     assert arrays.active.tolist() == [True, False, False, True, False]
 
 
@@ -461,18 +477,50 @@ def test_handed_back_rows_take_the_new_heads_rule():
     assert (trace.rule, trace.change, trace.old, trace.new) == ([2], [True], [0], [1])
     assert f.fixed == FIXED_SWAP
     back = f.handed_back(trace)
-    assert (back.slot, back.offload, back.cluster) == (2, 1.0, [0])
+    assert [(r.slot, r.offload_slot, r.cluster) for r in back.rows_at(2, 1.0)] == [(2, 1.0, 0)]
     assert (back.rule, back.change, back.old, back.new) == ([0], [True], [1], [0])
 
 
 
-def handed_on(f: FleetState, expected, slot: int):
+def test_no_swap_is_fixed_where_the_limit_rule_fires():
+    # Head 0's limit of 60 covers the required 50, but it is critical, so
+    # slot 1 hands it under the pre-decay rule to vehicle 1, the richest
+    # healthy member. Vehicle 1's limit of 10 is under the requirement, so
+    # its verdict as a head is a Lemma2-limit change: that rule fires. Head
+    # 0 qualifies and is richer than vehicle 2, yet no swap is fixed: as a
+    # critical vehicle it does not take the head back, and no vehicle
+    # qualifies to take it from vehicle 1.
+    def limit_fleet(vehicles) -> FleetState:
+        return FleetState(vehicles=vehicles, mobility=mobility(),
+                          connectivity=ConnectivityParams(), score_default=1.0,
+                          required_tx_limit=50.0)
+
+    def vehicles():
+        return [VehicleState(id=i, cluster=0, residual_energy=residual, stay_time=10.0,
+                             radio_range=600.0, role="ch" if i == 0 else "member",
+                             tx_limit=limit, critical=i == 0)
+                for i, (residual, limit) in enumerate(((900.0, 60.0), (500.0, 10.0),
+                                                       (100.0, 10.0)))]
+
+    cfg = ControllerConfig(slot=1.0, horizon=3.0, expected_score=0.0)
+    f = limit_fleet(VehicleArrays.of(vehicles()))
+    trace = evaluate_slot(f, cfg, 1)
+    assert (trace.rule, trace.change, trace.old, trace.new) == ([2], [True], [0], [1])
+    assert f.fixed is None
+    assert run_controller(limit_fleet(vehicles()), cfg) == [
+        TraceRow(1, 0, "pre-decay", ACTION_CHANGE, 0, 1, 0.0),
+        TraceRow(2, 0, "Lemma2-limit", ACTION_KEEP, 1, None, 0.0),
+        TraceRow(3, 0, "Lemma2-limit", ACTION_KEEP, 1, None, 0.0),
+    ]
+
+
+def handed_on(f: FleetState, expected):
     """`f.handed_on` on a fleet of one cluster: every active vehicle is a
     candidate, with its residual and critical flag from the arrays."""
     a = f.vehicles
     ids = a.active.nonzero()[0]
     at = ids.searchsorted(expected.old)
-    return f.handed_on(expected, slot, ids, at, a.residual[ids], ~a.critical[ids],
+    return f.handed_on(expected, ids, at, a.residual[ids], ~a.critical[ids],
                        _Segments.of_lengths([ids.size]))
 
 
@@ -497,12 +545,12 @@ def test_handed_on_gives_the_picks_that_hand_back(residuals, new):
     trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=1.0), 1)
     assert f.fixed == FIXED_SWAP
     f.vehicles.residual[:] = residuals
-    handed = handed_on(f, f.handed_back(trace), 2)
+    handed = handed_on(f, f.handed_back(trace))
     if new is None:
         assert handed is None
     else:
         rows, picks = handed
-        assert (rows.slot, rows.offload, rows.cluster) == (2, 1.0, [0])
+        assert [(r.slot, r.offload_slot, r.cluster) for r in rows.rows_at(2, 1.0)] == [(2, 1.0, 0)]
         assert (rows.rule, rows.change, rows.old, rows.new) == ([0], [True], [1], new)
         assert picks.tolist() == new  # the candidates are vehicles 0, 1 and 2
     assert f.heads.tolist() == [1]  # it moves no head
@@ -525,7 +573,29 @@ def test_handed_on_needs_every_head_to_change():
     trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=0.0), 1)
     assert trace.new == [0]
     f.vehicles.residual[:] = (8.0, 9.0, 7.0)
-    assert handed_on(f, f.handed_back(trace), 2) is None
+    assert handed_on(f, f.handed_back(trace)) is None
+
+
+def test_handed_on_needs_every_head_to_change_where_no_limit_rule_fires():
+    # At the score tie with the pre-decay test set, vehicle 0's limit of 60
+    # covers the required 50, so its verdict as a head is a keep; vehicles
+    # 1 and 2 have no limit, so theirs is a pre-decay change, and the
+    # Lemma2-limit rule fires for no vehicle. Slot 1 hands head 1 to vehicle
+    # 0, the richest member. On a break where vehicle 0 heads, vehicle 1
+    # would be the pick and would hand the head back, but vehicle 0 keeps
+    # the head.
+    vehicles = [VehicleState(id=i, cluster=0, residual_energy=residual, stay_time=10.0,
+                             radio_range=600.0, role="ch" if i == 1 else "member",
+                             tx_limit=limit)
+                for i, (residual, limit) in enumerate(((900.0, 60.0), (800.0, None),
+                                                       (100.0, None)))]
+    hp = HestonParams(request_rate=0.0, excess_energy_ratio=2.0, energy_stddev=1.0)
+    f = FleetState(vehicles=VehicleArrays.of(vehicles), mobility=mobility(),
+                   connectivity=ConnectivityParams(), score_default=1.0, required_tx_limit=50.0,
+                   decay=decay(), heston=hp, lam1=1.0)
+    trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=1.0), 1)
+    assert (trace.rule, trace.old, trace.new) == ([2], [1], [0])
+    assert handed_on(f, f.handed_back(trace)) is None
 
 
 def test_handed_on_gives_a_limit_head_only_to_a_qualified_member():
@@ -547,5 +617,5 @@ def test_handed_on_gives_a_limit_head_only_to_a_qualified_member():
                    decay=decay(), heston=hp, lam1=1.0)
     trace = evaluate_slot(f, ControllerConfig(slot=1.0, horizon=10.0, expected_score=1.0), 1)
     assert (trace.rule, trace.old, trace.new) == ([1], [0], [2])
-    expected = SlotTrace(2, 1.0, [0], [0], [True], [0], [2])
-    assert handed_on(f, expected, 2) is None
+    expected = SlotTrace([0], [0], [True], [0], [2])
+    assert handed_on(f, expected) is None

@@ -134,7 +134,8 @@ def test_decide_agrees_with_evaluate_slot(vehicles, observed, required, connect_
         required_tx_limit=required,
         **fields,
     )
-    rows = {r.cluster: r for r in evaluate_slot(fleet, CFG, slot_index)}
+    trace = evaluate_slot(fleet, CFG, slot_index)
+    rows = {r.cluster: r for r in trace.rows_at(slot_index, CFG.slot)}
     for cluster in sorted({v.cluster for v in vehicles}):
         members = [v for v in vehicles if v.cluster == cluster]
         heads = [v for v in members if v.role == "ch"]

@@ -143,32 +143,32 @@ def test_slot_trace_length_is_its_row_count(seed):
     cfg = ControllerConfig(slot=1.0, horizon=12.0, expected_score=1.0)
     for slot in range(1, 13):
         trace = evaluate_slot(fleets[0], cfg, slot)
-        rows = list(evaluate_slot(fleets[1], cfg, slot))
+        rows = evaluate_slot(fleets[1], cfg, slot).rows_at(slot, cfg.slot)
         assert len(trace) == len(rows) > 0
-        assert list(trace) == rows
+        assert trace.rows_at(slot, cfg.slot) == rows
 
 
 def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int | tuple[int, int | str]]:
     """The slots on which a paired run of `cfg` called `evaluate_slot`, in
     order; as (s, "break") each slot s on which a swap block handed its
-    pairs' heads on (`FleetState.handed_on` gave its rows); and as (s, 0)
+    pairs' heads on (`_Block.carry` carried the break); and as (s, 0)
     each `_SlotLoop._block` call of the clustered run that stepped no slot:
     a block attempt that failed at its first slot s, which then runs
     alone."""
     slots = []
     evaluate_slot = fleetchain.sim.evaluate_slot
     block = fleetchain.sim._SlotLoop._block
-    handed_on = FleetState.handed_on
+    carry = fleetchain.sim._Block.carry
 
     def counting(fleet, ctrl, slot_index):
         slots.append(slot_index)
         return evaluate_slot(fleet, ctrl, slot_index)
 
-    def breaking(fleet, expected, slot, *candidates):
-        handed = handed_on(fleet, expected, slot, *candidates)
-        if handed is not None:
-            slots.append((slot, "break"))
-        return handed
+    def breaking(block, seg, j):
+        carried = carry(block, seg, j)
+        if carried:
+            slots.append((block.s + seg + j, "break"))
+        return carried
 
     def attempting(loop, s, k):
         ran, capped = block(loop, s, k)
@@ -177,7 +177,7 @@ def evaluated_slots(monkeypatch, cfg: SimConfig) -> list[int | tuple[int, int | 
         return ran, capped
 
     monkeypatch.setattr(fleetchain.sim, "evaluate_slot", counting)
-    monkeypatch.setattr(FleetState, "handed_on", breaking)
+    monkeypatch.setattr(fleetchain.sim._Block, "carry", breaking)
     monkeypatch.setattr(fleetchain.sim._SlotLoop, "_block", attempting)
     paired_comparison(cfg)
     return slots
@@ -553,7 +553,7 @@ def test_slots_read_the_active_flags_cleared_between_them(cfg, data):
     for s in range(1, cfg.n_slots + 1):
         for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
             vehicles[i].active = arrays.active[i] = False
-        assert list(evaluate_slot(fleet, ctrl, s)) == reference.step(s, clusters)
+        assert evaluate_slot(fleet, ctrl, s).rows_at(s, ctrl.slot) == reference.step(s, clusters)
         assert arrays.head.tolist() == [v.head for v in vehicles]
 
 

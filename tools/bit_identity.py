@@ -26,6 +26,10 @@ The set:
   swap between two vehicles: exchange periods 1 to 10, the load model,
   drains, critical fractions, tx limits, and security costs that tie the
   returning head with a member as rich;
+- `FIRST_SLOT_BREAK` of `tests/test_slot_loop_spec.py`, whose block carries
+  a break on its first slot, which the random configs do not reach;
+- rating ties across the critical level at a break (`TIES`), which the
+  random configs do not reach either;
 - `validate` at grid 300 on the validate seeds of the oracle-validate inputs
   for each benchmark seed, and at grids 1 to 30 on seeds 0 to 40;
 - `simulate` through `cli.main`, one sha256 for its exit code and stdout
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -64,10 +69,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")
 import workloads  # noqa: E402
 from test_cli import LIST_SWEEP  # noqa: E402
 from test_golden import CONFIGS  # noqa: E402
+from test_slot_loop_spec import FIRST_SLOT_BREAK  # noqa: E402
 
 import fleetchain.cli as cli  # noqa: E402
 import fleetchain.sim as sim  # noqa: E402
 import fleetchain.validate as validate  # noqa: E402
+from fleetchain.energy import transmission_energy  # noqa: E402
 from fleetchain.scenario import expand, load_scenario, make_config  # noqa: E402
 
 # (clusters, vehicles per cluster, exchange period, horizon) of the wide
@@ -91,6 +98,28 @@ SWEEPS = {
                                    {"param": "range_stddev", "values": [1.0, 60.0]},
                                    {"param": "hops", "values": [2, 10]}]},
 }
+
+# Rating ties across the critical level at a break: (clusters, vehicles per
+# cluster, lam, hops, slot, slots, exchange period, or None for the load
+# model, radio range, critical fraction), each at app_count 1, 2580.3 J a
+# record, 3e6 J initial energy and a security cost equal to the local
+# transmission charge. Those make ratings of candidates tie at a break while
+# their residuals differ by ulps; each critical fraction puts the critical
+# level between the poorer of a tie, of lower id, and a richer one, so only
+# the eligibility by the critical level tells them apart (the 6 x 8 and
+# 3 x 7 fleets change their picks where it is dropped). Found by a search of
+# such configs with a `FleetState.handed_on` hook.
+TIES = [
+    (4, 6, 0.5, 9, 1.0, 64, None, 300.0, 0.6822187000000021),
+    (5, 3, 0.5, 3, 0.3, 119, None, 300.0, 0.6956695000000062),
+    (2, 4, 1.5, 9, 0.3, 75, None, 300.0, 0.6855286000000015),
+    (5, 3, 0.5, 5, 0.3, 114, None, 300.0, 0.6522784000000037),
+    (1, 5, 1.9, 4, 0.5, 110, 7, 300.0, 0.5521471000000026),
+    (1, 5, 1.9, 4, 0.5, 110, 7, 300.0, 0.5406229000000026),
+    (6, 8, 1.75, 9, 2.5, 84, 2, 300.0, 0.5287177000000007),
+    (3, 7, 1.0, 10, 2.5, 44, 2, 300.0, 0.5050657000000008),
+    (1, 8, 1.0, 10, 1.0, 58, 1, 600.0, 0.6645931000000017),
+]
 
 COLUMNS = ("t", "transactions_cum", "energy_cum", "ch_changes", "security_j", "transmission_j",
            "update_j")
@@ -142,6 +171,16 @@ def config_set(bench_seeds: list[int], n_random: int, random_seed: int):
         yield "wide", f"{clusters}x{size}:period={period}", sim.SimConfig(
             cluster_count=clusters, vehicles_per_cluster=size, lam=1.5, horizon=horizon,
             global_exchange_period=period)
+    yield "first-slot-break", "FIRST_SLOT_BREAK", FIRST_SLOT_BREAK
+    for clusters, size, lam, hops, slot, slots, period, radio_range, critical in TIES:
+        cfg = sim.SimConfig(
+            cluster_count=clusters, vehicles_per_cluster=size, app_count=1, lam=lam, hops=hops,
+            slot=slot, horizon=slots * slot, energy_per_record=2580.3, initial_energy=3e6,
+            critical_fraction=critical, global_exchange_period=period,
+            use_load_model_exchange=period is None, radio_range=radio_range)
+        local = transmission_energy(cfg.energy_params(1)) * slot
+        yield "ties", f"{clusters}x{size}:critical={critical!r}", dataclasses.replace(
+            cfg, security_cost=local)
     rng = random.Random(random_seed)
     for i in range(n_random):
         yield "random", str(i), random_config(rng)

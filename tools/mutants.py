@@ -47,20 +47,20 @@ class Mutant:
 MUTANTS = (
     # The break of a swap block: which member the controller picks.
     Mutant("pick-by-residual", CONTROLLER,
-           "picks = _select(self.ratings(residual), ok, seg, fired, qualified)",
-           "picks = _select(residual, ok, seg, fired, qualified)"),
-    Mutant("qualification-ignored", CONTROLLER,
-           "fired, qualified = self._rule_of[heads] == _LIMIT_CODE, self._qualifies(ids)",
-           "fired, qualified = self._rule_of[heads] == _LIMIT_CODE, np.ones(ids.size, bool)"),
+           "picks = _select(self.ratings(residual), ok, seg)",
+           "picks = _select(residual, ok, seg)"),
     Mutant("verdict-guard-dropped", CONTROLLER,
            "if np.count_nonzero(ok[at] & self._change_of[heads]) < heads.size:",
            "if False:"),
     Mutant("hands-back-dropped", CONTROLLER,
-           "if not self._hands_back(heads, residual[at], taken, picks, residual, ok, seg):",
+           "if not self._hands_back(residual[at], taken, picks, residual, ok, seg):",
            "if False:"),
+    Mutant("limit-swap-not-declined", CONTROLLER,
+           "if self._limit_fires or np.count_nonzero(~self._change_of[taken]):",
+           "if np.count_nonzero(~self._change_of[taken]):"),
     Mutant("eligibility-without-critical-level", SIM,
-           "at_h, res, res >= loop.critical_level, self.segs)",
-           "at_h, res, np.ones(res.size, dtype=bool), self.segs)"),
+           "res >= loop.critical_level, self.segs)",
+           "np.ones(res.size, dtype=bool), self.segs)"),
     Mutant("no-security-affordability-check", SIM,
            "if np.count_nonzero(picked < self.cost):",
            "if False:"),
@@ -151,6 +151,13 @@ MUTANTS = (
     Mutant("one-member-column-by-value", SIM,
            "if np.count_nonzero(bits != bits[:1]):",
            "if np.count_nonzero(residual != residual[:1]):"),
+    # The selection of a slot stepped alone, and its trace rows.
+    Mutant("qualification-ignored", CONTROLLER,
+           "eligible = eligible & (fleet._flat_qualified | ~fired[fleet._segments.segment])",
+           "pass"),
+    Mutant("offload-from-slot-minus-one", CONTROLLER,
+           "offload = max(slot * length - length, 0.0)",
+           "offload = max((slot - 1) * length, 0.0)"),
     # The cluster index.
     Mutant("highest-id-flag-heads", CONTROLLER,
            "head_at = np.minimum.reduceat(np.where(a.head[order], positions, n), starts)",
